@@ -1,44 +1,40 @@
 """Replica-exchange Langevin dynamics for nonconvex minimization.
 
-Public surface: objectives, the Euler-Maruyama chain, the replica-pair
-stepper, convergence diagnostics, the experiment harness, and the CLI.
+Public surface: objectives, the Euler-Maruyama update and the one kernel
+that integrates single chains and replica pairs, convergence diagnostics,
+the experiment harness, and the CLI.
 """
 
-from .diagnostics import (DecayFit, GridMeasure, best_so_far,
-                          chi2_decay_experiment, chi_square_divergence,
-                          dirichlet_acceleration_term, empirical_histogram,
-                          gibbs_density, pair_gibbs_density, total_variation)
+from .diagnostics import (DecayFit, GridMeasure, chi2_decay_experiment,
+                          chi_square_divergence, dirichlet_acceleration_term,
+                          empirical_histogram, gibbs_density,
+                          pair_gibbs_density, total_variation)
 from .errors import (ConfigError, DivergenceError, EmptyInputError, FitError,
                      GridMismatchError, InputError, RelexError,
                      TruncationError)
 from .harness import (RunSummary, SimConfig, build_objective,
                       comparison_configs, discretization_error_experiment,
                       kappa_sweep, run_comparison, stability_bound_check)
-from .langevin import ChainState, Trace, em_update, langevin_step, run_chain, run_ensemble
+from .langevin import em_update
 from .objective import (GaussianMixtureSpec, ObjectiveFunction,
                         build_gaussian_mixture, check_gradient, double_well,
                         benchmark_mixture, quadratic, zero_potential)
-from .replica import (ReplicaState, SwapPolicy, low_temperature_position,
-                      position_swap_step, replica_step, run_pair_ensemble,
-                      swap_decision, swap_probability, swap_rate)
+from .replica import SwapPolicy, run_pair_ensemble, swap_probability, swap_rate
 from .rng import RngStream, derive_stream, stream_id
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ChainState", "ConfigError", "DecayFit", "DivergenceError",
-    "EmptyInputError", "FitError", "GaussianMixtureSpec", "GridMeasure",
-    "GridMismatchError", "InputError", "ObjectiveFunction", "RelexError",
-    "ReplicaState", "RngStream", "RunSummary", "SimConfig", "SwapPolicy",
-    "Trace", "TruncationError", "best_so_far", "build_gaussian_mixture",
-    "build_objective", "check_gradient", "chi2_decay_experiment",
-    "chi_square_divergence", "comparison_configs", "derive_stream",
-    "dirichlet_acceleration_term", "discretization_error_experiment",
-    "double_well", "em_update", "empirical_histogram", "gibbs_density",
-    "kappa_sweep", "langevin_step", "low_temperature_position",
-    "pair_gibbs_density", "benchmark_mixture", "position_swap_step",
-    "quadratic", "replica_step", "run_chain", "run_comparison",
-    "run_ensemble", "run_pair_ensemble", "stability_bound_check",
-    "stream_id", "swap_decision", "swap_probability", "swap_rate",
-    "total_variation", "zero_potential",
+    "ConfigError", "DecayFit", "DivergenceError", "EmptyInputError",
+    "FitError", "GaussianMixtureSpec", "GridMeasure", "GridMismatchError",
+    "InputError", "ObjectiveFunction", "RelexError", "RngStream",
+    "RunSummary", "SimConfig", "SwapPolicy", "TruncationError",
+    "build_gaussian_mixture", "build_objective", "check_gradient",
+    "chi2_decay_experiment", "chi_square_divergence", "comparison_configs",
+    "derive_stream", "dirichlet_acceleration_term",
+    "discretization_error_experiment", "double_well", "em_update",
+    "empirical_histogram", "gibbs_density", "kappa_sweep",
+    "pair_gibbs_density", "benchmark_mixture", "quadratic", "run_comparison",
+    "run_pair_ensemble", "stability_bound_check", "stream_id",
+    "swap_probability", "swap_rate", "total_variation", "zero_potential",
 ]

@@ -20,11 +20,11 @@ from .diagnostics import (chi2_decay_experiment, dirichlet_acceleration_term,
                           pair_gibbs_density, total_variation)
 from .harness import (SimConfig, comparison_configs,
                       discretization_error_experiment, pregenerate_noise,
-                      resolve_init, run_comparison, run_replica_trajectories,
-                      run_single_trajectories)
-from .langevin import run_ensemble
+                      resolve_init, run_comparison)
+from .langevin import em_update
 from .objective import check_gradient, double_well, benchmark_mixture
-from .replica import SwapPolicy, run_pair_ensemble, swap_rate
+from .replica import (SwapPolicy, block_noise, pair_snapshots,
+                      run_pair_ensemble, stream_noise, swap_rate)
 from .rng import (PURPOSE_INIT, PURPOSE_POS1, PURPOSE_POS2, PURPOSE_SWAP,
                   derive_stream)
 
@@ -69,19 +69,22 @@ def criterion_1_swap_rate_exactness():
 
 
 def criterion_2_null_coupling_bitwise():
-    """a = 0 replica pair equals two independent single chains bitwise."""
+    """a = 0 replica pair equals two independent single chains bitwise. The
+    single chains are an oracle loop of bare Euler-Maruyama updates."""
     f = benchmark_mixture(kappa=0.1)
     steps, nseeds = 10_000, 5
     eta, tau1, tau2 = 0.01, 0.01, 1.0
     init = resolve_init((2.0, 2.0), f.dimension, nseeds, seed=7)
-    noise1, noise2, uswap = pregenerate_noise(7, nseeds, steps, f.dimension)
-    single1 = run_single_trajectories(init, f, tau1, eta, noise1)
-    single2 = run_single_trajectories(init, f, tau2, eta, noise2)
-    policy = SwapPolicy(intensity=0.0, eta=eta)
-    low, p1, p2, swaps = run_replica_trajectories(
-        init, init, f, tau1, tau2, policy, noise1, noise2, uswap)
-    ok = (np.array_equal(p1, single1) and np.array_equal(p2, single2)
-          and np.array_equal(low, single1) and int(swaps.sum()) == 0)
+    xi, uswap = pregenerate_noise(7, nseeds, steps, f.dimension)
+    snaps, swaps = pair_snapshots(f, np.stack((init, init), axis=1), (tau1, tau2),
+                                  steps, block_noise(xi, uswap, eta),
+                                  SwapPolicy(0.0, eta), range(steps + 1))
+    ok = int(swaps.sum()) == 0
+    for slot, tau in enumerate((tau1, tau2)):
+        pos = init
+        for k in range(steps):
+            pos = em_update(pos, f.grad(pos), np.full(nseeds, tau), eta, xi[k, :, slot])
+            ok = ok and np.array_equal(pos, snaps[k + 1][:, slot])
     if not ok:
         return False, "a=0 replica run differs from the single chains"
     return True, f"bitwise equal over {steps} steps x {nseeds} seeds, 0 swaps"
@@ -95,10 +98,12 @@ def criterion_3_stationarity():
     bounds = np.array([[-3.0, 3.0]])
     rng_init = derive_stream(3, PURPOSE_INIT)
     init = -1.5 + 3.0 * rng_init.uniform((chains, 1))
-    final, _ = run_ensemble(init, f, tau, eta, steps,
-                            derive_stream(3, PURPOSE_POS1))
+    final, _, _ = run_pair_ensemble(
+        f, init[:, None], tau, steps,
+        stream_noise(eta, (chains, 1), [derive_stream(3, PURPOSE_POS1)]),
+        SwapPolicy(0.0, eta))
     pi = gibbs_density(f, tau, bounds, 60)
-    mu = empirical_histogram(final, bounds, 60)
+    mu = empirical_histogram(final[:, 0], bounds, 60)
     tv = total_variation(mu, pi)
     return tv < 0.05, f"TV to quadrature Gibbs = {tv:.4f} (limit 0.05)"
 
@@ -205,16 +210,15 @@ def criterion_8_formulation_equivalence():
     # the same law at every time, so pooling just shrinks the sampling noise.
     snapshot_steps = tuple(range(12_000, steps + 1, 2000))
     pooled = {}
+    x0 = np.broadcast_to(np.reshape((1.0, -1.0), (1, 2, 1)), (chains, 2, 1))
     for offset, mode in ((0, "temperature"), (1, "position")):
         seed = 80 + offset
-        init1 = np.full((chains, 1), 1.0)
-        init2 = np.full((chains, 1), -1.0)
-        snaps, _, _ = run_pair_ensemble(
-            init1, init2, f, tau1, tau2, policy, steps,
-            derive_stream(seed, PURPOSE_POS1), derive_stream(seed, PURPOSE_POS2),
-            derive_stream(seed, PURPOSE_SWAP), mode=mode,
-            snapshot_steps=snapshot_steps)
-        pooled[mode] = np.concatenate([snaps[k][0] for k in snapshot_steps])
+        noise = stream_noise(eta, (chains, 1), [derive_stream(seed, PURPOSE_POS1),
+                                                derive_stream(seed, PURPOSE_POS2)],
+                             derive_stream(seed, PURPOSE_SWAP))
+        snaps, _ = pair_snapshots(f, x0, (tau1, tau2), steps, noise, policy,
+                                  snapshot_steps, mode)
+        pooled[mode] = np.concatenate(snaps[:, :, 0])
     mu_t = empirical_histogram(pooled["temperature"], bounds, 24)
     mu_p = empirical_histogram(pooled["position"], bounds, 24)
     tv = total_variation(mu_t, mu_p)

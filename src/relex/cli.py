@@ -6,7 +6,7 @@ comes from an INI-style file with sections [objective], [dynamics],
 ``--seed`` overrides dynamics.seed. Every CSV carries the canonical config
 echo so outputs are self-describing.
 
-Exit codes: 0 success, 2 configuration/usage error, 3 divergence,
+Exit codes: 0 success, 2 configuration/usage or I/O error, 3 divergence,
 4 acceptance-check failure.
 """
 
@@ -14,7 +14,10 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import json
+import math
 import os
+import re
 import sys
 
 import numpy as np
@@ -111,18 +114,22 @@ def apply_override(cfg: dict, item: str):
 
 
 def emit_canonical_config(cfg: dict) -> str:
-    """Deterministic single-line rendering: sorted section.key=value pairs."""
+    """Deterministic single-line rendering: sorted section.key=value pairs.
+    A pair whose value contains whitespace is written as a JSON string."""
     pairs = []
     for section in sorted(cfg):
         for key in sorted(cfg[section]):
-            pairs.append(f"{section}.{key}={cfg[section][key]}")
+            pair = f"{section}.{key}={cfg[section][key]}"
+            pairs.append(json.dumps(pair) if any(c.isspace() for c in pair) else pair)
     return " ".join(pairs)
 
 
 def parse_canonical_config(line: str) -> dict:
     """Inverse of emit_canonical_config."""
     cfg: dict = {}
-    for token in line.split():
+    for token in re.findall(r'"(?:[^"\\]|\\.)*"|\S+', line):
+        if token.startswith('"'):
+            token = json.loads(token)
         key, _, value = token.partition("=")
         section, _, name = key.partition(".")
         if not section or not name:
@@ -133,12 +140,20 @@ def parse_canonical_config(line: str) -> dict:
 
 # Typed accessors -----------------------------------------------------------
 
-def _get_float(cfg, section, key):
+def _floats(pieces, what: str, raw: str) -> list:
+    """``pieces`` parsed as floats; ConfigError unless all are finite."""
     try:
-        return float(cfg[section][key])
-    except ValueError as exc:
-        raise ConfigError(f"{section}.{key} must be a number, got "
-                          f"{cfg[section][key]!r}") from exc
+        values = [float(v) for v in pieces]
+    except ValueError:
+        values = [math.nan]
+    if not all(math.isfinite(v) for v in values):
+        raise ConfigError(f"{what}, got {raw!r}")
+    return values
+
+
+def _get_float(cfg, section, key):
+    raw = cfg[section][key]
+    return _floats([raw], f"{section}.{key} must be a finite number", raw)[0]
 
 
 def _get_int(cfg, section, key):
@@ -151,22 +166,16 @@ def _get_int(cfg, section, key):
 
 def _get_floats(cfg, section, key):
     raw = cfg[section][key]
-    try:
-        return [float(v) for v in raw.split(",") if v.strip()]
-    except ValueError as exc:
-        raise ConfigError(f"{section}.{key} must be comma-separated numbers, "
-                          f"got {raw!r}") from exc
+    return _floats([v for v in raw.split(",") if v.strip()],
+                   f"{section}.{key} must be comma-separated finite numbers", raw)
 
 
 def _get_init(cfg):
     raw = cfg["dynamics"]["init"]
     if raw.startswith("uniform:"):
         return raw
-    try:
-        return tuple(float(v) for v in raw.split(","))
-    except ValueError as exc:
-        raise ConfigError(f"dynamics.init must be coordinates or uniform:lo,hi, "
-                          f"got {raw!r}") from exc
+    return tuple(_floats(raw.split(","), "dynamics.init must be finite coordinates "
+                         "or uniform:lo,hi", raw))
 
 
 def _objective_cfg(cfg) -> dict:
@@ -263,7 +272,6 @@ def cmd_chi2(cfg, out_flag) -> int:
 
 def cmd_discerr(cfg, out_flag) -> int:
     f = build_objective(_objective_cfg(cfg))
-    raw_ref = cfg["diagnostics"]["eta_ref"]
     result = discretization_error_experiment(
         f,
         tau1=_get_float(cfg, "dynamics", "tau1"),
@@ -273,7 +281,8 @@ def cmd_discerr(cfg, out_flag) -> int:
         T=_get_float(cfg, "diagnostics", "horizon"),
         ensemble=_get_int(cfg, "dynamics", "ensemble"),
         seed=_get_int(cfg, "dynamics", "seed"),
-        eta_ref=float(raw_ref) if raw_ref else None,
+        eta_ref=(_get_float(cfg, "diagnostics", "eta_ref")
+                 if cfg["diagnostics"]["eta_ref"] else None),
     )
     out = _out_dir(cfg, out_flag)
     write_discerr_csv(os.path.join(out, "discerr.csv"), result,
@@ -328,8 +337,6 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="KEY=VALUE", help="override a config key")
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--seed", type=int, default=None, help="root seed override")
-        p.add_argument("--threads", type=int, default=0,
-                       help="worker count (0 = auto); runs are vectorized")
     return parser
 
 
@@ -341,8 +348,6 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         cfg = load_config(args.config, args.overrides, args.seed)
-        if args.threads < 0:
-            raise ConfigError(f"--threads must be >= 0, got {args.threads}")
         return HANDLERS[args.subcommand](cfg, args.out)
     except ConfigError as exc:
         print(f"relex: config error: {exc}", file=sys.stderr)
@@ -350,7 +355,7 @@ def main(argv=None) -> int:
     except DivergenceError as exc:
         print(f"relex: divergence: {exc}", file=sys.stderr)
         return 3
-    except RelexError as exc:
+    except (RelexError, OSError) as exc:
         print(f"relex: error: {exc}", file=sys.stderr)
         return 2
 

@@ -16,9 +16,8 @@ import numpy as np
 
 from .errors import (EmptyInputError, FitError, GridMismatchError, InputError,
                      TruncationError)
-from .langevin import Trace
 from .objective import ObjectiveFunction
-from .replica import SwapPolicy, run_pair_ensemble, swap_rate
+from .replica import SwapPolicy, pair_snapshots, stream_noise, swap_rate
 from .rng import PURPOSE_POS1, PURPOSE_POS2, PURPOSE_SWAP, derive_stream
 
 PI_FLOOR = 1e-12
@@ -52,25 +51,10 @@ class GridMeasure:
         width = (hi - lo) / self.resolution
         return lo + (np.arange(self.resolution) + 0.5) * width
 
-    def cell_volume(self) -> float:
-        widths = (self.bounds[:, 1] - self.bounds[:, 0]) / self.resolution
-        return float(np.prod(widths))
-
     def same_grid(self, other: "GridMeasure") -> bool:
         return (self.resolution == other.resolution
                 and self.bounds.shape == other.bounds.shape
                 and np.array_equal(self.bounds, other.bounds))
-
-    def to_csv(self, path):
-        """Rows of cell-center coordinates plus mass, row-major order."""
-        axes = [self.centers(k) for k in range(self.ndim)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        cols = [m.ravel() for m in mesh] + [self.mass.ravel()]
-        header = ",".join(["x", "y"][: self.ndim] + ["mass"])
-        with open(path, "w") as fh:
-            fh.write(header + "\n")
-            for row in zip(*cols):
-                fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
 
 
 @dataclass
@@ -85,13 +69,6 @@ class DecayFit:
     rate_std: float = float("nan")
 
 
-def _boundary_mass(mass: np.ndarray) -> float:
-    interior = mass
-    for axis in range(mass.ndim):
-        interior = np.take(interior, np.arange(1, mass.shape[axis] - 1), axis=axis)
-    return float(mass.sum() - interior.sum())
-
-
 def _max_boundary_cell(mass: np.ndarray) -> float:
     mask = np.zeros(mass.shape, dtype=bool)
     for axis in range(mass.ndim):
@@ -101,6 +78,19 @@ def _max_boundary_cell(mass: np.ndarray) -> float:
         sl[axis] = -1
         mask[tuple(sl)] = True
     return float(mass[mask].max())
+
+
+def _untruncated_mass(w: np.ndarray) -> np.ndarray:
+    """Normalized Gibbs weights; TruncationError if a boundary cell carries
+    visible mass. A flat density carries edge mass by construction, so
+    truncation is only detectable (and only meaningful) when it varies."""
+    mass = w / w.sum()
+    flat = w.max() - w.min() <= 1e-12 * w.max()
+    if not flat and _max_boundary_cell(mass) > BOUNDARY_MASS_LIMIT:
+        raise TruncationError(
+            "boundary cells carry non-negligible Gibbs mass; enlarge the bounds"
+        )
+    return mass
 
 
 def gibbs_density(f: ObjectiveFunction, tau: float, bounds, resolution: int) -> GridMeasure:
@@ -119,16 +109,7 @@ def gibbs_density(f: ObjectiveFunction, tau: float, bounds, resolution: int) -> 
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=-1)
     u = np.asarray(f.eval(pts), dtype=float).reshape(gm.mass.shape)
-    w = np.exp(-(u - u.min()) / tau)
-    mass = w / w.sum()
-    # A flat density carries edge mass by construction; truncation is only
-    # detectable (and only meaningful) when the density varies.
-    flat = w.max() - w.min() <= 1e-12 * w.max()
-    if not flat and _max_boundary_cell(mass) > BOUNDARY_MASS_LIMIT:
-        raise TruncationError(
-            "boundary cells carry non-negligible Gibbs mass; enlarge the bounds"
-        )
-    gm.mass = mass
+    gm.mass = _untruncated_mass(np.exp(-(u - u.min()) / tau))
     return gm
 
 
@@ -148,13 +129,7 @@ def pair_gibbs_density(f: ObjectiveFunction, tau1: float, tau2: float,
     u1 = np.asarray(f.eval(c1), dtype=float)
     u2 = np.asarray(f.eval(c2), dtype=float)
     w = np.exp(-(u1 - u1.min()) / tau1)[:, None] * np.exp(-(u2 - u2.min()) / tau2)[None, :]
-    mass = w / w.sum()
-    flat = w.max() - w.min() <= 1e-12 * w.max()
-    if not flat and _max_boundary_cell(mass) > BOUNDARY_MASS_LIMIT:
-        raise TruncationError(
-            "boundary cells carry non-negligible Gibbs mass; enlarge the bounds"
-        )
-    gm.mass = mass
+    gm.mass = _untruncated_mass(w)
     return gm
 
 
@@ -220,17 +195,13 @@ def chi2_decay_experiment(f: ObjectiveFunction, tau1: float, tau2: float,
 
     sample_steps = np.maximum(1, np.rint(sample_times / eta).astype(int))
     times = sample_steps * eta
-    p1 = np.full((ensemble, 1), float(init[0]))
-    p2 = np.full((ensemble, 1), float(init[1]))
-    snaps, _, _ = run_pair_ensemble(
-        p1, p2, f, tau1, tau2, policy, int(sample_steps[-1]),
-        derive_stream(seed, PURPOSE_POS1), derive_stream(seed, PURPOSE_POS2),
-        derive_stream(seed, PURPOSE_SWAP),
-        mode="position", snapshot_steps=sample_steps,
-    )
-    pair_points = [
-        np.column_stack([snaps[s][0][:, 0], snaps[s][1][:, 0]]) for s in sample_steps
-    ]
+    x0 = np.broadcast_to(np.reshape(init, (1, 2, 1)), (ensemble, 2, 1))
+    noise = stream_noise(eta, (ensemble, 1), [derive_stream(seed, PURPOSE_POS1),
+                                              derive_stream(seed, PURPOSE_POS2)],
+                         derive_stream(seed, PURPOSE_SWAP))
+    snaps, _ = pair_snapshots(f, x0, (tau1, tau2), int(sample_steps[-1]), noise,
+                              policy, sample_steps.tolist(), mode="position")
+    pair_points = snaps[:, :, :, 0]
     chi2 = np.array([_chi2_of_points(pts, pi) for pts in pair_points])
 
     boot_rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0xB007], dtype=np.uint64)))
@@ -284,11 +255,3 @@ def dirichlet_acceleration_term(f_test, f: ObjectiveFunction, tau1: float,
     x1, x2 = np.meshgrid(c, c, indexing="ij")
     diff = np.asarray(f_test(x2, x1), dtype=float) - np.asarray(f_test(x1, x2), dtype=float)
     return float(0.5 * a * np.sum(s * diff * diff * pair_pi.mass))
-
-
-def best_so_far(trace) -> np.ndarray:
-    """Running minimum of the objective values along a trace."""
-    values = trace.values if isinstance(trace, Trace) else np.asarray(trace, dtype=float)
-    if values.size == 0:
-        raise EmptyInputError("empty trace")
-    return np.minimum.accumulate(values)

@@ -2,25 +2,28 @@
 the coupled discretization-error experiment, and CSV emission.
 
 All randomness flows from one root seed. Each seed of a comparison owns three
-derived streams (particle-1 noise, particle-2 noise, swap uniforms); the
-single-temperature baselines reuse the particle streams, so a replica run
-with intensity 0 reproduces the low-temperature baseline bit for bit.
+derived streams (particle-1 noise, particle-2 noise, swap uniforms). The two
+single-temperature baselines are the two slots of one intensity-0 pair run on
+the same noise as the replica run, so a replica run with intensity 0
+reproduces the low-temperature baseline bit for bit.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, InputError
-from .langevin import check_finite, em_update
+from .errors import ConfigError, DivergenceError, InputError
 from .objective import (DEFAULT_CENTERS, DEFAULT_WEIGHTS, GaussianMixtureSpec,
                         ObjectiveFunction, build_gaussian_mixture, double_well,
                         quadratic)
-from .replica import SwapPolicy, swap_probability, swap_rate
+from .replica import (SwapPolicy, block_noise, coarse_noise, pair_snapshots,
+                      run_pair_ensemble, stream_noise)
 from .rng import (PURPOSE_INIT, PURPOSE_POS1, PURPOSE_POS2, PURPOSE_SWAP,
                   derive_stream)
 
@@ -47,14 +50,14 @@ class SimConfig:
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
             raise ConfigError(f"unknown algorithm {self.algorithm!r}")
-        if not (self.tau1 > 0 and self.tau2 > 0):
-            raise ConfigError("temperatures must be positive")
+        if not (0 < self.tau1 < math.inf and 0 < self.tau2 < math.inf):
+            raise ConfigError("temperatures must be positive and finite")
         if self.algorithm == "replica-exchange" and not (self.tau1 < self.tau2):
             raise ConfigError("replica exchange requires tau1 < tau2")
-        if self.intensity < 0:
-            raise ConfigError("intensity must be nonnegative")
-        if not (self.eta > 0):
-            raise ConfigError("eta must be positive")
+        if not (0 <= self.intensity < math.inf):
+            raise ConfigError("intensity must be nonnegative and finite")
+        if not (0 < self.eta < math.inf):
+            raise ConfigError("eta must be positive and finite")
         if self.steps < 1 or self.ensemble < 1:
             raise ConfigError("steps and ensemble must be positive")
         if self.stride < 1 or self.steps % self.stride != 0:
@@ -67,6 +70,9 @@ class SimConfig:
 
 @dataclass
 class RunSummary:
+    """One comparison arm. ``wall_time`` is the time of the kernel run behind
+    it; both baselines share one run, so they report the same time."""
+
     algorithm: str
     iterations: np.ndarray       # thinned iteration indices, starting at 0
     best_curves: np.ndarray      # (nseeds, npoints) running minima, per seed
@@ -145,67 +151,15 @@ def resolve_init(init, dim: int, nseeds: int, seed: int) -> np.ndarray:
 
 
 def pregenerate_noise(seed: int, nseeds: int, steps: int, dim: int):
-    """Per-seed noise blocks: particle-1 normals, particle-2 normals, swap
-    uniforms, each drawn from that seed's own derived stream."""
-    noise1 = np.empty((steps, nseeds, dim))
-    noise2 = np.empty((steps, nseeds, dim))
+    """Per-seed noise: normals (steps, nseeds, 2, dim) for the two particles
+    and swap uniforms (steps, nseeds), from each seed's own derived streams."""
+    xi = np.empty((steps, nseeds, 2, dim))
     uswap = np.empty((steps, nseeds))
     for s in range(nseeds):
-        noise1[:, s] = derive_stream(seed, PURPOSE_POS1, s).normal((steps, dim))
-        noise2[:, s] = derive_stream(seed, PURPOSE_POS2, s).normal((steps, dim))
+        xi[:, s, 0] = derive_stream(seed, PURPOSE_POS1, s).normal((steps, dim))
+        xi[:, s, 1] = derive_stream(seed, PURPOSE_POS2, s).normal((steps, dim))
         uswap[:, s] = derive_stream(seed, PURPOSE_SWAP, s).uniform(steps)
-    return noise1, noise2, uswap
-
-
-def run_single_trajectories(init, f: ObjectiveFunction, tau: float, eta: float,
-                            noise: np.ndarray) -> np.ndarray:
-    """Vectorized single-temperature chains; returns (steps+1, nseeds, d)."""
-    steps, nseeds, _ = noise.shape
-    pos = np.array(init, dtype=float)
-    temps = np.full(nseeds, float(tau))
-    traj = np.empty((steps + 1,) + pos.shape)
-    traj[0] = pos
-    for k in range(steps):
-        pos = em_update(pos, f.grad(pos), temps, eta, noise[k])
-        check_finite(pos, k + 1)
-        traj[k + 1] = pos
-    return traj
-
-
-def run_replica_trajectories(init1, init2, f: ObjectiveFunction, tau1: float,
-                             tau2: float, policy: SwapPolicy,
-                             noise1, noise2, uswap):
-    """Vectorized temperature-swapping pairs sharing the baselines' noise.
-
-    Returns (low-temp trajectory (steps+1, nseeds, d), particle-1 trajectory,
-    particle-2 trajectory, swap counts per seed).
-    """
-    steps, nseeds, _ = noise1.shape
-    p1 = np.array(init1, dtype=float)
-    p2 = np.array(init2, dtype=float)
-    t1 = np.full(nseeds, float(tau1))
-    t2 = np.full(nseeds, float(tau2))
-    swap_counts = np.zeros(nseeds, dtype=int)
-    low_traj = np.empty((steps + 1,) + p1.shape)
-    p1_traj = np.empty_like(low_traj)
-    p2_traj = np.empty_like(low_traj)
-    low_traj[0] = p1
-    p1_traj[0] = p1
-    p2_traj[0] = p2
-    for k in range(steps):
-        rate = swap_rate(f.eval(p1), f.eval(p2), t1, t2)
-        p1 = em_update(p1, f.grad(p1), t1, policy.eta, noise1[k])
-        p2 = em_update(p2, f.grad(p2), t2, policy.eta, noise2[k])
-        check_finite(p1, k + 1)
-        check_finite(p2, k + 1)
-        fire = uswap[k] < swap_probability(rate, policy)
-        t1, t2 = np.where(fire, t2, t1), np.where(fire, t1, t2)
-        swap_counts += fire
-        low_is_1 = (t1 <= t2)[:, None]
-        low_traj[k + 1] = np.where(low_is_1, p1, p2)
-        p1_traj[k + 1] = p1
-        p2_traj[k + 1] = p2
-    return low_traj, p1_traj, p2_traj, swap_counts
+    return xi, uswap
 
 
 def _summarize(algorithm: str, traj: np.ndarray, f: ObjectiveFunction,
@@ -229,11 +183,7 @@ def _summarize(algorithm: str, traj: np.ndarray, f: ObjectiveFunction,
 
 def comparison_configs(base: SimConfig) -> tuple[SimConfig, SimConfig, SimConfig]:
     """The protocol triple: low-temp baseline, high-temp baseline, replica."""
-    def variant(algorithm):
-        return SimConfig(base.objective, base.tau1, base.tau2, base.intensity,
-                         base.eta, base.steps, base.ensemble, base.seed,
-                         base.init, algorithm, base.stride)
-    return variant("low-temp"), variant("high-temp"), variant("replica-exchange")
+    return tuple(dataclasses.replace(base, algorithm=a) for a in ALGORITHMS)
 
 
 def run_comparison(configs: Sequence[SimConfig]):
@@ -257,25 +207,27 @@ def run_comparison(configs: Sequence[SimConfig]):
 
     f = build_objective(base.objective)
     init = resolve_init(base.init, f.dimension, base.ensemble, base.seed)
-    noise1, noise2, uswap = pregenerate_noise(base.seed, base.ensemble,
-                                              base.steps, f.dimension)
-    policy = SwapPolicy(intensity=base.intensity, eta=base.eta)
+    noise = block_noise(*pregenerate_noise(base.seed, base.ensemble, base.steps,
+                                           f.dimension), base.eta)
 
+    def trajectory(intensity):
+        """(steps+1, nseeds, 2, d) (low, high) pair trajectory, swap counts."""
+        return pair_snapshots(f, np.stack((init, init), axis=1),
+                              (base.tau1, base.tau2), base.steps, noise,
+                              SwapPolicy(intensity, base.eta), range(base.steps + 1))
+
+    # Each run is summarized, and its trajectory freed, before the next one.
     t0 = time.perf_counter()
-    low_traj = run_single_trajectories(init, f, base.tau1, base.eta, noise1)
-    t_low = time.perf_counter()
-    high_traj = run_single_trajectories(init, f, base.tau2, base.eta, noise2)
-    t_high = time.perf_counter()
-    re_traj, _, _, swap_counts = run_replica_trajectories(
-        init, init, f, base.tau1, base.tau2, policy, noise1, noise2, uswap)
-    t_re = time.perf_counter()
-
-    return (
-        _summarize("low-temp", low_traj, f, base.stride, wall_time=t_low - t0),
-        _summarize("high-temp", high_traj, f, base.stride, wall_time=t_high - t_low),
-        _summarize("replica-exchange", re_traj, f, base.stride,
-                   swap_counts=swap_counts, wall_time=t_re - t_high),
-    )
+    pair, _ = trajectory(0.0)
+    wall = time.perf_counter() - t0
+    low = _summarize("low-temp", pair[:, :, 0], f, base.stride, wall_time=wall)
+    high = _summarize("high-temp", pair[:, :, 1], f, base.stride, wall_time=wall)
+    del pair
+    t0 = time.perf_counter()
+    rex, swap_counts = trajectory(base.intensity)
+    wall = time.perf_counter() - t0
+    return low, high, _summarize("replica-exchange", rex[:, :, 0], f, base.stride,
+                                 swap_counts=swap_counts, wall_time=wall)
 
 
 def kappa_sweep(kappas: Sequence[float], base: SimConfig):
@@ -289,9 +241,7 @@ def kappa_sweep(kappas: Sequence[float], base: SimConfig):
             raise ConfigError(f"kappa must be positive, got {kappa}")
         obj = dict(base.objective)
         obj["kappa"] = float(kappa)
-        cfg = SimConfig(obj, base.tau1, base.tau2, base.intensity, base.eta,
-                        base.steps, base.ensemble, base.seed, base.init,
-                        base.algorithm, base.stride)
+        cfg = dataclasses.replace(base, objective=obj)
         results.append(run_comparison(comparison_configs(cfg)))
     return results
 
@@ -327,38 +277,17 @@ def discretization_error_experiment(f: ObjectiveFunction, tau1: float, tau2: flo
             raise ConfigError(f"T = {T} is not an integer number of steps of eta = {eta}")
 
     d = f.dimension
-    xi1 = derive_stream(seed, PURPOSE_POS1).normal((n_fine, ensemble, d))
-    xi2 = derive_stream(seed, PURPOSE_POS2).normal((n_fine, ensemble, d))
+    xi = np.stack([derive_stream(seed, purpose).normal((n_fine, ensemble, d))
+                   for purpose in (PURPOSE_POS1, PURPOSE_POS2)], axis=2)
+    path = np.cumsum(xi, axis=0)
     usw = derive_stream(seed, PURPOSE_SWAP).uniform((n_fine, ensemble))
-    cum1 = np.cumsum(xi1, axis=0)
-    cum2 = np.cumsum(xi2, axis=0)
-
-    init1 = np.broadcast_to(np.asarray(init[0], float).reshape(-1), (d,))
-    init2 = np.broadcast_to(np.asarray(init[1], float).reshape(-1), (d,))
+    x0 = np.broadcast_to(np.reshape(init, (1, 2, -1)), (ensemble, 2, d))
 
     def coupled_run(m: int):
-        p1 = np.tile(init1, (ensemble, 1))
-        p2 = np.tile(init2, (ensemble, 1))
-        t1 = np.full(ensemble, float(tau1))
-        t2 = np.full(ensemble, float(tau2))
-        eta = m * eta_ref
-        for k in range(n_fine // m):
-            lo, hi = k * m, (k + 1) * m
-            inc1 = xi1[lo:hi].sum(axis=0)
-            inc2 = xi2[lo:hi].sum(axis=0)
-            if k == 0:
-                # coupled-increment invariant: block sums match the shared
-                # cumulative Brownian path
-                assert np.allclose(inc1, cum1[hi - 1] - (cum1[lo - 1] if lo else 0.0))
-            rate = swap_rate(f.eval(p1), f.eval(p2), t1, t2)
-            p1 = p1 - eta * f.grad(p1) + np.sqrt(2.0 * eta_ref * t1)[:, None] * inc1
-            p2 = p2 - eta * f.grad(p2) + np.sqrt(2.0 * eta_ref * t2)[:, None] * inc2
-            check_finite(p1, (k + 1) * m)
-            check_finite(p2, (k + 1) * m)
-            p_sub = np.minimum(1.0, a * eta_ref * rate)
-            fire = (usw[lo:hi] < p_sub[None, :]).any(axis=0)
-            t1, t2 = np.where(fire, t2, t1), np.where(fire, t1, t2)
-        return p1, p2
+        x, _, _ = run_pair_ensemble(f, x0, (tau1, tau2), n_fine // m,
+                                    coarse_noise(xi, path, usw, m, eta_ref),
+                                    SwapPolicy(a, m * eta_ref))
+        return x[:, 0], x[:, 1]
 
     ref1, ref2 = coupled_run(1)
     mses = np.empty(len(etas))
@@ -390,20 +319,21 @@ def stability_bound_check(f: ObjectiveFunction, tau2: float, etas: Sequence[floa
     threshold = alpha_est / L_est ** 2
     entries = []
     for i, eta in enumerate(etas):
-        rng = derive_stream(seed, PURPOSE_POS1, i)
-        pos = np.zeros((ensemble, f.dimension))
-        max_m2 = 0.0
-        diverged = False
-        for k in range(steps):
-            xi = rng.normal(pos.shape)
-            pos = em_update(pos, f.grad(pos), tau2, eta, xi)
-            if not np.all(np.isfinite(pos)) or np.max(np.abs(pos)) > 1e12:
-                diverged = True
-                break
-            max_m2 = max(max_m2, float(np.mean(np.sum(pos * pos, axis=1))))
+        moments = []
+
+        def observe(k, x, T):
+            moments.append(float(np.mean(np.sum(x * x, axis=(1, 2)))))
+        noise = stream_noise(eta, (ensemble, f.dimension),
+                             [derive_stream(seed, PURPOSE_POS1, i)])
+        try:
+            run_pair_ensemble(f, np.zeros((ensemble, 1, f.dimension)), tau2, steps,
+                              noise, SwapPolicy(0.0, eta), observe=observe)
+            diverged = False
+        except DivergenceError:
+            diverged = True
         entries.append(StabilityEntry(
             eta=float(eta),
-            max_second_moment=float("nan") if diverged else max_m2,
+            max_second_moment=float("nan") if diverged else max(moments),
             flagged=eta >= threshold,
             diverged=diverged,
         ))

@@ -1,62 +1,31 @@
-"""Single-chain Euler-Maruyama integrator for the overdamped Langevin
-diffusion dX = -grad U(X) dt + sqrt(2 tau) dW.
+"""The Euler-Maruyama update for the overdamped Langevin diffusion
+dX = -grad U(X) dt + sqrt(2 tau) dW, and its divergence guard.
 
-The explicit update is x <- x - eta * grad U(x) + sqrt(2 eta tau) * xi with
-xi standard normal. No Metropolis correction is applied, so large stepsizes
-can blow up; any coordinate exceeding DIVERGENCE_LIMIT (or going non-finite)
-aborts with DivergenceError.
+The explicit update is x <- x - eta * grad U(x) + sqrt(2 h tau) * xi with
+xi standard normal and h the step the increment was drawn on (h = eta except
+for coarse steps that consume summed fine increments). No Metropolis
+correction is applied, so large stepsizes can blow up; any coordinate
+exceeding DIVERGENCE_LIMIT (or going non-finite) aborts with DivergenceError.
+The loop that applies the update is ``replica.run_pair_ensemble``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
-from .errors import DivergenceError, InputError
-from .objective import ObjectiveFunction
-from .rng import RngStream
+from .errors import DivergenceError
 
 DIVERGENCE_LIMIT = 1e12
 
 
-@dataclass
-class ChainState:
-    position: np.ndarray
-    temperature: float
-    iteration: int = 0
-
-
-@dataclass
-class Trace:
-    """Recorded trajectory, possibly thinned by ``stride``.
-
-    Row k corresponds to iteration k * stride; the last row is the final
-    iterate. ``temperatures`` has one column per particle; single chains
-    have one. ``swap_events`` lists the iterations at which a swap fired.
-    """
-
-    positions: np.ndarray       # (n, d) or (n, 2, d) for a coupled pair
-    values: np.ndarray          # (n,) objective values of the tracked iterate
-    temperatures: np.ndarray    # (n,) or (n, 2)
-    stride: int = 1
-    swap_events: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=int))
-
-    def __len__(self):
-        return self.values.shape[0]
-
-    @property
-    def iterations(self):
-        return np.arange(len(self)) * self.stride
-
-
-def em_update(position, gradient, temperature, eta, xi):
+def em_update(position, gradient, temperature, eta, xi, h=None):
     """One explicit Euler-Maruyama update; vectorized over leading axes.
 
     ``temperature`` may be a scalar or a per-chain array broadcast against
-    the position's leading axes.
+    the position's leading axes. ``h`` is the step the Gaussian increment
+    ``xi`` was drawn on; it defaults to ``eta``.
     """
-    coef = np.sqrt(2.0 * eta * np.asarray(temperature, dtype=float))
+    coef = np.sqrt(2.0 * (eta if h is None else h) * np.asarray(temperature, dtype=float))
     if np.ndim(coef) > 0:
         coef = coef[..., None]
     return position - eta * gradient + coef * xi
@@ -67,74 +36,3 @@ def check_finite(position, iteration):
         raise DivergenceError(
             f"trajectory diverged at iteration {iteration}", iteration=iteration
         )
-
-
-def langevin_step(state: ChainState, f: ObjectiveFunction, eta: float,
-                  rng: RngStream) -> ChainState:
-    """Advance one step; consumes exactly d Gaussian draws."""
-    if not (eta > 0):
-        raise InputError(f"eta must be positive, got {eta}")
-    if state.temperature < 0:
-        raise InputError(f"temperature must be nonnegative, got {state.temperature}")
-    pos = np.asarray(state.position, dtype=float)
-    if pos.shape[-1] != f.dimension:
-        raise InputError(
-            f"position has dimension {pos.shape[-1]}, objective expects {f.dimension}"
-        )
-    xi = rng.normal(pos.shape)
-    new_pos = em_update(pos, f.grad(pos), state.temperature, eta, xi)
-    check_finite(new_pos, state.iteration + 1)
-    return ChainState(new_pos, state.temperature, state.iteration + 1)
-
-
-def run_chain(init, f: ObjectiveFunction, tau: float, eta: float, steps: int,
-              rng: RngStream, stride: int = 1) -> Trace:
-    """Run a single chain and record every ``stride``-th iterate.
-
-    The trace includes the initial state; with stride 1 it has steps + 1 rows.
-    """
-    if steps < 1:
-        raise InputError(f"steps must be >= 1, got {steps}")
-    if stride < 1 or steps % stride != 0:
-        raise InputError(f"stride {stride} must divide steps {steps}")
-    state = ChainState(np.asarray(init, dtype=float), tau)
-    n_rows = steps // stride + 1
-    positions = np.empty((n_rows, f.dimension))
-    values = np.empty(n_rows)
-    positions[0] = state.position
-    values[0] = f.eval(state.position)
-    for k in range(1, steps + 1):
-        state = langevin_step(state, f, eta, rng)
-        if k % stride == 0:
-            positions[k // stride] = state.position
-            values[k // stride] = f.eval(state.position)
-    return Trace(
-        positions=positions,
-        values=values,
-        temperatures=np.full(n_rows, tau),
-        stride=stride,
-    )
-
-
-def run_ensemble(init, f: ObjectiveFunction, tau: float, eta: float, steps: int,
-                 rng: RngStream, snapshot_steps=()):
-    """Run many independent chains in lockstep from ``init`` of shape (n, d).
-
-    Returns (final positions, {step: positions copy at that step}). All noise
-    comes from the single supplied stream, drawn in a fixed (step, chain)
-    order, so results are reproducible and schedule-independent.
-    """
-    pos = np.array(init, dtype=float)
-    if pos.ndim != 2 or pos.shape[1] != f.dimension:
-        raise InputError(f"init must have shape (n, {f.dimension})")
-    if steps < 1:
-        raise InputError(f"steps must be >= 1, got {steps}")
-    wanted = set(int(s) for s in snapshot_steps)
-    snaps = {}
-    for k in range(1, steps + 1):
-        xi = rng.normal(pos.shape)
-        pos = em_update(pos, f.grad(pos), tau, eta, xi)
-        check_finite(pos, k)
-        if k in wanted:
-            snaps[k] = pos.copy()
-    return pos, snaps

@@ -1,15 +1,23 @@
-"""Coupled two-particle dynamics: the swap-rate function, the discrete swap
-decision, and the exchange stepper in both formulations.
+"""Replica dynamics: the swap rate and the one integrator loop of the package.
 
-Temperature swapping (the discrete algorithm): both particles advance one
-Euler-Maruyama step at their current temperatures, then exchange
-temperatures with probability a * eta * s evaluated at the PRE-update
-positions. Position swapping is the distributionally equivalent variant
-where the particles keep their temperatures and exchange positions instead.
+``run_pair_ensemble`` advances positions of shape (chains, R, d): R = 1 is a
+set of independent single chains, R = 2 a replica pair per chain. Each step
+every slot takes one Euler-Maruyama step at its current temperature; a pair
+then exchanges with probability min(1, a * h * s), with s evaluated at the
+PRE-update positions. Temperature swapping (the discrete algorithm) trades
+the temperatures; position swapping, the distributionally equivalent variant,
+keeps the temperatures and trades the positions.
+
+Noise comes from a source ``noise(k) -> (xi, u, h)`` for steps k = 0, 1, ...:
+the (chains, R, d) Gaussian block, the swap uniforms as one (chains,) row per
+fine sub-step, and the sub-step h they were drawn on (h = eta unless a coarse
+step consumes summed fine increments). ``block_noise``, ``stream_noise`` and
+``coarse_noise`` build the three sources the package uses.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -18,17 +26,6 @@ import numpy as np
 from .errors import InputError
 from .langevin import check_finite, em_update
 from .objective import ObjectiveFunction
-from .rng import RngStream
-
-
-@dataclass
-class ReplicaState:
-    pos1: np.ndarray
-    pos2: np.ndarray
-    temp1: float
-    temp2: float
-    iteration: int = 0
-    swap_count: int = 0
 
 
 @dataclass(frozen=True)
@@ -44,10 +41,10 @@ class SwapPolicy:
     eta: float
 
     def __post_init__(self):
-        if self.intensity < 0:
-            raise InputError(f"swap intensity must be nonnegative, got {self.intensity}")
-        if not (self.eta > 0):
-            raise InputError(f"eta must be positive, got {self.eta}")
+        if not (0 <= self.intensity < math.inf):
+            raise InputError(f"swap intensity must be nonnegative and finite, got {self.intensity}")
+        if not (0 < self.eta < math.inf):
+            raise InputError(f"eta must be positive and finite, got {self.eta}")
         if self.intensity * self.eta >= 1:
             warnings.warn(
                 f"intensity * eta = {self.intensity * self.eta:g} >= 1; "
@@ -61,119 +58,133 @@ def swap_rate(u1, u2, tau1, tau2):
     """s = exp(min(0, (1/tau1 - 1/tau2) * (u1 - u2))), always in (0, 1].
 
     With tau1 < tau2 the rate increases as the first particle's objective
-    value exceeds the second's; equal values or equal temperatures give 1.
-    Vectorized over array inputs.
+    value exceeds the second's; equal values or equal temperatures give 1,
+    even where 1/tau overflows. Vectorized over array inputs.
     """
     u1 = np.asarray(u1, dtype=float)
     u2 = np.asarray(u2, dtype=float)
+    tau1 = np.asarray(tau1, dtype=float)
+    tau2 = np.asarray(tau2, dtype=float)
     if not (np.all(np.isfinite(u1)) and np.all(np.isfinite(u2))):
         raise InputError("objective values in swap rate must be finite")
-    if not (np.all(np.asarray(tau1) > 0) and np.all(np.asarray(tau2) > 0)):
+    if not (np.all(tau1 > 0) and np.all(tau2 > 0)):
         raise InputError("temperatures must be positive")
-    expo = (1.0 / np.asarray(tau1, float) - 1.0 / np.asarray(tau2, float)) * (u1 - u2)
-    out = np.exp(np.minimum(0.0, expo))
+    with np.errstate(over="ignore", invalid="ignore"):
+        expo = (1.0 / tau1 - 1.0 / tau2) * (u1 - u2)
+    # Overflowing reciprocals make inf * 0 or inf - inf, i.e. NaN, exactly at
+    # equal values or at temperatures too small to tell apart; fmin maps NaN
+    # to exponent 0, rate 1, and equals minimum everywhere else.
+    out = np.exp(np.fmin(0.0, expo))
     return out if out.ndim else float(out)
 
 
-def swap_probability(rate, policy: SwapPolicy):
-    return np.clip(policy.intensity * policy.eta * np.asarray(rate, float), 0.0, 1.0)
+def swap_probability(rate, intensity, h):
+    """Probability min(1, a * h * s) that a sub-step of length h fires a swap."""
+    return np.minimum(1.0, intensity * h * np.asarray(rate, float))
 
 
-def swap_decision(rate, policy: SwapPolicy, rng: RngStream) -> bool:
-    """True with probability clamp(a * eta * rate, 0, 1); one uniform draw."""
-    return bool(rng.uniform() < swap_probability(rate, policy))
+def by_temperature(x, T):
+    """Pair positions (chains, 2, d) ordered (low temperature, high temperature)."""
+    return np.where((T[:, 0] <= T[:, 1])[:, None, None], x, x[:, ::-1])
 
 
-def _advance_pair(state: ReplicaState, f: ObjectiveFunction, policy: SwapPolicy,
-                  rng1: RngStream, rng2: RngStream, rng_swap: RngStream):
-    """Shared step logic: returns (new_pos1, new_pos2, swap fired)."""
-    pos1 = np.asarray(state.pos1, dtype=float)
-    pos2 = np.asarray(state.pos2, dtype=float)
-    if pos1.shape[-1] != f.dimension or pos2.shape[-1] != f.dimension:
-        raise InputError(f"positions must have dimension {f.dimension}")
-    # Swap rate uses the pre-update positions and the current temperatures.
-    rate = swap_rate(f.eval(pos1), f.eval(pos2), state.temp1, state.temp2)
-    xi1 = rng1.normal(pos1.shape)
-    xi2 = rng2.normal(pos2.shape)
-    new1 = em_update(pos1, f.grad(pos1), state.temp1, policy.eta, xi1)
-    new2 = em_update(pos2, f.grad(pos2), state.temp2, policy.eta, xi2)
-    check_finite(new1, state.iteration + 1)
-    check_finite(new2, state.iteration + 1)
-    return new1, new2, swap_decision(rate, policy, rng_swap)
+def run_pair_ensemble(f: ObjectiveFunction, x0, temps, steps: int, noise,
+                      policy: SwapPolicy, mode: str = "temperature", observe=None):
+    """Advance ``x0`` by ``steps`` Euler-Maruyama steps of ``policy.eta``.
 
-
-def replica_step(state: ReplicaState, f: ObjectiveFunction, policy: SwapPolicy,
-                 rng1: RngStream, rng2: RngStream, rng_swap: RngStream) -> ReplicaState:
-    """Temperature-swapping step: positions advance, temperatures may trade."""
-    new1, new2, fired = _advance_pair(state, f, policy, rng1, rng2, rng_swap)
-    t1, t2 = (state.temp2, state.temp1) if fired else (state.temp1, state.temp2)
-    return ReplicaState(new1, new2, t1, t2,
-                        iteration=state.iteration + 1,
-                        swap_count=state.swap_count + int(fired))
-
-
-def position_swap_step(state: ReplicaState, f: ObjectiveFunction, policy: SwapPolicy,
-                       rng1: RngStream, rng2: RngStream, rng_swap: RngStream) -> ReplicaState:
-    """Position-swapping step: temperatures stay put, positions may trade."""
-    new1, new2, fired = _advance_pair(state, f, policy, rng1, rng2, rng_swap)
-    if fired:
-        new1, new2 = new2, new1
-    return ReplicaState(new1, new2, state.temp1, state.temp2,
-                        iteration=state.iteration + 1,
-                        swap_count=state.swap_count + int(fired))
-
-
-def low_temperature_position(state: ReplicaState) -> np.ndarray:
-    """The optimization iterate: the particle currently at the lower temperature."""
-    return state.pos1 if state.temp1 <= state.temp2 else state.pos2
-
-
-def run_pair_ensemble(pos1, pos2, f: ObjectiveFunction, tau1: float, tau2: float,
-                      policy: SwapPolicy, steps: int,
-                      rng1: RngStream, rng2: RngStream, rng_swap: RngStream,
-                      mode: str = "temperature", snapshot_steps=()):
-    """Run n independent replica pairs in lockstep.
-
-    ``pos1``/``pos2`` have shape (n, d). In "position" mode slot 1 always
-    carries tau1 and snapshots record (pos1, pos2) directly; in "temperature"
-    mode snapshots record (low-temp position, high-temp position) so both
-    modes report the same pair coordinates. Returns
-    (snapshots dict, final low-temp positions, swap counts).
+    ``x0`` has shape (chains, R, d) with R = 1 or 2; ``temps`` broadcasts to
+    (chains, R). The swap branch runs only where a swap can fire: R = 2 and
+    a > 0. ``observe(k, x, T)`` is called at the start (k = 0) and after
+    each step k = 1..steps. Returns (positions, temperatures, swap counts
+    per chain).
     """
     if mode not in ("temperature", "position"):
-        raise InputError(f"unknown pair mode {mode!r}")
+        raise InputError(f"unknown swap mode {mode!r}")
     if steps < 1:
         raise InputError(f"steps must be >= 1, got {steps}")
-    p1 = np.array(pos1, dtype=float)
-    p2 = np.array(pos2, dtype=float)
-    n = p1.shape[0]
-    t1 = np.full(n, float(tau1))
-    t2 = np.full(n, float(tau2))
-    swap_counts = np.zeros(n, dtype=int)
-    wanted = set(int(s) for s in snapshot_steps)
-    snaps = {}
+    x = np.array(x0, dtype=float)
+    if x.ndim != 3 or x.shape[1] not in (1, 2) or x.shape[2] != f.dimension:
+        raise InputError(f"positions must have shape (chains, 1 or 2, {f.dimension}), "
+                         f"got {x.shape}")
+    T = np.array(np.broadcast_to(temps, x.shape[:2]), dtype=float)
+    if not np.all(np.isfinite(T) & (T >= 0)):
+        raise InputError("temperatures must be finite and nonnegative")
+    swapping = x.shape[1] == 2 and policy.intensity > 0
+    swaps = np.zeros(x.shape[0], dtype=int)
+    if observe is not None:
+        observe(0, x, T)
+    for k in range(steps):
+        xi, u, h = noise(k)
+        if swapping:
+            fx = f.eval(x)
+            rate = swap_rate(fx[:, 0], fx[:, 1], T[:, 0], T[:, 1])
+        x = em_update(x, f.grad(x), T, policy.eta, xi, h)
+        check_finite(x, k + 1)
+        if swapping:
+            fire = (u < swap_probability(rate, policy.intensity, h)).any(axis=0)
+            if mode == "temperature":
+                T = np.where(fire[:, None], T[:, ::-1], T)
+            else:
+                x = np.where(fire[:, None, None], x[:, ::-1], x)
+            swaps += fire
+        if observe is not None:
+            observe(k + 1, x, T)
+    return x, T, swaps
 
-    def low_high():
-        low_is_1 = (t1 <= t2)[:, None]
-        return np.where(low_is_1, p1, p2), np.where(low_is_1, p2, p1)
 
-    for k in range(1, steps + 1):
-        rate = swap_rate(f.eval(p1), f.eval(p2), t1, t2)
-        xi1 = rng1.normal(p1.shape)
-        xi2 = rng2.normal(p2.shape)
-        p1 = em_update(p1, f.grad(p1), t1, policy.eta, xi1)
-        p2 = em_update(p2, f.grad(p2), t2, policy.eta, xi2)
-        check_finite(p1, k)
-        check_finite(p2, k)
-        fire = rng_swap.uniform(n) < swap_probability(rate, policy)
-        if mode == "temperature":
-            t1, t2 = np.where(fire, t2, t1), np.where(fire, t1, t2)
-        else:
-            fire_col = fire[:, None]
-            p1, p2 = np.where(fire_col, p2, p1), np.where(fire_col, p1, p2)
-        swap_counts += fire
-        if k in wanted:
-            lo, hi = low_high()
-            snaps[k] = (lo.copy(), hi.copy())
-    low, _ = low_high()
-    return snaps, low, swap_counts
+def pair_snapshots(f: ObjectiveFunction, x0, temps, steps: int, noise,
+                   policy: SwapPolicy, at, mode: str = "temperature"):
+    """Pair run that records ``by_temperature(x, T)`` at each step k in
+    ``at`` (k = 0 is the start). Returns (snapshots (len(at), chains, 2, d),
+    swap counts per chain)."""
+    rows = {}
+    for i, k in enumerate(at):
+        rows.setdefault(k, []).append(i)
+    snaps = np.full((len(at),) + np.shape(x0), np.nan)
+
+    def observe(k, x, T):
+        if k in rows:
+            snaps[rows[k]] = by_temperature(x, T)
+    _, _, swaps = run_pair_ensemble(f, x0, temps, steps, noise, policy, mode, observe)
+    return snaps, swaps
+
+
+# ---------------------------------------------------------------------------
+# Noise sources.
+
+def block_noise(xi, u, h):
+    """Pre-drawn noise: xi (steps, chains, R, d) and u (steps, chains)."""
+    return lambda k: (xi[k], u[k:k + 1], h)
+
+
+def stream_noise(h, shape, slots, swap=None):
+    """Per-step draws: a ``shape`` = (chains, d) normal block from each slot's
+    stream, then one row of chains uniforms from the ``swap`` stream."""
+    chains, d = shape
+
+    def source(k):
+        xi = np.concatenate([s.normal((chains, 1, d)) for s in slots], axis=1)
+        return xi, None if swap is None else swap.uniform((1, chains)), h
+    return source
+
+
+def coarse_noise(xi, path, u, m, h):
+    """Coarse steps of m fine sub-steps of length h: coarse step k consumes
+    the sum of fine increments xi[km:(k+1)m] and the fine uniform rows
+    u[km:(k+1)m], so every stepsize shares the Brownian path
+    ``path = np.cumsum(xi, axis=0)``."""
+    def source(k):
+        lo, hi = k * m, (k + 1) * m
+        inc = xi[lo:hi].sum(axis=0)
+        check_increment(inc, path, lo, hi)
+        return inc, u[lo:hi], h
+    return source
+
+
+def check_increment(inc, path, lo, hi):
+    """Coupling invariant: a coarse increment is the increment of the shared
+    cumulative Brownian ``path`` over fine steps [lo, hi)."""
+    expected = path[hi - 1] - (path[lo - 1] if lo else 0.0)
+    if not np.all(np.abs(inc - expected) <= 1e-8 + 1e-5 * np.abs(expected)):
+        raise InputError(f"coarse increment does not match the Brownian path "
+                         f"over fine steps [{lo}, {hi})")

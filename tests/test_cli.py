@@ -1,7 +1,11 @@
 """Tests for config handling and the command-line entry point."""
 
+import string
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from relex.cli import (DEFAULTS, apply_override, emit_canonical_config,
                        load_config, main, parse_canonical_config)
@@ -78,6 +82,25 @@ class TestCanonicalConfig:
         assert (emit_canonical_config(load_config(str(a)))
                 == emit_canonical_config(load_config(str(b))))
 
+    def test_whitespace_free_echo_is_plain(self):
+        line = emit_canonical_config(load_config())
+        assert '"' not in line and "dynamics.init=2,2" in line.split()
+
+    def test_whitespace_values_round_trip(self):
+        cfg = load_config(overrides=["init=2, 2", "dir=my results"])
+        line = emit_canonical_config(cfg)
+        assert '"dynamics.init=2, 2"' in line
+        assert parse_canonical_config(line) == cfg
+
+    @given(st.sampled_from([(s, k) for s in DEFAULTS for k in DEFAULTS[s]]),
+           st.text(string.printable))
+    def test_printable_values_round_trip(self, key, value):
+        cfg = load_config()
+        cfg[key[0]][key[1]] = value
+        line = emit_canonical_config(cfg)
+        assert "\n" not in line
+        assert parse_canonical_config(line) == cfg
+
     def test_override_changes_exactly_one_token(self):
         base = emit_canonical_config(load_config()).split()
         changed = emit_canonical_config(load_config(overrides=["eta=0.005"])).split()
@@ -151,6 +174,31 @@ class TestDispatch:
         lines = (out / "chi2decay.csv").read_text().splitlines()
         assert lines[1] == "time,a,chi2,bootstrap_std"
         assert len(lines) == 2 + 2 * 4   # two intensities x four times
+
+    @pytest.mark.parametrize("item", ["intensity=nan", "intensity=inf",
+                                      "eta=inf", "tau2=inf"])
+    def test_non_finite_numbers_exit_2(self, item, tmp_path, capsys):
+        code = main(["compare", "--set", "steps=10", "--set", "ensemble=2",
+                     "--set", "stride=1", "--set", item, "--out", str(tmp_path)])
+        assert code == 2
+        assert "must be a finite number" in capsys.readouterr().err
+
+    def test_chi2_rejects_nan_intensity(self, tmp_path, capsys):
+        code = main(["chi2", "--set", "kind=double_well", "--set", "intensity=nan",
+                     "--out", str(tmp_path)])
+        assert code == 2
+        assert "config error" in capsys.readouterr().err
+
+    def test_unwritable_out_exits_2(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        code = main(["compare", "--set", "steps=10", "--set", "ensemble=2",
+                     "--set", "stride=1", "--out", str(blocker / "sub")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("relex: error:")
+
+    def test_threads_flag_is_gone(self, capsys):
+        assert main(["gradcheck", "--threads", "2"]) == 2
 
     def test_gradcheck_passes(self, capsys):
         assert main(["gradcheck"]) == 0

@@ -3,13 +3,14 @@
 import numpy as np
 import pytest
 
-from relex.diagnostics import (PI_FLOOR, GridMeasure, best_so_far,
-                               chi2_decay_experiment, chi_square_divergence,
+from relex.diagnostics import (PI_FLOOR, GridMeasure, chi2_decay_experiment,
+                               chi_square_divergence,
                                dirichlet_acceleration_term,
                                empirical_histogram, gibbs_density,
                                pair_gibbs_density, total_variation)
 from relex.errors import (EmptyInputError, GridMismatchError, InputError,
                           TruncationError)
+from relex.harness import _summarize
 from relex.objective import double_well, quadratic, zero_potential
 
 
@@ -105,16 +106,6 @@ class TestHistogramAndDivergences:
         assert total_variation(mu, pi) < 0.02
 
 
-class TestGridMeasureCsv:
-    def test_roundtrip(self, tmp_path):
-        pi = gibbs_density(double_well(), 0.5, [[-3, 3]], 12)
-        path = tmp_path / "grid.csv"
-        pi.to_csv(path)
-        data = np.loadtxt(path, delimiter=",", skiprows=1)
-        assert np.array_equal(data[:, 0], pi.centers(0))
-        assert np.array_equal(data[:, 1], pi.mass)   # 17 digits round-trip
-
-
 class TestDirichletTerm:
     def test_flat_potential_closed_form(self):
         # s = 1 everywhere and pi is the discrete uniform over cell centers:
@@ -176,15 +167,19 @@ class TestDecayExperiment:
 
 
 class TestBestSoFar:
+    """The best-so-far curves of a comparison: running minima of the
+    objective along each seed's trajectory."""
+
     def test_running_minimum(self):
-        vals = np.array([3.0, 1.0, 2.0, 0.5, 4.0])
-        assert np.array_equal(best_so_far(vals), [3.0, 1.0, 1.0, 0.5, 0.5])
+        # quadratic(1): U = x^2 / 2, so these points have U = 3, 1, 2, 0.5, 4
+        traj = np.sqrt(2.0 * np.array([3.0, 1.0, 2.0, 0.5, 4.0]))[:, None, None]
+        summary = _summarize("low-temp", traj, quadratic(1), stride=1)
+        assert np.allclose(summary.best_curves[0], [3.0, 1.0, 1.0, 0.5, 0.5])
+        assert summary.final_best[0] == summary.best_curves[0, -1]
 
     def test_non_increasing_property(self):
         rng = np.random.default_rng(1)
-        curve = best_so_far(rng.normal(size=500))
-        assert np.all(np.diff(curve) <= 0)
-
-    def test_empty_raises(self):
-        with pytest.raises(EmptyInputError):
-            best_so_far(np.empty(0))
+        traj = rng.normal(size=(500, 3, 1))
+        summary = _summarize("low-temp", traj, double_well(), stride=5)
+        assert summary.best_curves.shape == (3, 100)
+        assert np.all(np.diff(summary.best_curves, axis=1) <= 0)

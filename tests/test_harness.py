@@ -1,7 +1,11 @@
 """Tests for the experiment harness and CSV emission."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from relex.errors import ConfigError, InputError
 from relex.harness import (SimConfig, build_objective, comparison_configs,
@@ -37,10 +41,27 @@ class TestSimConfig:
         dict(steps=0),
         dict(ensemble=0),
         dict(stride=7),                # does not divide steps
+        dict(intensity=float("nan")),
+        dict(intensity=float("inf")),
+        dict(eta=float("inf")),
+        dict(eta=float("nan")),
+        dict(tau2=float("inf")),
+        dict(tau1=float("nan"), algorithm="low-temp"),
     ])
     def test_invalid(self, overrides):
         with pytest.raises(ConfigError):
             small_config(**overrides)
+
+    @given(st.sampled_from(["intensity", "eta", "tau1", "tau2"]), st.floats())
+    def test_any_float_is_rejected_or_valid(self, name, value):
+        try:
+            cfg = small_config(**{name: value})
+        except (ConfigError, InputError):
+            return
+        assert all(math.isfinite(getattr(cfg, n))
+                   for n in ("intensity", "eta", "tau1", "tau2"))
+        assert cfg.tau1 > 0 and cfg.tau2 > 0 and cfg.tau1 < cfg.tau2
+        assert cfg.intensity >= 0 and cfg.eta > 0
 
     def test_single_chain_allows_any_temperature_order(self):
         small_config(algorithm="low-temp", tau1=2.0)   # no error
@@ -91,6 +112,8 @@ class TestRunComparison:
             assert np.all(s.q25 <= s.median) and np.all(s.median <= s.q75)
             assert np.array_equal(s.final_best, s.best_curves[:, -1])
         assert summaries[2].swap_counts is not None
+        # both baselines are the two slots of one shared run
+        assert summaries[0].wall_time == summaries[1].wall_time
 
     def test_bitwise_reproducible(self):
         a = run_comparison(comparison_configs(small_config()))
@@ -233,8 +256,9 @@ class TestCsvWriters:
 
 
 def test_pregenerated_noise_matches_streams():
-    from relex.rng import PURPOSE_POS2, derive_stream
-    noise1, noise2, uswap = pregenerate_noise(3, 2, 5, 2)
-    assert noise1.shape == (5, 2, 2) and uswap.shape == (5, 2)
+    from relex.rng import PURPOSE_POS2, PURPOSE_SWAP, derive_stream
+    xi, uswap = pregenerate_noise(3, 2, 5, 2)
+    assert xi.shape == (5, 2, 2, 2) and uswap.shape == (5, 2)
     expected = derive_stream(3, PURPOSE_POS2, 1).normal((5, 2))
-    assert np.array_equal(noise2[:, 1], expected)
+    assert np.array_equal(xi[:, 1, 1], expected)
+    assert np.array_equal(uswap[:, 0], derive_stream(3, PURPOSE_SWAP, 0).uniform(5))

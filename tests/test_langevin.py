@@ -1,13 +1,23 @@
-"""Tests for the Euler-Maruyama integrator."""
+"""Tests for the Euler-Maruyama update and for single chains (R = 1) run
+through the kernel ``run_pair_ensemble``."""
 
 import numpy as np
 import pytest
 
 from relex.errors import DivergenceError, InputError
-from relex.langevin import (ChainState, em_update, langevin_step, run_chain,
-                            run_ensemble)
+from relex.langevin import em_update
 from relex.objective import double_well, quadratic, zero_potential
+from relex.replica import SwapPolicy, run_pair_ensemble, stream_noise
 from relex.rng import PURPOSE_POS1, derive_stream
+
+
+def run_chains(init, f, tau, eta, steps, rng, observe=None):
+    """Independent single chains from ``init`` (n, d); returns (n, d)."""
+    init = np.asarray(init, dtype=float)
+    x, _, _ = run_pair_ensemble(f, init[:, None], tau, steps,
+                                stream_noise(eta, init.shape, [rng]),
+                                SwapPolicy(0.0, eta), observe=observe)
+    return x[:, 0]
 
 
 class TestEmUpdate:
@@ -32,80 +42,75 @@ class TestEmUpdate:
         assert np.allclose(out[:, 0], np.sqrt(2 * 0.1 * temps))
         assert np.allclose(out[:, 1], np.sqrt(2 * 0.1 * temps))
 
+    def test_noise_step_scales_only_the_noise(self):
+        pos = np.array([1.0, -2.0])
+        grad = np.array([0.5, 0.5])
+        xi = np.array([1.0, -1.0])
+        out = em_update(pos, grad, 2.0, eta=0.4, xi=xi, h=0.1)
+        assert np.array_equal(out, pos - 0.4 * grad + np.sqrt(2.0 * 0.1 * 2.0) * xi)
+
 
 class TestLangevinStep:
     def test_noise_replay_reproduces_step(self):
         f = quadratic(2)
-        state = ChainState(np.array([1.0, 2.0]), temperature=0.5)
+        pos = np.array([[1.0, 2.0]])
         rng = derive_stream(0, PURPOSE_POS1)
-        new = langevin_step(state, f, eta=0.01, rng=rng)
-        assert rng.counter == 2   # exactly d draws
+        new = run_chains(pos, f, 0.5, 0.01, 1, rng)
+        assert rng.counter == 2   # exactly d draws per particle-step
 
-        replay = derive_stream(0, PURPOSE_POS1).normal((2,))
-        expected = em_update(state.position, f.grad(state.position), 0.5,
-                             0.01, replay)
-        assert np.array_equal(new.position, expected)
-        assert new.iteration == 1
+        replay = derive_stream(0, PURPOSE_POS1).normal((1, 2))
+        assert np.array_equal(new, em_update(pos, f.grad(pos), 0.5, 0.01, replay))
 
     def test_zero_temperature_descends_deterministically(self):
         f = quadratic(2)   # grad = x, so x <- (1 - eta) x
-        state = ChainState(np.array([4.0, -4.0]), temperature=0.0)
-        rng = derive_stream(1, PURPOSE_POS1)
-        for _ in range(200):
-            state = langevin_step(state, f, eta=0.1, rng=rng)
-        assert np.all(np.abs(state.position) < 1e-8)
+        final = run_chains([[4.0, -4.0]], f, 0.0, 0.1, 200,
+                           derive_stream(1, PURPOSE_POS1))
+        assert np.all(np.abs(final) < 1e-8)
 
     def test_invalid_inputs(self):
         f = quadratic(2)
         rng = derive_stream(0, PURPOSE_POS1)
         with pytest.raises(InputError):
-            langevin_step(ChainState(np.zeros(2), 1.0), f, eta=0.0, rng=rng)
+            run_chains(np.zeros((1, 2)), f, 1.0, 0.0, 1, rng)
         with pytest.raises(InputError):
-            langevin_step(ChainState(np.zeros(2), -1.0), f, eta=0.1, rng=rng)
+            run_chains(np.zeros((1, 2)), f, -1.0, 0.1, 1, rng)
         with pytest.raises(InputError):
-            langevin_step(ChainState(np.zeros(3), 1.0), f, eta=0.1, rng=rng)
+            run_chains(np.zeros((1, 3)), f, 1.0, 0.1, 1, rng)
 
     def test_divergence_detected(self):
-        f = quadratic(1)   # x <- (1 - eta) x diverges for eta > 2
-        state = ChainState(np.array([1.0]), temperature=0.0)
-        rng = derive_stream(0, PURPOSE_POS1)
+        f = quadratic(1)   # x <- (1 - eta) x = -2x at eta 3: |x| = 2^k
         with pytest.raises(DivergenceError) as err:
-            for _ in range(1000):
-                state = langevin_step(state, f, eta=3.0, rng=rng)
-        assert err.value.iteration is not None
+            run_chains([[1.0]], f, 0.0, 3.0, 1000, derive_stream(0, PURPOSE_POS1))
+        assert err.value.iteration == 40   # first k with 2^k > 1e12
 
 
 class TestRunChain:
     def test_trace_length_and_stride(self):
-        f = double_well()
-        trace = run_chain(np.array([0.5]), f, tau=0.5, eta=0.01, steps=100,
-                          rng=derive_stream(2, PURPOSE_POS1), stride=10)
-        assert len(trace) == 11
-        assert trace.iterations[0] == 0 and trace.iterations[-1] == 100
-        assert np.isclose(trace.values[0], f.eval(np.array([0.5])))
-
-    def test_stride_must_divide_steps(self):
-        f = double_well()
-        with pytest.raises(InputError):
-            run_chain(np.array([0.0]), f, 0.5, 0.01, steps=100,
-                      rng=derive_stream(0, PURPOSE_POS1), stride=7)
+        # the observer sees the start and every step once, in order
+        seen = []
+        final = run_chains([[0.5]], double_well(), 0.5, 0.01, 100,
+                           derive_stream(2, PURPOSE_POS1),
+                           observe=lambda k, x, T: seen.append((k, x[:, 0].copy())))
+        assert [k for k, _ in seen] == list(range(101))
+        assert seen[0][1].tolist() == [[0.5]]
+        assert np.array_equal(seen[-1][1], final)
 
     def test_reproducible(self):
         f = double_well()
-        t1 = run_chain(np.array([0.0]), f, 0.5, 0.01, 50,
-                       derive_stream(3, PURPOSE_POS1))
-        t2 = run_chain(np.array([0.0]), f, 0.5, 0.01, 50,
-                       derive_stream(3, PURPOSE_POS1))
-        assert np.array_equal(t1.positions, t2.positions)
+        a = run_chains([[0.0]], f, 0.5, 0.01, 50, derive_stream(3, PURPOSE_POS1))
+        b = run_chains([[0.0]], f, 0.5, 0.01, 50, derive_stream(3, PURPOSE_POS1))
+        assert np.array_equal(a, b)
 
 
 class TestRunEnsemble:
     def test_shapes_and_snapshots(self):
-        f = quadratic(2)
-        init = np.zeros((8, 2))
-        final, snaps = run_ensemble(init, f, 1.0, 0.05, 40,
-                                    derive_stream(4, PURPOSE_POS1),
-                                    snapshot_steps=(10, 40))
+        snaps = {}
+
+        def observe(k, x, T):
+            if k in (10, 40):
+                snaps[k] = x[:, 0].copy()
+        final = run_chains(np.zeros((8, 2)), quadratic(2), 1.0, 0.05, 40,
+                           derive_stream(4, PURPOSE_POS1), observe=observe)
         assert final.shape == (8, 2)
         assert set(snaps) == {10, 40}
         assert np.array_equal(snaps[40], final)
@@ -113,21 +118,22 @@ class TestRunEnsemble:
     def test_stationary_second_moment_matches_ou_oracle(self):
         # For U = ||x||^2 / 2 the chain is AR(1): x <- (1 - eta) x + noise,
         # stationary variance 2 eta tau / (1 - (1 - eta)^2) per coordinate.
-        f = quadratic(1)
         eta, tau = 0.1, 1.0
         oracle = 2 * eta * tau / (1.0 - (1.0 - eta) ** 2)
-        final, _ = run_ensemble(np.zeros((4000, 1)), f, tau, eta, 2000,
-                                derive_stream(5, PURPOSE_POS1))
+        final = run_chains(np.zeros((4000, 1)), quadratic(1), tau, eta, 2000,
+                           derive_stream(5, PURPOSE_POS1))
         assert np.isclose(np.mean(final ** 2), oracle, rtol=0.1)
 
     def test_flat_potential_is_pure_diffusion(self):
-        f = zero_potential(1)
         eta, tau, steps = 0.01, 1.0, 500
-        final, _ = run_ensemble(np.zeros((4000, 1)), f, tau, eta, steps,
-                                derive_stream(6, PURPOSE_POS1))
+        final = run_chains(np.zeros((4000, 1)), zero_potential(1), tau, eta, steps,
+                           derive_stream(6, PURPOSE_POS1))
         assert np.isclose(np.mean(final ** 2), 2 * tau * eta * steps, rtol=0.1)
 
     def test_bad_init_shape(self):
-        with pytest.raises(InputError):
-            run_ensemble(np.zeros((4, 3)), quadratic(2), 1.0, 0.1, 10,
-                         derive_stream(0, PURPOSE_POS1))
+        f = quadratic(2)
+        policy = SwapPolicy(0.0, 0.1)
+        noise = stream_noise(0.1, (4, 2), [derive_stream(0, PURPOSE_POS1)])
+        for x0 in (np.zeros((4, 1, 3)), np.zeros((4, 2)), np.zeros((4, 3, 2))):
+            with pytest.raises(InputError):
+                run_pair_ensemble(f, x0, 1.0, 10, noise, policy)

@@ -1,17 +1,18 @@
-"""Tests for the swap rate and the replica-pair steppers."""
+"""Tests for the swap rate, replica pairs (R = 2) run through the kernel
+``run_pair_ensemble``, and the noise sources."""
 
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from relex.errors import InputError
 from relex.objective import double_well, quadratic, zero_potential
-from relex.replica import (ReplicaState, SwapPolicy, low_temperature_position,
-                           position_swap_step, replica_step, run_pair_ensemble,
-                           swap_decision, swap_probability, swap_rate)
+from relex.replica import (SwapPolicy, block_noise, by_temperature,
+                           check_increment, coarse_noise, run_pair_ensemble,
+                           stream_noise, swap_probability, swap_rate)
 from relex.rng import PURPOSE_POS1, PURPOSE_POS2, PURPOSE_SWAP, derive_stream
 
 # ranges chosen so exp(min(0, delta)) never underflows to an exact zero
@@ -26,12 +27,19 @@ class TestSwapRate:
         assert 0.0 < s <= 1.0
 
     @given(values, temps, temps)
+    @example(0.5, 1e-320, 1.0)      # 1 / tau overflows
+    @example(0.5, 1e-320, 1e-320)
     def test_equal_values_give_one(self, u, t1, t2):
-        assert swap_rate(u, u, t1, t2) == 1.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert swap_rate(u, u, t1, t2) == 1.0
 
     @given(values, values, temps)
+    @example(0.5, -0.5, 1e-320)     # 1 / tau overflows
     def test_equal_temperatures_give_one(self, u1, u2, t):
-        assert swap_rate(u1, u2, t, t) == 1.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert swap_rate(u1, u2, t, t) == 1.0
 
     @given(values, values, values, temps, temps)
     def test_monotone_in_first_value(self, u1a, u1b, u2, t1, t2):
@@ -69,109 +77,140 @@ class TestSwapRate:
 
 class TestSwapPolicy:
     def test_validation(self):
-        with pytest.raises(InputError):
-            SwapPolicy(intensity=-1.0, eta=0.01)
-        with pytest.raises(InputError):
-            SwapPolicy(intensity=1.0, eta=0.0)
+        for intensity, eta in ((-1.0, 0.01), (1.0, 0.0), (np.nan, 0.01),
+                               (np.inf, 0.01), (1.0, np.inf), (1.0, np.nan)):
+            with pytest.raises(InputError):
+                SwapPolicy(intensity=intensity, eta=eta)
 
     def test_clamp_warning(self):
         with pytest.warns(RuntimeWarning):
             policy = SwapPolicy(intensity=2.0, eta=1.0)
-        assert swap_probability(1.0, policy) == 1.0
+        assert swap_probability(1.0, policy.intensity, policy.eta) == 1.0
 
     def test_probability_clamped_to_unit_interval(self):
-        policy = SwapPolicy(intensity=5.0, eta=0.1)
-        assert swap_probability(0.0, policy) == 0.0
-        assert swap_probability(1.0, policy) == 0.5
-        assert 0.0 <= swap_probability(1.0, SwapPolicy(5.0, 0.001)) <= 1.0
+        assert swap_probability(0.0, 5.0, 0.1) == 0.0
+        assert swap_probability(1.0, 5.0, 0.1) == 0.5
+        assert 0.0 <= swap_probability(1.0, 5.0, 0.001) <= 1.0
 
     def test_zero_intensity_never_swaps(self):
-        policy = SwapPolicy(intensity=0.0, eta=0.01)
-        rng = derive_stream(0, PURPOSE_SWAP)
-        assert not any(swap_decision(1.0, policy, rng) for _ in range(1000))
+        # probability exactly 0, so no uniform in [0, 1) falls below it
+        rates = derive_stream(0, PURPOSE_SWAP).uniform(1000)
+        assert np.all(swap_probability(rates, 0.0, 0.01) == 0.0)
+
+
+def certain_swaps():
+    """intensity * eta = 1: with s = 1 every step swaps."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return SwapPolicy(intensity=100.0, eta=0.01)
+
+
+def pair_noise(seed, chains, d=1):
+    return stream_noise(0.01, (chains, d), [derive_stream(seed, PURPOSE_POS1),
+                                            derive_stream(seed, PURPOSE_POS2)],
+                        derive_stream(seed, PURPOSE_SWAP))
+
+
+def pair(x1, x2):
+    """(chains, 2, d) from per-slot (chains, d) positions."""
+    return np.stack((np.asarray(x1, float), np.asarray(x2, float)), axis=1)
 
 
 class TestSteppers:
-    def _streams(self, seed):
-        return (derive_stream(seed, PURPOSE_POS1),
-                derive_stream(seed, PURPOSE_POS2),
-                derive_stream(seed, PURPOSE_SWAP))
-
     def test_certain_swap_exchanges_temperatures(self):
         # flat potential: s = 1; intensity * eta = 1 clamps probability to 1
-        f = zero_potential(1)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            policy = SwapPolicy(intensity=100.0, eta=0.01)
-        state = ReplicaState(np.zeros(1), np.ones(1), temp1=0.1, temp2=1.0)
-        new = replica_step(state, f, policy, *self._streams(0))
-        assert (new.temp1, new.temp2) == (1.0, 0.1)
-        assert new.swap_count == 1
+        _, T, swaps = run_pair_ensemble(zero_potential(1), pair([[0.0]], [[1.0]]),
+                                        (0.1, 1.0), 1, pair_noise(0, 1),
+                                        certain_swaps())
+        assert T.tolist() == [[1.0, 0.1]]
+        assert swaps.tolist() == [1]
 
     def test_formulations_move_the_same_coordinates(self):
         # with identical streams the two formulations produce the same pair of
         # post-step positions, just labeled differently
         f = double_well()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            policy = SwapPolicy(intensity=100.0, eta=0.01)   # certain swap
-        state = ReplicaState(np.array([1.0]), np.array([-1.0]), 0.1, 1.0)
-        t_new = replica_step(state, f, policy, *self._streams(1))
-        p_new = position_swap_step(state, f, policy, *self._streams(1))
-        assert np.array_equal(t_new.pos1, p_new.pos2)
-        assert np.array_equal(t_new.pos2, p_new.pos1)
-        assert np.array_equal(low_temperature_position(t_new),
-                              low_temperature_position(p_new))
+        x0 = pair([[1.0]], [[-1.0]])
+        xt, Tt, _ = run_pair_ensemble(f, x0, (0.1, 1.0), 1, pair_noise(1, 1),
+                                      certain_swaps(), mode="temperature")
+        xp, Tp, _ = run_pair_ensemble(f, x0, (0.1, 1.0), 1, pair_noise(1, 1),
+                                      certain_swaps(), mode="position")
+        assert np.array_equal(xt, xp[:, ::-1])
+        assert np.array_equal(by_temperature(xt, Tt), by_temperature(xp, Tp))
 
     def test_low_temperature_position_tracks_swaps(self):
-        state = ReplicaState(np.array([1.0]), np.array([2.0]), 0.1, 1.0)
-        assert np.array_equal(low_temperature_position(state), state.pos1)
-        swapped = ReplicaState(state.pos1, state.pos2, 1.0, 0.1)
-        assert np.array_equal(low_temperature_position(swapped), swapped.pos2)
+        x = pair([[1.0]], [[2.0]])
+        assert by_temperature(x, np.array([[0.1, 1.0]])).tolist() == [[[1.0], [2.0]]]
+        assert by_temperature(x, np.array([[1.0, 0.1]])).tolist() == [[[2.0], [1.0]]]
 
     def test_dimension_mismatch(self):
-        f = quadratic(2)
-        state = ReplicaState(np.zeros(3), np.zeros(3), 0.1, 1.0)
         with pytest.raises(InputError):
-            replica_step(state, f, SwapPolicy(1.0, 0.01), *self._streams(0))
+            run_pair_ensemble(quadratic(2), np.zeros((1, 2, 3)), (0.1, 1.0), 1,
+                              pair_noise(0, 1, 3), SwapPolicy(1.0, 0.01))
 
 
 class TestPairEnsemble:
     def test_zero_intensity_counts_no_swaps(self):
-        f = double_well()
         n = 16
-        snaps, low, counts = run_pair_ensemble(
-            np.ones((n, 1)), -np.ones((n, 1)), f, 0.1, 1.0,
-            SwapPolicy(0.0, 0.01), 200,
-            derive_stream(0, PURPOSE_POS1), derive_stream(0, PURPOSE_POS2),
-            derive_stream(0, PURPOSE_SWAP))
+        x, _, counts = run_pair_ensemble(
+            double_well(), pair(np.ones((n, 1)), -np.ones((n, 1))), (0.1, 1.0),
+            200, pair_noise(0, n), SwapPolicy(0.0, 0.01))
         assert counts.sum() == 0
-        assert low.shape == (n, 1)
+        assert x.shape == (n, 2, 1)
 
     def test_snapshots_ordered_low_then_high(self):
         # flat potential with certain swaps: temperatures trade every step,
         # yet snapshots stay keyed by temperature
-        f = zero_potential(1)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            policy = SwapPolicy(intensity=100.0, eta=0.01)
         for mode in ("temperature", "position"):
-            snaps, low, counts = run_pair_ensemble(
-                np.zeros((8, 1)), np.zeros((8, 1)), f, 0.1, 1.0, policy, 10,
-                derive_stream(1, PURPOSE_POS1), derive_stream(1, PURPOSE_POS2),
-                derive_stream(1, PURPOSE_SWAP), mode=mode,
-                snapshot_steps=(10,))
-            assert np.array_equal(snaps[10][0], low)
+            snaps = {}
+            x, T, counts = run_pair_ensemble(
+                zero_potential(1), np.zeros((8, 2, 1)), (0.1, 1.0), 10,
+                pair_noise(1, 8), certain_swaps(), mode=mode,
+                observe=lambda k, x, T: snaps.setdefault(k, by_temperature(x, T)))
+            assert np.array_equal(snaps[10], by_temperature(x, T))
             assert np.all(counts == 10)
 
     def test_invalid_mode_and_steps(self):
+        args = (double_well(), pair(np.ones((2, 1)), -np.ones((2, 1))), (0.1, 1.0))
+        with pytest.raises(InputError):
+            run_pair_ensemble(*args, 10, pair_noise(0, 2), SwapPolicy(1.0, 0.01),
+                              mode="bogus")
+        with pytest.raises(InputError):
+            run_pair_ensemble(*args, 0, pair_noise(0, 2), SwapPolicy(1.0, 0.01))
+
+
+class TestNoiseSources:
+    def test_block_noise_replays_stream_draws(self):
         f = double_well()
-        args = (np.ones((2, 1)), -np.ones((2, 1)), f, 0.1, 1.0,
-                SwapPolicy(1.0, 0.01))
-        streams = (derive_stream(0, PURPOSE_POS1),
-                   derive_stream(0, PURPOSE_POS2),
-                   derive_stream(0, PURPOSE_SWAP))
+        x0 = pair(np.ones((4, 1)), -np.ones((4, 1)))
+        policy = SwapPolicy(5.0, 0.01)
+        streamed = run_pair_ensemble(f, x0, (0.1, 1.0), 30, pair_noise(2, 4), policy)
+        source = pair_noise(2, 4)
+        draws = [source(k) for k in range(30)]
+        blocks = block_noise(np.stack([xi for xi, _, _ in draws]),
+                             np.concatenate([u for _, u, _ in draws]), 0.01)
+        replayed = run_pair_ensemble(f, x0, (0.1, 1.0), 30, blocks, policy)
+        for a, b in zip(streamed, replayed):
+            assert np.array_equal(a, b)
+
+    def test_unit_coarse_steps_are_the_fine_steps(self):
+        xi = derive_stream(3, PURPOSE_POS1).normal((6, 4, 2, 1))
+        u = derive_stream(3, PURPOSE_SWAP).uniform((6, 4))
+        fine = block_noise(xi, u, 0.01)
+        coarse = coarse_noise(xi, np.cumsum(xi, axis=0), u, 1, 0.01)
+        for k in range(6):
+            for a, b in zip(fine(k), coarse(k)):
+                assert np.array_equal(a, b)
+
+    def test_coarse_step_sums_its_block(self):
+        xi = derive_stream(4, PURPOSE_POS1).normal((6, 4, 2, 1))
+        u = derive_stream(4, PURPOSE_SWAP).uniform((6, 4))
+        inc, rows, h = coarse_noise(xi, np.cumsum(xi, axis=0), u, 3, 0.01)(1)
+        assert np.array_equal(inc, xi[3:6].sum(axis=0))
+        assert np.array_equal(rows, u[3:6]) and h == 0.01
+
+    def test_misaligned_block_breaks_the_coupling(self):
+        xi = derive_stream(5, PURPOSE_POS1).normal((8, 4, 2, 1))
+        path = np.cumsum(xi, axis=0)
+        check_increment(xi[2:4].sum(axis=0), path, 2, 4)
         with pytest.raises(InputError):
-            run_pair_ensemble(*args, 10, *streams, mode="bogus")
-        with pytest.raises(InputError):
-            run_pair_ensemble(*args, 0, *streams)
+            check_increment(xi[3:5].sum(axis=0), path, 2, 4)
