@@ -22,7 +22,7 @@ from .errors import ConfigError, DivergenceError, InputError
 from .objective import (DEFAULT_CENTERS, DEFAULT_WEIGHTS, GaussianMixtureSpec,
                         ObjectiveFunction, build_gaussian_mixture, double_well,
                         quadratic)
-from .replica import (SwapPolicy, block_noise, coarse_noise, pair_snapshots,
+from .replica import (SwapPolicy, block_noise, by_temperature, coarse_noise,
                       run_pair_ensemble, stream_noise)
 from .rng import (PURPOSE_INIT, PURPOSE_POS1, PURPOSE_POS2, PURPOSE_SWAP,
                   derive_stream)
@@ -142,6 +142,9 @@ def resolve_init(init, dim: int, nseeds: int, seed: int) -> np.ndarray:
             lo, hi = (float(v) for v in init[len("uniform:"):].split(","))
         except ValueError as exc:
             raise ConfigError(f"bad uniform init spec {init!r}") from exc
+        if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
+            raise ConfigError(f"uniform init bounds must be finite with lo <= hi, "
+                              f"got {init!r}")
         rng = derive_stream(seed, PURPOSE_INIT)
         return lo + (hi - lo) * rng.uniform((nseeds, dim))
     point = np.asarray(init, dtype=float).ravel()
@@ -162,20 +165,33 @@ def pregenerate_noise(seed: int, nseeds: int, steps: int, dim: int):
     return xi, uswap
 
 
-def _summarize(algorithm: str, traj: np.ndarray, f: ObjectiveFunction,
-               stride: int, swap_counts=None, wall_time: float = 0.0) -> RunSummary:
-    values = np.asarray(f.eval(traj))            # (steps+1, nseeds)
-    best = np.minimum.accumulate(values, axis=0)
-    thin = best[::stride].T                      # (nseeds, npoints)
-    iterations = np.arange(0, traj.shape[0], stride)
+def _best_so_far(steps: int, stride: int, nseeds: int):
+    """Observer for a comparison pair run, and the array it fills: each
+    seed's running minimum of f over the (low, high) pair, copied out every
+    ``stride`` steps into curves of shape (steps/stride + 1, nseeds, 2)."""
+    best = np.full((nseeds, 2), np.inf)
+    curves = np.empty((steps // stride + 1, nseeds, 2))
+
+    def observe(k, x, T, fx):
+        np.minimum(best, by_temperature(fx, T), out=best)
+        if k % stride == 0:
+            curves[k // stride] = best
+    return observe, curves
+
+
+def _summarize(algorithm: str, traj: np.ndarray, stride: int, swap_counts=None,
+               wall_time: float = 0.0) -> RunSummary:
+    """``traj`` holds one arm's best-so-far curves, (npoints, nseeds),
+    sampled every ``stride`` steps from step 0."""
+    thin = traj.T                                # (nseeds, npoints)
     return RunSummary(
         algorithm=algorithm,
-        iterations=iterations,
+        iterations=np.arange(traj.shape[0]) * stride,
         best_curves=thin,
         median=np.median(thin, axis=0),
         q25=np.quantile(thin, 0.25, axis=0),
         q75=np.quantile(thin, 0.75, axis=0),
-        final_best=best[-1],
+        final_best=traj[-1],
         swap_counts=swap_counts,
         wall_time=wall_time,
     )
@@ -210,23 +226,21 @@ def run_comparison(configs: Sequence[SimConfig]):
     noise = block_noise(*pregenerate_noise(base.seed, base.ensemble, base.steps,
                                            f.dimension), base.eta)
 
-    def trajectory(intensity):
-        """(steps+1, nseeds, 2, d) (low, high) pair trajectory, swap counts."""
-        return pair_snapshots(f, np.stack((init, init), axis=1),
-                              (base.tau1, base.tau2), base.steps, noise,
-                              SwapPolicy(intensity, base.eta), range(base.steps + 1))
+    def run(intensity):
+        """Best-so-far curves (steps/stride + 1, nseeds, 2) of the (low, high)
+        pair, swap counts per seed and the kernel's wall time."""
+        observe, curves = _best_so_far(base.steps, base.stride, base.ensemble)
+        t0 = time.perf_counter()
+        _, _, swaps = run_pair_ensemble(f, np.stack((init, init), axis=1),
+                                        (base.tau1, base.tau2), base.steps, noise,
+                                        SwapPolicy(intensity, base.eta), observe=observe)
+        return curves, swaps, time.perf_counter() - t0
 
-    # Each run is summarized, and its trajectory freed, before the next one.
-    t0 = time.perf_counter()
-    pair, _ = trajectory(0.0)
-    wall = time.perf_counter() - t0
-    low = _summarize("low-temp", pair[:, :, 0], f, base.stride, wall_time=wall)
-    high = _summarize("high-temp", pair[:, :, 1], f, base.stride, wall_time=wall)
-    del pair
-    t0 = time.perf_counter()
-    rex, swap_counts = trajectory(base.intensity)
-    wall = time.perf_counter() - t0
-    return low, high, _summarize("replica-exchange", rex[:, :, 0], f, base.stride,
+    pair, _, wall = run(0.0)
+    low = _summarize("low-temp", pair[:, :, 0], base.stride, wall_time=wall)
+    high = _summarize("high-temp", pair[:, :, 1], base.stride, wall_time=wall)
+    rex, swap_counts, wall = run(base.intensity)
+    return low, high, _summarize("replica-exchange", rex[:, :, 0], base.stride,
                                  swap_counts=swap_counts, wall_time=wall)
 
 
@@ -260,6 +274,8 @@ def discretization_error_experiment(f: ObjectiveFunction, tau1: float, tau2: flo
     start. The finest grid is the brute-force reference for the continuous
     process.
     """
+    if ensemble < 2:
+        raise ConfigError(f"ensemble must be >= 2 for a standard error, got {ensemble}")
     etas = np.asarray(sorted(etas, reverse=True), dtype=float)
     if np.any(etas <= 0):
         raise ConfigError("all stepsizes must be positive")
@@ -321,7 +337,7 @@ def stability_bound_check(f: ObjectiveFunction, tau2: float, etas: Sequence[floa
     for i, eta in enumerate(etas):
         moments = []
 
-        def observe(k, x, T):
+        def observe(k, x, T, fx):
             moments.append(float(np.mean(np.sum(x * x, axis=(1, 2)))))
         noise = stream_noise(eta, (ensemble, f.dimension),
                              [derive_stream(seed, PURPOSE_POS1, i)])

@@ -2,8 +2,8 @@
 benchmark, and a few standard test potentials.
 
 All objectives evaluate in a vectorized way: ``eval`` maps an array of shape
-(..., d) to (...), ``grad`` maps (..., d) to (..., d). A single point is just
-the shape-(d,) case.
+(..., d) to (...), ``grad`` maps (..., d) to (..., d), and ``value_and_grad``
+returns both from one shared pass. A single point is just the shape-(d,) case.
 """
 
 from __future__ import annotations
@@ -29,9 +29,11 @@ DEFAULT_WEIGHTS = np.arange(1, 26, dtype=float) / 325.0
 class ObjectiveFunction:
     """A scalar field on R^d with an analytic gradient.
 
-    ``dissipative`` marks whether the quadratic-growth drift condition holds
-    globally; pure Gaussian mixtures (which flatten out at infinity) do not
-    satisfy it unless a confinement term is added.
+    ``value_and_grad(x)`` returns ``(eval(x), grad(x))``, bit for bit, from
+    one pass over whatever the two share; without one, it calls ``eval`` and
+    ``grad`` in turn. ``dissipative`` marks whether the quadratic-growth
+    drift condition holds globally; pure Gaussian mixtures (which flatten out
+    at infinity) do not satisfy it unless a confinement term is added.
     """
 
     dimension: int
@@ -39,6 +41,18 @@ class ObjectiveFunction:
     grad: Callable[[np.ndarray], np.ndarray]
     dissipative: bool = True
     name: str = "objective"
+    value_and_grad: Callable[[np.ndarray], tuple] | None = None
+
+    def __post_init__(self):
+        # A fallback is rebuilt on every construction, so replacing eval or
+        # grad (dataclasses.replace) never leaves it calling the old ones.
+        if self.value_and_grad is None or getattr(self.value_and_grad, "separate", False):
+            eval_fn, grad_fn = self.eval, self.grad
+
+            def value_and_grad(x):
+                return eval_fn(x), grad_fn(x)
+            value_and_grad.separate = True
+            object.__setattr__(self, "value_and_grad", value_and_grad)
 
 
 @dataclass(frozen=True)
@@ -91,21 +105,30 @@ def build_gaussian_mixture(spec: GaussianMixtureSpec) -> ObjectiveFunction:
         sq = np.sum(diff * diff, axis=-1)         # (..., n)
         return diff, amp * np.exp(-sq / (2.0 * kappa))
 
-    def eval_fn(x):
-        x = np.asarray(x, dtype=float)
-        _, comps = _components(x)
+    def _value(x, comps):
         u = -np.sum(comps, axis=-1)
         if lam > 0:
             u = u + lam * np.sum(x * x, axis=-1)
         return u
 
-    def grad_fn(x):
-        x = np.asarray(x, dtype=float)
-        diff, comps = _components(x)
+    def _grad(x, diff, comps):
         g = np.sum(comps[..., None] * diff, axis=-2) / kappa
         if lam > 0:
             g = g + 2.0 * lam * x
         return g
+
+    def eval_fn(x):
+        x = np.asarray(x, dtype=float)
+        return _value(x, _components(x)[1])
+
+    def grad_fn(x):
+        x = np.asarray(x, dtype=float)
+        return _grad(x, *_components(x))
+
+    def value_and_grad(x):
+        x = np.asarray(x, dtype=float)
+        diff, comps = _components(x)
+        return _value(x, comps), _grad(x, diff, comps)
 
     return ObjectiveFunction(
         dimension=dim,
@@ -113,6 +136,7 @@ def build_gaussian_mixture(spec: GaussianMixtureSpec) -> ObjectiveFunction:
         grad=grad_fn,
         dissipative=lam > 0,
         name="gaussian_mixture",
+        value_and_grad=value_and_grad,
     )
 
 
@@ -126,11 +150,17 @@ def benchmark_mixture(kappa: float, weights=None, confinement: float = 0.0) -> O
 
 def quadratic(dim: int = 2, scale: float = 0.5) -> ObjectiveFunction:
     """U(x) = scale * ||x||^2. With scale 0.5 the gradient is x itself."""
+
+    def value_and_grad(x):
+        x = np.asarray(x, float)
+        return scale * np.sum(x ** 2, axis=-1), 2.0 * scale * x
+
     return ObjectiveFunction(
         dimension=dim,
         eval=lambda x: scale * np.sum(np.asarray(x, float) ** 2, axis=-1),
         grad=lambda x: 2.0 * scale * np.asarray(x, float),
         name="quadratic",
+        value_and_grad=value_and_grad,
     )
 
 
@@ -145,16 +175,28 @@ def double_well() -> ObjectiveFunction:
         x = np.asarray(x, float)
         return 4.0 * x * (x[..., 0:1] ** 2 - 1.0)
 
-    return ObjectiveFunction(dimension=1, eval=eval_fn, grad=grad_fn, name="double_well")
+    def value_and_grad(x):
+        x = np.asarray(x, float)
+        t = x[..., 0:1] ** 2 - 1.0
+        return (t * t)[..., 0], 4.0 * x * t
+
+    return ObjectiveFunction(dimension=1, eval=eval_fn, grad=grad_fn,
+                             name="double_well", value_and_grad=value_and_grad)
 
 
 def zero_potential(dim: int = 1) -> ObjectiveFunction:
     """Flat objective; gradient vanishes everywhere (swap rate is 1)."""
+
+    def value_and_grad(x):
+        x = np.asarray(x, float)
+        return np.zeros(x.shape[:-1]), np.zeros_like(x)
+
     return ObjectiveFunction(
         dimension=dim,
         eval=lambda x: np.zeros(np.asarray(x, float).shape[:-1]),
         grad=lambda x: np.zeros_like(np.asarray(x, float)),
         name="zero",
+        value_and_grad=value_and_grad,
     )
 
 

@@ -69,13 +69,19 @@ def swap_rate(u1, u2, tau1, tau2):
         raise InputError("objective values in swap rate must be finite")
     if not (np.all(tau1 > 0) and np.all(tau2 > 0)):
         raise InputError("temperatures must be positive")
+    out = _rate(u1, u2, tau1, tau2)
+    return out if out.ndim else float(out)
+
+
+def _rate(u1, u2, tau1, tau2):
+    """The swap rate of float arrays already checked: finite values,
+    positive temperatures."""
     with np.errstate(over="ignore", invalid="ignore"):
         expo = (1.0 / tau1 - 1.0 / tau2) * (u1 - u2)
     # Overflowing reciprocals make inf * 0 or inf - inf, i.e. NaN, exactly at
     # equal values or at temperatures too small to tell apart; fmin maps NaN
     # to exponent 0, rate 1, and equals minimum everywhere else.
-    out = np.exp(np.fmin(0.0, expo))
-    return out if out.ndim else float(out)
+    return np.exp(np.fmin(0.0, expo))
 
 
 def swap_probability(rate, intensity, h):
@@ -84,8 +90,10 @@ def swap_probability(rate, intensity, h):
 
 
 def by_temperature(x, T):
-    """Pair positions (chains, 2, d) ordered (low temperature, high temperature)."""
-    return np.where((T[:, 0] <= T[:, 1])[:, None, None], x, x[:, ::-1])
+    """Pair positions (chains, 2, d), or pair values (chains, 2), ordered
+    (low temperature, high temperature)."""
+    low_first = (T[:, 0] <= T[:, 1]).reshape((-1,) + (1,) * (np.ndim(x) - 1))
+    return np.where(low_first, x, x[:, ::-1])
 
 
 def run_pair_ensemble(f: ObjectiveFunction, x0, temps, steps: int, noise,
@@ -93,10 +101,13 @@ def run_pair_ensemble(f: ObjectiveFunction, x0, temps, steps: int, noise,
     """Advance ``x0`` by ``steps`` Euler-Maruyama steps of ``policy.eta``.
 
     ``x0`` has shape (chains, R, d) with R = 1 or 2; ``temps`` broadcasts to
-    (chains, R). The swap branch runs only where a swap can fire: R = 2 and
-    a > 0. ``observe(k, x, T)`` is called at the start (k = 0) and after
-    each step k = 1..steps. Returns (positions, temperatures, swap counts
-    per chain).
+    (chains, R). Each step makes one ``f.value_and_grad`` call at the
+    pre-update positions; its values feed the swap rate and the observer.
+    The swap branch runs only where a swap can fire: R = 2 and a > 0.
+    ``observe(k, x, T, fx)`` sees the positions x_k, their temperatures and
+    their objective values fx = f(x_k) at k = 0..steps; the final values
+    cost one extra ``f.eval``, made only when an observer is given. Returns
+    (positions, temperatures, swap counts per chain).
     """
     if mode not in ("temperature", "position"):
         raise InputError(f"unknown swap mode {mode!r}")
@@ -106,19 +117,27 @@ def run_pair_ensemble(f: ObjectiveFunction, x0, temps, steps: int, noise,
     if x.ndim != 3 or x.shape[1] not in (1, 2) or x.shape[2] != f.dimension:
         raise InputError(f"positions must have shape (chains, 1 or 2, {f.dimension}), "
                          f"got {x.shape}")
+    if not np.all(np.isfinite(x)):
+        raise InputError("starting positions must be finite")
     T = np.array(np.broadcast_to(temps, x.shape[:2]), dtype=float)
     if not np.all(np.isfinite(T) & (T >= 0)):
         raise InputError("temperatures must be finite and nonnegative")
     swapping = x.shape[1] == 2 and policy.intensity > 0
+    if swapping and not np.all(T > 0):
+        raise InputError("temperatures must be positive")
     swaps = np.zeros(x.shape[0], dtype=int)
-    if observe is not None:
-        observe(0, x, T)
     for k in range(steps):
+        fx, grad = f.value_and_grad(x)
+        if observe is not None:
+            observe(k, x, T, fx)
         xi, u, h = noise(k)
         if swapping:
-            fx = f.eval(x)
-            rate = swap_rate(fx[:, 0], fx[:, 1], T[:, 0], T[:, 1])
-        x = em_update(x, f.grad(x), T, policy.eta, xi, h)
+            # The one per-step check the swap rate needs: temperatures only
+            # trade places, but a finite x can still have a NaN value.
+            if not np.all(np.isfinite(fx)):
+                raise InputError("objective values in swap rate must be finite")
+            rate = _rate(fx[:, 0], fx[:, 1], T[:, 0], T[:, 1])
+        x = em_update(x, grad, T, policy.eta, xi, h)
         check_finite(x, k + 1)
         if swapping:
             fire = (u < swap_probability(rate, policy.intensity, h)).any(axis=0)
@@ -127,22 +146,24 @@ def run_pair_ensemble(f: ObjectiveFunction, x0, temps, steps: int, noise,
             else:
                 x = np.where(fire[:, None, None], x[:, ::-1], x)
             swaps += fire
-        if observe is not None:
-            observe(k + 1, x, T)
+    if observe is not None:
+        observe(steps, x, T, f.eval(x))
     return x, T, swaps
 
 
 def pair_snapshots(f: ObjectiveFunction, x0, temps, steps: int, noise,
                    policy: SwapPolicy, at, mode: str = "temperature"):
     """Pair run that records ``by_temperature(x, T)`` at each step k in
-    ``at`` (k = 0 is the start). Returns (snapshots (len(at), chains, 2, d),
-    swap counts per chain)."""
+    ``at`` (k = 0 is the start; every k must lie in [0, steps]). Returns
+    (snapshots (len(at), chains, 2, d), swap counts per chain)."""
     rows = {}
     for i, k in enumerate(at):
+        if not 0 <= k <= steps:
+            raise InputError(f"snapshot step {k} is outside [0, {steps}]")
         rows.setdefault(k, []).append(i)
-    snaps = np.full((len(at),) + np.shape(x0), np.nan)
+    snaps = np.empty((len(at),) + np.shape(x0))
 
-    def observe(k, x, T):
+    def observe(k, x, T, fx):
         if k in rows:
             snaps[rows[k]] = by_temperature(x, T)
     _, _, swaps = run_pair_ensemble(f, x0, temps, steps, noise, policy, mode, observe)

@@ -189,6 +189,22 @@ class TestDispatch:
         assert code == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("ensemble", ["1", "0", "-3"])
+    def test_discerr_ensemble_below_two_exits_2(self, tmp_path, capsys, ensemble):
+        code = main(["discerr", "--set", "kind=double_well", "--set", "etas=0.02,0.01",
+                     "--set", "horizon=0.2", "--set", f"ensemble={ensemble}",
+                     "--out", str(tmp_path)])
+        assert code == 2
+        assert "ensemble must be >= 2" in capsys.readouterr().err
+        assert not (tmp_path / "discerr.csv").exists()
+
+    @pytest.mark.parametrize("init", ["uniform:nan,1", "uniform:3,1"])
+    def test_bad_uniform_init_exits_2(self, tmp_path, capsys, init):
+        code = main(["compare", "--set", f"init={init}", "--set", "steps=10",
+                     "--set", "ensemble=2", "--set", "stride=1", "--out", str(tmp_path)])
+        assert code == 2
+        assert "config error" in capsys.readouterr().err
+
     def test_unwritable_out_exits_2(self, tmp_path, capsys):
         blocker = tmp_path / "file"
         blocker.write_text("")

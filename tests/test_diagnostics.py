@@ -10,7 +10,7 @@ from relex.diagnostics import (PI_FLOOR, GridMeasure, chi2_decay_experiment,
                                pair_gibbs_density, total_variation)
 from relex.errors import (EmptyInputError, GridMismatchError, InputError,
                           TruncationError)
-from relex.harness import _summarize
+from relex.harness import _best_so_far, _summarize
 from relex.objective import double_well, quadratic, zero_potential
 
 
@@ -167,19 +167,34 @@ class TestDecayExperiment:
 
 
 class TestBestSoFar:
-    """The best-so-far curves of a comparison: running minima of the
-    objective along each seed's trajectory."""
+    """The best-so-far curves of a comparison: running minima, per seed and
+    temperature, of the objective values the kernel hands its observer."""
 
     def test_running_minimum(self):
-        # quadratic(1): U = x^2 / 2, so these points have U = 3, 1, 2, 0.5, 4
-        traj = np.sqrt(2.0 * np.array([3.0, 1.0, 2.0, 0.5, 4.0]))[:, None, None]
-        summary = _summarize("low-temp", traj, quadratic(1), stride=1)
-        assert np.allclose(summary.best_curves[0], [3.0, 1.0, 1.0, 0.5, 0.5])
+        # one seed whose low-temperature values are 3, 1, 2, 0.5, 4
+        observe, curves = _best_so_far(steps=4, stride=1, nseeds=1)
+        T = np.array([[0.1, 1.0]])
+        for k, v in enumerate([3.0, 1.0, 2.0, 0.5, 4.0]):
+            observe(k, None, T, np.array([[v, 10.0]]))
+        summary = _summarize("low-temp", curves[:, :, 0], stride=1)
+        assert np.array_equal(summary.best_curves[0], [3.0, 1.0, 1.0, 0.5, 0.5])
         assert summary.final_best[0] == summary.best_curves[0, -1]
+        assert summary.iterations.tolist() == [0, 1, 2, 3, 4]
 
     def test_non_increasing_property(self):
         rng = np.random.default_rng(1)
-        traj = rng.normal(size=(500, 3, 1))
-        summary = _summarize("low-temp", traj, double_well(), stride=5)
+        observe, curves = _best_so_far(steps=495, stride=5, nseeds=3)
+        for k in range(496):
+            T = np.where(rng.uniform(size=(3, 1)) < 0.5, [0.1, 1.0], [1.0, 0.1])
+            observe(k, None, T, rng.normal(size=(3, 2)))
+        summary = _summarize("low-temp", curves[:, :, 0], stride=5)
         assert summary.best_curves.shape == (3, 100)
+        assert summary.iterations[-1] == 495
         assert np.all(np.diff(summary.best_curves, axis=1) <= 0)
+
+    def test_values_follow_the_temperature(self):
+        # after a swap the low-temperature value sits in the second slot
+        observe, curves = _best_so_far(steps=1, stride=1, nseeds=1)
+        observe(0, None, np.array([[0.1, 1.0]]), np.array([[2.0, 5.0]]))
+        observe(1, None, np.array([[1.0, 0.1]]), np.array([[0.5, 1.0]]))
+        assert curves[:, 0].tolist() == [[2.0, 5.0], [1.0, 0.5]]

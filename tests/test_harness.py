@@ -1,6 +1,7 @@
 """Tests for the experiment harness and CSV emission."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from relex.harness import (SimConfig, build_objective, comparison_configs,
                            stability_bound_check, write_bestsofar_csv,
                            write_discerr_csv, write_summary_csv)
 from relex.objective import double_well, quadratic
+from relex.replica import SwapPolicy, block_noise, pair_snapshots
 
 
 def small_config(**overrides):
@@ -100,6 +102,12 @@ class TestResolveInit:
         with pytest.raises(ConfigError):
             resolve_init("uniform:oops", 2, 5, seed=0)
 
+    @pytest.mark.parametrize("spec", ["uniform:nan,1", "uniform:-1,inf",
+                                      "uniform:-inf,1", "uniform:2,1"])
+    def test_bad_uniform_bounds(self, spec):
+        with pytest.raises(ConfigError, match="uniform init bounds"):
+            resolve_init(spec, 2, 5, seed=0)
+
 
 class TestRunComparison:
     def test_summaries_shape_and_monotonicity(self):
@@ -127,6 +135,34 @@ class TestRunComparison:
         assert np.array_equal(rex.best_curves, low.best_curves)
         assert rex.swap_counts.sum() == 0
 
+    def test_best_curves_match_a_full_trajectory_oracle(self):
+        cfg = small_config(ensemble=5, steps=120, stride=6, intensity=20.0, tau1=0.1)
+        summaries = run_comparison(comparison_configs(cfg))
+        f = build_objective(cfg.objective)
+        init = resolve_init(cfg.init, 2, 5, cfg.seed)
+        noise = block_noise(*pregenerate_noise(cfg.seed, 5, 120, 2), cfg.eta)
+        for summary, intensity, slot in zip(summaries, (0.0, 0.0, cfg.intensity),
+                                            (0, 1, 0)):
+            traj, _ = pair_snapshots(f, np.stack((init, init), axis=1),
+                                     (cfg.tau1, cfg.tau2), 120, noise,
+                                     SwapPolicy(intensity, cfg.eta), range(121))
+            best = np.minimum.accumulate(f.eval(traj[:, :, slot]), axis=0)
+            assert np.array_equal(summary.best_curves, best[::6].T)
+            assert np.array_equal(summary.final_best, best[-1])
+            assert summary.iterations.tolist() == list(range(0, 121, 6))
+        assert summaries[2].swap_counts.sum() > 0
+
+    def test_peak_memory_is_the_noise_block(self):
+        cfg = small_config(ensemble=20, steps=2000, stride=10)
+        noise_bytes = sum(a.nbytes for a in pregenerate_noise(cfg.seed, 20, 2000, 2))
+        tracemalloc.start()
+        try:
+            run_comparison(comparison_configs(cfg))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * noise_bytes
+
     def test_mismatched_configs_rejected(self):
         cfgs = list(comparison_configs(small_config()))
         cfgs[0] = small_config(algorithm="low-temp", seed=99)
@@ -153,6 +189,12 @@ class TestKappaSweep:
 
 
 class TestDiscretizationExperiment:
+    @pytest.mark.parametrize("ensemble", [1, 0, -3])
+    def test_ensemble_below_two_rejected(self, ensemble):
+        with pytest.raises(ConfigError, match="ensemble must be >= 2"):
+            discretization_error_experiment(double_well(), 0.1, 1.0, 1.0, [0.02, 0.01],
+                                            0.2, ensemble, seed=0)
+
     def test_self_comparison_is_zero(self):
         f = double_well()
         res = discretization_error_experiment(

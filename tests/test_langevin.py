@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from relex.errors import DivergenceError, InputError
-from relex.langevin import em_update
+from relex.langevin import DIVERGENCE_LIMIT, check_finite, em_update
 from relex.objective import double_well, quadratic, zero_potential
 from relex.replica import SwapPolicy, run_pair_ensemble, stream_noise
 from relex.rng import PURPOSE_POS1, derive_stream
@@ -83,14 +83,26 @@ class TestLangevinStep:
             run_chains([[1.0]], f, 0.0, 3.0, 1000, derive_stream(0, PURPOSE_POS1))
         assert err.value.iteration == 40   # first k with 2^k > 1e12
 
+    def test_guard_catches_nan_inf_and_the_limit(self):
+        check_finite(np.array([[DIVERGENCE_LIMIT, -DIVERGENCE_LIMIT]]), 3)
+        for bad in (np.nan, np.inf, -np.inf, 2 * DIVERGENCE_LIMIT):
+            with pytest.raises(DivergenceError) as err:
+                check_finite(np.array([[0.0, bad]]), 7)
+            assert err.value.iteration == 7
+
 
 class TestRunChain:
     def test_trace_length_and_stride(self):
         # the observer sees the start and every step once, in order
+        # along with the objective values at the observed positions
+        f = double_well()
         seen = []
-        final = run_chains([[0.5]], double_well(), 0.5, 0.01, 100,
-                           derive_stream(2, PURPOSE_POS1),
-                           observe=lambda k, x, T: seen.append((k, x[:, 0].copy())))
+
+        def observe(k, x, T, fx):
+            seen.append((k, x[:, 0].copy()))
+            assert np.array_equal(fx, f.eval(x))
+        final = run_chains([[0.5]], f, 0.5, 0.01, 100,
+                           derive_stream(2, PURPOSE_POS1), observe=observe)
         assert [k for k, _ in seen] == list(range(101))
         assert seen[0][1].tolist() == [[0.5]]
         assert np.array_equal(seen[-1][1], final)
@@ -106,7 +118,7 @@ class TestRunEnsemble:
     def test_shapes_and_snapshots(self):
         snaps = {}
 
-        def observe(k, x, T):
+        def observe(k, x, T, fx):
             if k in (10, 40):
                 snaps[k] = x[:, 0].copy()
         final = run_chains(np.zeros((8, 2)), quadratic(2), 1.0, 0.05, 40,

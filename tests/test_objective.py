@@ -1,12 +1,17 @@
 """Tests for objective functions and the gradient checker."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.optimize import minimize
 
 from relex.errors import InputError
 from relex.objective import (DEFAULT_CENTERS, DEFAULT_WEIGHTS,
-                             GaussianMixtureSpec, build_gaussian_mixture,
+                             GaussianMixtureSpec, ObjectiveFunction,
+                             build_gaussian_mixture,
                              check_gradient, double_well, benchmark_mixture,
                              quadratic, zero_potential)
 
@@ -134,3 +139,58 @@ def test_double_well_shape():
     assert np.allclose(f.grad(np.array([1.0])), 0.0)
     assert np.allclose(f.grad(np.array([-1.0])), 0.0)
     assert f.eval(np.array([0.0])) > f.eval(np.array([1.0]))
+
+
+def positions(d):
+    """(n, R, d) positions as the kernel passes them, over the range where
+    the mixture's components underflow and where they do not."""
+    return st.tuples(st.integers(1, 6), st.integers(1, 2)).flatmap(
+        lambda nr: st.lists(st.floats(-12.0, 12.0), min_size=nr[0] * nr[1] * d,
+                            max_size=nr[0] * nr[1] * d).map(
+            lambda v: np.reshape(v, nr + (d,))))
+
+
+class TestValueAndGrad:
+    """``value_and_grad`` is one pass that returns eval and grad bit for bit."""
+
+    FACTORIES = {
+        "mixture": lambda: benchmark_mixture(0.1),
+        "confined mixture": lambda: benchmark_mixture(0.05, confinement=0.3),
+        "double well": double_well,
+        "quadratic": lambda: quadratic(2),
+        "zero": lambda: zero_potential(2),
+    }
+
+    @pytest.mark.parametrize("name", sorted(FACTORIES))
+    @given(data=st.data())
+    def test_bitwise_equal_to_eval_and_grad(self, name, data):
+        f = self.FACTORIES[name]()
+        x = data.draw(positions(f.dimension))
+        values, grads = f.value_and_grad(x)
+        assert values.shape == x.shape[:-1] and grads.shape == x.shape
+        assert np.array_equal(values, f.eval(x))
+        assert np.array_equal(grads, f.grad(x))
+
+    def test_hand_built_objective_falls_back(self):
+        calls = []
+
+        def eval_fn(x):
+            calls.append("eval")
+            return np.sum(x, axis=-1)
+
+        def grad_fn(x):
+            calls.append("grad")
+            return np.ones_like(x)
+        f = ObjectiveFunction(dimension=2, eval=eval_fn, grad=grad_fn)
+        values, grads = f.value_and_grad(np.array([[1.0, 2.0]]))
+        assert calls == ["eval", "grad"]
+        assert values.tolist() == [3.0] and grads.tolist() == [[1.0, 1.0]]
+
+    def test_replaced_eval_reaches_the_fallback(self):
+        f = ObjectiveFunction(dimension=1, eval=lambda x: x[..., 0], grad=np.ones_like)
+        g = dataclasses.replace(f, eval=lambda x: -x[..., 0])
+        assert g.value_and_grad(np.array([[2.0]]))[0].tolist() == [-2.0]
+
+    def test_fused_closure_is_kept(self):
+        f = double_well()
+        assert dataclasses.replace(f, name="w").value_and_grad is f.value_and_grad

@@ -9,10 +9,12 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from relex.errors import InputError
-from relex.objective import double_well, quadratic, zero_potential
+from relex.objective import (ObjectiveFunction, double_well, quadratic,
+                             zero_potential)
 from relex.replica import (SwapPolicy, block_noise, by_temperature,
-                           check_increment, coarse_noise, run_pair_ensemble,
-                           stream_noise, swap_probability, swap_rate)
+                           check_increment, coarse_noise, pair_snapshots,
+                           run_pair_ensemble, stream_noise, swap_probability,
+                           swap_rate)
 from relex.rng import PURPOSE_POS1, PURPOSE_POS2, PURPOSE_SWAP, derive_stream
 
 # ranges chosen so exp(min(0, delta)) never underflows to an exact zero
@@ -165,7 +167,7 @@ class TestPairEnsemble:
             x, T, counts = run_pair_ensemble(
                 zero_potential(1), np.zeros((8, 2, 1)), (0.1, 1.0), 10,
                 pair_noise(1, 8), certain_swaps(), mode=mode,
-                observe=lambda k, x, T: snaps.setdefault(k, by_temperature(x, T)))
+                observe=lambda k, x, T, fx: snaps.setdefault(k, by_temperature(x, T)))
             assert np.array_equal(snaps[10], by_temperature(x, T))
             assert np.all(counts == 10)
 
@@ -176,6 +178,83 @@ class TestPairEnsemble:
                               mode="bogus")
         with pytest.raises(InputError):
             run_pair_ensemble(*args, 0, pair_noise(0, 2), SwapPolicy(1.0, 0.01))
+
+    @pytest.mark.parametrize("observed", [False, True])
+    def test_one_objective_pass_per_step(self, observed):
+        calls = {"eval": 0, "grad": 0, "value_and_grad": 0}
+        f = double_well()
+
+        def counted(name):
+            def fn(x):
+                calls[name] += 1
+                return getattr(f, name)(x)
+            return fn
+        counting = ObjectiveFunction(1, counted("eval"), counted("grad"),
+                                     value_and_grad=counted("value_and_grad"))
+        seen = []
+        run_pair_ensemble(counting, pair(np.ones((4, 1)), -np.ones((4, 1))),
+                          (0.1, 1.0), 25, pair_noise(3, 4), SwapPolicy(5.0, 0.01),
+                          observe=(lambda k, x, T, fx: seen.append(k)) if observed else None)
+        assert calls == {"eval": int(observed), "grad": 0, "value_and_grad": 25}
+        assert seen == (list(range(26)) if observed else [])
+
+    def test_observer_sees_the_values_of_the_positions(self):
+        f = double_well()
+
+        def observe(k, x, T, fx):
+            assert np.array_equal(fx, f.eval(x))
+        run_pair_ensemble(f, pair(np.ones((4, 1)), -np.ones((4, 1))), (0.1, 1.0),
+                          40, pair_noise(4, 4), SwapPolicy(5.0, 0.01), observe=observe)
+
+    def test_non_finite_start_is_an_input_error(self):
+        for bad in (np.nan, np.inf):
+            x0 = pair([[0.0], [bad]], [[0.0], [0.0]])
+            for policy in (SwapPolicy(0.0, 0.01), SwapPolicy(1.0, 0.01)):
+                with pytest.raises(InputError, match="starting positions"):
+                    run_pair_ensemble(double_well(), x0, (0.1, 1.0), 5,
+                                      pair_noise(0, 2), policy)
+            with pytest.raises(InputError, match="starting positions"):
+                run_pair_ensemble(double_well(), x0[:, :1], 0.5, 5,
+                                  stream_noise(0.01, (2, 1), [derive_stream(0, PURPOSE_POS1)]),
+                                  SwapPolicy(0.0, 0.01))
+
+    def test_zero_temperature_rejected_before_any_step_when_swapping(self):
+        def noise(k):
+            raise AssertionError("no step may run")
+        with pytest.raises(InputError, match="positive"):
+            run_pair_ensemble(double_well(), pair([[0.0]], [[0.0]]), (0.0, 1.0), 5,
+                              noise, SwapPolicy(1.0, 0.01))
+        # without swaps a zero temperature is plain gradient descent
+        x, _, _ = run_pair_ensemble(double_well(), pair([[0.5]], [[0.5]]), (0.0, 1.0),
+                                    5, pair_noise(0, 1), SwapPolicy(0.0, 0.01))
+        assert np.isfinite(x).all()
+
+    def test_nan_value_at_finite_position_rejected(self):
+        f = ObjectiveFunction(1, eval=lambda x: np.full(x.shape[:-1], np.nan),
+                              grad=np.zeros_like)
+        with pytest.raises(InputError, match="finite"):
+            run_pair_ensemble(f, pair([[0.0]], [[0.0]]), (0.1, 1.0), 5,
+                              pair_noise(0, 1), SwapPolicy(1.0, 0.01))
+
+
+class TestPairSnapshots:
+    def test_steps_outside_the_run_rejected(self):
+        args = (double_well(), pair(np.ones((2, 1)), -np.ones((2, 1))), (0.1, 1.0), 5,
+                pair_noise(0, 2), SwapPolicy(1.0, 0.01))
+        for at in ([2, 7], [2, -1], [6]):
+            with pytest.raises(InputError, match="outside"):
+                pair_snapshots(*args, at)
+
+    def test_snapshots_match_the_observed_positions(self):
+        f = double_well()
+        x0 = pair(np.ones((3, 1)), -np.ones((3, 1)))
+        seen = {}
+        run_pair_ensemble(f, x0, (0.1, 1.0), 5, pair_noise(5, 3), SwapPolicy(5.0, 0.01),
+                          observe=lambda k, x, T, fx: seen.setdefault(k, by_temperature(x, T)))
+        snaps, _ = pair_snapshots(f, x0, (0.1, 1.0), 5, pair_noise(5, 3),
+                                  SwapPolicy(5.0, 0.01), [5, 0, 2, 5])
+        for row, k in zip(snaps, [5, 0, 2, 5]):
+            assert np.array_equal(row, seen[k])
 
 
 class TestNoiseSources:
