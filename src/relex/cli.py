@@ -244,7 +244,10 @@ def cmd_sweep(cfg, out_flag) -> int:
 
 def cmd_chi2(cfg, out_flag) -> int:
     f = build_objective(_objective_cfg(cfg))
-    lo, hi = _get_floats(cfg, "diagnostics", "bounds")
+    bounds = _get_floats(cfg, "diagnostics", "bounds")
+    if len(bounds) != 2:
+        raise ConfigError(f"diagnostics.bounds must be two numbers lo,hi, "
+                          f"got {cfg['diagnostics']['bounds']!r}")
     times = np.asarray(_get_floats(cfg, "diagnostics", "sample_times"))
     intensity = _get_float(cfg, "dynamics", "intensity")
     fits = {}
@@ -257,7 +260,7 @@ def cmd_chi2(cfg, out_flag) -> int:
             eta=_get_float(cfg, "dynamics", "eta"),
             ensemble=_get_int(cfg, "dynamics", "ensemble"),
             sample_times=times,
-            bounds=np.array([[lo, hi]]),
+            bounds=np.array([bounds]),
             resolution=_get_int(cfg, "diagnostics", "resolution"),
             seed=_get_int(cfg, "dynamics", "seed"),
             fit_floor=_get_float(cfg, "diagnostics", "fit_floor"),

@@ -69,6 +69,19 @@ class DecayFit:
     rate_std: float = float("nan")
 
 
+def _grid(bounds, resolution):
+    """Checked grid parameters: bounds as a (d, 2) float array of finite
+    lo < hi rows, and a resolution of at least one cell per axis."""
+    bounds = np.atleast_2d(np.asarray(bounds, dtype=float))
+    if (bounds.ndim != 2 or bounds.shape[1] != 2 or not np.all(np.isfinite(bounds))
+            or not np.all(bounds[:, 0] < bounds[:, 1])):
+        raise InputError(f"grid bounds must be finite (lo, hi) rows with lo < hi, "
+                         f"got {bounds.tolist()}")
+    if not resolution >= 1:
+        raise InputError(f"grid resolution must be >= 1, got {resolution}")
+    return bounds, int(resolution)
+
+
 def _max_boundary_cell(mass: np.ndarray) -> float:
     mask = np.zeros(mass.shape, dtype=bool)
     for axis in range(mass.ndim):
@@ -101,10 +114,10 @@ def gibbs_density(f: ObjectiveFunction, tau: float, bounds, resolution: int) -> 
     """
     if not (tau > 0):
         raise InputError(f"tau must be positive, got {tau}")
-    bounds = np.atleast_2d(np.asarray(bounds, dtype=float))
+    bounds, resolution = _grid(bounds, resolution)
     if bounds.shape[0] != f.dimension:
         raise InputError(f"bounds must have {f.dimension} rows")
-    gm = GridMeasure(bounds, int(resolution), np.empty((int(resolution),) * f.dimension))
+    gm = GridMeasure(bounds, resolution, np.empty((resolution,) * f.dimension))
     axes = [gm.centers(k) for k in range(f.dimension)]
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=-1)
@@ -120,10 +133,10 @@ def pair_gibbs_density(f: ObjectiveFunction, tau1: float, tau2: float,
         raise InputError("pair grid diagnostics require a 1-D objective")
     if not (tau1 > 0 and tau2 > 0):
         raise InputError("temperatures must be positive")
-    bounds = np.atleast_2d(np.asarray(bounds, dtype=float))
+    bounds, resolution = _grid(bounds, resolution)
     if bounds.shape[0] == 1:
         bounds = np.vstack([bounds, bounds])
-    gm = GridMeasure(bounds, int(resolution), np.empty((int(resolution),) * 2))
+    gm = GridMeasure(bounds, resolution, np.empty((resolution,) * 2))
     c1 = gm.centers(0)[:, None]
     c2 = gm.centers(1)[:, None]
     u1 = np.asarray(f.eval(c1), dtype=float)
@@ -138,14 +151,14 @@ def empirical_histogram(positions, bounds, resolution: int) -> GridMeasure:
     positions = np.atleast_2d(np.asarray(positions, dtype=float))
     if positions.shape[0] == 0:
         raise EmptyInputError("no positions to histogram")
-    bounds = np.atleast_2d(np.asarray(bounds, dtype=float))
-    counts, _ = np.histogramdd(positions, bins=int(resolution),
+    bounds, resolution = _grid(bounds, resolution)
+    counts, _ = np.histogramdd(positions, bins=resolution,
                                range=[tuple(b) for b in bounds])
     total = positions.shape[0]
     inside = counts.sum()
     if inside == 0:
         raise EmptyInputError("all positions fall outside the histogram bounds")
-    return GridMeasure(bounds, int(resolution), counts / inside,
+    return GridMeasure(bounds, resolution, counts / inside,
                        overflow=float(1.0 - inside / total))
 
 

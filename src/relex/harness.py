@@ -2,10 +2,12 @@
 the coupled discretization-error experiment, and CSV emission.
 
 All randomness flows from one root seed. Each seed of a comparison owns three
-derived streams (particle-1 noise, particle-2 noise, swap uniforms). The two
-single-temperature baselines are the two slots of one intensity-0 pair run on
-the same noise as the replica run, so a replica run with intensity 0
-reproduces the low-temperature baseline bit for bit.
+derived streams (particle-1 noise, particle-2 noise, swap uniforms). A
+comparison is one kernel run over two copies of the seed set: in the first
+copy the pairs never swap, so their two slots are the single-temperature
+baselines; the second copy is the replica run on the same noise. A replica
+run with intensity 0 therefore reproduces the low-temperature baseline bit
+for bit.
 """
 
 from __future__ import annotations
@@ -22,8 +24,8 @@ from .errors import ConfigError, DivergenceError, InputError
 from .objective import (DEFAULT_CENTERS, DEFAULT_WEIGHTS, GaussianMixtureSpec,
                         ObjectiveFunction, build_gaussian_mixture, double_well,
                         quadratic)
-from .replica import (SwapPolicy, block_noise, by_temperature, coarse_noise,
-                      run_pair_ensemble, stream_noise)
+from .replica import (SwapPolicy, by_temperature, coarse_noise, run_pair_ensemble,
+                      stream_noise)
 from .rng import (PURPOSE_INIT, PURPOSE_POS1, PURPOSE_POS2, PURPOSE_SWAP,
                   derive_stream)
 
@@ -71,7 +73,8 @@ class SimConfig:
 @dataclass
 class RunSummary:
     """One comparison arm. ``wall_time`` is the time of the kernel run behind
-    it; both baselines share one run, so they report the same time."""
+    it; the three arms of a comparison share one run, so they report the same
+    time."""
 
     algorithm: str
     iterations: np.ndarray       # thinned iteration indices, starting at 0
@@ -222,26 +225,40 @@ def run_comparison(configs: Sequence[SimConfig]):
             raise ConfigError("comparison configs must share everything but the algorithm")
 
     f = build_objective(base.objective)
-    init = resolve_init(base.init, f.dimension, base.ensemble, base.seed)
-    noise = block_noise(*pregenerate_noise(base.seed, base.ensemble, base.steps,
-                                           f.dimension), base.eta)
+    n = base.ensemble
+    init = resolve_init(base.init, f.dimension, n, base.seed)
+    pair = np.stack((init, init), axis=1)
+    xi, uswap = pregenerate_noise(base.seed, n, base.steps, f.dimension)
+    # One kernel run: chains [0, n) are the baseline pairs, [n, 2n) the
+    # replica pairs, all from the same start.
+    observe, curves = _best_so_far(base.steps, base.stride, 2 * n)
+    t0 = time.perf_counter()
+    _, _, swaps = run_pair_ensemble(f, np.concatenate((pair, pair)),
+                                    (base.tau1, base.tau2), base.steps,
+                                    _baseline_and_replica_noise(xi, uswap, base.eta),
+                                    SwapPolicy(base.intensity, base.eta), observe=observe)
+    wall = time.perf_counter() - t0
+    return (_summarize("low-temp", curves[:, :n, 0], base.stride, wall_time=wall),
+            _summarize("high-temp", curves[:, :n, 1], base.stride, wall_time=wall),
+            _summarize("replica-exchange", curves[:, n:, 0], base.stride,
+                       swap_counts=swaps[n:], wall_time=wall))
 
-    def run(intensity):
-        """Best-so-far curves (steps/stride + 1, nseeds, 2) of the (low, high)
-        pair, swap counts per seed and the kernel's wall time."""
-        observe, curves = _best_so_far(base.steps, base.stride, base.ensemble)
-        t0 = time.perf_counter()
-        _, _, swaps = run_pair_ensemble(f, np.stack((init, init), axis=1),
-                                        (base.tau1, base.tau2), base.steps, noise,
-                                        SwapPolicy(intensity, base.eta), observe=observe)
-        return curves, swaps, time.perf_counter() - t0
 
-    pair, _, wall = run(0.0)
-    low = _summarize("low-temp", pair[:, :, 0], base.stride, wall_time=wall)
-    high = _summarize("high-temp", pair[:, :, 1], base.stride, wall_time=wall)
-    rex, swap_counts, wall = run(base.intensity)
-    return low, high, _summarize("replica-exchange", rex[:, :, 0], base.stride,
-                                 swap_counts=swap_counts, wall_time=wall)
+def _baseline_and_replica_noise(xi, u, h):
+    """Noise source of a comparison's one kernel run over 2n chains, from the
+    per-seed block xi (steps, n, 2, d) and uniforms u (steps, n). Chains
+    [0, n) are the baseline pairs and [n, 2n) the replica pairs; both halves
+    take the same increments xi[k]. A baseline chain's swap uniform is 1.0,
+    and u < min(1, a h s) never holds for it, so its pair never swaps and
+    its slots are the two single-temperature chains. The uniform row is one
+    buffer refilled each step; the kernel reads it before the next step."""
+    n = u.shape[1]
+    row = np.ones((1, 2 * n))
+
+    def source(k):
+        row[0, n:] = u[k]
+        return np.concatenate((xi[k], xi[k])), row, h
+    return source
 
 
 def kappa_sweep(kappas: Sequence[float], base: SimConfig):
@@ -276,11 +293,17 @@ def discretization_error_experiment(f: ObjectiveFunction, tau1: float, tau2: flo
     """
     if ensemble < 2:
         raise ConfigError(f"ensemble must be >= 2 for a standard error, got {ensemble}")
+    if not (0 < T < math.inf):
+        raise ConfigError(f"horizon T must be positive and finite, got {T}")
     etas = np.asarray(sorted(etas, reverse=True), dtype=float)
+    if etas.size == 0:
+        raise ConfigError("need at least one stepsize")
     if np.any(etas <= 0):
         raise ConfigError("all stepsizes must be positive")
     if eta_ref is None:
         eta_ref = float(etas.min()) / 16.0
+    elif not (0 < eta_ref < math.inf):
+        raise ConfigError(f"eta_ref must be positive and finite, got {eta_ref}")
     ratios = etas / eta_ref
     if np.any(np.abs(ratios - np.rint(ratios)) > 1e-9):
         raise ConfigError("every eta must be an integer multiple of eta_ref")
@@ -369,21 +392,28 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _write_rows(path, config_line: str, header: Sequence[str], rows):
+def _write_lines(path, config_line: str, header: Sequence[str], lines):
     with open(path, "w") as fh:
         fh.write(f"# config: {config_line}\n")
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        fh.writelines(lines)
+
+
+def _write_rows(path, config_line: str, header: Sequence[str], rows):
+    _write_lines(path, config_line, header,
+                 (",".join(_fmt(v) for v in row) + "\n" for row in rows))
 
 
 def write_bestsofar_csv(path, summaries: Sequence[RunSummary], config_line: str = ""):
-    def rows():
+    # The largest CSV, so each row is one f-string over Python ints and
+    # floats; it writes the bytes _write_rows would for integer iterations.
+    def lines():
         for summary in summaries:
-            for s in range(summary.best_curves.shape[0]):
-                for it, v in zip(summary.iterations, summary.best_curves[s]):
-                    yield (it, summary.algorithm, s, v)
-    _write_rows(path, config_line, ["iteration", "algorithm", "seed", "best_so_far"], rows())
+            its = summary.iterations.tolist()
+            for s, curve in enumerate(summary.best_curves.tolist()):
+                for it, v in zip(its, curve):
+                    yield f"{it},{summary.algorithm},{s},{v:.17g}\n"
+    _write_lines(path, config_line, ["iteration", "algorithm", "seed", "best_so_far"], lines())
 
 
 def write_summary_csv(path, summaries: Sequence[RunSummary], config_line: str = ""):

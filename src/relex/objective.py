@@ -98,12 +98,32 @@ def build_gaussian_mixture(spec: GaussianMixtureSpec) -> ObjectiveFunction:
     lam = float(spec.confinement)
     dim = centers.shape[1]
     amp = weights / (2.0 * np.pi * kappa)
+    centers_t = np.ascontiguousarray(centers.T)   # (d, n)
 
-    def _components(x):
+    def _points(x):
         x = np.asarray(x, dtype=float)
-        diff = x[..., None, :] - centers          # (..., n, d)
-        sq = np.sum(diff * diff, axis=-1)         # (..., n)
-        return diff, amp * np.exp(-sq / (2.0 * kappa))
+        if x.shape[-1:] != (dim,):
+            raise InputError(f"points must have a last axis of size {dim}, "
+                             f"got shape {x.shape}")
+        return x
+
+    # The mixture works coordinate-major: one (..., n) array x_j - c_ij per
+    # coordinate j, so no numpy loop runs over the short d axis. Its sums
+    # round exactly as the same sums over (..., n, d) differences would.
+    def _components(x):
+        """Per-coordinate differences, d arrays (..., n), and the weighted
+        component densities (..., n)."""
+        diffs = [x[..., j, None] - centers_t[j] for j in range(dim)]
+        if dim < 8:
+            # numpy sums fewer than 8 terms left to right, so this is bitwise
+            # np.sum(diff * diff, axis=-1); from 8 terms on it sums pairwise.
+            sq = diffs[0] * diffs[0]
+            for dj in diffs[1:]:
+                sq += dj * dj
+        else:
+            diff = np.stack(diffs, axis=-1)
+            sq = np.sum(diff * diff, axis=-1)
+        return diffs, amp * np.exp(-sq / (2.0 * kappa))
 
     def _value(x, comps):
         u = -np.sum(comps, axis=-1)
@@ -111,24 +131,32 @@ def build_gaussian_mixture(spec: GaussianMixtureSpec) -> ObjectiveFunction:
             u = u + lam * np.sum(x * x, axis=-1)
         return u
 
-    def _grad(x, diff, comps):
-        g = np.sum(comps[..., None] * diff, axis=-2) / kappa
+    def _grad(x, diffs, comps):
+        # The center sums of np.sum(comps[..., None] * diff, axis=-2): left
+        # to right for d >= 2, i.e. the last entry of a cumsum; for d = 1
+        # numpy drops the unit axis and sums pairwise along the centers.
+        if dim == 1:
+            g = np.sum(comps * diffs[0], axis=-1)[..., None]
+        else:
+            g = np.stack([np.cumsum(comps * dj, axis=-1)[..., -1] for dj in diffs],
+                         axis=-1)
+        g = g / kappa
         if lam > 0:
             g = g + 2.0 * lam * x
         return g
 
     def eval_fn(x):
-        x = np.asarray(x, dtype=float)
+        x = _points(x)
         return _value(x, _components(x)[1])
 
     def grad_fn(x):
-        x = np.asarray(x, dtype=float)
+        x = _points(x)
         return _grad(x, *_components(x))
 
     def value_and_grad(x):
-        x = np.asarray(x, dtype=float)
-        diff, comps = _components(x)
-        return _value(x, comps), _grad(x, diff, comps)
+        x = _points(x)
+        diffs, comps = _components(x)
+        return _value(x, comps), _grad(x, diffs, comps)
 
     return ObjectiveFunction(
         dimension=dim,

@@ -198,6 +198,34 @@ class TestDispatch:
         assert "ensemble must be >= 2" in capsys.readouterr().err
         assert not (tmp_path / "discerr.csv").exists()
 
+    @pytest.mark.parametrize("item, message", [
+        ("resolution=0", "relex: error: grid resolution must be >= 1"),
+        ("resolution=-2", "relex: error: grid resolution must be >= 1"),
+        ("bounds=3,-3", "relex: error: grid bounds must be finite"),
+        ("bounds=1,2,3", "relex: config error: diagnostics.bounds must be two numbers"),
+        ("bounds=1", "relex: config error: diagnostics.bounds must be two numbers"),
+    ])
+    def test_chi2_bad_grid_exits_2(self, tmp_path, capsys, item, message):
+        code = main(["chi2", "--set", "kind=double_well", "--set", "ensemble=1000",
+                     "--set", item, "--out", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(message)
+        assert not (tmp_path / "chi2decay.csv").exists()
+
+    @pytest.mark.parametrize("item, message", [
+        ("horizon=0", "horizon T must be positive"),
+        ("horizon=-1", "horizon T must be positive"),
+        ("etas=", "need at least one stepsize"),
+        ("eta_ref=0", "eta_ref must be positive"),
+        ("eta_ref=-0.001", "eta_ref must be positive"),
+    ])
+    def test_discerr_bad_horizon_or_stepsizes_exit_2(self, tmp_path, capsys, item,
+                                                     message):
+        code = main(["discerr", "--set", item, "--out", str(tmp_path)])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "discerr.csv").exists()
+
     @pytest.mark.parametrize("init", ["uniform:nan,1", "uniform:3,1"])
     def test_bad_uniform_init_exits_2(self, tmp_path, capsys, init):
         code = main(["compare", "--set", f"init={init}", "--set", "steps=10",

@@ -62,6 +62,28 @@ class TestPairGibbsDensity:
             pair_gibbs_density(quadratic(2), 0.1, 1.0, [[-3, 3]], 10)
 
 
+BUILDERS = {
+    "gibbs": lambda bounds, res: gibbs_density(double_well(), 0.5, bounds, res),
+    "pair gibbs": lambda bounds, res: pair_gibbs_density(double_well(), 0.1, 1.0,
+                                                         bounds, res),
+    "histogram": lambda bounds, res: empirical_histogram(np.zeros((3, 1)), bounds, res),
+}
+
+
+@pytest.mark.parametrize("builder", sorted(BUILDERS))
+@pytest.mark.parametrize("bounds, resolution, message", [
+    ([[-3.0, 3.0]], 0, "resolution"),
+    ([[-3.0, 3.0]], -2, "resolution"),
+    ([[3.0, -3.0]], 10, "bounds"),
+    ([[1.0, 1.0]], 10, "bounds"),
+    ([[-np.inf, 3.0]], 10, "bounds"),
+    ([[np.nan, 3.0]], 10, "bounds"),
+])
+def test_grid_builders_reject_bad_grids(builder, bounds, resolution, message):
+    with pytest.raises(InputError, match=f"grid {message}"):
+        BUILDERS[builder](bounds, resolution)
+
+
 class TestHistogramAndDivergences:
     def test_histogram_normalized_with_overflow(self):
         pts = np.array([[0.0], [0.5], [2.0]])   # one point out of bounds

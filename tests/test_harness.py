@@ -1,21 +1,25 @@
 """Tests for the experiment harness and CSV emission."""
 
 import math
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from relex.errors import ConfigError, InputError
-from relex.harness import (SimConfig, build_objective, comparison_configs,
+from relex.harness import (ALGORITHMS, RunSummary, SimConfig,
+                           _baseline_and_replica_noise, _best_so_far, _write_rows,
+                           build_objective, comparison_configs,
                            discretization_error_experiment, kappa_sweep,
                            pregenerate_noise, resolve_init, run_comparison,
                            stability_bound_check, write_bestsofar_csv,
                            write_discerr_csv, write_summary_csv)
 from relex.objective import double_well, quadratic
-from relex.replica import SwapPolicy, block_noise, pair_snapshots
+from relex.replica import SwapPolicy, block_noise, pair_snapshots, run_pair_ensemble
 
 
 def small_config(**overrides):
@@ -152,6 +156,35 @@ class TestRunComparison:
             assert summary.iterations.tolist() == list(range(0, 121, 6))
         assert summaries[2].swap_counts.sum() > 0
 
+    def test_each_half_of_the_fused_run_is_its_own_run(self):
+        n, steps = 5, 150
+        cfg = small_config(ensemble=n, steps=steps, intensity=20.0, tau1=0.1)
+        f = build_objective(cfg.objective)
+        init = resolve_init(cfg.init, 2, n, cfg.seed)
+        pair = np.stack((init, init), axis=1)
+        xi, uswap = pregenerate_noise(cfg.seed, n, steps, 2)
+        observe, fused = _best_so_far(steps, 1, 2 * n)
+        x, T, swaps = run_pair_ensemble(f, np.concatenate((pair, pair)),
+                                        (cfg.tau1, cfg.tau2), steps,
+                                        _baseline_and_replica_noise(xi, uswap, cfg.eta),
+                                        SwapPolicy(cfg.intensity, cfg.eta), observe=observe)
+        assert swaps[:n].sum() == 0 and swaps[n:].sum() > 0
+        for half, intensity in ((slice(0, n), 0.0), (slice(n, 2 * n), cfg.intensity)):
+            observe, alone = _best_so_far(steps, 1, n)
+            x1, T1, swaps1 = run_pair_ensemble(f, pair, (cfg.tau1, cfg.tau2), steps,
+                                               block_noise(xi, uswap, cfg.eta),
+                                               SwapPolicy(intensity, cfg.eta),
+                                               observe=observe)
+            assert np.array_equal(fused[:, half], alone)
+            assert np.array_equal(swaps[half], swaps1)
+            assert np.array_equal(x[half], x1) and np.array_equal(T[half], T1)
+        low, high, rex = run_comparison(comparison_configs(
+            small_config(ensemble=n, steps=steps, stride=1, intensity=20.0, tau1=0.1)))
+        assert np.array_equal(low.best_curves, fused[:, :n, 0].T)
+        assert np.array_equal(high.best_curves, fused[:, :n, 1].T)
+        assert np.array_equal(rex.best_curves, fused[:, n:, 0].T)
+        assert np.array_equal(rex.swap_counts, swaps[n:])
+
     def test_peak_memory_is_the_noise_block(self):
         cfg = small_config(ensemble=20, steps=2000, stride=10)
         noise_bytes = sum(a.nbytes for a in pregenerate_noise(cfg.seed, 20, 2000, 2))
@@ -209,6 +242,21 @@ class TestDiscretizationExperiment:
         assert res.etas[0] == 0.04
         assert res.mse[0] > res.mse[1] > 0.0
         assert np.all(res.stderr >= 0.0)
+
+    @pytest.mark.parametrize("T, etas, eta_ref, message", [
+        (0.0, (0.02, 0.01), None, "horizon T must be positive"),
+        (-0.2, (0.02, 0.01), None, "horizon T must be positive"),
+        (math.inf, (0.02, 0.01), None, "horizon T must be positive"),
+        (math.nan, (0.02, 0.01), None, "horizon T must be positive"),
+        (0.2, (), None, "at least one stepsize"),
+        (0.2, (0.02, 0.01), 0.0, "eta_ref must be positive"),
+        (0.2, (0.02, 0.01), -0.001, "eta_ref must be positive"),
+        (0.2, (0.02, 0.01), math.inf, "eta_ref must be positive"),
+    ])
+    def test_bad_horizon_or_stepsizes_rejected(self, T, etas, eta_ref, message):
+        with pytest.raises(ConfigError, match=message):
+            discretization_error_experiment(double_well(), 0.1, 1.0, 1.0, etas, T=T,
+                                            ensemble=20, seed=0, eta_ref=eta_ref)
 
     def test_non_nested_etas_rejected(self):
         f = double_well()
@@ -295,6 +343,45 @@ class TestCsvWriters:
         assert lines[0].startswith("# config: ")
         assert lines[1] == "eta,mse,stderr"
         assert len(lines) == 4
+
+
+# -0.0, subnormals and both ends of the float range, mixed into arbitrary floats.
+CSV_FLOATS = st.one_of(st.floats(), st.sampled_from(
+    [-0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308, 1.7976931348623157e308,
+     -1e300, 1e-300, 123456789.12345679]))
+
+
+@st.composite
+def run_summaries(draw):
+    summaries = []
+    for algorithm in ALGORITHMS[:draw(st.integers(1, 3))]:
+        nseeds, npoints = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+        values = draw(st.lists(CSV_FLOATS, min_size=nseeds * npoints,
+                               max_size=nseeds * npoints))
+        # a transposed view, as _summarize stores the curves
+        curves = np.reshape(values, (npoints, nseeds)).T
+        summaries.append(RunSummary(
+            algorithm, np.arange(npoints) * draw(st.integers(1, 10**6)), curves,
+            curves[0], curves[0], curves[0], curves[:, -1]))
+    return summaries
+
+
+@given(run_summaries())
+@example([RunSummary("low-temp", np.arange(3) * 10,
+                     np.array([[-0.0, 5e-324, 1e308], [-1e-300, 0.1, -2.5e-310]]),
+                     *[np.zeros(3)] * 3, np.zeros(2))])
+def test_bestsofar_csv_matches_the_generic_writer(summaries):
+    def rows():
+        for summary in summaries:
+            for s in range(summary.best_curves.shape[0]):
+                for it, v in zip(summary.iterations, summary.best_curves[s]):
+                    yield (it, summary.algorithm, s, v)
+    with tempfile.TemporaryDirectory() as tmp:
+        fast, generic = Path(tmp, "fast.csv"), Path(tmp, "generic.csv")
+        write_bestsofar_csv(fast, summaries, "x.y=1")
+        _write_rows(generic, "x.y=1", ["iteration", "algorithm", "seed", "best_so_far"],
+                    rows())
+        assert fast.read_bytes() == generic.read_bytes()
 
 
 def test_pregenerated_noise_matches_streams():

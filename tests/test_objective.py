@@ -194,3 +194,65 @@ class TestValueAndGrad:
     def test_fused_closure_is_kept(self):
         f = double_well()
         assert dataclasses.replace(f, name="w").value_and_grad is f.value_and_grad
+
+
+def reference_mixture(spec):
+    """The mixture over (..., n, d) differences with numpy sums over the d
+    and center axes: the form the coordinate-major mixture must reproduce
+    bit for bit."""
+    amp = spec.weights / (2.0 * np.pi * spec.kappa)
+
+    def components(x):
+        diff = x[..., None, :] - spec.centers
+        return diff, amp * np.exp(-np.sum(diff * diff, axis=-1) / (2.0 * spec.kappa))
+
+    def eval_fn(x):
+        x = np.asarray(x, dtype=float)
+        u = -np.sum(components(x)[1], axis=-1)
+        return u + spec.confinement * np.sum(x * x, axis=-1) if spec.confinement else u
+
+    def grad_fn(x):
+        x = np.asarray(x, dtype=float)
+        diff, comps = components(x)
+        g = np.sum(comps[..., None] * diff, axis=-2) / spec.kappa
+        return g + 2.0 * spec.confinement * x if spec.confinement else g
+    return eval_fn, grad_fn
+
+
+@st.composite
+def mixtures_and_points(draw):
+    d = draw(st.sampled_from([1, 2, 3, 8]))
+    ncenters = draw(st.integers(1, 30))
+    centers = draw(st.lists(st.floats(-5.0, 5.0), min_size=ncenters * d,
+                            max_size=ncenters * d))
+    weights = draw(st.lists(st.floats(0.0, 3.0), min_size=ncenters, max_size=ncenters))
+    weights[draw(st.integers(0, ncenters - 1))] = 1.0
+    spec = GaussianMixtureSpec(np.reshape(centers, (ncenters, d)), weights,
+                               kappa=draw(st.floats(0.01, 2.0)),
+                               confinement=draw(st.sampled_from([0.0, 0.1])))
+    lead = draw(st.sampled_from([(), (draw(st.integers(1, 7)),),
+                                 (draw(st.integers(1, 7)), 2)]))
+    size = int(np.prod(lead, dtype=int)) * d
+    x = np.reshape(draw(st.lists(st.floats(-8.0, 8.0), min_size=size, max_size=size)),
+                   lead + (d,))
+    return spec, x
+
+
+@given(mixtures_and_points())
+def test_mixture_matches_the_difference_tensor_form_bitwise(case):
+    spec, x = case
+    f = build_gaussian_mixture(spec)
+    ref_eval, ref_grad = reference_mixture(spec)
+    values, grads = f.value_and_grad(x)
+    assert values.shape == x.shape[:-1] and grads.shape == x.shape
+    for got, want in ((f.eval(x), ref_eval(x)), (f.grad(x), ref_grad(x)),
+                      (values, ref_eval(x)), (grads, ref_grad(x))):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("shape", [(3,), (4, 1), (2, 2, 3), ()])
+def test_mixture_rejects_points_of_another_dimension(shape):
+    f = benchmark_mixture(0.1)
+    for fn in (f.eval, f.grad, f.value_and_grad):
+        with pytest.raises(InputError, match="last axis of size 2"):
+            fn(np.zeros(shape))
