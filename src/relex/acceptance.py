@@ -3,12 +3,14 @@ coupling/null behavior, stationarity, chi-square decay acceleration, the
 Dirichlet swap term, discretization-error scaling, the benchmark ordering,
 formulation equivalence, and gradient correctness.
 
-Each criterion function returns (passed, detail). ``run_all`` times them and
-is shared by ``relex check`` and the test suite.
+Each criterion function returns (passed, detail). ``run_criterion`` times one
+and turns a crash into a failure; ``run_all``, behind ``relex check``, runs
+them all in worker processes.
 """
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass
 
@@ -247,15 +249,59 @@ CRITERIA = (
 )
 
 
+# Criterion numbers, longest first (criterion 8 alone is about half the
+# serial total): the pool starts the long ones first, so no long criterion
+# starts last and runs alone.
+LONGEST_FIRST = ("8", "3", "2", "7", "4", "6", "5", "9", "1")
+
+
 def run_criterion(name: str, fn) -> CriterionRecord:
     start = time.perf_counter()
     try:
         passed, detail = fn()
     except Exception as exc:                       # a crash is a failure
-        passed, detail = False, f"raised {type(exc).__name__}: {exc}"
+        passed, detail = False, _raised(exc)
     return CriterionRecord(name, bool(passed), detail,
                            time.perf_counter() - start)
 
 
+def _raised(exc) -> str:
+    return f"raised {type(exc).__name__}: {exc}"
+
+
+def _run_indexed(i: int) -> CriterionRecord:
+    """Worker entry. It takes an index into the CRITERIA inherited by fork,
+    not the function: a caller may have narrowed CRITERIA or rebound a
+    criterion's module name to a wrapper, which then no longer pickles."""
+    return run_criterion(*CRITERIA[i])
+
+
 def run_all() -> list:
-    return [run_criterion(name, fn) for name, fn in CRITERIA]
+    """Run every criterion in CRITERIA in worker processes forked from this
+    one, one per usable CPU, longest first; the records come back in
+    CRITERIA order. A criterion whose result never arrives, say because its
+    worker died, is a failed record naming the error."""
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    if not CRITERIA:
+        return []
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:                         # not on Linux
+        cpus = os.cpu_count() or 1
+    rank = {number: r for r, number in enumerate(LONGEST_FIRST)}
+    order = sorted(range(len(CRITERIA)),
+                   key=lambda i: rank.get(CRITERIA[i][0].partition(" ")[0], len(rank)))
+    records = [None] * len(CRITERIA)
+    # fork, not spawn: workers must see this process's CRITERIA, which a
+    # caller may have narrowed. relex starts no threads of its own.
+    with ProcessPoolExecutor(min(cpus, len(CRITERIA)),
+                             mp_context=multiprocessing.get_context("fork")) as pool:
+        futures = [(i, pool.submit(_run_indexed, i)) for i in order]
+        for i, future in futures:
+            try:
+                records[i] = future.result()
+            except Exception as exc:               # e.g. BrokenProcessPool
+                records[i] = CriterionRecord(CRITERIA[i][0], False, _raised(exc), 0.0)
+    return records

@@ -6,7 +6,9 @@ xi standard normal and h the step the increment was drawn on (h = eta except
 for coarse steps that consume summed fine increments). No Metropolis
 correction is applied, so large stepsizes can blow up; any coordinate
 exceeding DIVERGENCE_LIMIT (or going non-finite) aborts with DivergenceError.
-The loop that applies the update is ``replica.run_pair_ensemble``.
+The loop that applies the update is ``replica.run_pair_ensemble``; it writes
+the update out with the noise scale cached per slot, and ``em_update`` stays
+the reference form (criterion 2 checks the loop against it bit for bit).
 """
 
 from __future__ import annotations

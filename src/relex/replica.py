@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .langevin import check_finite, em_update
+from .langevin import check_finite
 from .objective import ObjectiveFunction
 
 
@@ -69,15 +69,21 @@ def swap_rate(u1, u2, tau1, tau2):
         raise InputError("objective values in swap rate must be finite")
     if not (np.all(tau1 > 0) and np.all(tau2 > 0)):
         raise InputError("temperatures must be positive")
-    out = _rate(u1, u2, tau1, tau2)
+    out = _rate_at_gap(_inverse_gap(tau1, tau2), u1, u2)
     return out if out.ndim else float(out)
 
 
-def _rate(u1, u2, tau1, tau2):
-    """The swap rate of float arrays already checked: finite values,
-    positive temperatures."""
+def _inverse_gap(tau1, tau2):
+    """1/tau1 - 1/tau2; exchanging the temperatures exactly negates it,
+    since IEEE subtraction is sign-symmetric."""
     with np.errstate(over="ignore", invalid="ignore"):
-        expo = (1.0 / tau1 - 1.0 / tau2) * (u1 - u2)
+        return 1.0 / tau1 - 1.0 / tau2
+
+
+def _rate_at_gap(gap, u1, u2):
+    """exp(min(0, gap * (u1 - u2))) for the inverse-temperature gap."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        expo = gap * (u1 - u2)
     # Overflowing reciprocals make inf * 0 or inf - inf, i.e. NaN, exactly at
     # equal values or at temperatures too small to tell apart; fmin maps NaN
     # to exponent 0, rate 1, and equals minimum everywhere else.
@@ -106,8 +112,10 @@ def run_pair_ensemble(f: ObjectiveFunction, x0, temps, steps: int, noise,
     The swap branch runs only where a swap can fire: R = 2 and a > 0.
     ``observe(k, x, T, fx)`` sees the positions x_k, their temperatures and
     their objective values fx = f(x_k) at k = 0..steps; the final values
-    cost one extra ``f.eval``, made only when an observer is given. Returns
-    (positions, temperatures, swap counts per chain).
+    cost one extra ``f.eval``, made only when an observer is given. A noise
+    block of another shape than the positions, or a swapping run whose
+    source gives no uniforms, is an ``InputError``. Returns (positions,
+    temperatures, swap counts per chain).
     """
     if mode not in ("temperature", "position"):
         raise InputError(f"unknown swap mode {mode!r}")
@@ -126,26 +134,41 @@ def run_pair_ensemble(f: ObjectiveFunction, x0, temps, steps: int, noise,
     if swapping and not np.all(T > 0):
         raise InputError("temperatures must be positive")
     swaps = np.zeros(x.shape[0], dtype=int)
+    eta, h_coef = policy.eta, None
+    if swapping:
+        gap = _inverse_gap(T[:, 0], T[:, 1])
     for k in range(steps):
         fx, grad = f.value_and_grad(x)
         if observe is not None:
             observe(k, x, T, fx)
         xi, u, h = noise(k)
+        if np.shape(xi) != x.shape:
+            raise InputError(f"noise block has shape {np.shape(xi)}, positions {x.shape}")
+        if h != h_coef:
+            # em_update's noise scale sqrt(2 h T), kept per slot; it moves
+            # with T when temperatures swap.
+            coef, h_coef = np.sqrt(2.0 * h * T)[..., None], h
         if swapping:
+            if u is None:
+                raise InputError("a swapping run needs swap uniforms from its noise source")
             # The one per-step check the swap rate needs: temperatures only
             # trade places, but a finite x can still have a NaN value.
             if not np.all(np.isfinite(fx)):
                 raise InputError("objective values in swap rate must be finite")
-            rate = _rate(fx[:, 0], fx[:, 1], T[:, 0], T[:, 1])
-        x = em_update(x, grad, T, policy.eta, xi, h)
+            rate = _rate_at_gap(gap, fx[:, 0], fx[:, 1])
+        x = x - eta * grad + coef * xi          # em_update with the cached scale
         check_finite(x, k + 1)
         if swapping:
-            fire = (u < swap_probability(rate, policy.intensity, h)).any(axis=0)
-            if mode == "temperature":
-                T = np.where(fire[:, None], T[:, ::-1], T)
-            else:
-                x = np.where(fire[:, None, None], x[:, ::-1], x)
-            swaps += fire
+            fired = np.flatnonzero((u < swap_probability(rate, policy.intensity, h)).any(axis=0))
+            if fired.size:
+                if mode == "temperature":
+                    T = T.copy()                # the observer may hold the old T
+                    T[fired] = T[fired, ::-1]
+                    coef[fired] = coef[fired, ::-1]
+                    gap[fired] = -gap[fired]
+                else:
+                    x[fired] = x[fired, ::-1]   # x is this step's fresh array
+                swaps[fired] += 1
     if observe is not None:
         observe(steps, x, T, f.eval(x))
     return x, T, swaps

@@ -236,6 +236,38 @@ class TestPairEnsemble:
             run_pair_ensemble(f, pair([[0.0]], [[0.0]]), (0.1, 1.0), 5,
                               pair_noise(0, 1), SwapPolicy(1.0, 0.01))
 
+    def test_one_slot_noise_for_a_pair_rejected(self):
+        # a (chains, 1, d) block would broadcast: both particles, same noise
+        one_slot = stream_noise(0.01, (3, 1), [derive_stream(0, PURPOSE_POS1)],
+                                derive_stream(0, PURPOSE_SWAP))
+        for policy in (SwapPolicy(0.0, 0.01), SwapPolicy(1.0, 0.01)):
+            with pytest.raises(InputError, match="noise block has shape"):
+                run_pair_ensemble(double_well(), np.zeros((3, 2, 1)), (0.1, 1.0), 5,
+                                  one_slot, policy)
+
+    def test_swapping_run_without_uniforms_rejected(self):
+        no_swap = stream_noise(0.01, (3, 1), [derive_stream(0, PURPOSE_POS1),
+                                              derive_stream(0, PURPOSE_POS2)])
+        with pytest.raises(InputError, match="swap uniforms"):
+            run_pair_ensemble(double_well(), np.zeros((3, 2, 1)), (0.1, 1.0), 5,
+                              no_swap, SwapPolicy(1.0, 0.01))
+        # a run that cannot swap needs none
+        x, _, _ = run_pair_ensemble(double_well(), np.zeros((3, 2, 1)), (0.1, 1.0), 5,
+                                    no_swap, SwapPolicy(0.0, 0.01))
+        assert np.isfinite(x).all()
+
+    @pytest.mark.parametrize("mode", ["temperature", "position"])
+    def test_swaps_leave_observed_arrays_alone(self, mode):
+        held = []
+
+        def observe(k, x, T, fx):
+            held.append((x, T, x.copy(), T.copy()))
+        _, _, swaps = run_pair_ensemble(zero_potential(1), np.zeros((4, 2, 1)), (0.1, 1.0),
+                                        6, pair_noise(2, 4), certain_swaps(), mode, observe)
+        assert np.all(swaps == 6)
+        for x, T, x_then, T_then in held:
+            assert np.array_equal(x, x_then) and np.array_equal(T, T_then)
+
 
 class TestPairSnapshots:
     def test_steps_outside_the_run_rejected(self):
