@@ -14,11 +14,11 @@ from .errors import (ConfigError, DivergenceError, EmptyInputError, FitError,
                      TruncationError)
 from .harness import (RunSummary, SimConfig, build_objective,
                       comparison_configs, discretization_error_experiment,
-                      kappa_sweep, run_comparison, stability_bound_check)
+                      kappa_sweep, run_comparison)
 from .langevin import em_update
 from .objective import (GaussianMixtureSpec, ObjectiveFunction,
                         build_gaussian_mixture, check_gradient, double_well,
-                        benchmark_mixture, quadratic, zero_potential)
+                        benchmark_mixture, quadratic)
 from .replica import SwapPolicy, run_pair_ensemble, swap_probability, swap_rate
 from .rng import RngStream, derive_stream, stream_id
 
@@ -35,6 +35,6 @@ __all__ = [
     "discretization_error_experiment", "double_well", "em_update",
     "empirical_histogram", "gibbs_density", "kappa_sweep",
     "pair_gibbs_density", "benchmark_mixture", "quadratic", "run_comparison",
-    "run_pair_ensemble", "stability_bound_check", "stream_id",
-    "swap_probability", "swap_rate", "total_variation", "zero_potential",
+    "run_pair_ensemble", "stream_id", "swap_probability", "swap_rate",
+    "total_variation",
 ]

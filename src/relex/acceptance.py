@@ -25,10 +25,9 @@ from .harness import (SimConfig, comparison_configs,
                       resolve_init, run_comparison)
 from .langevin import em_update
 from .objective import check_gradient, double_well, benchmark_mixture
-from .replica import (SwapPolicy, block_noise, pair_snapshots,
-                      run_pair_ensemble, stream_noise, swap_rate)
-from .rng import (PURPOSE_INIT, PURPOSE_POS1, PURPOSE_POS2, PURPOSE_SWAP,
-                  derive_stream)
+from .replica import (SwapPolicy, pair_snapshots, philox_noise,
+                      run_pair_ensemble, swap_rate)
+from .rng import PURPOSE_INIT, PURPOSE_POS1, derive_stream, pair_streams
 
 
 @dataclass
@@ -77,10 +76,10 @@ def criterion_2_null_coupling_bitwise():
     steps, nseeds = 10_000, 5
     eta, tau1, tau2 = 0.01, 0.01, 1.0
     init = resolve_init((2.0, 2.0), f.dimension, nseeds, seed=7)
-    xi, uswap = pregenerate_noise(7, nseeds, steps, f.dimension)
+    xi, _ = pregenerate_noise(7, nseeds, steps, f.dimension)
+    noise = philox_noise(eta, steps, nseeds, f.dimension, pair_streams(7, nseeds)[0])
     snaps, swaps = pair_snapshots(f, np.stack((init, init), axis=1), (tau1, tau2),
-                                  steps, block_noise(xi, uswap, eta),
-                                  SwapPolicy(0.0, eta), range(steps + 1))
+                                  steps, noise, SwapPolicy(0.0, eta), range(steps + 1))
     ok = int(swaps.sum()) == 0
     for slot, tau in enumerate((tau1, tau2)):
         pos = init
@@ -102,7 +101,7 @@ def criterion_3_stationarity():
     init = -1.5 + 3.0 * rng_init.uniform((chains, 1))
     final, _, _ = run_pair_ensemble(
         f, init[:, None], tau, steps,
-        stream_noise(eta, (chains, 1), [derive_stream(3, PURPOSE_POS1)]),
+        philox_noise(eta, steps, chains, 1, [[derive_stream(3, PURPOSE_POS1)]]),
         SwapPolicy(0.0, eta))
     pi = gibbs_density(f, tau, bounds, 60)
     mu = empirical_histogram(final[:, 0], bounds, 60)
@@ -214,10 +213,7 @@ def criterion_8_formulation_equivalence():
     pooled = {}
     x0 = np.broadcast_to(np.reshape((1.0, -1.0), (1, 2, 1)), (chains, 2, 1))
     for offset, mode in ((0, "temperature"), (1, "position")):
-        seed = 80 + offset
-        noise = stream_noise(eta, (chains, 1), [derive_stream(seed, PURPOSE_POS1),
-                                                derive_stream(seed, PURPOSE_POS2)],
-                             derive_stream(seed, PURPOSE_SWAP))
+        noise = philox_noise(eta, steps, chains, 1, *pair_streams(80 + offset))
         snaps, _ = pair_snapshots(f, x0, (tau1, tau2), steps, noise, policy,
                                   snapshot_steps, mode)
         pooled[mode] = np.concatenate(snaps[:, :, 0])

@@ -17,8 +17,8 @@ import numpy as np
 from .errors import (EmptyInputError, FitError, GridMismatchError, InputError,
                      TruncationError)
 from .objective import ObjectiveFunction
-from .replica import SwapPolicy, pair_snapshots, stream_noise, swap_rate
-from .rng import PURPOSE_POS1, PURPOSE_POS2, PURPOSE_SWAP, derive_stream
+from .replica import SwapPolicy, pair_snapshots, philox_noise, swap_rate
+from .rng import pair_streams
 
 PI_FLOOR = 1e-12
 BOUNDARY_MASS_LIMIT = 1e-6
@@ -200,19 +200,21 @@ def chi2_decay_experiment(f: ObjectiveFunction, tau1: float, tau2: float,
         raise InputError("chi-square decay experiment requires a 1-D objective")
     if ensemble < 1000:
         raise InputError(f"ensemble must be >= 1000, got {ensemble}")
-    sample_times = np.asarray(sample_times, dtype=float)
-    if sample_times.size < 1 or np.any(np.diff(sample_times) <= 0):
-        raise InputError("sample times must be strictly increasing")
     policy = SwapPolicy(intensity=a, eta=eta)
+    sample_times = np.asarray(sample_times, dtype=float)
+    if sample_times.size < 1 or not np.all(np.isfinite(sample_times) & (sample_times > 0)):
+        raise InputError("sample times must be positive and finite")
+    sample_steps = np.maximum(1, np.rint(sample_times / eta).astype(int))
+    if np.any(np.diff(sample_steps) <= 0):
+        raise InputError(f"sample times must be strictly increasing once rounded to "
+                         f"steps of eta = {eta:g}, got steps {sample_steps.tolist()}")
     pi = pair_gibbs_density(f, tau1, tau2, bounds, resolution)
 
-    sample_steps = np.maximum(1, np.rint(sample_times / eta).astype(int))
     times = sample_steps * eta
+    steps = int(sample_steps[-1])
     x0 = np.broadcast_to(np.reshape(init, (1, 2, 1)), (ensemble, 2, 1))
-    noise = stream_noise(eta, (ensemble, 1), [derive_stream(seed, PURPOSE_POS1),
-                                              derive_stream(seed, PURPOSE_POS2)],
-                         derive_stream(seed, PURPOSE_SWAP))
-    snaps, _ = pair_snapshots(f, x0, (tau1, tau2), int(sample_steps[-1]), noise,
+    noise = philox_noise(eta, steps, ensemble, 1, *pair_streams(seed))
+    snaps, _ = pair_snapshots(f, x0, (tau1, tau2), steps, noise,
                               policy, sample_steps.tolist(), mode="position")
     pair_points = snaps[:, :, :, 0]
     chi2 = np.array([_chi2_of_points(pts, pi) for pts in pair_points])

@@ -5,9 +5,9 @@ All randomness flows from one root seed. Each seed of a comparison owns three
 derived streams (particle-1 noise, particle-2 noise, swap uniforms). A
 comparison is one kernel run over two copies of the seed set: in the first
 copy the pairs never swap, so their two slots are the single-temperature
-baselines; the second copy is the replica run on the same noise. A replica
-run with intensity 0 therefore reproduces the low-temperature baseline bit
-for bit.
+baselines; the second copy is the replica run on the same noise, drawn from
+streams of the same keys. A replica run with intensity 0 therefore
+reproduces the low-temperature baseline bit for bit.
 """
 
 from __future__ import annotations
@@ -20,14 +20,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DivergenceError, InputError
+from .errors import ConfigError
 from .objective import (DEFAULT_CENTERS, DEFAULT_WEIGHTS, GaussianMixtureSpec,
                         ObjectiveFunction, build_gaussian_mixture, double_well,
                         quadratic)
-from .replica import (SwapPolicy, by_temperature, coarse_noise, run_pair_ensemble,
-                      stream_noise)
-from .rng import (PURPOSE_INIT, PURPOSE_POS1, PURPOSE_POS2, PURPOSE_SWAP,
-                  derive_stream)
+from .replica import SwapPolicy, by_temperature, philox_noise, run_pair_ensemble
+from .rng import PURPOSE_INIT, derive_stream, pair_streams
 
 ALGORITHMS = ("low-temp", "high-temp", "replica-exchange")
 
@@ -95,20 +93,6 @@ class DiscretizationResult:
     slope: float
 
 
-@dataclass
-class StabilityEntry:
-    eta: float
-    max_second_moment: float
-    flagged: bool       # eta >= alpha / L^2
-    diverged: bool
-
-
-@dataclass
-class StabilityReport:
-    entries: list
-    caveat: str | None = None
-
-
 def build_objective(obj_cfg: dict) -> ObjectiveFunction:
     """Construct the objective named by a config section."""
     cfg = dict(obj_cfg)
@@ -157,14 +141,16 @@ def resolve_init(init, dim: int, nseeds: int, seed: int) -> np.ndarray:
 
 
 def pregenerate_noise(seed: int, nseeds: int, steps: int, dim: int):
-    """Per-seed noise: normals (steps, nseeds, 2, dim) for the two particles
-    and swap uniforms (steps, nseeds), from each seed's own derived streams."""
+    """Per-seed noise as one whole-run block: normals (steps, nseeds, 2, dim)
+    and swap uniforms (steps, nseeds), from each seed's own derived streams;
+    the reference that criterion 2's oracle loop and the tests replay."""
     xi = np.empty((steps, nseeds, 2, dim))
     uswap = np.empty((steps, nseeds))
+    slots, swap = pair_streams(seed, nseeds)
     for s in range(nseeds):
-        xi[:, s, 0] = derive_stream(seed, PURPOSE_POS1, s).normal((steps, dim))
-        xi[:, s, 1] = derive_stream(seed, PURPOSE_POS2, s).normal((steps, dim))
-        uswap[:, s] = derive_stream(seed, PURPOSE_SWAP, s).uniform(steps)
+        xi[:, s, 0] = slots[s][0].normal((steps, dim))
+        xi[:, s, 1] = slots[s][1].normal((steps, dim))
+        uswap[:, s] = swap[s].uniform(steps)
     return xi, uswap
 
 
@@ -228,37 +214,22 @@ def run_comparison(configs: Sequence[SimConfig]):
     n = base.ensemble
     init = resolve_init(base.init, f.dimension, n, base.seed)
     pair = np.stack((init, init), axis=1)
-    xi, uswap = pregenerate_noise(base.seed, n, base.steps, f.dimension)
-    # One kernel run: chains [0, n) are the baseline pairs, [n, 2n) the
-    # replica pairs, all from the same start.
+    # One kernel run: chains [0, n) are the baseline pairs, which have no
+    # swap streams and so never swap, and [n, 2n) the replica pairs; all start
+    # at init and draw from each seed's position streams.
+    replica, swap = pair_streams(base.seed, n)
+    noise = philox_noise(base.eta, base.steps, 2 * n, f.dimension,
+                         pair_streams(base.seed, n)[0] + replica, [None] * n + swap)
     observe, curves = _best_so_far(base.steps, base.stride, 2 * n)
     t0 = time.perf_counter()
     _, _, swaps = run_pair_ensemble(f, np.concatenate((pair, pair)),
-                                    (base.tau1, base.tau2), base.steps,
-                                    _baseline_and_replica_noise(xi, uswap, base.eta),
+                                    (base.tau1, base.tau2), base.steps, noise,
                                     SwapPolicy(base.intensity, base.eta), observe=observe)
     wall = time.perf_counter() - t0
     return (_summarize("low-temp", curves[:, :n, 0], base.stride, wall_time=wall),
             _summarize("high-temp", curves[:, :n, 1], base.stride, wall_time=wall),
             _summarize("replica-exchange", curves[:, n:, 0], base.stride,
                        swap_counts=swaps[n:], wall_time=wall))
-
-
-def _baseline_and_replica_noise(xi, u, h):
-    """Noise source of a comparison's one kernel run over 2n chains, from the
-    per-seed block xi (steps, n, 2, d) and uniforms u (steps, n). Chains
-    [0, n) are the baseline pairs and [n, 2n) the replica pairs; both halves
-    take the same increments xi[k]. A baseline chain's swap uniform is 1.0,
-    and u < min(1, a h s) never holds for it, so its pair never swaps and
-    its slots are the two single-temperature chains. The uniform row is one
-    buffer refilled each step; the kernel reads it before the next step."""
-    n = u.shape[1]
-    row = np.ones((1, 2 * n))
-
-    def source(k):
-        row[0, n:] = u[k]
-        return np.concatenate((xi[k], xi[k])), row, h
-    return source
 
 
 def kappa_sweep(kappas: Sequence[float], base: SimConfig):
@@ -284,12 +255,13 @@ def discretization_error_experiment(f: ObjectiveFunction, tau1: float, tau2: flo
                                     init=(1.0, -1.0)) -> DiscretizationResult:
     """Coupled coarse-vs-fine mean squared error at time T.
 
-    Every run shares one fine-grid Brownian path and one fine-grid swap
-    uniform table. A coarse step of width m * eta_ref consumes the sum of its
-    m constituent fine Gaussian increments, and its swap fires iff any of the
-    m fine uniforms falls below a * eta_ref * s evaluated at the coarse step's
-    start. The finest grid is the brute-force reference for the continuous
-    process.
+    Every run draws its fine-grid Gaussian increments and swap uniforms from
+    freshly derived streams of the same keys, so all runs share one Brownian
+    path and one uniform table. A coarse step of width m * eta_ref consumes
+    the sum of its m constituent fine Gaussian increments, and its swap fires
+    iff any of the m fine uniforms falls below a * eta_ref * s evaluated at
+    the coarse step's start. The finest grid is the brute-force reference for
+    the continuous process.
     """
     if ensemble < 2:
         raise ConfigError(f"ensemble must be >= 2 for a standard error, got {ensemble}")
@@ -316,15 +288,11 @@ def discretization_error_experiment(f: ObjectiveFunction, tau1: float, tau2: flo
             raise ConfigError(f"T = {T} is not an integer number of steps of eta = {eta}")
 
     d = f.dimension
-    xi = np.stack([derive_stream(seed, purpose).normal((n_fine, ensemble, d))
-                   for purpose in (PURPOSE_POS1, PURPOSE_POS2)], axis=2)
-    path = np.cumsum(xi, axis=0)
-    usw = derive_stream(seed, PURPOSE_SWAP).uniform((n_fine, ensemble))
     x0 = np.broadcast_to(np.reshape(init, (1, 2, -1)), (ensemble, 2, d))
 
     def coupled_run(m: int):
-        x, _, _ = run_pair_ensemble(f, x0, (tau1, tau2), n_fine // m,
-                                    coarse_noise(xi, path, usw, m, eta_ref),
+        noise = philox_noise(eta_ref, n_fine // m, ensemble, d, *pair_streams(seed), m=m)
+        x, _, _ = run_pair_ensemble(f, x0, (tau1, tau2), n_fine // m, noise,
                                     SwapPolicy(a, m * eta_ref))
         return x[:, 0], x[:, 1]
 
@@ -342,44 +310,6 @@ def discretization_error_experiment(f: ObjectiveFunction, tau1: float, tau2: flo
     else:
         slope = float("nan")
     return DiscretizationResult(etas=etas, mse=mses, stderr=stderrs, slope=slope)
-
-
-def stability_bound_check(f: ObjectiveFunction, tau2: float, etas: Sequence[float],
-                          L_est: float, alpha_est: float, steps: int = 5000,
-                          ensemble: int = 200, seed: int = 0) -> StabilityReport:
-    """Empirical second-moment stability report for a list of stepsizes.
-
-    Runs single-temperature ensembles at tau2 and records the running maximum
-    of E||Z||^2; stepsizes at or above alpha / L^2 are flagged. Reporting
-    only: nothing raises.
-    """
-    if not (L_est > 0 and alpha_est > 0):
-        raise InputError("L and alpha estimates must be positive")
-    threshold = alpha_est / L_est ** 2
-    entries = []
-    for i, eta in enumerate(etas):
-        moments = []
-
-        def observe(k, x, T, fx):
-            moments.append(float(np.mean(np.sum(x * x, axis=(1, 2)))))
-        noise = stream_noise(eta, (ensemble, f.dimension),
-                             [derive_stream(seed, PURPOSE_POS1, i)])
-        try:
-            run_pair_ensemble(f, np.zeros((ensemble, 1, f.dimension)), tau2, steps,
-                              noise, SwapPolicy(0.0, eta), observe=observe)
-            diverged = False
-        except DivergenceError:
-            diverged = True
-        entries.append(StabilityEntry(
-            eta=float(eta),
-            max_second_moment=float("nan") if diverged else max(moments),
-            flagged=eta >= threshold,
-            diverged=diverged,
-        ))
-    caveat = None
-    if not f.dissipative:
-        caveat = "objective is not globally dissipative; the moment bound does not apply"
-    return StabilityReport(entries=entries, caveat=caveat)
 
 
 # ---------------------------------------------------------------------------

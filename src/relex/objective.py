@@ -31,15 +31,11 @@ class ObjectiveFunction:
 
     ``value_and_grad(x)`` returns ``(eval(x), grad(x))``, bit for bit, from
     one pass over whatever the two share; without one, it calls ``eval`` and
-    ``grad`` in turn. ``dissipative`` marks whether the quadratic-growth
-    drift condition holds globally; pure Gaussian mixtures (which flatten out
-    at infinity) do not satisfy it unless a confinement term is added.
-    """
+    ``grad`` in turn."""
 
     dimension: int
     eval: Callable[[np.ndarray], np.ndarray]
     grad: Callable[[np.ndarray], np.ndarray]
-    dissipative: bool = True
     name: str = "objective"
     value_and_grad: Callable[[np.ndarray], tuple] | None = None
 
@@ -162,7 +158,6 @@ def build_gaussian_mixture(spec: GaussianMixtureSpec) -> ObjectiveFunction:
         dimension=dim,
         eval=eval_fn,
         grad=grad_fn,
-        dissipative=lam > 0,
         name="gaussian_mixture",
         value_and_grad=value_and_grad,
     )
@@ -210,22 +205,6 @@ def double_well() -> ObjectiveFunction:
 
     return ObjectiveFunction(dimension=1, eval=eval_fn, grad=grad_fn,
                              name="double_well", value_and_grad=value_and_grad)
-
-
-def zero_potential(dim: int = 1) -> ObjectiveFunction:
-    """Flat objective; gradient vanishes everywhere (swap rate is 1)."""
-
-    def value_and_grad(x):
-        x = np.asarray(x, float)
-        return np.zeros(x.shape[:-1]), np.zeros_like(x)
-
-    return ObjectiveFunction(
-        dimension=dim,
-        eval=lambda x: np.zeros(np.asarray(x, float).shape[:-1]),
-        grad=lambda x: np.zeros_like(np.asarray(x, float)),
-        name="zero",
-        value_and_grad=value_and_grad,
-    )
 
 
 def check_gradient(f: ObjectiveFunction, point, step: float = 1e-6) -> float:

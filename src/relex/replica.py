@@ -11,8 +11,8 @@ keeps the temperatures and trades the positions.
 Noise comes from a source ``noise(k) -> (xi, u, h)`` for steps k = 0, 1, ...:
 the (chains, R, d) Gaussian block, the swap uniforms as one (chains,) row per
 fine sub-step, and the sub-step h they were drawn on (h = eta unless a coarse
-step consumes summed fine increments). ``block_noise``, ``stream_noise`` and
-``coarse_noise`` build the three sources the package uses.
+step consumes summed fine increments). ``philox_noise`` builds every source
+the package uses.
 """
 
 from __future__ import annotations
@@ -193,42 +193,48 @@ def pair_snapshots(f: ObjectiveFunction, x0, temps, steps: int, noise,
     return snaps, swaps
 
 
-# ---------------------------------------------------------------------------
-# Noise sources.
-
-def block_noise(xi, u, h):
-    """Pre-drawn noise: xi (steps, chains, R, d) and u (steps, chains)."""
-    return lambda k: (xi[k], u[k:k + 1], h)
+# Gaussian draws per chunk: a 2000-chain pair ensemble's chunk of 8 fine rows
+# stays in cache, and a small ensemble's many streams make few generator calls.
+CHUNK_DRAWS = 1 << 15
 
 
-def stream_noise(h, shape, slots, swap=None):
-    """Per-step draws: a ``shape`` = (chains, d) normal block from each slot's
-    stream, then one row of chains uniforms from the ``swap`` stream."""
-    chains, d = shape
+def philox_noise(h, steps, chains, d, slots, swap=None, m=1):
+    """The noise source of a ``steps``-step kernel run over ``chains`` chains.
+
+    ``slots`` holds one row of R streams per group of chains; the groups split
+    the chains evenly, in order, and slot r of a group draws from stream r of
+    its row. ``swap`` holds one stream per group, or None for a group that
+    never swaps (its uniforms are 1.0); with ``swap=None`` there are no
+    uniforms. Fine rows of sub-step ``h`` are drawn in chunks that stop at the
+    run's last step, exactly as one whole-run draw. Kernel step k takes the
+    sum of fine rows km..km+m-1 and their m uniform rows, so runs with
+    different m on streams of the same keys share one Brownian path.
+    """
+    groups = len(slots)
+    if groups == 0 or chains % groups:
+        raise InputError(f"{chains} chains do not split into {groups} groups")
+    R = len(slots[0])
+    if any(len(row) != R for row in slots):
+        raise InputError("every group needs the same number of slot streams")
+    if swap is not None and len(swap) != groups:
+        raise InputError(f"{len(swap)} swap streams for {groups} groups")
+    per = chains // groups
+    span = max(1, CHUNK_DRAWS // (chains * R * d * m))     # kernel steps per chunk
+    xi = u = None
 
     def source(k):
-        xi = np.concatenate([s.normal((chains, 1, d)) for s in slots], axis=1)
-        return xi, None if swap is None else swap.uniform((1, chains)), h
+        nonlocal xi, u
+        if k % span == 0:
+            rows = min(span, steps - k) * m
+            xi = np.empty((rows, chains, R, d))
+            u = None if swap is None else np.ones((rows, chains))
+            for g, row in enumerate(slots):
+                cols = slice(g * per, (g + 1) * per)
+                for r, stream in enumerate(row):
+                    xi[:, cols, r] = stream.normal((rows, per, d))
+                if u is not None and swap[g] is not None:
+                    u[:, cols] = swap[g].uniform((rows, per))
+        lo = k % span * m
+        inc = xi[lo] if m == 1 else xi[lo:lo + m].sum(axis=0)
+        return inc, None if u is None else u[lo:lo + m], h
     return source
-
-
-def coarse_noise(xi, path, u, m, h):
-    """Coarse steps of m fine sub-steps of length h: coarse step k consumes
-    the sum of fine increments xi[km:(k+1)m] and the fine uniform rows
-    u[km:(k+1)m], so every stepsize shares the Brownian path
-    ``path = np.cumsum(xi, axis=0)``."""
-    def source(k):
-        lo, hi = k * m, (k + 1) * m
-        inc = xi[lo:hi].sum(axis=0)
-        check_increment(inc, path, lo, hi)
-        return inc, u[lo:hi], h
-    return source
-
-
-def check_increment(inc, path, lo, hi):
-    """Coupling invariant: a coarse increment is the increment of the shared
-    cumulative Brownian ``path`` over fine steps [lo, hi)."""
-    expected = path[hi - 1] - (path[lo - 1] if lo else 0.0)
-    if not np.all(np.abs(inc - expected) <= 1e-8 + 1e-5 * np.abs(expected)):
-        raise InputError(f"coarse increment does not match the Brownian path "
-                         f"over fine steps [{lo}, {hi})")

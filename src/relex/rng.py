@@ -68,3 +68,11 @@ def stream_id(purpose: int, chain: int = 0) -> int:
 def derive_stream(seed: int, purpose: int, chain: int = 0) -> RngStream:
     """Stream for a given (root seed, purpose, chain) triple."""
     return RngStream(seed, stream_id(purpose, chain))
+
+
+def pair_streams(seed: int, groups: int = 1):
+    """The streams of ``groups`` replica-pair groups, keyed (seed, purpose,
+    group): ([[pos1, pos2] per group], [swap per group])."""
+    return ([[derive_stream(seed, PURPOSE_POS1, g), derive_stream(seed, PURPOSE_POS2, g)]
+             for g in range(groups)],
+            [derive_stream(seed, PURPOSE_SWAP, g) for g in range(groups)])

@@ -189,6 +189,17 @@ class TestDispatch:
         assert code == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("times, message", [
+        ("-3,-2,-1", "sample times must be positive and finite"),
+        ("0.0001,0.0002,0.0003,0.0004", "sample times must be strictly increasing"),
+    ])
+    def test_chi2_bad_sample_times_exit_2(self, tmp_path, capsys, times, message):
+        code = main(["chi2", "--set", "kind=double_well", "--set", "ensemble=1000",
+                     "--set", f"sample_times={times}", "--out", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"relex: error: {message}")
+        assert not (tmp_path / "chi2decay.csv").exists()
+
     @pytest.mark.parametrize("ensemble", ["1", "0", "-3"])
     def test_discerr_ensemble_below_two_exits_2(self, tmp_path, capsys, ensemble):
         code = main(["discerr", "--set", "kind=double_well", "--set", "etas=0.02,0.01",

@@ -11,12 +11,12 @@ from relex.diagnostics import (PI_FLOOR, GridMeasure, chi2_decay_experiment,
 from relex.errors import (EmptyInputError, GridMismatchError, InputError,
                           TruncationError)
 from relex.harness import _best_so_far, _summarize
-from relex.objective import double_well, quadratic, zero_potential
+from relex.objective import double_well, quadratic
 
 
 class TestGibbsDensity:
     def test_flat_potential_is_uniform(self):
-        pi = gibbs_density(zero_potential(1), 1.0, [[-1.0, 1.0]], 10)
+        pi = gibbs_density(quadratic(1, scale=0.0), 1.0, [[-1.0, 1.0]], 10)
         assert np.allclose(pi.mass, 0.1)
         assert np.isclose(pi.mass.sum(), 1.0)
 
@@ -134,8 +134,8 @@ class TestDirichletTerm:
         # term = a/2 * E(x2 - x1)^2 = a * var, with the midpoint-grid variance
         # h^2 (n^2 - 1) / 12 for n cells of width h.
         n = 60
-        pair = pair_gibbs_density(zero_potential(1), 0.1, 1.0, [[-3, 3]], n)
-        val = dirichlet_acceleration_term(lambda x1, x2: x1, zero_potential(1),
+        pair = pair_gibbs_density(quadratic(1, scale=0.0), 0.1, 1.0, [[-3, 3]], n)
+        val = dirichlet_acceleration_term(lambda x1, x2: x1, quadratic(1, scale=0.0),
                                           0.1, 1.0, 1.0, pair)
         h = 6.0 / n
         var = h * h * (n * n - 1) / 12.0
@@ -186,6 +186,20 @@ class TestDecayExperiment:
         with pytest.raises(InputError):
             chi2_decay_experiment(double_well(), 0.1, 1.0, 1.0, 0.001, 2000,
                                   [0.3, 0.2, 0.1], [[-3, 3]], 10, 0)
+
+    @pytest.mark.parametrize("times, message", [
+        ([-3.0, -2.0, -1.0], "positive and finite"),
+        ([0.1, np.inf], "positive and finite"),
+        ([np.nan], "positive and finite"),
+        ([], "positive and finite"),
+        # increasing, but every time rounds to one step of eta = 0.001
+        ([0.0001, 0.0002, 0.0003, 0.0004], r"rounded to steps .* \[1, 1, 1, 1\]"),
+        ([0.1, 0.1004], r"\[100, 100\]"),
+    ])
+    def test_sample_times_must_round_to_increasing_steps(self, times, message):
+        with pytest.raises(InputError, match=message):
+            chi2_decay_experiment(double_well(), 0.1, 1.0, 1.0, 0.001, 1000,
+                                  times, [[-3, 3]], 10, 0)
 
 
 class TestBestSoFar:

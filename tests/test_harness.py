@@ -11,15 +11,22 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from relex.errors import ConfigError, InputError
-from relex.harness import (ALGORITHMS, RunSummary, SimConfig,
-                           _baseline_and_replica_noise, _best_so_far, _write_rows,
-                           build_objective, comparison_configs,
+from relex.harness import (ALGORITHMS, RunSummary, SimConfig, _best_so_far,
+                           _write_rows, build_objective, comparison_configs,
                            discretization_error_experiment, kappa_sweep,
                            pregenerate_noise, resolve_init, run_comparison,
-                           stability_bound_check, write_bestsofar_csv,
-                           write_discerr_csv, write_summary_csv)
-from relex.objective import double_well, quadratic
-from relex.replica import SwapPolicy, block_noise, pair_snapshots, run_pair_ensemble
+                           write_bestsofar_csv, write_discerr_csv,
+                           write_summary_csv)
+from relex.objective import double_well
+from relex.replica import SwapPolicy, pair_snapshots, philox_noise, run_pair_ensemble
+from relex.rng import pair_streams
+
+
+def block_source(seed, nseeds, steps, dim, h):
+    """Reference noise: the kernel source over ``pregenerate_noise``'s
+    whole-run block."""
+    xi, u = pregenerate_noise(seed, nseeds, steps, dim)
+    return lambda k: (xi[k], u[k:k + 1], h)
 
 
 def small_config(**overrides):
@@ -144,7 +151,7 @@ class TestRunComparison:
         summaries = run_comparison(comparison_configs(cfg))
         f = build_objective(cfg.objective)
         init = resolve_init(cfg.init, 2, 5, cfg.seed)
-        noise = block_noise(*pregenerate_noise(cfg.seed, 5, 120, 2), cfg.eta)
+        noise = block_source(cfg.seed, 5, 120, 2, cfg.eta)
         for summary, intensity, slot in zip(summaries, (0.0, 0.0, cfg.intensity),
                                             (0, 1, 0)):
             traj, _ = pair_snapshots(f, np.stack((init, init), axis=1),
@@ -162,17 +169,18 @@ class TestRunComparison:
         f = build_objective(cfg.objective)
         init = resolve_init(cfg.init, 2, n, cfg.seed)
         pair = np.stack((init, init), axis=1)
-        xi, uswap = pregenerate_noise(cfg.seed, n, steps, 2)
+        baseline, _ = pair_streams(cfg.seed, n)
+        replica, swap = pair_streams(cfg.seed, n)
+        noise = philox_noise(cfg.eta, steps, 2 * n, 2, baseline + replica, [None] * n + swap)
         observe, fused = _best_so_far(steps, 1, 2 * n)
         x, T, swaps = run_pair_ensemble(f, np.concatenate((pair, pair)),
-                                        (cfg.tau1, cfg.tau2), steps,
-                                        _baseline_and_replica_noise(xi, uswap, cfg.eta),
+                                        (cfg.tau1, cfg.tau2), steps, noise,
                                         SwapPolicy(cfg.intensity, cfg.eta), observe=observe)
         assert swaps[:n].sum() == 0 and swaps[n:].sum() > 0
         for half, intensity in ((slice(0, n), 0.0), (slice(n, 2 * n), cfg.intensity)):
             observe, alone = _best_so_far(steps, 1, n)
             x1, T1, swaps1 = run_pair_ensemble(f, pair, (cfg.tau1, cfg.tau2), steps,
-                                               block_noise(xi, uswap, cfg.eta),
+                                               block_source(cfg.seed, n, steps, 2, cfg.eta),
                                                SwapPolicy(intensity, cfg.eta),
                                                observe=observe)
             assert np.array_equal(fused[:, half], alone)
@@ -185,16 +193,18 @@ class TestRunComparison:
         assert np.array_equal(rex.best_curves, fused[:, n:, 0].T)
         assert np.array_equal(rex.swap_counts, swaps[n:])
 
-    def test_peak_memory_is_the_noise_block(self):
-        cfg = small_config(ensemble=20, steps=2000, stride=10)
-        noise_bytes = sum(a.nbytes for a in pregenerate_noise(cfg.seed, 20, 2000, 2))
+    def test_peak_memory_is_a_fraction_of_the_noise_block(self):
+        # the noise is drawn in chunks, so the run never holds the whole-run
+        # block (16 MB here)
+        cfg = small_config(ensemble=20, steps=20_000, stride=10)
+        noise_bytes = sum(a.nbytes for a in pregenerate_noise(cfg.seed, 20, 20_000, 2))
         tracemalloc.start()
         try:
             run_comparison(comparison_configs(cfg))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 3 * noise_bytes
+        assert peak < noise_bytes / 4
 
     def test_mismatched_configs_rejected(self):
         cfgs = list(comparison_configs(small_config()))
@@ -235,6 +245,15 @@ class TestDiscretizationExperiment:
             eta_ref=0.01)
         assert res.mse[0] == 0.0
 
+    def test_null_coupling_has_strong_order_one(self):
+        # a = 0: Euler-Maruyama with additive noise has strong order 1, so the
+        # coupled MSE falls like eta^2 (Kloeden & Platen)
+        res = discretization_error_experiment(double_well(), 0.1, 1.0, 0.0,
+                                              (0.04, 0.02, 0.01, 0.005), 1.0, 500,
+                                              seed=6, init=(1.0, -1.0))
+        assert np.all(np.diff(res.mse) < 0)
+        assert 1.8 <= res.slope <= 2.8
+
     def test_mse_grows_with_stepsize(self):
         f = double_well()
         res = discretization_error_experiment(
@@ -267,49 +286,6 @@ class TestDiscretizationExperiment:
         with pytest.raises(ConfigError):
             discretization_error_experiment(f, 0.1, 1.0, 1.0, (0.01, -0.01),
                                             T=0.1, ensemble=10, seed=0)
-
-
-class TestStabilityBoundCheck:
-    def test_stable_stepsize_matches_ou_oracle(self):
-        # U = ||x||^2 / 2: x <- (1 - eta) x + noise, stationary second moment
-        # d * 2 eta tau / (1 - (1 - eta)^2) = d * 2 tau / (2 - eta)
-        f = quadratic(2, scale=0.5)
-        report = stability_bound_check(f, tau2=1.0, etas=(0.5,), L_est=1.0,
-                                       alpha_est=1.0, steps=3000,
-                                       ensemble=500, seed=0)
-        entry = report.entries[0]
-        oracle = 2 * 2.0 / (2.0 - 0.5)
-        assert not entry.diverged
-        assert not entry.flagged   # 0.5 < alpha / L^2 = 1
-        # running max sits at or slightly above the stationary moment
-        assert oracle * 0.9 <= entry.max_second_moment <= oracle * 1.4
-        assert report.caveat is None
-
-    def test_flagging_threshold(self):
-        f = quadratic(2, scale=0.5)
-        report = stability_bound_check(f, 1.0, etas=(0.5, 1.5), L_est=1.0,
-                                       alpha_est=1.0, steps=10, ensemble=10)
-        assert not report.entries[0].flagged   # 0.5 < 1
-        assert report.entries[1].flagged       # 1.5 >= 1
-
-    def test_unstable_stepsize_diverges(self):
-        f = quadratic(2, scale=0.5)   # x <- (1 - eta) x diverges for eta > 2
-        report = stability_bound_check(f, 1.0, etas=(2.5,), L_est=1.0,
-                                       alpha_est=1.0, steps=2000, ensemble=50)
-        assert report.entries[0].diverged
-        assert np.isnan(report.entries[0].max_second_moment)
-
-    def test_non_dissipative_caveat(self):
-        from relex.objective import benchmark_mixture
-        report = stability_bound_check(benchmark_mixture(0.1), 1.0, etas=(0.01,),
-                                       L_est=10.0, alpha_est=1.0, steps=10,
-                                       ensemble=5)
-        assert report.caveat is not None
-
-    def test_bad_estimates(self):
-        with pytest.raises(InputError):
-            stability_bound_check(quadratic(2), 1.0, (0.1,), L_est=0.0,
-                                  alpha_est=1.0)
 
 
 class TestCsvWriters:

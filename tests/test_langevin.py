@@ -6,8 +6,8 @@ import pytest
 
 from relex.errors import DivergenceError, InputError
 from relex.langevin import DIVERGENCE_LIMIT, check_finite, em_update
-from relex.objective import double_well, quadratic, zero_potential
-from relex.replica import SwapPolicy, run_pair_ensemble, stream_noise
+from relex.objective import double_well, quadratic
+from relex.replica import SwapPolicy, philox_noise, run_pair_ensemble
 from relex.rng import PURPOSE_POS1, derive_stream
 
 
@@ -15,7 +15,7 @@ def run_chains(init, f, tau, eta, steps, rng, observe=None):
     """Independent single chains from ``init`` (n, d); returns (n, d)."""
     init = np.asarray(init, dtype=float)
     x, _, _ = run_pair_ensemble(f, init[:, None], tau, steps,
-                                stream_noise(eta, init.shape, [rng]),
+                                philox_noise(eta, steps, *init.shape, [[rng]]),
                                 SwapPolicy(0.0, eta), observe=observe)
     return x[:, 0]
 
@@ -138,14 +138,14 @@ class TestRunEnsemble:
 
     def test_flat_potential_is_pure_diffusion(self):
         eta, tau, steps = 0.01, 1.0, 500
-        final = run_chains(np.zeros((4000, 1)), zero_potential(1), tau, eta, steps,
+        final = run_chains(np.zeros((4000, 1)), quadratic(1, scale=0.0), tau, eta, steps,
                            derive_stream(6, PURPOSE_POS1))
         assert np.isclose(np.mean(final ** 2), 2 * tau * eta * steps, rtol=0.1)
 
     def test_bad_init_shape(self):
         f = quadratic(2)
         policy = SwapPolicy(0.0, 0.1)
-        noise = stream_noise(0.1, (4, 2), [derive_stream(0, PURPOSE_POS1)])
         for x0 in (np.zeros((4, 1, 3)), np.zeros((4, 2)), np.zeros((4, 3, 2))):
+            noise = philox_noise(0.1, 10, 4, 2, [[derive_stream(0, PURPOSE_POS1)]])
             with pytest.raises(InputError):
                 run_pair_ensemble(f, x0, 1.0, 10, noise, policy)

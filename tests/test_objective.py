@@ -13,7 +13,7 @@ from relex.objective import (DEFAULT_CENTERS, DEFAULT_WEIGHTS,
                              GaussianMixtureSpec, ObjectiveFunction,
                              build_gaussian_mixture,
                              check_gradient, double_well, benchmark_mixture,
-                             quadratic, zero_potential)
+                             quadratic)
 
 # Frozen oracles (computed once by polished grid search / descent from every
 # center and pinned here):
@@ -97,7 +97,7 @@ class TestGradients:
         lambda: benchmark_mixture(0.3, confinement=0.5),
         double_well,
         lambda: quadratic(3),
-        zero_potential,
+        pytest.param(lambda: quadratic(1, scale=0.0), id="zero_potential"),
     ])
     def test_analytic_matches_central_difference(self, factory):
         f = factory()
@@ -117,11 +117,11 @@ class TestGradients:
             assert np.allclose(batch_g[i], f.grad(p))
 
     def test_confinement_makes_dissipative(self):
-        assert not benchmark_mixture(0.1).dissipative
-        assert benchmark_mixture(0.1, confinement=0.1).dissipative
-        f = benchmark_mixture(0.1, confinement=0.1)
         x = np.array([100.0, -100.0])
-        # far away the confinement dominates: grad ~ 2 lambda x
+        # far away a pure mixture is flat, and the confinement dominates:
+        # grad ~ 2 lambda x
+        assert np.allclose(benchmark_mixture(0.1).grad(x), 0.0, atol=1e-8)
+        f = benchmark_mixture(0.1, confinement=0.1)
         assert np.allclose(f.grad(x), 0.2 * x, atol=1e-8)
 
     def test_check_gradient_rejects_bad_inputs(self):
@@ -158,7 +158,7 @@ class TestValueAndGrad:
         "confined mixture": lambda: benchmark_mixture(0.05, confinement=0.3),
         "double well": double_well,
         "quadratic": lambda: quadratic(2),
-        "zero": lambda: zero_potential(2),
+        "zero": lambda: quadratic(2, scale=0.0),
     }
 
     @pytest.mark.parametrize("name", sorted(FACTORIES))

@@ -14,8 +14,7 @@ PUBLIC = [
     "discretization_error_experiment", "double_well", "em_update",
     "empirical_histogram", "gibbs_density", "kappa_sweep",
     "pair_gibbs_density", "quadratic", "run_comparison", "run_pair_ensemble",
-    "stability_bound_check", "stream_id", "swap_probability", "swap_rate",
-    "total_variation", "zero_potential",
+    "stream_id", "swap_probability", "swap_rate", "total_variation",
 ]
 
 

@@ -1,5 +1,5 @@
 """Tests for the swap rate, replica pairs (R = 2) run through the kernel
-``run_pair_ensemble``, and the noise sources."""
+``run_pair_ensemble``, and the noise source."""
 
 import warnings
 
@@ -9,13 +9,12 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from relex.errors import InputError
-from relex.objective import (ObjectiveFunction, double_well, quadratic,
-                             zero_potential)
-from relex.replica import (SwapPolicy, block_noise, by_temperature,
-                           check_increment, coarse_noise, pair_snapshots,
-                           run_pair_ensemble, stream_noise, swap_probability,
-                           swap_rate)
-from relex.rng import PURPOSE_POS1, PURPOSE_POS2, PURPOSE_SWAP, derive_stream
+from relex.harness import pregenerate_noise
+from relex.objective import ObjectiveFunction, double_well, quadratic
+from relex.replica import (CHUNK_DRAWS, SwapPolicy, by_temperature,
+                           pair_snapshots, philox_noise, run_pair_ensemble,
+                           swap_probability, swap_rate)
+from relex.rng import PURPOSE_POS1, PURPOSE_SWAP, derive_stream, pair_streams
 
 # ranges chosen so exp(min(0, delta)) never underflows to an exact zero
 values = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
@@ -107,10 +106,13 @@ def certain_swaps():
         return SwapPolicy(intensity=100.0, eta=0.01)
 
 
-def pair_noise(seed, chains, d=1):
-    return stream_noise(0.01, (chains, d), [derive_stream(seed, PURPOSE_POS1),
-                                            derive_stream(seed, PURPOSE_POS2)],
-                        derive_stream(seed, PURPOSE_SWAP))
+def pair_noise(seed, chains, steps, d=1):
+    return philox_noise(0.01, steps, chains, d, *pair_streams(seed))
+
+
+def flat():
+    """U = 0: the gradient vanishes and the swap rate is 1 everywhere."""
+    return quadratic(1, scale=0.0)
 
 
 def pair(x1, x2):
@@ -121,8 +123,8 @@ def pair(x1, x2):
 class TestSteppers:
     def test_certain_swap_exchanges_temperatures(self):
         # flat potential: s = 1; intensity * eta = 1 clamps probability to 1
-        _, T, swaps = run_pair_ensemble(zero_potential(1), pair([[0.0]], [[1.0]]),
-                                        (0.1, 1.0), 1, pair_noise(0, 1),
+        _, T, swaps = run_pair_ensemble(flat(), pair([[0.0]], [[1.0]]),
+                                        (0.1, 1.0), 1, pair_noise(0, 1, 1),
                                         certain_swaps())
         assert T.tolist() == [[1.0, 0.1]]
         assert swaps.tolist() == [1]
@@ -132,9 +134,9 @@ class TestSteppers:
         # post-step positions, just labeled differently
         f = double_well()
         x0 = pair([[1.0]], [[-1.0]])
-        xt, Tt, _ = run_pair_ensemble(f, x0, (0.1, 1.0), 1, pair_noise(1, 1),
+        xt, Tt, _ = run_pair_ensemble(f, x0, (0.1, 1.0), 1, pair_noise(1, 1, 1),
                                       certain_swaps(), mode="temperature")
-        xp, Tp, _ = run_pair_ensemble(f, x0, (0.1, 1.0), 1, pair_noise(1, 1),
+        xp, Tp, _ = run_pair_ensemble(f, x0, (0.1, 1.0), 1, pair_noise(1, 1, 1),
                                       certain_swaps(), mode="position")
         assert np.array_equal(xt, xp[:, ::-1])
         assert np.array_equal(by_temperature(xt, Tt), by_temperature(xp, Tp))
@@ -147,7 +149,7 @@ class TestSteppers:
     def test_dimension_mismatch(self):
         with pytest.raises(InputError):
             run_pair_ensemble(quadratic(2), np.zeros((1, 2, 3)), (0.1, 1.0), 1,
-                              pair_noise(0, 1, 3), SwapPolicy(1.0, 0.01))
+                              pair_noise(0, 1, 1, 3), SwapPolicy(1.0, 0.01))
 
 
 class TestPairEnsemble:
@@ -155,7 +157,7 @@ class TestPairEnsemble:
         n = 16
         x, _, counts = run_pair_ensemble(
             double_well(), pair(np.ones((n, 1)), -np.ones((n, 1))), (0.1, 1.0),
-            200, pair_noise(0, n), SwapPolicy(0.0, 0.01))
+            200, pair_noise(0, n, 200), SwapPolicy(0.0, 0.01))
         assert counts.sum() == 0
         assert x.shape == (n, 2, 1)
 
@@ -165,8 +167,8 @@ class TestPairEnsemble:
         for mode in ("temperature", "position"):
             snaps = {}
             x, T, counts = run_pair_ensemble(
-                zero_potential(1), np.zeros((8, 2, 1)), (0.1, 1.0), 10,
-                pair_noise(1, 8), certain_swaps(), mode=mode,
+                flat(), np.zeros((8, 2, 1)), (0.1, 1.0), 10,
+                pair_noise(1, 8, 10), certain_swaps(), mode=mode,
                 observe=lambda k, x, T, fx: snaps.setdefault(k, by_temperature(x, T)))
             assert np.array_equal(snaps[10], by_temperature(x, T))
             assert np.all(counts == 10)
@@ -174,10 +176,10 @@ class TestPairEnsemble:
     def test_invalid_mode_and_steps(self):
         args = (double_well(), pair(np.ones((2, 1)), -np.ones((2, 1))), (0.1, 1.0))
         with pytest.raises(InputError):
-            run_pair_ensemble(*args, 10, pair_noise(0, 2), SwapPolicy(1.0, 0.01),
+            run_pair_ensemble(*args, 10, pair_noise(0, 2, 10), SwapPolicy(1.0, 0.01),
                               mode="bogus")
         with pytest.raises(InputError):
-            run_pair_ensemble(*args, 0, pair_noise(0, 2), SwapPolicy(1.0, 0.01))
+            run_pair_ensemble(*args, 0, pair_noise(0, 2, 1), SwapPolicy(1.0, 0.01))
 
     @pytest.mark.parametrize("observed", [False, True])
     def test_one_objective_pass_per_step(self, observed):
@@ -193,7 +195,7 @@ class TestPairEnsemble:
                                      value_and_grad=counted("value_and_grad"))
         seen = []
         run_pair_ensemble(counting, pair(np.ones((4, 1)), -np.ones((4, 1))),
-                          (0.1, 1.0), 25, pair_noise(3, 4), SwapPolicy(5.0, 0.01),
+                          (0.1, 1.0), 25, pair_noise(3, 4, 25), SwapPolicy(5.0, 0.01),
                           observe=(lambda k, x, T, fx: seen.append(k)) if observed else None)
         assert calls == {"eval": int(observed), "grad": 0, "value_and_grad": 25}
         assert seen == (list(range(26)) if observed else [])
@@ -204,7 +206,7 @@ class TestPairEnsemble:
         def observe(k, x, T, fx):
             assert np.array_equal(fx, f.eval(x))
         run_pair_ensemble(f, pair(np.ones((4, 1)), -np.ones((4, 1))), (0.1, 1.0),
-                          40, pair_noise(4, 4), SwapPolicy(5.0, 0.01), observe=observe)
+                          40, pair_noise(4, 4, 40), SwapPolicy(5.0, 0.01), observe=observe)
 
     def test_non_finite_start_is_an_input_error(self):
         for bad in (np.nan, np.inf):
@@ -212,10 +214,10 @@ class TestPairEnsemble:
             for policy in (SwapPolicy(0.0, 0.01), SwapPolicy(1.0, 0.01)):
                 with pytest.raises(InputError, match="starting positions"):
                     run_pair_ensemble(double_well(), x0, (0.1, 1.0), 5,
-                                      pair_noise(0, 2), policy)
+                                      pair_noise(0, 2, 5), policy)
             with pytest.raises(InputError, match="starting positions"):
                 run_pair_ensemble(double_well(), x0[:, :1], 0.5, 5,
-                                  stream_noise(0.01, (2, 1), [derive_stream(0, PURPOSE_POS1)]),
+                                  philox_noise(0.01, 5, 2, 1, [[derive_stream(0, PURPOSE_POS1)]]),
                                   SwapPolicy(0.0, 0.01))
 
     def test_zero_temperature_rejected_before_any_step_when_swapping(self):
@@ -226,7 +228,7 @@ class TestPairEnsemble:
                               noise, SwapPolicy(1.0, 0.01))
         # without swaps a zero temperature is plain gradient descent
         x, _, _ = run_pair_ensemble(double_well(), pair([[0.5]], [[0.5]]), (0.0, 1.0),
-                                    5, pair_noise(0, 1), SwapPolicy(0.0, 0.01))
+                                    5, pair_noise(0, 1, 5), SwapPolicy(0.0, 0.01))
         assert np.isfinite(x).all()
 
     def test_nan_value_at_finite_position_rejected(self):
@@ -234,26 +236,26 @@ class TestPairEnsemble:
                               grad=np.zeros_like)
         with pytest.raises(InputError, match="finite"):
             run_pair_ensemble(f, pair([[0.0]], [[0.0]]), (0.1, 1.0), 5,
-                              pair_noise(0, 1), SwapPolicy(1.0, 0.01))
+                              pair_noise(0, 1, 5), SwapPolicy(1.0, 0.01))
 
     def test_one_slot_noise_for_a_pair_rejected(self):
         # a (chains, 1, d) block would broadcast: both particles, same noise
-        one_slot = stream_noise(0.01, (3, 1), [derive_stream(0, PURPOSE_POS1)],
-                                derive_stream(0, PURPOSE_SWAP))
         for policy in (SwapPolicy(0.0, 0.01), SwapPolicy(1.0, 0.01)):
+            one_slot = philox_noise(0.01, 5, 3, 1, [[derive_stream(0, PURPOSE_POS1)]],
+                                    [derive_stream(0, PURPOSE_SWAP)])
             with pytest.raises(InputError, match="noise block has shape"):
                 run_pair_ensemble(double_well(), np.zeros((3, 2, 1)), (0.1, 1.0), 5,
                                   one_slot, policy)
 
     def test_swapping_run_without_uniforms_rejected(self):
-        no_swap = stream_noise(0.01, (3, 1), [derive_stream(0, PURPOSE_POS1),
-                                              derive_stream(0, PURPOSE_POS2)])
+        def no_swap():
+            return philox_noise(0.01, 5, 3, 1, pair_streams(0)[0])
         with pytest.raises(InputError, match="swap uniforms"):
             run_pair_ensemble(double_well(), np.zeros((3, 2, 1)), (0.1, 1.0), 5,
-                              no_swap, SwapPolicy(1.0, 0.01))
+                              no_swap(), SwapPolicy(1.0, 0.01))
         # a run that cannot swap needs none
         x, _, _ = run_pair_ensemble(double_well(), np.zeros((3, 2, 1)), (0.1, 1.0), 5,
-                                    no_swap, SwapPolicy(0.0, 0.01))
+                                    no_swap(), SwapPolicy(0.0, 0.01))
         assert np.isfinite(x).all()
 
     @pytest.mark.parametrize("mode", ["temperature", "position"])
@@ -262,8 +264,8 @@ class TestPairEnsemble:
 
         def observe(k, x, T, fx):
             held.append((x, T, x.copy(), T.copy()))
-        _, _, swaps = run_pair_ensemble(zero_potential(1), np.zeros((4, 2, 1)), (0.1, 1.0),
-                                        6, pair_noise(2, 4), certain_swaps(), mode, observe)
+        _, _, swaps = run_pair_ensemble(flat(), np.zeros((4, 2, 1)), (0.1, 1.0),
+                                        6, pair_noise(2, 4, 6), certain_swaps(), mode, observe)
         assert np.all(swaps == 6)
         for x, T, x_then, T_then in held:
             assert np.array_equal(x, x_then) and np.array_equal(T, T_then)
@@ -272,7 +274,7 @@ class TestPairEnsemble:
 class TestPairSnapshots:
     def test_steps_outside_the_run_rejected(self):
         args = (double_well(), pair(np.ones((2, 1)), -np.ones((2, 1))), (0.1, 1.0), 5,
-                pair_noise(0, 2), SwapPolicy(1.0, 0.01))
+                pair_noise(0, 2, 5), SwapPolicy(1.0, 0.01))
         for at in ([2, 7], [2, -1], [6]):
             with pytest.raises(InputError, match="outside"):
                 pair_snapshots(*args, at)
@@ -281,47 +283,79 @@ class TestPairSnapshots:
         f = double_well()
         x0 = pair(np.ones((3, 1)), -np.ones((3, 1)))
         seen = {}
-        run_pair_ensemble(f, x0, (0.1, 1.0), 5, pair_noise(5, 3), SwapPolicy(5.0, 0.01),
+        run_pair_ensemble(f, x0, (0.1, 1.0), 5, pair_noise(5, 3, 5), SwapPolicy(5.0, 0.01),
                           observe=lambda k, x, T, fx: seen.setdefault(k, by_temperature(x, T)))
-        snaps, _ = pair_snapshots(f, x0, (0.1, 1.0), 5, pair_noise(5, 3),
+        snaps, _ = pair_snapshots(f, x0, (0.1, 1.0), 5, pair_noise(5, 3, 5),
                                   SwapPolicy(5.0, 0.01), [5, 0, 2, 5])
         for row, k in zip(snaps, [5, 0, 2, 5]):
             assert np.array_equal(row, seen[k])
 
 
+def chunk_steps(chains, R, d, m=1):
+    """Kernel steps per chunk of a ``philox_noise`` source of this shape."""
+    return CHUNK_DRAWS // (chains * R * d * m)
+
+
 class TestNoiseSources:
-    def test_block_noise_replays_stream_draws(self):
-        f = double_well()
-        x0 = pair(np.ones((4, 1)), -np.ones((4, 1)))
-        policy = SwapPolicy(5.0, 0.01)
-        streamed = run_pair_ensemble(f, x0, (0.1, 1.0), 30, pair_noise(2, 4), policy)
-        source = pair_noise(2, 4)
-        draws = [source(k) for k in range(30)]
-        blocks = block_noise(np.stack([xi for xi, _, _ in draws]),
-                             np.concatenate([u for _, u, _ in draws]), 0.01)
-        replayed = run_pair_ensemble(f, x0, (0.1, 1.0), 30, blocks, policy)
-        for a, b in zip(streamed, replayed):
-            assert np.array_equal(a, b)
+    def test_chunked_rows_replay_the_per_seed_block(self):
+        # longer than one chunk, and not a multiple of it
+        n, d = 3, 2
+        steps = 2 * chunk_steps(n, 2, d) + 37
+        source = philox_noise(0.01, steps, n, d, *pair_streams(9, n))
+        xi, u = pregenerate_noise(9, n, steps, d)
+        for k in range(steps):
+            inc, rows, h = source(k)
+            assert np.array_equal(inc, xi[k]) and np.array_equal(rows, u[k:k + 1])
+            assert h == 0.01
 
     def test_unit_coarse_steps_are_the_fine_steps(self):
-        xi = derive_stream(3, PURPOSE_POS1).normal((6, 4, 2, 1))
-        u = derive_stream(3, PURPOSE_SWAP).uniform((6, 4))
-        fine = block_noise(xi, u, 0.01)
-        coarse = coarse_noise(xi, np.cumsum(xi, axis=0), u, 1, 0.01)
-        for k in range(6):
-            for a, b in zip(fine(k), coarse(k)):
-                assert np.array_equal(a, b)
+        chains = 4
+        steps = chunk_steps(chains, 2, 1) + 5
+        source = philox_noise(0.01, steps, chains, 1, *pair_streams(3))
+        ((pos1, pos2),), (swap,) = pair_streams(3)
+        xi = np.stack([pos1.normal((steps, chains, 1)), pos2.normal((steps, chains, 1))],
+                      axis=2)
+        u = swap.uniform((steps, chains))
+        for k in range(steps):
+            inc, rows, _ = source(k)
+            assert np.array_equal(inc, xi[k]) and np.array_equal(rows, u[k:k + 1])
 
     def test_coarse_step_sums_its_block(self):
-        xi = derive_stream(4, PURPOSE_POS1).normal((6, 4, 2, 1))
-        u = derive_stream(4, PURPOSE_SWAP).uniform((6, 4))
-        inc, rows, h = coarse_noise(xi, np.cumsum(xi, axis=0), u, 3, 0.01)(1)
-        assert np.array_equal(inc, xi[3:6].sum(axis=0))
-        assert np.array_equal(rows, u[3:6]) and h == 0.01
+        m, chains = 3, 4
+        steps = chunk_steps(chains, 2, 1, m) + 4
+        fine = philox_noise(0.01, m * steps, chains, 1, *pair_streams(4))
+        rows = [fine(j) for j in range(m * steps)]
+        coarse = philox_noise(0.01, steps, chains, 1, *pair_streams(4), m=m)
+        for k in range(steps):
+            inc, u, h = coarse(k)
+            block = rows[m * k:m * (k + 1)]
+            assert np.array_equal(inc, np.stack([row[0] for row in block]).sum(axis=0))
+            assert np.array_equal(u, np.concatenate([row[1] for row in block]))
+            assert h == 0.01
 
-    def test_misaligned_block_breaks_the_coupling(self):
-        xi = derive_stream(5, PURPOSE_POS1).normal((8, 4, 2, 1))
-        path = np.cumsum(xi, axis=0)
-        check_increment(xi[2:4].sum(axis=0), path, 2, 4)
-        with pytest.raises(InputError):
-            check_increment(xi[3:5].sum(axis=0), path, 2, 4)
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_counters_are_exact_after_a_run(self, m):
+        chains = 4
+        steps = chunk_steps(chains, 2, 1, m) + 10
+        slots, swap = pair_streams(5)
+        run_pair_ensemble(double_well(), np.zeros((chains, 2, 1)), (0.1, 1.0), steps,
+                          philox_noise(0.01, steps, chains, 1, slots, swap, m),
+                          SwapPolicy(5.0, m * 0.01))
+        assert [s.counter for s in slots[0] + swap] == [m * steps * chains] * 3
+
+    def test_group_without_swap_stream_never_swaps(self):
+        slots, swap = pair_streams(6, 2)
+        noise = philox_noise(0.01, 8, 4, 1, slots, [None, swap[1]])
+        _, _, swaps = run_pair_ensemble(flat(), np.zeros((4, 2, 1)), (0.1, 1.0), 8,
+                                        noise, certain_swaps())
+        assert swaps.tolist() == [0, 0, 8, 8]
+
+    def test_malformed_streams_rejected(self):
+        slots, swap = pair_streams(0, 2)
+        for chains, rows, swaps, message in (
+                (3, slots, swap, "do not split"),
+                (4, [slots[0], slots[1][:1]], swap, "same number"),
+                (4, slots, swap[:1], "swap streams"),
+                (4, [], None, "do not split")):
+            with pytest.raises(InputError, match=message):
+                philox_noise(0.01, 5, chains, 1, rows, swaps)
