@@ -193,9 +193,8 @@ def pair_snapshots(f: ObjectiveFunction, x0, temps, steps: int, noise,
     return snaps, swaps
 
 
-# Gaussian draws per chunk: a 2000-chain pair ensemble's chunk of 8 fine rows
-# stays in cache, and a small ensemble's many streams make few generator calls.
-CHUNK_DRAWS = 1 << 15
+# Gaussian draws per stream per chunk: generator calls stay large for any number of groups.
+CHUNK_DRAWS = 1 << 10
 
 
 def philox_noise(h, steps, chains, d, slots, swap=None, m=1):
@@ -204,11 +203,10 @@ def philox_noise(h, steps, chains, d, slots, swap=None, m=1):
     ``slots`` holds one row of R streams per group of chains; the groups split
     the chains evenly, in order, and slot r of a group draws from stream r of
     its row. ``swap`` holds one stream per group, or None for a group that
-    never swaps (its uniforms are 1.0); with ``swap=None`` there are no
-    uniforms. Fine rows of sub-step ``h`` are drawn in chunks that stop at the
-    run's last step, exactly as one whole-run draw. Kernel step k takes the
-    sum of fine rows km..km+m-1 and their m uniform rows, so runs with
-    different m on streams of the same keys share one Brownian path.
+    never swaps (uniforms 1.0); ``swap=None`` gives no uniforms. Fine rows of
+    sub-step ``h`` come in chunks that stop at the run's last step, as one
+    whole-run draw would. Step k sums fine rows km..km+m-1 and takes their m
+    uniform rows, so every m shares the Brownian path of the same keys.
     """
     groups = len(slots)
     if groups == 0 or chains % groups:
@@ -219,11 +217,13 @@ def philox_noise(h, steps, chains, d, slots, swap=None, m=1):
     if swap is not None and len(swap) != groups:
         raise InputError(f"{len(swap)} swap streams for {groups} groups")
     per = chains // groups
-    span = max(1, CHUNK_DRAWS // (chains * R * d * m))     # kernel steps per chunk
+    span = max(1, CHUNK_DRAWS // (per * d * m))     # kernel steps per chunk
     xi = u = None
 
     def source(k):
         nonlocal xi, u
+        if k >= steps:
+            raise InputError(f"step {k} is past the {steps} steps this noise source has")
         if k % span == 0:
             rows = min(span, steps - k) * m
             xi = np.empty((rows, chains, R, d))

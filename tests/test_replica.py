@@ -291,16 +291,17 @@ class TestPairSnapshots:
             assert np.array_equal(row, seen[k])
 
 
-def chunk_steps(chains, R, d, m=1):
-    """Kernel steps per chunk of a ``philox_noise`` source of this shape."""
-    return CHUNK_DRAWS // (chains * R * d * m)
+def chunk_steps(per, d, m=1):
+    """Kernel steps per chunk of a ``philox_noise`` source with ``per`` chains
+    per group."""
+    return CHUNK_DRAWS // (per * d * m)
 
 
 class TestNoiseSources:
     def test_chunked_rows_replay_the_per_seed_block(self):
         # longer than one chunk, and not a multiple of it
         n, d = 3, 2
-        steps = 2 * chunk_steps(n, 2, d) + 37
+        steps = 2 * chunk_steps(1, d) + 37
         source = philox_noise(0.01, steps, n, d, *pair_streams(9, n))
         xi, u = pregenerate_noise(9, n, steps, d)
         for k in range(steps):
@@ -310,7 +311,7 @@ class TestNoiseSources:
 
     def test_unit_coarse_steps_are_the_fine_steps(self):
         chains = 4
-        steps = chunk_steps(chains, 2, 1) + 5
+        steps = chunk_steps(chains, 1) + 5
         source = philox_noise(0.01, steps, chains, 1, *pair_streams(3))
         ((pos1, pos2),), (swap,) = pair_streams(3)
         xi = np.stack([pos1.normal((steps, chains, 1)), pos2.normal((steps, chains, 1))],
@@ -322,7 +323,7 @@ class TestNoiseSources:
 
     def test_coarse_step_sums_its_block(self):
         m, chains = 3, 4
-        steps = chunk_steps(chains, 2, 1, m) + 4
+        steps = chunk_steps(chains, 1, m) + 4
         fine = philox_noise(0.01, m * steps, chains, 1, *pair_streams(4))
         rows = [fine(j) for j in range(m * steps)]
         coarse = philox_noise(0.01, steps, chains, 1, *pair_streams(4), m=m)
@@ -336,12 +337,19 @@ class TestNoiseSources:
     @pytest.mark.parametrize("m", [1, 3])
     def test_counters_are_exact_after_a_run(self, m):
         chains = 4
-        steps = chunk_steps(chains, 2, 1, m) + 10
+        steps = chunk_steps(chains, 1, m) + 10
         slots, swap = pair_streams(5)
         run_pair_ensemble(double_well(), np.zeros((chains, 2, 1)), (0.1, 1.0), steps,
                           philox_noise(0.01, steps, chains, 1, slots, swap, m),
                           SwapPolicy(5.0, m * 0.01))
         assert [s.counter for s in slots[0] + swap] == [m * steps * chains] * 3
+
+    def test_run_longer_than_its_source_rejected(self):
+        # a source built for 5 steps has no noise for a sixth
+        with pytest.raises(InputError, match="past the 5 steps"):
+            run_pair_ensemble(double_well(), np.zeros((4, 2, 1)), (0.1, 1.0), 6,
+                              philox_noise(0.01, 5, 4, 1, *pair_streams(7), m=3),
+                              SwapPolicy(5.0, 0.03))
 
     def test_group_without_swap_stream_never_swaps(self):
         slots, swap = pair_streams(6, 2)
