@@ -14,14 +14,13 @@ class ConfigError(RelexError):
 
 
 class DivergenceError(RelexError):
-    """A simulated trajectory left the finite domain.
+    """A trajectory left the finite domain at step ``iteration``; ``chain`` and ``slot``
+    locate the first particle out, and ``position`` is its last finite position."""
 
-    ``iteration`` is the step index at which divergence was detected.
-    """
-
-    def __init__(self, message: str, iteration: int | None = None):
+    def __init__(self, message: str, iteration: int | None = None,
+                 chain: int | None = None, slot: int | None = None, position=None):
         super().__init__(message)
-        self.iteration = iteration
+        self.iteration, self.chain, self.slot, self.position = iteration, chain, slot, position
 
 
 class TruncationError(RelexError):

@@ -25,7 +25,7 @@ from .objective import (DEFAULT_CENTERS, DEFAULT_WEIGHTS, GaussianMixtureSpec,
                         ObjectiveFunction, build_gaussian_mixture, double_well,
                         quadratic)
 from .replica import SwapPolicy, by_temperature, philox_noise, run_pair_ensemble
-from .rng import PURPOSE_INIT, derive_stream, pair_streams
+from .rng import PURPOSE_INIT, derive_stream, pair_streams, position_streams
 
 ALGORITHMS = ("low-temp", "high-temp", "replica-exchange")
 
@@ -219,7 +219,7 @@ def run_comparison(configs: Sequence[SimConfig]):
     # at init and draw from each seed's position streams.
     replica, swap = pair_streams(base.seed, n)
     noise = philox_noise(base.eta, base.steps, 2 * n, f.dimension,
-                         pair_streams(base.seed, n)[0] + replica, [None] * n + swap)
+                         position_streams(base.seed, n) + replica, [None] * n + swap)
     observe, curves = _best_so_far(base.steps, base.stride, 2 * n)
     t0 = time.perf_counter()
     _, _, swaps = run_pair_ensemble(f, np.concatenate((pair, pair)),

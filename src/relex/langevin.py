@@ -33,9 +33,15 @@ def em_update(position, gradient, temperature, eta, xi, h=None):
     return position - eta * gradient + coef * xi
 
 
-def check_finite(position, iteration):
+def check_finite(position, iteration, before=None):
+    """Raise DivergenceError if a coordinate of the positions (chains, R, d) is non-finite
+    or past the limit, naming the first such particle and its position ``before``."""
     # One reduction: NaN fails the comparison, so it raises with inf.
     if not (np.abs(position).max() <= DIVERGENCE_LIMIT):
+        where = np.argwhere(~(np.abs(position) <= DIVERGENCE_LIMIT))[0][:-1].tolist()
+        chain, slot = (where + [None, None])[:2]
+        last = None if before is None else np.array(before[tuple(where)])
         raise DivergenceError(
-            f"trajectory diverged at iteration {iteration}", iteration=iteration
-        )
+            f"trajectory diverged at iteration {iteration} in chain {chain}, slot {slot}"
+            + ("" if last is None else f"; last finite position {last.tolist()}"),
+            iteration=iteration, chain=chain, slot=slot, position=last)

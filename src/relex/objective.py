@@ -93,8 +93,8 @@ def build_gaussian_mixture(spec: GaussianMixtureSpec) -> ObjectiveFunction:
     kappa = float(spec.kappa)
     lam = float(spec.confinement)
     dim = centers.shape[1]
-    amp = weights / (2.0 * np.pi * kappa)
-    centers_t = np.ascontiguousarray(centers.T)   # (d, n)
+    amp = (weights / (2.0 * np.pi * kappa))[:, None]   # (n, 1)
+    centers_t = np.ascontiguousarray(centers.T)[:, :, None]   # (d, n, 1)
 
     def _points(x):
         x = np.asarray(x, dtype=float)
@@ -103,40 +103,45 @@ def build_gaussian_mixture(spec: GaussianMixtureSpec) -> ObjectiveFunction:
                              f"got shape {x.shape}")
         return x
 
-    # The mixture works coordinate-major: one (..., n) array x_j - c_ij per
-    # coordinate j, so no numpy loop runs over the short d axis. Its sums
-    # round exactly as the same sums over (..., n, d) differences would.
+    # The mixture works centre-major: one (d, n, P) array of differences over
+    # the P points flattened innermost, so each numpy call covers every point.
+    # Its sums round exactly as the same sums over (..., n, d) differences.
     def _components(x):
-        """Per-coordinate differences, d arrays (..., n), and the weighted
-        component densities (..., n)."""
-        diffs = [x[..., j, None] - centers_t[j] for j in range(dim)]
+        """The differences (d, n, P) and the weighted component densities
+        (n, P) of the points x (..., d)."""
+        diff = x.reshape(-1, dim).T[:, None, :] - centers_t
         if dim < 8:
             # numpy sums fewer than 8 terms left to right, so this is bitwise
             # np.sum(diff * diff, axis=-1); from 8 terms on it sums pairwise.
-            sq = diffs[0] * diffs[0]
-            for dj in diffs[1:]:
+            sq = diff[0] * diff[0]
+            for dj in diff[1:]:
                 sq += dj * dj
         else:
-            diff = np.stack(diffs, axis=-1)
-            sq = np.sum(diff * diff, axis=-1)
-        return diffs, amp * np.exp(-sq / (2.0 * kappa))
+            sq = np.sum(np.moveaxis(diff * diff, 0, -1).copy(), axis=-1)
+        sq /= -2.0 * kappa                # -sq / (2 kappa), bit for bit, in place
+        return diff, np.multiply(amp, np.exp(sq, out=sq), out=sq)
+
+    def _center_sum(terms):   # pairwise over the centres, as numpy sums a contiguous axis
+        return np.sum(np.ascontiguousarray(terms.T), axis=-1)
 
     def _value(x, comps):
-        u = -np.sum(comps, axis=-1)
+        u = -_center_sum(comps).reshape(x.shape[:-1])
         if lam > 0:
             u = u + lam * np.sum(x * x, axis=-1)
         return u
 
-    def _grad(x, diffs, comps):
-        # The center sums of np.sum(comps[..., None] * diff, axis=-2): left
-        # to right for d >= 2, i.e. the last entry of a cumsum; for d = 1
-        # numpy drops the unit axis and sums pairwise along the centers.
+    def _grad(x, diff, comps):
+        # Centre sums in the order np.sum(comps[..., None] * diff, axis=-2) has:
+        # pairwise for d = 1, else left to right, as a reduce over an outer axis.
+        # One point makes the centre axis innermost, so there a cumsum keeps it.
+        diff *= comps
         if dim == 1:
-            g = np.sum(comps * diffs[0], axis=-1)[..., None]
+            g = _center_sum(diff[0])[None]
+        elif diff.shape[2] == 1:
+            g = np.cumsum(diff, axis=1)[:, -1]
         else:
-            g = np.stack([np.cumsum(comps * dj, axis=-1)[..., -1] for dj in diffs],
-                         axis=-1)
-        g = g / kappa
+            g = np.add.reduce(diff, axis=1)
+        g = np.divide(g.T, kappa, order="C").reshape(x.shape)
         if lam > 0:
             g = g + 2.0 * lam * x
         return g
@@ -151,8 +156,8 @@ def build_gaussian_mixture(spec: GaussianMixtureSpec) -> ObjectiveFunction:
 
     def value_and_grad(x):
         x = _points(x)
-        diffs, comps = _components(x)
-        return _value(x, comps), _grad(x, diffs, comps)
+        diff, comps = _components(x)
+        return _value(x, comps), _grad(x, diff, comps)
 
     return ObjectiveFunction(
         dimension=dim,

@@ -95,6 +95,17 @@ def swap_probability(rate, intensity, h):
     return np.minimum(1.0, intensity * h * np.asarray(rate, float))
 
 
+def _fired(u, gap, fx, intensity, h):
+    """Chains with a uniform in u (m, chains) below the swap probability at values fx
+    (chains, 2). As fl(a h s) <= a h for s <= 1, only those below min(1, a h) get a rate."""
+    low = u[0] if len(u) == 1 else u.min(axis=0)
+    cand = (low < min(1.0, intensity * h)).nonzero()[0]
+    if cand.size == 0:
+        return cand
+    rate = _rate_at_gap(gap[cand], fx[cand, 0], fx[cand, 1])
+    return cand[(u[:, cand] < swap_probability(rate, intensity, h)).any(axis=0)]
+
+
 def by_temperature(x, T):
     """Pair positions (chains, 2, d), or pair values (chains, 2), ordered
     (low temperature, high temperature)."""
@@ -155,11 +166,10 @@ def run_pair_ensemble(f: ObjectiveFunction, x0, temps, steps: int, noise,
             # trade places, but a finite x can still have a NaN value.
             if not np.all(np.isfinite(fx)):
                 raise InputError("objective values in swap rate must be finite")
-            rate = _rate_at_gap(gap, fx[:, 0], fx[:, 1])
-        x = x - eta * grad + coef * xi          # em_update with the cached scale
-        check_finite(x, k + 1)
+        before, x = x, x - eta * grad + coef * xi   # em_update with the cached scale
+        check_finite(x, k + 1, before)
         if swapping:
-            fired = np.flatnonzero((u < swap_probability(rate, policy.intensity, h)).any(axis=0))
+            fired = _fired(u, gap, fx, policy.intensity, h)
             if fired.size:
                 if mode == "temperature":
                     T = T.copy()                # the observer may hold the old T

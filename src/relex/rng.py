@@ -70,9 +70,13 @@ def derive_stream(seed: int, purpose: int, chain: int = 0) -> RngStream:
     return RngStream(seed, stream_id(purpose, chain))
 
 
+def position_streams(seed: int, groups: int = 1):
+    """The [pos1, pos2] streams of ``groups`` pair groups, keyed (seed, purpose, group)."""
+    return [[derive_stream(seed, p, g) for p in (PURPOSE_POS1, PURPOSE_POS2)]
+            for g in range(groups)]
+
+
 def pair_streams(seed: int, groups: int = 1):
-    """The streams of ``groups`` replica-pair groups, keyed (seed, purpose,
-    group): ([[pos1, pos2] per group], [swap per group])."""
-    return ([[derive_stream(seed, PURPOSE_POS1, g), derive_stream(seed, PURPOSE_POS2, g)]
-             for g in range(groups)],
+    """(position_streams, [swap per group]) of ``groups`` pair groups."""
+    return (position_streams(seed, groups),
             [derive_stream(seed, PURPOSE_SWAP, g) for g in range(groups)])

@@ -266,7 +266,9 @@ class TestDispatch:
                      "--set", "ensemble=2", "--set", "tau1=0.1",
                      "--out", str(tmp_path)])
         assert code == 3
-        assert "divergence" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "divergence" in err
+        assert "in chain 0, slot 0; last finite position [" in err
 
     def test_seed_flag_changes_echo(self, tmp_path):
         out1 = tmp_path / "a"

@@ -19,7 +19,7 @@ from relex.harness import (ALGORITHMS, RunSummary, SimConfig, _best_so_far,
                            write_summary_csv)
 from relex.objective import double_well
 from relex.replica import SwapPolicy, pair_snapshots, philox_noise, run_pair_ensemble
-from relex.rng import pair_streams
+from relex.rng import RngStream, pair_streams
 
 
 def block_source(seed, nseeds, steps, dim, h):
@@ -139,6 +139,15 @@ class TestRunComparison:
         b = run_comparison(comparison_configs(small_config()))
         for x, y in zip(a, b):
             assert np.array_equal(x.best_curves, y.best_curves)
+
+    def test_builds_five_streams_per_seed(self, monkeypatch):
+        # two position streams for the baseline pair, three for the replica pair
+        created = []
+        init = RngStream.__init__
+        monkeypatch.setattr(RngStream, "__init__",
+                            lambda self, *args: created.append(args) or init(self, *args))
+        run_comparison(comparison_configs(small_config(init=(2.0, 2.0))))
+        assert len(created) == 5 * 4
 
     def test_zero_intensity_matches_low_temp_bitwise(self):
         low, _, rex = run_comparison(comparison_configs(

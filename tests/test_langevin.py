@@ -8,7 +8,7 @@ from relex.errors import DivergenceError, InputError
 from relex.langevin import DIVERGENCE_LIMIT, check_finite, em_update
 from relex.objective import double_well, quadratic
 from relex.replica import SwapPolicy, philox_noise, run_pair_ensemble
-from relex.rng import PURPOSE_POS1, derive_stream
+from relex.rng import PURPOSE_POS1, derive_stream, pair_streams
 
 
 def run_chains(init, f, tau, eta, steps, rng, observe=None):
@@ -82,6 +82,23 @@ class TestLangevinStep:
         with pytest.raises(DivergenceError) as err:
             run_chains([[1.0]], f, 0.0, 3.0, 1000, derive_stream(0, PURPOSE_POS1))
         assert err.value.iteration == 40   # first k with 2^k > 1e12
+        assert (err.value.chain, err.value.slot) == (0, 0)
+        assert err.value.position.tolist() == [-(2.0 ** 39)]   # one step earlier
+
+    def test_divergence_names_the_chain_and_slot(self):
+        # three pairs at zero temperature, all at rest but chain 1's slot 1
+        f = quadratic(1)
+        x0 = np.zeros((3, 2, 1))
+        x0[1, 1] = 1.0
+        with pytest.raises(DivergenceError) as err:
+            run_pair_ensemble(f, x0, 0.0, 1000,
+                              philox_noise(3.0, 1000, 3, 1, pair_streams(0)[0]),
+                              SwapPolicy(0.0, 3.0))
+        e = err.value
+        assert (e.iteration, e.chain, e.slot) == (40, 1, 1)
+        assert e.position.tolist() == [-(2.0 ** 39)]
+        assert "iteration 40 in chain 1, slot 1" in str(e)
+        assert f"last finite position [{-(2.0 ** 39)}]" in str(e)
 
     def test_guard_catches_nan_inf_and_the_limit(self):
         check_finite(np.array([[DIVERGENCE_LIMIT, -DIVERGENCE_LIMIT]]), 3)

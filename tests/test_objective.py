@@ -198,7 +198,7 @@ class TestValueAndGrad:
 
 def reference_mixture(spec):
     """The mixture over (..., n, d) differences with numpy sums over the d
-    and center axes: the form the coordinate-major mixture must reproduce
+    and center axes: the form the centre-major mixture must reproduce
     bit for bit."""
     amp = spec.weights / (2.0 * np.pi * spec.kappa)
 
@@ -238,9 +238,7 @@ def mixtures_and_points(draw):
     return spec, x
 
 
-@given(mixtures_and_points())
-def test_mixture_matches_the_difference_tensor_form_bitwise(case):
-    spec, x = case
+def assert_matches_reference(spec, x):
     f = build_gaussian_mixture(spec)
     ref_eval, ref_grad = reference_mixture(spec)
     values, grads = f.value_and_grad(x)
@@ -248,6 +246,35 @@ def test_mixture_matches_the_difference_tensor_form_bitwise(case):
     for got, want in ((f.eval(x), ref_eval(x)), (f.grad(x), ref_grad(x)),
                       (values, ref_eval(x)), (grads, ref_grad(x))):
         assert np.array_equal(got, want)
+
+
+@given(mixtures_and_points())
+def test_mixture_matches_the_difference_tensor_form_bitwise(case):
+    assert_matches_reference(*case)
+
+
+@pytest.mark.parametrize("spec", [
+    GaussianMixtureSpec(DEFAULT_CENTERS, DEFAULT_WEIGHTS, 0.1),
+    GaussianMixtureSpec(np.linspace(-4, 4, 7)[:, None], np.arange(1.0, 8.0), 0.3),
+    GaussianMixtureSpec(np.random.default_rng(3).uniform(-5, 5, (25, 3)),
+                        np.arange(1.0, 26.0), 0.2, confinement=0.1),
+    GaussianMixtureSpec(np.random.default_rng(4).uniform(-5, 5, (12, 8)),
+                        np.ones(12), 0.5),
+], ids=["benchmark", "d1", "d3", "d8"])
+@pytest.mark.parametrize("points", [
+    lambda rng, d: rng.uniform(-12.0, 16.0, (40, 2, d)),      # the protocol's pairs
+    lambda rng, d: rng.uniform(-12.0, 16.0, (2000, d)),
+    lambda rng, d: rng.uniform(0.0, 4.0, (d,)),               # one point: P = 1
+    lambda rng, d: rng.uniform(0.0, 4.0, (1, d)),
+    lambda rng, d: rng.uniform(0.0, 4.0, (1, 1, d)),
+    lambda rng, d: rng.uniform(-12.0, 16.0, (80, 2, d))[::2],          # strided rows
+    lambda rng, d: rng.uniform(-12.0, 16.0, (40, 2, 2 * d))[..., ::2],  # strided coordinates
+], ids=["40x2", "2000", "point", "1xpoint", "1x1xpoint", "strided-rows", "strided-coords"])
+def test_mixture_matches_the_difference_tensor_form_bitwise_at_fixed_shapes(spec, points):
+    # the many-point sets reach far enough out that some components
+    # underflow to subnormals and to zero
+    x = points(np.random.default_rng(8), spec.centers.shape[1])
+    assert_matches_reference(spec, x)
 
 
 @pytest.mark.parametrize("shape", [(3,), (4, 1), (2, 2, 3), ()])
