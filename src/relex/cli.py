@@ -226,6 +226,16 @@ def cmd_compare(cfg, out_flag) -> int:
 
 def cmd_sweep(cfg, out_flag) -> int:
     kappas = _get_floats(cfg, "objective", "kappas")
+    echoed = {}   # each kappa's 6-digit echo names its files, so it must be exact and unique
+    for kappa in kappas:
+        text = f"{kappa:g}"
+        if text in echoed:
+            raise ConfigError(f"kappa {kappa!r} is listed twice" if echoed[text] == kappa
+                              else f"kappas {echoed[text]!r} and {kappa!r} would both "
+                              f"write the kappa{text.replace('.', 'p')} files")
+        if float(text) != kappa:
+            raise ConfigError(f"kappa {kappa!r} is echoed as {text}; give it in 6 digits")
+        echoed[text] = kappa
     base = build_sim_config(cfg)
     results = kappa_sweep(kappas, base)
     out = _out_dir(cfg, out_flag)

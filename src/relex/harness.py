@@ -160,9 +160,15 @@ def _best_so_far(steps: int, stride: int, nseeds: int):
     ``stride`` steps into curves of shape (steps/stride + 1, nseeds, 2)."""
     best = np.full((nseeds, 2), np.inf)
     curves = np.empty((steps // stride + 1, nseeds, 2))
+    seen = order = None
 
     def observe(k, x, T, fx):
-        np.minimum(best, by_temperature(fx, T), out=best)
+        # The kernel hands over a new T on a swap and never mutates one, so
+        # the flat (low, high) order holds until the object changes.
+        nonlocal seen, order
+        if T is not seen:
+            seen, order = T, by_temperature(np.arange(2 * nseeds).reshape(nseeds, 2), T)
+        np.minimum(best, fx.take(order), out=best)
         if k % stride == 0:
             curves[k // stride] = best
     return observe, curves
@@ -335,14 +341,14 @@ def _write_rows(path, config_line: str, header: Sequence[str], rows):
 
 
 def write_bestsofar_csv(path, summaries: Sequence[RunSummary], config_line: str = ""):
-    # The largest CSV, so each row is one f-string over Python ints and
-    # floats; it writes the bytes _write_rows would for integer iterations.
+    # The largest CSV, so each seed's curve is one joined string of f-string
+    # rows; it writes the bytes _write_rows would for integer iterations.
     def lines():
         for summary in summaries:
-            its = summary.iterations.tolist()
+            heads = [f"{it},{summary.algorithm}," for it in summary.iterations.tolist()]
             for s, curve in enumerate(summary.best_curves.tolist()):
-                for it, v in zip(its, curve):
-                    yield f"{it},{summary.algorithm},{s},{v:.17g}\n"
+                seed = f"{s},"
+                yield "".join([f"{h}{seed}{v:.17g}\n" for h, v in zip(heads, curve)])
     _write_lines(path, config_line, ["iteration", "algorithm", "seed", "best_so_far"], lines())
 
 

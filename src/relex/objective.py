@@ -119,10 +119,13 @@ def build_gaussian_mixture(spec: GaussianMixtureSpec) -> ObjectiveFunction:
         else:
             sq = np.sum(np.moveaxis(diff * diff, 0, -1).copy(), axis=-1)
         sq /= -2.0 * kappa                # -sq / (2 kappa), bit for bit, in place
+        # exp rounds to +0.0 below about -745.13, as it does at -inf, but numpy
+        # takes a slow path there; subnormal results keep their exact exp.
+        np.putmask(sq, sq < -746.0, -np.inf)
         return diff, np.multiply(amp, np.exp(sq, out=sq), out=sq)
 
     def _center_sum(terms):   # pairwise over the centres, as numpy sums a contiguous axis
-        return np.sum(np.ascontiguousarray(terms.T), axis=-1)
+        return np.add.reduce(np.ascontiguousarray(terms.T), axis=-1)
 
     def _value(x, comps):
         u = -_center_sum(comps).reshape(x.shape[:-1])

@@ -123,7 +123,10 @@ def run_pair_ensemble(f: ObjectiveFunction, x0, temps, steps: int, noise,
     The swap branch runs only where a swap can fire: R = 2 and a > 0.
     ``observe(k, x, T, fx)`` sees the positions x_k, their temperatures and
     their objective values fx = f(x_k) at k = 0..steps; the final values
-    cost one extra ``f.eval``, made only when an observer is given. A noise
+    cost one extra ``f.eval``, made only when an observer is given. The
+    kernel never mutates a ``T`` it has handed over: a temperature swap
+    replaces it with a new array, so an observer may cache what it derives
+    from ``T`` until it is handed another object. A noise
     block of another shape than the positions, or a swapping run whose
     source gives no uniforms, is an ``InputError``. Returns (positions,
     temperatures, swap counts per chain).
@@ -164,7 +167,7 @@ def run_pair_ensemble(f: ObjectiveFunction, x0, temps, steps: int, noise,
                 raise InputError("a swapping run needs swap uniforms from its noise source")
             # The one per-step check the swap rate needs: temperatures only
             # trade places, but a finite x can still have a NaN value.
-            if not np.all(np.isfinite(fx)):
+            if not np.isfinite(fx).all():
                 raise InputError("objective values in swap rate must be finite")
         before, x = x, x - eta * grad + coef * xi   # em_update with the cached scale
         check_finite(x, k + 1, before)

@@ -150,6 +150,24 @@ class TestDispatch:
         line = (out / "summary_kappa0p2.csv").read_text().splitlines()[0]
         assert "objective.kappa=0.2" in line
 
+    @pytest.mark.parametrize("kappas, message", [
+        ("0.1,0.1", "kappa 0.1 is listed twice"),
+        ("0.1,0.1000001", "kappas 0.1 and 0.1000001 would both write the kappa0p1 files"),
+        ("0.2,0.1000001", "kappa 0.1000001 is echoed as 0.1"),
+    ], ids=["duplicate", "tags-collide", "echo-inexact"])
+    def test_sweep_rejects_kappas_its_files_cannot_tell_apart(self, kappas, message,
+                                                              tmp_path, capsys, monkeypatch):
+        # each kappa's files and echo carry its 6-digit :g form; a sweep that
+        # would overwrite its own files or echo another kappa never starts
+        def no_run(*args):
+            raise AssertionError("the sweep started")
+        monkeypatch.setattr("relex.cli.kappa_sweep", no_run)
+        out = tmp_path / "res"
+        code = main(["sweep", "--set", f"kappas={kappas}", "--out", str(out)])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_discerr_writes_csv(self, tmp_path, capsys):
         out = tmp_path / "res"
         code = main(["discerr", "--set", "kind=double_well",

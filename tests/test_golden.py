@@ -37,6 +37,13 @@ CASES = {
         {"bestsofar.csv": "05f72f17229187d803b01bdec997df2b42e84d6551e973c7bfc796b21b338470",
          "summary.csv": "954e0d2144f061f05d7126ac25c8f3f50b144a333e1eaa1da26bf1882a49a94e"},
     ),
+    # tau2 = 25 sends the hot particle far out: about 39% of the mixture's exp
+    # arguments fall below -746 and 0.5% give subnormals
+    "compare-underflow": (
+        ["compare", "--set", "tau2=25", "--set", "steps=2000", "--set", "ensemble=8"],
+        {"bestsofar.csv": "9345c08bc979737c19023881399eacab65d7a5bde2b8ff8dc4fa12b48f29d50a",
+         "summary.csv": "f6ac060f390dcc4870a22e51594246f1c83c1911ce05412c1ddc036ed8409794"},
+    ),
     "sweep": (
         ["sweep", "--config", str(CONFIGS / "mixture_kappa_sweep.cfg"),
          "--set", "ensemble=20", "--set", "steps=200"],

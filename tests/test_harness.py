@@ -17,8 +17,9 @@ from relex.harness import (ALGORITHMS, RunSummary, SimConfig, _best_so_far,
                            pregenerate_noise, resolve_init, run_comparison,
                            write_bestsofar_csv, write_discerr_csv,
                            write_summary_csv)
-from relex.objective import double_well
-from relex.replica import SwapPolicy, pair_snapshots, philox_noise, run_pair_ensemble
+from relex.objective import benchmark_mixture, double_well
+from relex.replica import (SwapPolicy, by_temperature, pair_snapshots, philox_noise,
+                           run_pair_ensemble)
 from relex.rng import RngStream, pair_streams
 
 
@@ -171,6 +172,28 @@ class TestRunComparison:
             assert np.array_equal(summary.final_best, best[-1])
             assert summary.iterations.tolist() == list(range(0, 121, 6))
         assert summaries[2].swap_counts.sum() > 0
+
+    @pytest.mark.parametrize("mode, intensity", [
+        ("temperature", 50.0), ("position", 50.0), ("temperature", 0.0)])
+    def test_best_so_far_matches_a_per_step_reorder(self, mode, intensity):
+        # the observer reorders by temperature only when the kernel hands
+        # over a new T; the reference reorders every step
+        n, steps, stride = 6, 300, 3
+        f = build_objective({"kind": "gaussian_mixture", "kappa": 0.1})
+        observe, curves = _best_so_far(steps, stride, n)
+        best, want = np.full((n, 2), np.inf), []
+
+        def both(k, x, T, fx):
+            observe(k, x, T, fx)
+            np.minimum(best, by_temperature(fx, T), out=best)
+            if k % stride == 0:
+                want.append(best.copy())
+        _, _, swaps = run_pair_ensemble(
+            f, np.full((n, 2, 2), 2.0), (0.1, 1.0), steps,
+            philox_noise(0.01, steps, n, 2, *pair_streams(4, n)),
+            SwapPolicy(intensity, 0.01), mode, observe=both)
+        assert (swaps.sum() > 30) == (intensity > 0)
+        assert np.array_equal(curves, want)
 
     def test_each_half_of_the_fused_run_is_its_own_run(self):
         n, steps = 5, 150
@@ -351,10 +374,21 @@ def run_summaries(draw):
     return summaries
 
 
+# the mixture's value where every component underflows: -0.0
+ALL_UNDERFLOW = float(benchmark_mixture(0.1).eval(np.array([100.0, 100.0])))
+
+
 @given(run_summaries())
 @example([RunSummary("low-temp", np.arange(3) * 10,
                      np.array([[-0.0, 5e-324, 1e308], [-1e-300, 0.1, -2.5e-310]]),
                      *[np.zeros(3)] * 3, np.zeros(2))])
+@example([RunSummary("replica-exchange", np.arange(4) * 10**6,
+                     np.array([[ALL_UNDERFLOW, -1.2e-310, np.inf, 0.1 + 0.2],
+                               [-0.12392914196873872, -1 / 3, 2.2250738585072009e-308,
+                                -np.inf]]),
+                     *[np.zeros(4)] * 3, np.zeros(2)),
+          RunSummary("low-temp", np.arange(1), np.array([[1e-300], [-123456.78901234567]]),
+                     *[np.zeros(1)] * 3, np.zeros(2))])
 def test_bestsofar_csv_matches_the_generic_writer(summaries):
     def rows():
         for summary in summaries:
@@ -367,6 +401,10 @@ def test_bestsofar_csv_matches_the_generic_writer(summaries):
         _write_rows(generic, "x.y=1", ["iteration", "algorithm", "seed", "best_so_far"],
                     rows())
         assert fast.read_bytes() == generic.read_bytes()
+
+
+def test_a_point_where_every_component_underflows_has_value_minus_zero():
+    assert ALL_UNDERFLOW == 0.0 and math.copysign(1.0, ALL_UNDERFLOW) == -1.0
 
 
 def test_pregenerated_noise_matches_streams():

@@ -277,6 +277,50 @@ def test_mixture_matches_the_difference_tensor_form_bitwise_at_fixed_shapes(spec
     assert_matches_reference(spec, x)
 
 
+# exp arguments on both sides of the -746 clamp, between it and -745.13 (below
+# which exp rounds to +0.0), and in the subnormal band above that
+CLAMP_EXPONENTS = [-746.0, -745.9999999, -746.0000001, -745.5, -745.14, -745.1,
+                   -744.0, -720.0, -708.5, -708.3, -800.0, -5000.0]
+
+
+@pytest.mark.parametrize("spec", [
+    GaussianMixtureSpec([[0.0, 0.0]], [1.0], 0.1),
+    GaussianMixtureSpec(DEFAULT_CENTERS, DEFAULT_WEIGHTS, 0.1),
+    GaussianMixtureSpec([[0.0], [0.5]], [1.0, 3.0], 0.3),
+], ids=["one-centre", "benchmark", "d1"])
+def test_mixture_clamps_underflowing_exponents_bitwise(spec):
+    # points on the first axis with these exponents against the centre at
+    # the origin, on both sides of it, plus one whose squared distance is inf
+    d = spec.centers.shape[1]
+    r = np.sqrt(-2.0 * spec.kappa * np.array(CLAMP_EXPONENTS))
+    x = np.zeros((2 * r.size + 2, d))
+    x[:, 0] = np.concatenate((r, -r, [1e200, -1e200]))
+    expo = -(r * r) / (2.0 * spec.kappa)
+    for lo, hi in ((-746.001, -746.0), (-746.0, -745.999), (-746.0, -745.1333),
+                   (-745.13, -708.4)):
+        assert np.any((lo <= expo) & (expo < hi))
+    with np.errstate(under="ignore"):
+        assert np.any((0 < np.exp(expo)) & (np.exp(expo) < np.finfo(float).tiny))
+    with np.errstate(over="ignore"):        # the squared distance of 1e200
+        assert_matches_reference(spec, x)
+        assert_matches_reference(spec, x.reshape(-1, 2, d))
+        assert_matches_reference(spec, x[0])
+        values = build_gaussian_mixture(spec).eval(x)
+        assert values.tobytes() == reference_mixture(spec)[0](x).tobytes()
+
+
+def test_mixture_keeps_nan_coordinates():
+    spec = GaussianMixtureSpec(DEFAULT_CENTERS, DEFAULT_WEIGHTS, 0.1)
+    f = build_gaussian_mixture(spec)
+    ref_eval, ref_grad = reference_mixture(spec)
+    x = np.array([[np.nan, 1.0], [40.0, 0.0], [1.0, 2.0]])
+    values, grads = f.value_and_grad(x)
+    for got, want in ((f.eval(x), ref_eval(x)), (f.grad(x), ref_grad(x)),
+                      (values, ref_eval(x)), (grads, ref_grad(x))):
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.all(np.isnan(got[0])) and not np.any(np.isnan(got[1:]))
+
+
 @pytest.mark.parametrize("shape", [(3,), (4, 1), (2, 2, 3), ()])
 def test_mixture_rejects_points_of_another_dimension(shape):
     f = benchmark_mixture(0.1)

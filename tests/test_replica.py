@@ -173,6 +173,18 @@ class TestPairEnsemble:
             assert np.array_equal(snaps[10], by_temperature(x, T))
             assert np.all(counts == 10)
 
+    def test_observed_temperatures_are_never_mutated(self):
+        # observers may cache what they derive from T: a swap hands over a
+        # new array and never writes into one already handed over
+        kept = []
+        _, _, counts = run_pair_ensemble(
+            double_well(), pair(np.ones((6, 1)), -np.ones((6, 1))), (0.1, 1.0), 300,
+            pair_noise(2, 6, 300), SwapPolicy(50.0, 0.01),
+            observe=lambda k, x, T, fx: kept.append((T, T.copy())))
+        assert counts.sum() > 30
+        assert len({id(T) for T, _ in kept}) > 30
+        assert all(np.array_equal(T, at_hand_over) for T, at_hand_over in kept)
+
     def test_invalid_mode_and_steps(self):
         args = (double_well(), pair(np.ones((2, 1)), -np.ones((2, 1))), (0.1, 1.0))
         with pytest.raises(InputError):
