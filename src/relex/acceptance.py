@@ -10,12 +10,12 @@ them all in worker processes.
 
 from __future__ import annotations
 
+import math
 import os
 import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .diagnostics import (chi2_decay_experiment, dirichlet_acceleration_term,
                           empirical_histogram, gibbs_density,
@@ -148,11 +148,9 @@ def criterion_5_dirichlet_term():
     rho1 = gibbs_density(f, tau1, bounds, 4000)
     rho2 = gibbs_density(f, tau2, bounds, 4000)
     width = edges[1] - edges[0]
-    rv1 = stats.rv_histogram((rho1.mass / width, edges), density=True)
-    rv2 = stats.rv_histogram((rho2.mass / width, edges), density=True)
     gen = np.random.Generator(np.random.Philox(key=np.array([5, 0xACCE], dtype=np.uint64)))
-    x1 = rv1.rvs(size=1_000_000, random_state=gen)
-    x2 = rv2.rvs(size=1_000_000, random_state=gen)
+    x1 = _histogram_sample(rho1.mass / width, edges, 1_000_000, gen)
+    x2 = _histogram_sample(rho2.mass / width, edges, 1_000_000, gen)
     s = swap_rate(f.eval(x1[:, None]), f.eval(x2[:, None]), tau1, tau2)
     mc_val = float(np.mean(0.5 * a * s * (x2 - x1) ** 2))
 
@@ -164,6 +162,18 @@ def criterion_5_dirichlet_term():
     ok = rel < 0.02 and sym_val == 0.0 and zero_a == 0.0
     return ok, (f"grid {grid_val:.6g} vs MC {mc_val:.6g} (rel {rel:.4f}); "
                 f"symmetric f -> {sym_val}, a=0 -> {zero_a}")
+
+
+def _histogram_sample(density, edges, size, gen):
+    """``size`` draws from the piecewise-constant density on ``edges`` by
+    inverse-CDF sampling of ``gen``'s uniforms: the same bits as
+    ``scipy.stats.rv_histogram((density, edges), density=True).rvs(size,
+    random_state=gen)``, whose normalisation and rounding order this follows."""
+    widths = np.diff(edges)
+    pdf = density / float(np.sum(density * widths))
+    cdf = np.concatenate(([0.0], np.cumsum(pdf * widths)))
+    # + 0.0 is scipy's loc shift; it turns a -0.0 from interp into +0.0
+    return np.interp(gen.uniform(size=size), cdf, edges) + 0.0
 
 
 def criterion_6_discretization_slope():
@@ -194,10 +204,18 @@ def criterion_7_benchmark_ordering():
     wins = int(np.sum(rex.final_best < low.final_best))
     ties = int(np.sum(rex.final_best == low.final_best))
     n_eff = base.ensemble - ties
-    pval = stats.binomtest(wins, n_eff, 0.5, alternative="greater").pvalue
+    medians = f"median final best: replica {med_re:.5f} vs low-temp {med_low:.5f}"
+    if n_eff == 0:
+        return False, f"{medians}; all {ties} seeds tie, sign test undefined"
+    pval = _sign_test_pvalue(wins, n_eff)
     ok = med_re <= med_low and pval < 0.05
-    return ok, (f"median final best: replica {med_re:.5f} vs low-temp "
-                f"{med_low:.5f}; sign test {wins}/{n_eff} wins, p = {pval:.2e}")
+    return ok, f"{medians}; sign test {wins}/{n_eff} wins, p = {pval:.2e}"
+
+
+def _sign_test_pvalue(wins: int, n: int) -> float:
+    """One-sided sign test: P(X >= wins) for X ~ Binomial(n, 1/2), the exact
+    tail rounded once (int / int divides with correct rounding)."""
+    return sum(math.comb(n, k) for k in range(wins, n + 1)) / 2 ** n
 
 
 def criterion_8_formulation_equivalence():

@@ -243,15 +243,14 @@ def kappa_sweep(kappas: Sequence[float], base: SimConfig):
     kappas = list(kappas)
     if not kappas:
         raise ConfigError("kappa sweep needs at least one kappa")
-    results = []
+    triples = []                        # every kappa is checked before any run
     for kappa in kappas:
         if not (kappa > 0):
             raise ConfigError(f"kappa must be positive, got {kappa}")
         obj = dict(base.objective)
         obj["kappa"] = float(kappa)
-        cfg = dataclasses.replace(base, objective=obj)
-        results.append(run_comparison(comparison_configs(cfg)))
-    return results
+        triples.append(comparison_configs(dataclasses.replace(base, objective=obj)))
+    return [run_comparison(triple) for triple in triples]
 
 
 def discretization_error_experiment(f: ObjectiveFunction, tau1: float, tau2: float,

@@ -136,12 +136,13 @@ def build_gaussian_mixture(spec: GaussianMixtureSpec) -> ObjectiveFunction:
     def _grad(x, diff, comps):
         # Centre sums in the order np.sum(comps[..., None] * diff, axis=-2) has:
         # pairwise for d = 1, else left to right, as a reduce over an outer axis.
-        # One point makes the centre axis innermost, so there a cumsum keeps it.
+        # One point makes the centre axis innermost, so there a cumsum keeps it;
+        # + 0.0 then gives +0.0 for a sum of -0.0 terms, as the reduction does.
         diff *= comps
         if dim == 1:
             g = _center_sum(diff[0])[None]
         elif diff.shape[2] == 1:
-            g = np.cumsum(diff, axis=1)[:, -1]
+            g = np.cumsum(diff, axis=1)[:, -1] + 0.0
         else:
             g = np.add.reduce(diff, axis=1)
         g = np.divide(g.T, kappa, order="C").reshape(x.shape)

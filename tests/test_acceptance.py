@@ -8,20 +8,32 @@ with numpy 2.4.6 (Python 3.11.7, x86-64); like the hashes in test_golden.py,
 a mismatch under another numpy version or CPU should first be checked against
 an older commit under the same versions.
 
-The pool tests patch ``CRITERIA`` with cheap fakes, so they take seconds.
+Criterion 5's histogram sampler and criterion 7's sign test are checked
+against the scipy functions they match, and both criteria run in a process
+that cannot import scipy. The pool tests patch ``CRITERIA`` with cheap fakes,
+so they take seconds.
 """
 
 import functools
 import os
 import pickle
+import subprocess
 import sys
 import time
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from scipy import stats
 
+import relex
 from relex import acceptance
 from relex.acceptance import CRITERIA, run_criterion
 from relex.cli import main
+from relex.diagnostics import gibbs_density
+from relex.objective import double_well
 
 
 def _run(index, detail):
@@ -56,10 +68,14 @@ def test_criterion_4_chi2_decay_acceleration():
             "curve dominated at all later times: True")
 
 
+DETAIL_5 = "grid 0.349814 vs MC 0.349121 (rel 0.0020); symmetric f -> 0.0, a=0 -> 0.0"
+DETAIL_7 = ("median final best: replica -0.11476 vs low-temp -0.07851; "
+            "sign test 15/18 wins, p = 3.77e-03")
+
+
 def test_criterion_5_dirichlet_acceleration_term():
     # grid quadrature vs 10^6-sample Monte Carlo within 2%; exact zeros
-    _run(4, "grid 0.349814 vs MC 0.349121 (rel 0.0020); "
-            "symmetric f -> 0.0, a=0 -> 0.0")
+    _run(4, DETAIL_5)
 
 
 def test_criterion_6_discretization_error_slope():
@@ -71,8 +87,7 @@ def test_criterion_6_discretization_error_slope():
 def test_criterion_7_benchmark_ordering():
     # mixture kappa=0.1, 20 seeds: replica exchange beats the low-temperature
     # chain on median final best-so-far; paired sign test p < 0.05
-    _run(6, "median final best: replica -0.11476 vs low-temp -0.07851; "
-            "sign test 15/18 wins, p = 3.77e-03")
+    _run(6, DETAIL_7)
 
 
 def test_criterion_8_formulation_equivalence():
@@ -83,6 +98,78 @@ def test_criterion_8_formulation_equivalence():
 def test_criterion_9_gradient_correctness():
     # analytic vs central-difference mixture gradient at 100 points, < 1e-5
     _run(8, "max relative gradient error 2.511e-11 (limit 1e-5)")
+
+
+# ---------------------------------------------------------------------------
+# Criteria 5 and 7 without scipy: their sampler and sign test against scipy,
+# and both criteria in a process that cannot import scipy.
+
+def _philox(key):
+    return np.random.Generator(np.random.Philox(key=key))
+
+
+@pytest.mark.parametrize("tau", [0.1, 1.0])
+def test_histogram_sample_equals_rv_histogram_at_criterion_5s_densities(tau):
+    edges = np.linspace(-3.0, 3.0, 4001)
+    rho = gibbs_density(double_well(), tau, np.array([[-3.0, 3.0]]), 4000)
+    density = rho.mass / (edges[1] - edges[0])
+    key = np.array([5, 0xACCE], dtype=np.uint64)
+    want = stats.rv_histogram((density, edges), density=True).rvs(
+        size=1_000_000, random_state=_philox(key))
+    got = acceptance._histogram_sample(density, edges, 1_000_000, _philox(key))
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@given(st.lists(st.floats(0.0, 1e3), min_size=1, max_size=40).filter(lambda d: max(d) > 1e-3),
+       st.floats(-50.0, 50.0), st.floats(1e-3, 10.0), st.integers(0, 2 ** 32))
+def test_histogram_sample_equals_rv_histogram_on_equal_width_bins(density, lo, width, key):
+    edges = np.linspace(lo, lo + width, len(density) + 1)
+    want = stats.rv_histogram((np.array(density), edges), density=True).rvs(
+        size=500, random_state=_philox(key))
+    got = acceptance._histogram_sample(np.array(density), edges, 500, _philox(key))
+    assert got.tobytes() == want.tobytes()
+
+
+def test_sign_test_equals_binomtest():
+    for n in range(1, 61):
+        for wins in range(n + 1):
+            want = stats.binomtest(wins, n, 0.5, alternative="greater").pvalue
+            got = acceptance._sign_test_pvalue(wins, n)
+            assert abs(got - want) <= 1e-12 * want, (wins, n)
+            assert f"{got:.2e}" == f"{want:.2e}", (wins, n)
+
+
+def test_criterion_7_fails_readably_when_every_seed_ties(monkeypatch):
+    tie = SimpleNamespace(final_best=np.full(20, -0.1))
+    monkeypatch.setattr(acceptance, "run_comparison", lambda configs: (tie, tie, tie))
+    record = run_criterion(*CRITERIA[6])
+    assert not record.passed
+    assert record.detail == ("median final best: replica -0.10000 vs low-temp "
+                             "-0.10000; all 20 seeds tie, sign test undefined")
+
+
+BLOCK_SCIPY = """
+import sys
+
+class BlockScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "scipy":
+            raise ImportError(f"{name} is blocked")
+
+sys.meta_path.insert(0, BlockScipy())
+from relex.acceptance import CRITERIA, run_criterion
+for i in (4, 6):
+    print(run_criterion(*CRITERIA[i]).detail)
+"""
+
+
+def test_criteria_5_and_7_run_where_scipy_cannot_be_imported():
+    src = os.path.dirname(os.path.dirname(relex.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    out = subprocess.run([sys.executable, "-c", BLOCK_SCIPY], env=env, text=True,
+                         capture_output=True, check=True).stdout
+    assert out.splitlines() == [DETAIL_5, DETAIL_7]
 
 
 # ---------------------------------------------------------------------------

@@ -168,6 +168,16 @@ class TestDispatch:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    def test_sweep_rejects_a_bad_kappa_before_any_run(self, tmp_path, capsys, monkeypatch):
+        # the bad kappa comes last: no kappa's comparison runs before the error
+        runs = []
+        monkeypatch.setattr("relex.harness.run_comparison", lambda *args: runs.append(args))
+        out = tmp_path / "res"
+        code = main(["sweep", "--set", "kappas=0.1,-1", "--out", str(out)])
+        assert code == 2 and runs == []
+        assert "kappa must be positive, got -1.0" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_discerr_writes_csv(self, tmp_path, capsys):
         out = tmp_path / "res"
         code = main(["discerr", "--set", "kind=double_well",

@@ -245,7 +245,8 @@ def assert_matches_reference(spec, x):
     assert values.shape == x.shape[:-1] and grads.shape == x.shape
     for got, want in ((f.eval(x), ref_eval(x)), (f.grad(x), ref_grad(x)),
                       (values, ref_eval(x)), (grads, ref_grad(x))):
-        assert np.array_equal(got, want)
+        # bytes, not np.array_equal, so the sign of a zero counts
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 @given(mixtures_and_points())
@@ -275,6 +276,17 @@ def test_mixture_matches_the_difference_tensor_form_bitwise_at_fixed_shapes(spec
     # underflow to subnormals and to zero
     x = points(np.random.default_rng(8), spec.centers.shape[1])
     assert_matches_reference(spec, x)
+
+
+@pytest.mark.parametrize("x", [[0.0, -0.0], [[0.0, -0.0]], [[-0.0, -0.0], [0.0, -0.0]]],
+                         ids=["point", "1xpoint", "2points"])
+def test_mixture_gradient_has_no_negative_zero(x):
+    # at a centre every gradient term is a signed zero; the reference's sums
+    # start from +0.0, so -0.0 terms sum to +0.0 on every path
+    spec = GaussianMixtureSpec([[0.0, 0.0]], [1.0], 1.0)
+    x = np.array(x)
+    assert_matches_reference(spec, x)
+    assert not np.any(np.signbit(build_gaussian_mixture(spec).grad(x)))
 
 
 # exp arguments on both sides of the -746 clamp, between it and -745.13 (below

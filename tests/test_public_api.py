@@ -1,5 +1,10 @@
 """The public surface: ``relex.__all__`` is pinned, so growing or shrinking it
-is a deliberate, reviewed diff of this list."""
+is a deliberate, reviewed diff of this list. The runtime dependencies are
+pinned too: the package imports only the standard library and numpy."""
+
+import ast
+import pathlib
+import sys
 
 import relex
 
@@ -25,3 +30,16 @@ def test_all_is_pinned():
 def test_every_public_name_resolves():
     for name in relex.__all__:
         assert getattr(relex, name) is not None
+
+
+def test_package_imports_only_the_standard_library_and_numpy():
+    allowed = set(sys.stdlib_module_names) | {"numpy", "relex"}
+    found = set()
+    for path in pathlib.Path(relex.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                found.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                found.add(node.module)
+    assert found
+    assert {name.partition(".")[0] for name in found} - allowed == set()
