@@ -9,32 +9,28 @@ from .diagnostics import (DecayFit, GridMeasure, chi2_decay_experiment,
                           chi_square_divergence, dirichlet_acceleration_term,
                           empirical_histogram, gibbs_density,
                           pair_gibbs_density, total_variation)
-from .errors import (ConfigError, DivergenceError, EmptyInputError, FitError,
-                     GridMismatchError, InputError, RelexError,
-                     TruncationError)
+from .errors import ConfigError, DivergenceError, FitError, InputError, RelexError
 from .harness import (RunSummary, SimConfig, build_objective,
-                      comparison_configs, discretization_error_experiment,
-                      kappa_sweep, run_comparison)
+                      discretization_error_experiment, kappa_sweep,
+                      run_comparison)
 from .langevin import em_update
 from .objective import (GaussianMixtureSpec, ObjectiveFunction,
                         build_gaussian_mixture, check_gradient, double_well,
                         benchmark_mixture, quadratic)
 from .replica import SwapPolicy, run_pair_ensemble, swap_probability, swap_rate
-from .rng import RngStream, derive_stream, stream_id
+from .rng import RngStream, derive_stream
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ConfigError", "DecayFit", "DivergenceError", "EmptyInputError",
-    "FitError", "GaussianMixtureSpec", "GridMeasure", "GridMismatchError",
-    "InputError", "ObjectiveFunction", "RelexError", "RngStream",
-    "RunSummary", "SimConfig", "SwapPolicy", "TruncationError",
+    "ConfigError", "DecayFit", "DivergenceError", "FitError",
+    "GaussianMixtureSpec", "GridMeasure", "InputError", "ObjectiveFunction",
+    "RelexError", "RngStream", "RunSummary", "SimConfig", "SwapPolicy",
     "build_gaussian_mixture", "build_objective", "check_gradient",
-    "chi2_decay_experiment", "chi_square_divergence", "comparison_configs",
-    "derive_stream", "dirichlet_acceleration_term",
-    "discretization_error_experiment", "double_well", "em_update",
-    "empirical_histogram", "gibbs_density", "kappa_sweep",
-    "pair_gibbs_density", "benchmark_mixture", "quadratic", "run_comparison",
-    "run_pair_ensemble", "stream_id", "swap_probability", "swap_rate",
+    "chi2_decay_experiment", "chi_square_divergence", "derive_stream",
+    "dirichlet_acceleration_term", "discretization_error_experiment",
+    "double_well", "em_update", "empirical_histogram", "gibbs_density",
+    "kappa_sweep", "pair_gibbs_density", "benchmark_mixture", "quadratic",
+    "run_comparison", "run_pair_ensemble", "swap_probability", "swap_rate",
     "total_variation",
 ]

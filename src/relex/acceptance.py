@@ -20,9 +20,8 @@ import numpy as np
 from .diagnostics import (chi2_decay_experiment, dirichlet_acceleration_term,
                           empirical_histogram, gibbs_density,
                           pair_gibbs_density, total_variation)
-from .harness import (SimConfig, comparison_configs,
-                      discretization_error_experiment, pregenerate_noise,
-                      resolve_init, run_comparison)
+from .harness import (SimConfig, discretization_error_experiment,
+                      pregenerate_noise, resolve_init, run_comparison)
 from .langevin import em_update
 from .objective import check_gradient, double_well, benchmark_mixture
 from .replica import (SwapPolicy, pair_snapshots, philox_noise,
@@ -193,17 +192,17 @@ def criterion_6_discretization_slope():
 def criterion_7_benchmark_ordering():
     """25-center mixture, kappa 0.1: replica exchange beats the low-temperature
     chain on median final best-so-far, paired sign test p < 0.05."""
-    base = SimConfig(
+    cfg = SimConfig(
         objective={"kind": "gaussian_mixture", "kappa": 0.1, "confinement": 0.0},
         tau1=0.01, tau2=1.0, intensity=1.0, eta=0.01, steps=10_000,
-        ensemble=20, seed=0, init=(2.0, 2.0), algorithm="replica-exchange",
+        ensemble=20, seed=0, init=(2.0, 2.0),
     )
-    low, _, rex = run_comparison(comparison_configs(base))
+    low, _, rex = run_comparison(cfg)
     med_low = float(np.median(low.final_best))
     med_re = float(np.median(rex.final_best))
     wins = int(np.sum(rex.final_best < low.final_best))
     ties = int(np.sum(rex.final_best == low.final_best))
-    n_eff = base.ensemble - ties
+    n_eff = cfg.ensemble - ties
     medians = f"median final best: replica {med_re:.5f} vs low-temp {med_low:.5f}"
     if n_eff == 0:
         return False, f"{medians}; all {ties} seeds tie, sign test undefined"

@@ -24,10 +24,9 @@ import numpy as np
 
 from .diagnostics import chi2_decay_experiment
 from .errors import ConfigError, DivergenceError, RelexError
-from .harness import (SimConfig, build_objective, comparison_configs,
-                      discretization_error_experiment, kappa_sweep,
-                      run_comparison, write_bestsofar_csv, write_chi2decay_csv,
-                      write_discerr_csv, write_summary_csv)
+from .harness import (SimConfig, build_objective, discretization_error_experiment,
+                      kappa_sweep, run_comparison, write_bestsofar_csv,
+                      write_chi2decay_csv, write_discerr_csv, write_summary_csv)
 from .objective import check_gradient
 from .rng import PURPOSE_INIT, derive_stream
 
@@ -186,7 +185,7 @@ def _objective_cfg(cfg) -> dict:
     return obj
 
 
-def build_sim_config(cfg: dict, algorithm: str = "replica-exchange") -> SimConfig:
+def build_sim_config(cfg: dict) -> SimConfig:
     return SimConfig(
         objective=_objective_cfg(cfg),
         tau1=_get_float(cfg, "dynamics", "tau1"),
@@ -197,7 +196,6 @@ def build_sim_config(cfg: dict, algorithm: str = "replica-exchange") -> SimConfi
         ensemble=_get_int(cfg, "dynamics", "ensemble"),
         seed=_get_int(cfg, "dynamics", "seed"),
         init=_get_init(cfg),
-        algorithm=algorithm,
         stride=_get_int(cfg, "dynamics", "stride"),
     )
 
@@ -212,8 +210,7 @@ def _out_dir(cfg, out_flag):
 # Subcommand handlers.
 
 def cmd_compare(cfg, out_flag) -> int:
-    base = build_sim_config(cfg)
-    summaries = run_comparison(comparison_configs(base))
+    summaries = run_comparison(build_sim_config(cfg))
     out = _out_dir(cfg, out_flag)
     echo = emit_canonical_config(cfg)
     write_bestsofar_csv(os.path.join(out, "bestsofar.csv"), summaries, echo)
@@ -236,8 +233,7 @@ def cmd_sweep(cfg, out_flag) -> int:
         if float(text) != kappa:
             raise ConfigError(f"kappa {kappa!r} is echoed as {text}; give it in 6 digits")
         echoed[text] = kappa
-    base = build_sim_config(cfg)
-    results = kappa_sweep(kappas, base)
+    results = kappa_sweep(kappas, build_sim_config(cfg))
     out = _out_dir(cfg, out_flag)
     for kappa, summaries in zip(kappas, results):
         sweep_cfg = {sec: dict(keys) for sec, keys in cfg.items()}

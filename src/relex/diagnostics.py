@@ -14,8 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (EmptyInputError, FitError, GridMismatchError, InputError,
-                     TruncationError)
+from .errors import FitError, InputError
 from .objective import ObjectiveFunction
 from .replica import SwapPolicy, pair_snapshots, philox_noise, swap_rate
 from .rng import pair_streams
@@ -64,7 +63,6 @@ class DecayFit:
     times: np.ndarray
     chi2: np.ndarray
     rate: float
-    r2: float
     bootstrap_std: np.ndarray = field(default_factory=lambda: np.empty(0))
     rate_std: float = float("nan")
 
@@ -94,13 +92,13 @@ def _max_boundary_cell(mass: np.ndarray) -> float:
 
 
 def _untruncated_mass(w: np.ndarray) -> np.ndarray:
-    """Normalized Gibbs weights; TruncationError if a boundary cell carries
+    """Normalized Gibbs weights; InputError if a boundary cell carries
     visible mass. A flat density carries edge mass by construction, so
     truncation is only detectable (and only meaningful) when it varies."""
     mass = w / w.sum()
     flat = w.max() - w.min() <= 1e-12 * w.max()
     if not flat and _max_boundary_cell(mass) > BOUNDARY_MASS_LIMIT:
-        raise TruncationError(
+        raise InputError(
             "boundary cells carry non-negligible Gibbs mass; enlarge the bounds"
         )
     return mass
@@ -109,8 +107,8 @@ def _untruncated_mass(w: np.ndarray) -> np.ndarray:
 def gibbs_density(f: ObjectiveFunction, tau: float, bounds, resolution: int) -> GridMeasure:
     """Normalized exp(-U/tau) on a uniform grid (midpoint quadrature).
 
-    Raises TruncationError when a boundary cell carries visible mass,
-    meaning the requested bounds truncate the density.
+    Raises InputError when a boundary cell carries visible mass, meaning
+    the requested bounds truncate the density.
     """
     if not (tau > 0):
         raise InputError(f"tau must be positive, got {tau}")
@@ -150,14 +148,14 @@ def empirical_histogram(positions, bounds, resolution: int) -> GridMeasure:
     """Normalized occupancy histogram; out-of-bounds mass reported separately."""
     positions = np.atleast_2d(np.asarray(positions, dtype=float))
     if positions.shape[0] == 0:
-        raise EmptyInputError("no positions to histogram")
+        raise InputError("no positions to histogram")
     bounds, resolution = _grid(bounds, resolution)
     counts, _ = np.histogramdd(positions, bins=resolution,
                                range=[tuple(b) for b in bounds])
     total = positions.shape[0]
     inside = counts.sum()
     if inside == 0:
-        raise EmptyInputError("all positions fall outside the histogram bounds")
+        raise InputError("all positions fall outside the histogram bounds")
     return GridMeasure(bounds, resolution, counts / inside,
                        overflow=float(1.0 - inside / total))
 
@@ -165,14 +163,14 @@ def empirical_histogram(positions, bounds, resolution: int) -> GridMeasure:
 def chi_square_divergence(mu: GridMeasure, pi: GridMeasure) -> float:
     """sum over cells of (mu_c / pi_c - 1)^2 * pi_c, with pi floored at 1e-12."""
     if not mu.same_grid(pi):
-        raise GridMismatchError("chi-square needs identical grids")
+        raise InputError("chi-square needs identical grids")
     p = np.maximum(pi.mass, PI_FLOOR)
     return float(np.sum((mu.mass / p - 1.0) ** 2 * p))
 
 
 def total_variation(mu: GridMeasure, pi: GridMeasure) -> float:
     if not mu.same_grid(pi):
-        raise GridMismatchError("total variation needs identical grids")
+        raise InputError("total variation needs identical grids")
     return float(0.5 * np.abs(mu.mass - pi.mass).sum())
 
 
@@ -232,22 +230,17 @@ def chi2_decay_experiment(f: ObjectiveFunction, tau1: float, tau2: float,
             raise FitError(
                 f"only {int(keep.sum())} sample times have chi2 > {fit_floor}"
             )
-        slope, intercept = np.polyfit(times[keep], np.log(values[keep]), 1)
-        pred = slope * times[keep] + intercept
-        resid = np.log(values[keep]) - pred
-        tot = np.log(values[keep]) - np.log(values[keep]).mean()
-        r2 = 1.0 - resid @ resid / max(tot @ tot, 1e-300)
-        return -slope, r2
+        return -np.polyfit(times[keep], np.log(values[keep]), 1)[0]
 
-    rate, r2 = fit_rate(chi2)
+    rate = fit_rate(chi2)
     boot_rates = []
     for b in range(n_bootstrap):
         try:
-            boot_rates.append(fit_rate(boot[b])[0])
+            boot_rates.append(fit_rate(boot[b]))
         except FitError:
             continue
     rate_std = float(np.std(boot_rates, ddof=1)) if len(boot_rates) > 1 else float("nan")
-    return DecayFit(times=times, chi2=chi2, rate=rate, r2=r2,
+    return DecayFit(times=times, chi2=chi2, rate=rate,
                     bootstrap_std=bootstrap_std, rate_std=rate_std)
 
 
@@ -261,7 +254,7 @@ def dirichlet_acceleration_term(f_test, f: ObjectiveFunction, tau1: float,
     stays on grid points.
     """
     if pair_pi.ndim != 2 or not np.array_equal(pair_pi.bounds[0], pair_pi.bounds[1]):
-        raise GridMismatchError("pair grid must be square for the exchange map")
+        raise InputError("pair grid must be square for the exchange map")
     if a < 0:
         raise InputError(f"swap intensity must be nonnegative, got {a}")
     c = pair_pi.centers(0)

@@ -6,7 +6,8 @@ class RelexError(Exception):
 
 
 class InputError(RelexError):
-    """A caller supplied a non-finite or otherwise invalid value."""
+    """A caller supplied a non-finite, empty or otherwise invalid value, such
+    as mismatched grids or bounds that truncate a Gibbs density."""
 
 
 class ConfigError(RelexError):
@@ -21,18 +22,6 @@ class DivergenceError(RelexError):
                  chain: int | None = None, slot: int | None = None, position=None):
         super().__init__(message)
         self.iteration, self.chain, self.slot, self.position = iteration, chain, slot, position
-
-
-class TruncationError(RelexError):
-    """A grid domain is too small: its boundary carries non-negligible mass."""
-
-
-class GridMismatchError(RelexError):
-    """Two grid measures do not share the same bounds and resolution."""
-
-
-class EmptyInputError(RelexError):
-    """An operation received an empty sequence where data is required."""
 
 
 class FitError(RelexError):

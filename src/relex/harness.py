@@ -27,13 +27,12 @@ from .objective import (DEFAULT_CENTERS, DEFAULT_WEIGHTS, GaussianMixtureSpec,
 from .replica import SwapPolicy, by_temperature, philox_noise, run_pair_ensemble
 from .rng import PURPOSE_INIT, derive_stream, pair_streams, position_streams
 
-ALGORITHMS = ("low-temp", "high-temp", "replica-exchange")
-
 
 @dataclass
 class SimConfig:
-    """One experiment arm. ``objective`` is the parsed objective section,
-    e.g. {"kind": "gaussian_mixture", "kappa": 0.1}."""
+    """One comparison: the two baselines and the replica pair share every
+    field. ``objective`` is the parsed objective section, e.g.
+    {"kind": "gaussian_mixture", "kappa": 0.1}."""
 
     objective: dict
     tau1: float
@@ -44,15 +43,12 @@ class SimConfig:
     ensemble: int            # number of seeds (independent runs)
     seed: int
     init: object             # point tuple, or "uniform:lo,hi"
-    algorithm: str
     stride: int = 10
 
     def __post_init__(self):
-        if self.algorithm not in ALGORITHMS:
-            raise ConfigError(f"unknown algorithm {self.algorithm!r}")
         if not (0 < self.tau1 < math.inf and 0 < self.tau2 < math.inf):
             raise ConfigError("temperatures must be positive and finite")
-        if self.algorithm == "replica-exchange" and not (self.tau1 < self.tau2):
+        if not (self.tau1 < self.tau2):
             raise ConfigError("replica exchange requires tau1 < tau2")
         if not (0 <= self.intensity < math.inf):
             raise ConfigError("intensity must be nonnegative and finite")
@@ -192,65 +188,46 @@ def _summarize(algorithm: str, traj: np.ndarray, stride: int, swap_counts=None,
     )
 
 
-def comparison_configs(base: SimConfig) -> tuple[SimConfig, SimConfig, SimConfig]:
-    """The protocol triple: low-temp baseline, high-temp baseline, replica."""
-    return tuple(dataclasses.replace(base, algorithm=a) for a in ALGORITHMS)
-
-
-def run_comparison(configs: Sequence[SimConfig]):
-    """Run the three algorithms over a shared seed set and noise blocks.
-
-    ``configs`` must contain one config per algorithm, agreeing on objective,
-    temperatures, stepsize, step count, seed, and ensemble size.
-    """
-    if len(configs) != 3:
-        raise ConfigError("run_comparison expects exactly three configs")
-    by_alg = {c.algorithm: c for c in configs}
-    if set(by_alg) != set(ALGORITHMS):
-        raise ConfigError(f"configs must cover algorithms {ALGORITHMS}")
-    base = by_alg["replica-exchange"]
-    for c in configs:
-        shared = (c.objective, c.tau1, c.tau2, c.eta, c.steps, c.ensemble,
-                  c.seed, c.init, c.stride)
-        if shared != (base.objective, base.tau1, base.tau2, base.eta, base.steps,
-                      base.ensemble, base.seed, base.init, base.stride):
-            raise ConfigError("comparison configs must share everything but the algorithm")
-
-    f = build_objective(base.objective)
-    n = base.ensemble
-    init = resolve_init(base.init, f.dimension, n, base.seed)
+def run_comparison(cfg: SimConfig):
+    """The low-temp baseline, high-temp baseline and replica pair of ``cfg``,
+    run over a shared seed set and shared noise."""
+    f = build_objective(cfg.objective)
+    n = cfg.ensemble
+    init = resolve_init(cfg.init, f.dimension, n, cfg.seed)
     pair = np.stack((init, init), axis=1)
     # One kernel run: chains [0, n) are the baseline pairs, which have no
     # swap streams and so never swap, and [n, 2n) the replica pairs; all start
     # at init and draw from each seed's position streams.
-    replica, swap = pair_streams(base.seed, n)
-    noise = philox_noise(base.eta, base.steps, 2 * n, f.dimension,
-                         position_streams(base.seed, n) + replica, [None] * n + swap)
-    observe, curves = _best_so_far(base.steps, base.stride, 2 * n)
+    replica, swap = pair_streams(cfg.seed, n)
+    noise = philox_noise(cfg.eta, cfg.steps, 2 * n, f.dimension,
+                         position_streams(cfg.seed, n) + replica, [None] * n + swap)
+    observe, curves = _best_so_far(cfg.steps, cfg.stride, 2 * n)
     t0 = time.perf_counter()
     _, _, swaps = run_pair_ensemble(f, np.concatenate((pair, pair)),
-                                    (base.tau1, base.tau2), base.steps, noise,
-                                    SwapPolicy(base.intensity, base.eta), observe=observe)
+                                    (cfg.tau1, cfg.tau2), cfg.steps, noise,
+                                    SwapPolicy(cfg.intensity, cfg.eta), observe=observe)
     wall = time.perf_counter() - t0
-    return (_summarize("low-temp", curves[:, :n, 0], base.stride, wall_time=wall),
-            _summarize("high-temp", curves[:, :n, 1], base.stride, wall_time=wall),
-            _summarize("replica-exchange", curves[:, n:, 0], base.stride,
+    return (_summarize("low-temp", curves[:, :n, 0], cfg.stride, wall_time=wall),
+            _summarize("high-temp", curves[:, :n, 1], cfg.stride, wall_time=wall),
+            _summarize("replica-exchange", curves[:, n:, 0], cfg.stride,
                        swap_counts=swaps[n:], wall_time=wall))
 
 
 def kappa_sweep(kappas: Sequence[float], base: SimConfig):
-    """One comparison triple per mixture width kappa."""
+    """One comparison per mixture width kappa."""
+    kind = base.objective.get("kind", "gaussian_mixture")
+    if kind != "gaussian_mixture":
+        raise ConfigError(f"kappa sweep needs a gaussian_mixture objective, got {kind!r}")
     kappas = list(kappas)
     if not kappas:
         raise ConfigError("kappa sweep needs at least one kappa")
-    triples = []                        # every kappa is checked before any run
+    configs = []                        # every kappa is checked before any run
     for kappa in kappas:
         if not (kappa > 0):
             raise ConfigError(f"kappa must be positive, got {kappa}")
-        obj = dict(base.objective)
-        obj["kappa"] = float(kappa)
-        triples.append(comparison_configs(dataclasses.replace(base, objective=obj)))
-    return [run_comparison(triple) for triple in triples]
+        objective = {**base.objective, "kappa": float(kappa)}
+        configs.append(dataclasses.replace(base, objective=objective))
+    return [run_comparison(cfg) for cfg in configs]
 
 
 def discretization_error_experiment(f: ObjectiveFunction, tau1: float, tau2: float,

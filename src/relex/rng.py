@@ -60,14 +60,14 @@ class RngStream:
         return f"RngStream(seed={self.seed}, stream_id={self.stream_id}, counter={self.counter})"
 
 
-def stream_id(purpose: int, chain: int = 0) -> int:
+def _stream_id(purpose: int, chain: int = 0) -> int:
     """Pack a purpose id and a chain index into one 64-bit stream id."""
     return ((int(purpose) & 0xFFFFFFFF) << 32) | (int(chain) & 0xFFFFFFFF)
 
 
 def derive_stream(seed: int, purpose: int, chain: int = 0) -> RngStream:
     """Stream for a given (root seed, purpose, chain) triple."""
-    return RngStream(seed, stream_id(purpose, chain))
+    return RngStream(seed, _stream_id(purpose, chain))
 
 
 def position_streams(seed: int, groups: int = 1):

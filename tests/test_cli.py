@@ -168,14 +168,21 @@ class TestDispatch:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
-    def test_sweep_rejects_a_bad_kappa_before_any_run(self, tmp_path, capsys, monkeypatch):
-        # the bad kappa comes last: no kappa's comparison runs before the error
+    @pytest.mark.parametrize("setting, message", [
+        ("kappas=0.1,-1", "kappa must be positive, got -1.0"),
+        ("kind=double_well", "kappa sweep needs a gaussian_mixture objective, "
+                             "got 'double_well'"),
+    ], ids=["negative-kappa", "not-a-mixture"])
+    def test_sweep_rejects_a_bad_kappa_before_any_run(self, setting, message, tmp_path,
+                                                      capsys, monkeypatch):
+        # the bad kappa comes last: no kappa's comparison runs before the error;
+        # a sweep over an objective without a kappa never starts
         runs = []
         monkeypatch.setattr("relex.harness.run_comparison", lambda *args: runs.append(args))
         out = tmp_path / "res"
-        code = main(["sweep", "--set", "kappas=0.1,-1", "--out", str(out)])
+        code = main(["sweep", "--set", setting, "--out", str(out)])
         assert code == 2 and runs == []
-        assert "kappa must be positive, got -1.0" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"relex: config error: {message}\n"
         assert not out.exists()
 
     def test_discerr_writes_csv(self, tmp_path, capsys):

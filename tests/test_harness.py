@@ -11,12 +11,11 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from relex.errors import ConfigError, InputError
-from relex.harness import (ALGORITHMS, RunSummary, SimConfig, _best_so_far,
-                           _write_rows, build_objective, comparison_configs,
-                           discretization_error_experiment, kappa_sweep,
-                           pregenerate_noise, resolve_init, run_comparison,
-                           write_bestsofar_csv, write_discerr_csv,
-                           write_summary_csv)
+from relex.harness import (RunSummary, SimConfig, _best_so_far, _write_rows,
+                           build_objective, discretization_error_experiment,
+                           kappa_sweep, pregenerate_noise, resolve_init,
+                           run_comparison, write_bestsofar_csv,
+                           write_discerr_csv, write_summary_csv)
 from relex.objective import benchmark_mixture, double_well
 from relex.replica import (SwapPolicy, by_temperature, pair_snapshots, philox_noise,
                            run_pair_ensemble)
@@ -34,8 +33,7 @@ def small_config(**overrides):
     base = dict(
         objective={"kind": "gaussian_mixture", "kappa": 0.1, "confinement": 0.0},
         tau1=0.01, tau2=1.0, intensity=1.0, eta=0.01, steps=200,
-        ensemble=4, seed=1, init=(2.0, 2.0), algorithm="replica-exchange",
-        stride=10,
+        ensemble=4, seed=1, init=(2.0, 2.0), stride=10,
     )
     base.update(overrides)
     return SimConfig(**base)
@@ -47,9 +45,9 @@ class TestSimConfig:
         assert cfg.horizon == pytest.approx(2.0)
 
     @pytest.mark.parametrize("overrides", [
-        dict(algorithm="annealing"),
         dict(tau1=-0.1),
-        dict(tau1=2.0),                # violates tau1 < tau2 for replica
+        dict(tau1=2.0),                # violates tau1 < tau2
+        dict(tau1=1.0),                # tau1 == tau2
         dict(intensity=-1.0),
         dict(eta=0.0),
         dict(steps=0),
@@ -60,7 +58,7 @@ class TestSimConfig:
         dict(eta=float("inf")),
         dict(eta=float("nan")),
         dict(tau2=float("inf")),
-        dict(tau1=float("nan"), algorithm="low-temp"),
+        dict(tau1=float("nan")),
     ])
     def test_invalid(self, overrides):
         with pytest.raises(ConfigError):
@@ -76,9 +74,6 @@ class TestSimConfig:
                    for n in ("intensity", "eta", "tau1", "tau2"))
         assert cfg.tau1 > 0 and cfg.tau2 > 0 and cfg.tau1 < cfg.tau2
         assert cfg.intensity >= 0 and cfg.eta > 0
-
-    def test_single_chain_allows_any_temperature_order(self):
-        small_config(algorithm="low-temp", tau1=2.0)   # no error
 
 
 class TestBuildObjective:
@@ -123,7 +118,7 @@ class TestResolveInit:
 
 class TestRunComparison:
     def test_summaries_shape_and_monotonicity(self):
-        summaries = run_comparison(comparison_configs(small_config()))
+        summaries = run_comparison(small_config())
         assert [s.algorithm for s in summaries] == [
             "low-temp", "high-temp", "replica-exchange"]
         for s in summaries:
@@ -136,8 +131,8 @@ class TestRunComparison:
         assert summaries[0].wall_time == summaries[1].wall_time
 
     def test_bitwise_reproducible(self):
-        a = run_comparison(comparison_configs(small_config()))
-        b = run_comparison(comparison_configs(small_config()))
+        a = run_comparison(small_config())
+        b = run_comparison(small_config())
         for x, y in zip(a, b):
             assert np.array_equal(x.best_curves, y.best_curves)
 
@@ -147,18 +142,17 @@ class TestRunComparison:
         init = RngStream.__init__
         monkeypatch.setattr(RngStream, "__init__",
                             lambda self, *args: created.append(args) or init(self, *args))
-        run_comparison(comparison_configs(small_config(init=(2.0, 2.0))))
+        run_comparison(small_config(init=(2.0, 2.0)))
         assert len(created) == 5 * 4
 
     def test_zero_intensity_matches_low_temp_bitwise(self):
-        low, _, rex = run_comparison(comparison_configs(
-            small_config(intensity=0.0)))
+        low, _, rex = run_comparison(small_config(intensity=0.0))
         assert np.array_equal(rex.best_curves, low.best_curves)
         assert rex.swap_counts.sum() == 0
 
     def test_best_curves_match_a_full_trajectory_oracle(self):
         cfg = small_config(ensemble=5, steps=120, stride=6, intensity=20.0, tau1=0.1)
-        summaries = run_comparison(comparison_configs(cfg))
+        summaries = run_comparison(cfg)
         f = build_objective(cfg.objective)
         init = resolve_init(cfg.init, 2, 5, cfg.seed)
         noise = block_source(cfg.seed, 5, 120, 2, cfg.eta)
@@ -218,8 +212,8 @@ class TestRunComparison:
             assert np.array_equal(fused[:, half], alone)
             assert np.array_equal(swaps[half], swaps1)
             assert np.array_equal(x[half], x1) and np.array_equal(T[half], T1)
-        low, high, rex = run_comparison(comparison_configs(
-            small_config(ensemble=n, steps=steps, stride=1, intensity=20.0, tau1=0.1)))
+        low, high, rex = run_comparison(
+            small_config(ensemble=n, steps=steps, stride=1, intensity=20.0, tau1=0.1))
         assert np.array_equal(low.best_curves, fused[:, :n, 0].T)
         assert np.array_equal(high.best_curves, fused[:, :n, 1].T)
         assert np.array_equal(rex.best_curves, fused[:, n:, 0].T)
@@ -232,19 +226,11 @@ class TestRunComparison:
         noise_bytes = sum(a.nbytes for a in pregenerate_noise(cfg.seed, 20, 20_000, 2))
         tracemalloc.start()
         try:
-            run_comparison(comparison_configs(cfg))
+            run_comparison(cfg)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < noise_bytes / 4
-
-    def test_mismatched_configs_rejected(self):
-        cfgs = list(comparison_configs(small_config()))
-        cfgs[0] = small_config(algorithm="low-temp", seed=99)
-        with pytest.raises(ConfigError):
-            run_comparison(cfgs)
-        with pytest.raises(ConfigError):
-            run_comparison(cfgs[:2])
 
 
 class TestKappaSweep:
@@ -257,7 +243,7 @@ class TestKappaSweep:
     def test_single_kappa_matches_run_comparison(self):
         base = small_config()
         sweep = kappa_sweep([0.1], base)
-        direct = run_comparison(comparison_configs(base))
+        direct = run_comparison(base)
         assert len(sweep) == 1
         for s, d in zip(sweep[0], direct):
             assert np.array_equal(s.best_curves, d.best_curves)
@@ -322,7 +308,7 @@ class TestDiscretizationExperiment:
 
 class TestCsvWriters:
     def test_bestsofar_layout(self, tmp_path):
-        summaries = run_comparison(comparison_configs(small_config()))
+        summaries = run_comparison(small_config())
         path = tmp_path / "bestsofar.csv"
         write_bestsofar_csv(path, summaries, "dynamics.eta=0.01")
         lines = path.read_text().splitlines()
@@ -334,7 +320,7 @@ class TestCsvWriters:
         assert float(val) == summaries[0].best_curves[0, 0]
 
     def test_summary_layout(self, tmp_path):
-        summaries = run_comparison(comparison_configs(small_config()))
+        summaries = run_comparison(small_config())
         path = tmp_path / "summary.csv"
         write_summary_csv(path, summaries, "x.y=1")
         lines = path.read_text().splitlines()
@@ -362,7 +348,7 @@ CSV_FLOATS = st.one_of(st.floats(), st.sampled_from(
 @st.composite
 def run_summaries(draw):
     summaries = []
-    for algorithm in ALGORITHMS[:draw(st.integers(1, 3))]:
+    for algorithm in ("low-temp", "high-temp", "replica-exchange")[:draw(st.integers(1, 3))]:
         nseeds, npoints = draw(st.integers(1, 4)), draw(st.integers(1, 5))
         values = draw(st.lists(CSV_FLOATS, min_size=nseeds * npoints,
                                max_size=nseeds * npoints))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from relex.rng import (PURPOSE_INIT, PURPOSE_POS1, PURPOSE_POS2, PURPOSE_SWAP,
-                       RngStream, derive_stream, stream_id)
+                       RngStream, _stream_id, derive_stream)
 
 
 def test_same_seed_and_stream_reproduce():
@@ -28,17 +28,17 @@ def test_different_seeds_differ():
 
 def test_stream_id_packs_purpose_and_chain():
     ids = {
-        stream_id(purpose, chain)
+        _stream_id(purpose, chain)
         for purpose in (PURPOSE_POS1, PURPOSE_POS2, PURPOSE_SWAP, PURPOSE_INIT)
         for chain in range(50)
     }
     assert len(ids) == 4 * 50
-    assert stream_id(PURPOSE_POS1, 3) == (1 << 32) | 3
+    assert _stream_id(PURPOSE_POS1, 3) == (1 << 32) | 3
 
 
 def test_derive_stream_matches_manual_construction():
     a = derive_stream(9, PURPOSE_SWAP, chain=5)
-    b = RngStream(9, stream_id(PURPOSE_SWAP, 5))
+    b = RngStream(9, _stream_id(PURPOSE_SWAP, 5))
     assert np.array_equal(a.uniform((20,)), b.uniform((20,)))
 
 
