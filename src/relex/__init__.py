@@ -1,8 +1,8 @@
 """Replica-exchange Langevin dynamics for nonconvex minimization.
 
-Public surface: objectives, the Euler-Maruyama update and the one kernel
-that integrates single chains and replica pairs, convergence diagnostics,
-the experiment harness, and the CLI.
+Public surface: objectives, the one Euler-Maruyama kernel that integrates
+single chains and replica pairs, convergence diagnostics, the experiment
+harness, and the CLI.
 """
 
 from .diagnostics import (DecayFit, GridMeasure, chi2_decay_experiment,
@@ -13,11 +13,10 @@ from .errors import ConfigError, DivergenceError, FitError, InputError, RelexErr
 from .harness import (RunSummary, SimConfig, build_objective,
                       discretization_error_experiment, kappa_sweep,
                       run_comparison)
-from .langevin import em_update
 from .objective import (GaussianMixtureSpec, ObjectiveFunction,
                         build_gaussian_mixture, check_gradient, double_well,
                         benchmark_mixture, quadratic)
-from .replica import SwapPolicy, run_pair_ensemble, swap_probability, swap_rate
+from .replica import SwapPolicy, run_pair_ensemble, swap_rate
 from .rng import RngStream, derive_stream
 
 __version__ = "0.1.0"
@@ -29,8 +28,7 @@ __all__ = [
     "build_gaussian_mixture", "build_objective", "check_gradient",
     "chi2_decay_experiment", "chi_square_divergence", "derive_stream",
     "dirichlet_acceleration_term", "discretization_error_experiment",
-    "double_well", "em_update", "empirical_histogram", "gibbs_density",
-    "kappa_sweep", "pair_gibbs_density", "benchmark_mixture", "quadratic",
-    "run_comparison", "run_pair_ensemble", "swap_probability", "swap_rate",
-    "total_variation",
+    "double_well", "empirical_histogram", "gibbs_density", "kappa_sweep",
+    "pair_gibbs_density", "benchmark_mixture", "quadratic", "run_comparison",
+    "run_pair_ensemble", "swap_rate", "total_variation",
 ]

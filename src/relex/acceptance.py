@@ -24,8 +24,7 @@ from .harness import (SimConfig, discretization_error_experiment,
                       pregenerate_noise, resolve_init, run_comparison)
 from .langevin import em_update
 from .objective import check_gradient, double_well, benchmark_mixture
-from .replica import (SwapPolicy, pair_snapshots, philox_noise,
-                      run_pair_ensemble, swap_rate)
+from .replica import SwapPolicy, pair_snapshots, run_pair_ensemble, swap_rate
 from .rng import PURPOSE_INIT, PURPOSE_POS1, derive_stream, pair_streams
 
 
@@ -76,9 +75,9 @@ def criterion_2_null_coupling_bitwise():
     eta, tau1, tau2 = 0.01, 0.01, 1.0
     init = resolve_init((2.0, 2.0), f.dimension, nseeds, seed=7)
     xi, _ = pregenerate_noise(7, nseeds, steps, f.dimension)
-    noise = philox_noise(eta, steps, nseeds, f.dimension, pair_streams(7, nseeds)[0])
-    snaps, swaps = pair_snapshots(f, np.stack((init, init), axis=1), (tau1, tau2),
-                                  steps, noise, SwapPolicy(0.0, eta), range(steps + 1))
+    snaps, swaps = pair_snapshots(f, np.stack((init, init), axis=1), (tau1, tau2), steps,
+                                  (pair_streams(7, nseeds)[0], None), SwapPolicy(0.0, eta),
+                                  range(steps + 1))
     ok = int(swaps.sum()) == 0
     for slot, tau in enumerate((tau1, tau2)):
         pos = init
@@ -98,10 +97,9 @@ def criterion_3_stationarity():
     bounds = np.array([[-3.0, 3.0]])
     rng_init = derive_stream(3, PURPOSE_INIT)
     init = -1.5 + 3.0 * rng_init.uniform((chains, 1))
-    final, _, _ = run_pair_ensemble(
-        f, init[:, None], tau, steps,
-        philox_noise(eta, steps, chains, 1, [[derive_stream(3, PURPOSE_POS1)]]),
-        SwapPolicy(0.0, eta))
+    final, _, _ = run_pair_ensemble(f, init[:, None], tau, steps,
+                                    ([[derive_stream(3, PURPOSE_POS1)]], None),
+                                    SwapPolicy(0.0, eta))
     pi = gibbs_density(f, tau, bounds, 60)
     mu = empirical_histogram(final[:, 0], bounds, 60)
     tv = total_variation(mu, pi)
@@ -230,9 +228,8 @@ def criterion_8_formulation_equivalence():
     pooled = {}
     x0 = np.broadcast_to(np.reshape((1.0, -1.0), (1, 2, 1)), (chains, 2, 1))
     for offset, mode in ((0, "temperature"), (1, "position")):
-        noise = philox_noise(eta, steps, chains, 1, *pair_streams(80 + offset))
-        snaps, _ = pair_snapshots(f, x0, (tau1, tau2), steps, noise, policy,
-                                  snapshot_steps, mode)
+        snaps, _ = pair_snapshots(f, x0, (tau1, tau2), steps, pair_streams(80 + offset),
+                                  policy, snapshot_steps, mode)
         pooled[mode] = np.concatenate(snaps[:, :, 0])
     mu_t = empirical_histogram(pooled["temperature"], bounds, 24)
     mu_p = empirical_histogram(pooled["position"], bounds, 24)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import FitError, InputError
 from .objective import ObjectiveFunction
-from .replica import SwapPolicy, pair_snapshots, philox_noise, swap_rate
+from .replica import SwapPolicy, pair_snapshots, swap_rate
 from .rng import pair_streams
 
 PI_FLOOR = 1e-12
@@ -211,8 +211,7 @@ def chi2_decay_experiment(f: ObjectiveFunction, tau1: float, tau2: float,
     times = sample_steps * eta
     steps = int(sample_steps[-1])
     x0 = np.broadcast_to(np.reshape(init, (1, 2, 1)), (ensemble, 2, 1))
-    noise = philox_noise(eta, steps, ensemble, 1, *pair_streams(seed))
-    snaps, _ = pair_snapshots(f, x0, (tau1, tau2), steps, noise,
+    snaps, _ = pair_snapshots(f, x0, (tau1, tau2), steps, pair_streams(seed),
                               policy, sample_steps.tolist(), mode="position")
     pair_points = snaps[:, :, :, 0]
     chi2 = np.array([_chi2_of_points(pts, pi) for pts in pair_points])

@@ -24,7 +24,7 @@ from .errors import ConfigError
 from .objective import (DEFAULT_CENTERS, DEFAULT_WEIGHTS, GaussianMixtureSpec,
                         ObjectiveFunction, build_gaussian_mixture, double_well,
                         quadratic)
-from .replica import SwapPolicy, by_temperature, philox_noise, run_pair_ensemble
+from .replica import SwapPolicy, by_temperature, run_pair_ensemble
 from .rng import PURPOSE_INIT, derive_stream, pair_streams, position_streams
 
 
@@ -58,10 +58,6 @@ class SimConfig:
             raise ConfigError("steps and ensemble must be positive")
         if self.stride < 1 or self.steps % self.stride != 0:
             raise ConfigError(f"stride {self.stride} must divide steps {self.steps}")
-
-    @property
-    def horizon(self) -> float:
-        return self.steps * self.eta
 
 
 @dataclass
@@ -138,8 +134,9 @@ def resolve_init(init, dim: int, nseeds: int, seed: int) -> np.ndarray:
 
 def pregenerate_noise(seed: int, nseeds: int, steps: int, dim: int):
     """Per-seed noise as one whole-run block: normals (steps, nseeds, 2, dim)
-    and swap uniforms (steps, nseeds), from each seed's own derived streams;
-    the reference that criterion 2's oracle loop and the tests replay."""
+    and swap uniforms (steps, nseeds), from each seed's own derived streams.
+    Criterion 2's oracle loop replays it, and the kernel's chunked draws from
+    streams of the same keys are tested against it."""
     xi = np.empty((steps, nseeds, 2, dim))
     uswap = np.empty((steps, nseeds))
     slots, swap = pair_streams(seed, nseeds)
@@ -199,12 +196,11 @@ def run_comparison(cfg: SimConfig):
     # swap streams and so never swap, and [n, 2n) the replica pairs; all start
     # at init and draw from each seed's position streams.
     replica, swap = pair_streams(cfg.seed, n)
-    noise = philox_noise(cfg.eta, cfg.steps, 2 * n, f.dimension,
-                         position_streams(cfg.seed, n) + replica, [None] * n + swap)
+    streams = (position_streams(cfg.seed, n) + replica, [None] * n + swap)
     observe, curves = _best_so_far(cfg.steps, cfg.stride, 2 * n)
     t0 = time.perf_counter()
     _, _, swaps = run_pair_ensemble(f, np.concatenate((pair, pair)),
-                                    (cfg.tau1, cfg.tau2), cfg.steps, noise,
+                                    (cfg.tau1, cfg.tau2), cfg.steps, streams,
                                     SwapPolicy(cfg.intensity, cfg.eta), observe=observe)
     wall = time.perf_counter() - t0
     return (_summarize("low-temp", curves[:, :n, 0], cfg.stride, wall_time=wall),
@@ -259,30 +255,33 @@ def discretization_error_experiment(f: ObjectiveFunction, tau1: float, tau2: flo
     elif not (0 < eta_ref < math.inf):
         raise ConfigError(f"eta_ref must be positive and finite, got {eta_ref}")
     ratios = etas / eta_ref
-    if np.any(np.abs(ratios - np.rint(ratios)) > 1e-9):
+    ms = [int(round(r)) for r in ratios]        # sub-steps per coarse step
+    if np.any(np.abs(ratios - np.rint(ratios)) > 1e-9) or min(ms) < 1:
         raise ConfigError("every eta must be an integer multiple of eta_ref")
     n_fine = T / eta_ref
     if abs(n_fine - round(n_fine)) > 1e-9:
         raise ConfigError("horizon T must be an integer number of reference steps")
     n_fine = int(round(n_fine))
-    for eta in etas:
-        if abs(T / eta - round(T / eta)) > 1e-9:
+    if n_fine < 1:
+        raise ConfigError(f"horizon T = {T} is shorter than eta_ref = {eta_ref}")
+    for eta, m in zip(etas, ms):
+        if abs(T / eta - round(T / eta)) > 1e-9 or n_fine % m:
             raise ConfigError(f"T = {T} is not an integer number of steps of eta = {eta}")
 
     d = f.dimension
     x0 = np.broadcast_to(np.reshape(init, (1, 2, -1)), (ensemble, 2, d))
+    policy = SwapPolicy(a, eta_ref)
 
     def coupled_run(m: int):
-        noise = philox_noise(eta_ref, n_fine // m, ensemble, d, *pair_streams(seed), m=m)
-        x, _, _ = run_pair_ensemble(f, x0, (tau1, tau2), n_fine // m, noise,
-                                    SwapPolicy(a, m * eta_ref))
+        x, _, _ = run_pair_ensemble(f, x0, (tau1, tau2), n_fine // m, pair_streams(seed),
+                                    policy, m=m)
         return x[:, 0], x[:, 1]
 
     ref1, ref2 = coupled_run(1)
     mses = np.empty(len(etas))
     stderrs = np.empty(len(etas))
-    for i, eta in enumerate(etas):
-        c1, c2 = coupled_run(int(round(eta / eta_ref)))
+    for i, m in enumerate(ms):
+        c1, c2 = coupled_run(m)
         sq = np.sum((c1 - ref1) ** 2, axis=1) + np.sum((c2 - ref2) ** 2, axis=1)
         mses[i] = sq.mean()
         stderrs[i] = sq.std(ddof=1) / np.sqrt(ensemble)

@@ -2,8 +2,9 @@
 dX = -grad U(X) dt + sqrt(2 tau) dW, and its divergence guard.
 
 The explicit update is x <- x - eta * grad U(x) + sqrt(2 h tau) * xi with
-xi standard normal and h the step the increment was drawn on (h = eta except
-for coarse steps that consume summed fine increments). No Metropolis
+xi the Gaussian increment and h the sub-step it was drawn on: h = eta, except
+on a coarse step of m sub-steps, where eta = m h and xi sums m standard
+normals. No Metropolis
 correction is applied, so large stepsizes can blow up; any coordinate
 exceeding DIVERGENCE_LIMIT (or going non-finite) aborts with DivergenceError.
 The loop that applies the update is ``replica.run_pair_ensemble``; it writes

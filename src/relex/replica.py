@@ -8,11 +8,10 @@ PRE-update positions. Temperature swapping (the discrete algorithm) trades
 the temperatures; position swapping, the distributionally equivalent variant,
 keeps the temperatures and trades the positions.
 
-Noise comes from a source ``noise(k) -> (xi, u, h)`` for steps k = 0, 1, ...:
-the (chains, R, d) Gaussian block, the swap uniforms as one (chains,) row per
-fine sub-step, and the sub-step h they were drawn on (h = eta unless a coarse
-step consumes summed fine increments). ``philox_noise`` builds every source
-the package uses.
+The kernel draws its own noise from the stream rows it is given: Gaussian
+increments and swap uniforms on the sub-step h = ``policy.eta``. A coarse
+step of m sub-steps advances m * h on the sum of their increments and fires
+if any of their m uniforms does.
 """
 
 from __future__ import annotations
@@ -30,11 +29,12 @@ from .objective import ObjectiveFunction
 
 @dataclass(frozen=True)
 class SwapPolicy:
-    """Swap intensity a >= 0 plus the integrator stepsize it is paired with.
+    """Swap intensity a >= 0 plus the stepsize eta (on a coarse run, the sub-step).
 
-    The per-step swap probability is a * eta * s, clamped to [0, 1]. Values
-    of a * eta >= 1 are allowed (the clamp keeps the probability valid) but
-    warned about once, since the nominal probability is then ill-defined.
+    The swap probability per (sub-)step is a * eta * s, clamped to [0, 1].
+    Values of a * eta >= 1 are allowed (the clamp keeps the probability
+    valid) but warned about once, since the nominal probability is then
+    ill-defined.
     """
 
     intensity: float
@@ -113,28 +113,34 @@ def by_temperature(x, T):
     return np.where(low_first, x, x[:, ::-1])
 
 
-def run_pair_ensemble(f: ObjectiveFunction, x0, temps, steps: int, noise,
-                      policy: SwapPolicy, mode: str = "temperature", observe=None):
-    """Advance ``x0`` by ``steps`` Euler-Maruyama steps of ``policy.eta``.
+def run_pair_ensemble(f: ObjectiveFunction, x0, temps, steps: int, streams,
+                      policy: SwapPolicy, mode: str = "temperature", observe=None, m=1):
+    """Advance ``x0`` by ``steps`` Euler-Maruyama steps of ``m * policy.eta``.
 
     ``x0`` has shape (chains, R, d) with R = 1 or 2; ``temps`` broadcasts to
-    (chains, R). Each step makes one ``f.value_and_grad`` call at the
-    pre-update positions; its values feed the swap rate and the observer.
-    The swap branch runs only where a swap can fire: R = 2 and a > 0.
+    (chains, R). ``streams`` is the (slots, swap) pair of ``pair_streams``:
+    one row of R streams per group of chains (the groups split the chains
+    evenly, in order) and one swap stream per group, None for a group that
+    never swaps; ``swap=None`` draws no uniforms, and only a run that cannot
+    swap may pass it. Noise is drawn on the sub-step h = ``policy.eta``; a
+    step of m sub-steps sums their increments and tests all m uniforms.
+    Each step makes one ``f.value_and_grad`` call at the pre-update
+    positions; its values feed the swap rate and the observer. The swap
+    branch runs only where a swap can fire: R = 2 and a > 0.
     ``observe(k, x, T, fx)`` sees the positions x_k, their temperatures and
     their objective values fx = f(x_k) at k = 0..steps; the final values
     cost one extra ``f.eval``, made only when an observer is given. The
     kernel never mutates a ``T`` it has handed over: a temperature swap
     replaces it with a new array, so an observer may cache what it derives
-    from ``T`` until it is handed another object. A noise
-    block of another shape than the positions, or a swapping run whose
-    source gives no uniforms, is an ``InputError``. Returns (positions,
+    from ``T`` until it is handed another object. Returns (positions,
     temperatures, swap counts per chain).
     """
     if mode not in ("temperature", "position"):
         raise InputError(f"unknown swap mode {mode!r}")
     if steps < 1:
         raise InputError(f"steps must be >= 1, got {steps}")
+    if m < 1:
+        raise InputError(f"a step needs m >= 1 sub-steps, got {m}")
     x = np.array(x0, dtype=float)
     if x.ndim != 3 or x.shape[1] not in (1, 2) or x.shape[2] != f.dimension:
         raise InputError(f"positions must have shape (chains, 1 or 2, {f.dimension}), "
@@ -147,28 +153,25 @@ def run_pair_ensemble(f: ObjectiveFunction, x0, temps, steps: int, noise,
     swapping = x.shape[1] == 2 and policy.intensity > 0
     if swapping and not np.all(T > 0):
         raise InputError("temperatures must be positive")
+    slots, swap = streams
+    if swapping and swap is None:
+        raise InputError("a swapping run needs swap streams")
+    draw = _philox_noise(steps, x.shape, slots, swap, m)
     swaps = np.zeros(x.shape[0], dtype=int)
-    eta, h_coef = policy.eta, None
+    h = policy.eta
+    eta = m * h
+    coef = np.sqrt(2.0 * h * T)[..., None]    # em_update's scale; moves with T on a swap
     if swapping:
         gap = _inverse_gap(T[:, 0], T[:, 1])
     for k in range(steps):
         fx, grad = f.value_and_grad(x)
         if observe is not None:
             observe(k, x, T, fx)
-        xi, u, h = noise(k)
-        if np.shape(xi) != x.shape:
-            raise InputError(f"noise block has shape {np.shape(xi)}, positions {x.shape}")
-        if h != h_coef:
-            # em_update's noise scale sqrt(2 h T), kept per slot; it moves
-            # with T when temperatures swap.
-            coef, h_coef = np.sqrt(2.0 * h * T)[..., None], h
-        if swapping:
-            if u is None:
-                raise InputError("a swapping run needs swap uniforms from its noise source")
-            # The one per-step check the swap rate needs: temperatures only
-            # trade places, but a finite x can still have a NaN value.
-            if not np.isfinite(fx).all():
-                raise InputError("objective values in swap rate must be finite")
+        xi, u = draw(k)
+        # The one per-step check the swap rate needs: temperatures only
+        # trade places, but a finite x can still have a NaN value.
+        if swapping and not np.isfinite(fx).all():
+            raise InputError("objective values in swap rate must be finite")
         before, x = x, x - eta * grad + coef * xi   # em_update with the cached scale
         check_finite(x, k + 1, before)
         if swapping:
@@ -187,7 +190,7 @@ def run_pair_ensemble(f: ObjectiveFunction, x0, temps, steps: int, noise,
     return x, T, swaps
 
 
-def pair_snapshots(f: ObjectiveFunction, x0, temps, steps: int, noise,
+def pair_snapshots(f: ObjectiveFunction, x0, temps, steps: int, streams,
                    policy: SwapPolicy, at, mode: str = "temperature"):
     """Pair run that records ``by_temperature(x, T)`` at each step k in
     ``at`` (k = 0 is the start; every k must lie in [0, steps]). Returns
@@ -202,7 +205,7 @@ def pair_snapshots(f: ObjectiveFunction, x0, temps, steps: int, noise,
     def observe(k, x, T, fx):
         if k in rows:
             snaps[rows[k]] = by_temperature(x, T)
-    _, _, swaps = run_pair_ensemble(f, x0, temps, steps, noise, policy, mode, observe)
+    _, _, swaps = run_pair_ensemble(f, x0, temps, steps, streams, policy, mode, observe)
     return snaps, swaps
 
 
@@ -210,23 +213,19 @@ def pair_snapshots(f: ObjectiveFunction, x0, temps, steps: int, noise,
 CHUNK_DRAWS = 1 << 10
 
 
-def philox_noise(h, steps, chains, d, slots, swap=None, m=1):
-    """The noise source of a ``steps``-step kernel run over ``chains`` chains.
-
-    ``slots`` holds one row of R streams per group of chains; the groups split
-    the chains evenly, in order, and slot r of a group draws from stream r of
-    its row. ``swap`` holds one stream per group, or None for a group that
-    never swaps (uniforms 1.0); ``swap=None`` gives no uniforms. Fine rows of
-    sub-step ``h`` come in chunks that stop at the run's last step, as one
-    whole-run draw would. Step k sums fine rows km..km+m-1 and takes their m
-    uniform rows, so every m shares the Brownian path of the same keys.
-    """
+def _philox_noise(steps, shape, slots, swap, m):
+    """``source(k) -> (xi, u)``, the noise of step k of a ``steps``-step run
+    over positions of ``shape`` (chains, R, d) from the streams of
+    ``run_pair_ensemble``. Fine rows come in chunks that stop at the run's
+    last step, as one whole-run draw would. Step k sums fine rows
+    km..km+m-1 and takes their m uniform rows, so every m shares the
+    Brownian path of the same keys."""
+    chains, R, d = shape
     groups = len(slots)
     if groups == 0 or chains % groups:
         raise InputError(f"{chains} chains do not split into {groups} groups")
-    R = len(slots[0])
     if any(len(row) != R for row in slots):
-        raise InputError("every group needs the same number of slot streams")
+        raise InputError(f"every group needs {R} slot streams, one per slot")
     if swap is not None and len(swap) != groups:
         raise InputError(f"{len(swap)} swap streams for {groups} groups")
     per = chains // groups
@@ -235,8 +234,6 @@ def philox_noise(h, steps, chains, d, slots, swap=None, m=1):
 
     def source(k):
         nonlocal xi, u
-        if k >= steps:
-            raise InputError(f"step {k} is past the {steps} steps this noise source has")
         if k % span == 0:
             rows = min(span, steps - k) * m
             xi = np.empty((rows, chains, R, d))
@@ -249,5 +246,5 @@ def philox_noise(h, steps, chains, d, slots, swap=None, m=1):
                     u[:, cols] = swap[g].uniform((rows, per))
         lo = k % span * m
         inc = xi[lo] if m == 1 else xi[lo:lo + m].sum(axis=0)
-        return inc, None if u is None else u[lo:lo + m], h
+        return inc, None if u is None else u[lo:lo + m]
     return source

@@ -1,6 +1,7 @@
 """Tests for config handling and the command-line entry point."""
 
 import string
+import warnings
 
 import numpy as np
 import pytest
@@ -271,6 +272,27 @@ class TestDispatch:
         assert code == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "discerr.csv").exists()
+
+    @pytest.mark.parametrize("items, message", [
+        (["kind=double_well", "horizon=1e-13"], "horizon T = 1e-13 is shorter than eta_ref"),
+        (["eta_ref=1", "etas=1e10"], "T = 1.0 is not an integer number of steps of eta"),
+    ])
+    def test_discerr_zero_steps_is_a_config_error(self, tmp_path, capsys, items, message):
+        args = [arg for item in items for arg in ("--set", item)]
+        code = main(["discerr", *args, "--out", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"relex: config error: {message}")
+        assert not (tmp_path / "discerr.csv").exists()
+
+    def test_discerr_coarse_steps_do_not_warn_of_clamping(self, tmp_path):
+        # a * eta = 30 * 0.04 >= 1, but every swap probability is tested on
+        # the sub-step eta_ref = 0.02 / 16, where a * eta_ref = 0.0375
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["discerr", "--set", "kind=double_well", "--set", "intensity=30",
+                         "--set", "etas=0.04,0.02", "--set", "horizon=0.2",
+                         "--set", "ensemble=50", "--out", str(tmp_path)])
+        assert code == 0
 
     @pytest.mark.parametrize("init", ["uniform:nan,1", "uniform:3,1"])
     def test_bad_uniform_init_exits_2(self, tmp_path, capsys, init):

@@ -17,16 +17,8 @@ from relex.harness import (RunSummary, SimConfig, _best_so_far, _write_rows,
                            run_comparison, write_bestsofar_csv,
                            write_discerr_csv, write_summary_csv)
 from relex.objective import benchmark_mixture, double_well
-from relex.replica import (SwapPolicy, by_temperature, pair_snapshots, philox_noise,
-                           run_pair_ensemble)
+from relex.replica import SwapPolicy, by_temperature, pair_snapshots, run_pair_ensemble
 from relex.rng import RngStream, pair_streams
-
-
-def block_source(seed, nseeds, steps, dim, h):
-    """Reference noise: the kernel source over ``pregenerate_noise``'s
-    whole-run block."""
-    xi, u = pregenerate_noise(seed, nseeds, steps, dim)
-    return lambda k: (xi[k], u[k:k + 1], h)
 
 
 def small_config(**overrides):
@@ -42,7 +34,7 @@ def small_config(**overrides):
 class TestSimConfig:
     def test_valid(self):
         cfg = small_config()
-        assert cfg.horizon == pytest.approx(2.0)
+        assert (cfg.steps, cfg.eta, cfg.ensemble) == (200, 0.01, 4)
 
     @pytest.mark.parametrize("overrides", [
         dict(tau1=-0.1),
@@ -155,11 +147,10 @@ class TestRunComparison:
         summaries = run_comparison(cfg)
         f = build_objective(cfg.objective)
         init = resolve_init(cfg.init, 2, 5, cfg.seed)
-        noise = block_source(cfg.seed, 5, 120, 2, cfg.eta)
         for summary, intensity, slot in zip(summaries, (0.0, 0.0, cfg.intensity),
                                             (0, 1, 0)):
             traj, _ = pair_snapshots(f, np.stack((init, init), axis=1),
-                                     (cfg.tau1, cfg.tau2), 120, noise,
+                                     (cfg.tau1, cfg.tau2), 120, pair_streams(cfg.seed, 5),
                                      SwapPolicy(intensity, cfg.eta), range(121))
             best = np.minimum.accumulate(f.eval(traj[:, :, slot]), axis=0)
             assert np.array_equal(summary.best_curves, best[::6].T)
@@ -183,8 +174,7 @@ class TestRunComparison:
             if k % stride == 0:
                 want.append(best.copy())
         _, _, swaps = run_pair_ensemble(
-            f, np.full((n, 2, 2), 2.0), (0.1, 1.0), steps,
-            philox_noise(0.01, steps, n, 2, *pair_streams(4, n)),
+            f, np.full((n, 2, 2), 2.0), (0.1, 1.0), steps, pair_streams(4, n),
             SwapPolicy(intensity, 0.01), mode, observe=both)
         assert (swaps.sum() > 30) == (intensity > 0)
         assert np.array_equal(curves, want)
@@ -197,16 +187,16 @@ class TestRunComparison:
         pair = np.stack((init, init), axis=1)
         baseline, _ = pair_streams(cfg.seed, n)
         replica, swap = pair_streams(cfg.seed, n)
-        noise = philox_noise(cfg.eta, steps, 2 * n, 2, baseline + replica, [None] * n + swap)
         observe, fused = _best_so_far(steps, 1, 2 * n)
         x, T, swaps = run_pair_ensemble(f, np.concatenate((pair, pair)),
-                                        (cfg.tau1, cfg.tau2), steps, noise,
+                                        (cfg.tau1, cfg.tau2), steps,
+                                        (baseline + replica, [None] * n + swap),
                                         SwapPolicy(cfg.intensity, cfg.eta), observe=observe)
         assert swaps[:n].sum() == 0 and swaps[n:].sum() > 0
         for half, intensity in ((slice(0, n), 0.0), (slice(n, 2 * n), cfg.intensity)):
             observe, alone = _best_so_far(steps, 1, n)
             x1, T1, swaps1 = run_pair_ensemble(f, pair, (cfg.tau1, cfg.tau2), steps,
-                                               block_source(cfg.seed, n, steps, 2, cfg.eta),
+                                               pair_streams(cfg.seed, n),
                                                SwapPolicy(intensity, cfg.eta),
                                                observe=observe)
             assert np.array_equal(fused[:, half], alone)
@@ -289,6 +279,11 @@ class TestDiscretizationExperiment:
         (0.2, (0.02, 0.01), 0.0, "eta_ref must be positive"),
         (0.2, (0.02, 0.01), -0.001, "eta_ref must be positive"),
         (0.2, (0.02, 0.01), math.inf, "eta_ref must be positive"),
+        # T / eta_ref and T / eta lie within 1e-9 of 0: no step to run
+        (1e-13, (0.02, 0.01), None, r"horizon T = 1e-13 is shorter than eta_ref"),
+        (1.0, (1e10,), 1.0, "not an integer number of steps of eta = 10000000000.0"),
+        # eta / eta_ref lies within 1e-9 of the multiple 0
+        (1.0, (1e-10,), 1.0, "integer multiple of eta_ref"),
     ])
     def test_bad_horizon_or_stepsizes_rejected(self, T, etas, eta_ref, message):
         with pytest.raises(ConfigError, match=message):

@@ -7,7 +7,7 @@ import pytest
 from relex.errors import DivergenceError, InputError
 from relex.langevin import DIVERGENCE_LIMIT, check_finite, em_update
 from relex.objective import double_well, quadratic
-from relex.replica import SwapPolicy, philox_noise, run_pair_ensemble
+from relex.replica import SwapPolicy, run_pair_ensemble
 from relex.rng import PURPOSE_POS1, derive_stream, pair_streams
 
 
@@ -15,7 +15,7 @@ def run_chains(init, f, tau, eta, steps, rng, observe=None):
     """Independent single chains from ``init`` (n, d); returns (n, d)."""
     init = np.asarray(init, dtype=float)
     x, _, _ = run_pair_ensemble(f, init[:, None], tau, steps,
-                                philox_noise(eta, steps, *init.shape, [[rng]]),
+                                ([[rng]], None),
                                 SwapPolicy(0.0, eta), observe=observe)
     return x[:, 0]
 
@@ -92,7 +92,7 @@ class TestLangevinStep:
         x0[1, 1] = 1.0
         with pytest.raises(DivergenceError) as err:
             run_pair_ensemble(f, x0, 0.0, 1000,
-                              philox_noise(3.0, 1000, 3, 1, pair_streams(0)[0]),
+                              (pair_streams(0)[0], None),
                               SwapPolicy(0.0, 3.0))
         e = err.value
         assert (e.iteration, e.chain, e.slot) == (40, 1, 1)
@@ -163,6 +163,6 @@ class TestRunEnsemble:
         f = quadratic(2)
         policy = SwapPolicy(0.0, 0.1)
         for x0 in (np.zeros((4, 1, 3)), np.zeros((4, 2)), np.zeros((4, 3, 2))):
-            noise = philox_noise(0.1, 10, 4, 2, [[derive_stream(0, PURPOSE_POS1)]])
             with pytest.raises(InputError):
-                run_pair_ensemble(f, x0, 1.0, 10, noise, policy)
+                run_pair_ensemble(f, x0, 1.0, 10, ([[derive_stream(0, PURPOSE_POS1)]], None),
+                                  policy)

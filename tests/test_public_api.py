@@ -21,10 +21,10 @@ PUBLIC = [
     "benchmark_mixture", "build_gaussian_mixture", "build_objective",
     "check_gradient", "chi2_decay_experiment", "chi_square_divergence",
     "derive_stream", "dirichlet_acceleration_term",
-    "discretization_error_experiment", "double_well", "em_update",
+    "discretization_error_experiment", "double_well",
     "empirical_histogram", "gibbs_density", "kappa_sweep",
     "pair_gibbs_density", "quadratic", "run_comparison", "run_pair_ensemble",
-    "swap_probability", "swap_rate", "total_variation",
+    "swap_rate", "total_variation",
 ]
 
 
