@@ -114,7 +114,7 @@ def criterion_4_chi2_acceleration():
         tau1=0.1, tau2=1.0, eta=0.001, ensemble=2000,
         sample_times=np.arange(1, 11) * 0.1,
         bounds=np.array([[-3.0, 3.0]]), resolution=16,
-        seed=4, init=(1.0, -1.0), fit_floor=0.5,
+        seed=4, fit_floor=0.5,
     )
     fit0 = chi2_decay_experiment(f, a=0.0, **kwargs)
     fit5 = chi2_decay_experiment(f, a=5.0, **kwargs)
@@ -179,7 +179,7 @@ def criterion_6_discretization_slope():
     f = double_well()
     result = discretization_error_experiment(
         f, tau1=0.1, tau2=1.0, a=1.0, etas=(0.04, 0.02, 0.01, 0.005),
-        T=1.0, ensemble=500, seed=6, init=(1.0, -1.0))
+        T=1.0, ensemble=500, seed=6)
     monotone = bool(np.all(np.diff(result.mse) < 0))   # etas are descending
     slope_ok = 0.7 <= result.slope <= 1.3
     mse_str = ", ".join(f"{m:.3e}" for m in result.mse)

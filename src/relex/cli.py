@@ -256,6 +256,8 @@ def cmd_chi2(cfg, out_flag) -> int:
                           f"got {cfg['diagnostics']['bounds']!r}")
     times = np.asarray(_get_floats(cfg, "diagnostics", "sample_times"))
     intensity = _get_float(cfg, "dynamics", "intensity")
+    if intensity < 0:
+        raise ConfigError(f"dynamics.intensity must be nonnegative, got {intensity:g}")
     fits = {}
     for a in (0.0, intensity) if intensity > 0 else (0.0,):
         fits[a] = chi2_decay_experiment(

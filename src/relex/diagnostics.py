@@ -21,6 +21,7 @@ from .rng import pair_streams
 
 PI_FLOOR = 1e-12
 BOUNDARY_MASS_LIMIT = 1e-6
+N_BOOTSTRAP = 40    # chain resamples behind a decay fit's standard errors
 
 
 @dataclass
@@ -183,16 +184,16 @@ def _chi2_of_points(points, pi: GridMeasure) -> float:
 def chi2_decay_experiment(f: ObjectiveFunction, tau1: float, tau2: float,
                           a: float, eta: float, ensemble: int, sample_times,
                           bounds, resolution: int, seed: int,
-                          init=(1.0, -1.0), fit_floor: float = 0.01,
-                          n_bootstrap: int = 40) -> DecayFit:
+                          fit_floor: float = 0.01) -> DecayFit:
     """Estimate the chi-square decay of the pair law toward the pair Gibbs
-    measure from an ensemble of replica pairs started at a point mass.
+    measure from an ensemble of replica pairs started at the point (1, -1).
 
     The pair state is tracked in (low-temperature coordinate, high-temperature
     coordinate) order. log chi2 is fitted by least squares over the sample
     times where chi2 exceeds ``fit_floor``; ``rate`` is the fitted decay rate
     (positive means decaying). Bootstrap resampling over chains supplies
-    per-time chi2 standard errors and a standard error for the rate.
+    per-time chi2 standard errors and a standard error for the rate, from
+    N_BOOTSTRAP resamples.
     """
     if f.dimension != 1:
         raise InputError("chi-square decay experiment requires a 1-D objective")
@@ -210,15 +211,15 @@ def chi2_decay_experiment(f: ObjectiveFunction, tau1: float, tau2: float,
 
     times = sample_steps * eta
     steps = int(sample_steps[-1])
-    x0 = np.broadcast_to(np.reshape(init, (1, 2, 1)), (ensemble, 2, 1))
+    x0 = np.broadcast_to(np.reshape((1.0, -1.0), (1, 2, 1)), (ensemble, 2, 1))
     snaps, _ = pair_snapshots(f, x0, (tau1, tau2), steps, pair_streams(seed),
                               policy, sample_steps.tolist(), mode="position")
     pair_points = snaps[:, :, :, 0]
     chi2 = np.array([_chi2_of_points(pts, pi) for pts in pair_points])
 
     boot_rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0xB007], dtype=np.uint64)))
-    boot = np.empty((n_bootstrap, len(times)))
-    for b in range(n_bootstrap):
+    boot = np.empty((N_BOOTSTRAP, len(times)))
+    for b in range(N_BOOTSTRAP):
         idx = boot_rng.integers(0, ensemble, size=ensemble)
         boot[b] = [_chi2_of_points(pts[idx], pi) for pts in pair_points]
     bootstrap_std = boot.std(axis=0, ddof=1)
@@ -233,7 +234,7 @@ def chi2_decay_experiment(f: ObjectiveFunction, tau1: float, tau2: float,
 
     rate = fit_rate(chi2)
     boot_rates = []
-    for b in range(n_bootstrap):
+    for b in range(N_BOOTSTRAP):
         try:
             boot_rates.append(fit_rate(boot[b]))
         except FitError:

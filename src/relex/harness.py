@@ -21,9 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError
-from .objective import (DEFAULT_CENTERS, DEFAULT_WEIGHTS, GaussianMixtureSpec,
-                        ObjectiveFunction, build_gaussian_mixture, double_well,
-                        quadratic)
+from .objective import ObjectiveFunction, benchmark_mixture, double_well, quadratic
 from .replica import SwapPolicy, by_temperature, run_pair_ensemble
 from .rng import PURPOSE_INIT, derive_stream, pair_streams, position_streams
 
@@ -87,29 +85,17 @@ class DiscretizationResult:
 
 def build_objective(obj_cfg: dict) -> ObjectiveFunction:
     """Construct the objective named by a config section."""
+    factories = {"gaussian_mixture": benchmark_mixture, "double_well": double_well,
+                 "quadratic": quadratic}
     cfg = dict(obj_cfg)
     kind = cfg.pop("kind", "gaussian_mixture")
-    cfg.pop("kappas", None)   # sweep list, consumed by kappa_sweep
-    if kind == "gaussian_mixture":
-        centers = np.asarray(cfg.pop("centers", DEFAULT_CENTERS), dtype=float)
-        weights = np.asarray(cfg.pop("weights", DEFAULT_WEIGHTS), dtype=float)
-        kappa = float(cfg.pop("kappa", 0.1))
-        confinement = float(cfg.pop("confinement", 0.0))
-        if cfg:
-            raise ConfigError(f"unknown objective keys: {sorted(cfg)}")
-        return build_gaussian_mixture(
-            GaussianMixtureSpec(centers, weights, kappa, confinement)
-        )
-    if kind == "double_well":
-        if cfg:
-            raise ConfigError(f"unknown objective keys: {sorted(cfg)}")
-        return double_well()
-    if kind == "quadratic":
-        dim = int(cfg.pop("dim", 2))
-        if cfg:
-            raise ConfigError(f"unknown objective keys: {sorted(cfg)}")
-        return quadratic(dim)
-    raise ConfigError(f"unknown objective kind {kind!r}")
+    if kind not in factories:
+        raise ConfigError(f"unknown objective kind {kind!r}")
+    args = ((float(cfg.pop("kappa", 0.1)), float(cfg.pop("confinement", 0.0)))
+            if kind == "gaussian_mixture" else ())
+    if cfg:
+        raise ConfigError(f"unknown objective keys: {sorted(cfg)}")
+    return factories[kind](*args)
 
 
 def resolve_init(init, dim: int, nseeds: int, seed: int) -> np.ndarray:
@@ -229,9 +215,9 @@ def kappa_sweep(kappas: Sequence[float], base: SimConfig):
 def discretization_error_experiment(f: ObjectiveFunction, tau1: float, tau2: float,
                                     a: float, etas: Sequence[float], T: float,
                                     ensemble: int, seed: int,
-                                    eta_ref: float | None = None,
-                                    init=(1.0, -1.0)) -> DiscretizationResult:
-    """Coupled coarse-vs-fine mean squared error at time T.
+                                    eta_ref: float | None = None) -> DiscretizationResult:
+    """Coupled coarse-vs-fine mean squared error at time T of pairs started
+    at (1, -1).
 
     Every run draws its fine-grid Gaussian increments and swap uniforms from
     freshly derived streams of the same keys, so all runs share one Brownian
@@ -248,8 +234,8 @@ def discretization_error_experiment(f: ObjectiveFunction, tau1: float, tau2: flo
     etas = np.asarray(sorted(etas, reverse=True), dtype=float)
     if etas.size == 0:
         raise ConfigError("need at least one stepsize")
-    if np.any(etas <= 0):
-        raise ConfigError("all stepsizes must be positive")
+    if not np.all(np.isfinite(etas) & (etas > 0)):
+        raise ConfigError("all stepsizes must be positive and finite")
     if eta_ref is None:
         eta_ref = float(etas.min()) / 16.0
     elif not (0 < eta_ref < math.inf):
@@ -269,7 +255,7 @@ def discretization_error_experiment(f: ObjectiveFunction, tau1: float, tau2: flo
             raise ConfigError(f"T = {T} is not an integer number of steps of eta = {eta}")
 
     d = f.dimension
-    x0 = np.broadcast_to(np.reshape(init, (1, 2, -1)), (ensemble, 2, d))
+    x0 = np.broadcast_to(np.reshape((1.0, -1.0), (1, 2, -1)), (ensemble, 2, d))
     policy = SwapPolicy(a, eta_ref)
 
     def coupled_run(m: int):

@@ -1,15 +1,14 @@
 """The Euler-Maruyama update for the overdamped Langevin diffusion
 dX = -grad U(X) dt + sqrt(2 tau) dW, and its divergence guard.
 
-The explicit update is x <- x - eta * grad U(x) + sqrt(2 h tau) * xi with
-xi the Gaussian increment and h the sub-step it was drawn on: h = eta, except
-on a coarse step of m sub-steps, where eta = m h and xi sums m standard
-normals. No Metropolis
-correction is applied, so large stepsizes can blow up; any coordinate
-exceeding DIVERGENCE_LIMIT (or going non-finite) aborts with DivergenceError.
-The loop that applies the update is ``replica.run_pair_ensemble``; it writes
-the update out with the noise scale cached per slot, and ``em_update`` stays
-the reference form (criterion 2 checks the loop against it bit for bit).
+The explicit update is x <- x - eta * grad U(x) + sqrt(2 eta tau) * xi with
+xi a standard-normal increment. No Metropolis correction is applied, so large
+stepsizes can blow up; any coordinate exceeding DIVERGENCE_LIMIT (or going
+non-finite) aborts with DivergenceError. The loop that applies the update is
+``replica.run_pair_ensemble``; it writes the update out with the noise scale
+cached per slot (on a coarse step of m sub-steps h, eta = m h and the scale
+is sqrt(2 h tau) on the sum of m increments), and ``em_update`` stays the
+reference form (criterion 2 checks the loop against it bit for bit).
 """
 
 from __future__ import annotations
@@ -21,14 +20,13 @@ from .errors import DivergenceError
 DIVERGENCE_LIMIT = 1e12
 
 
-def em_update(position, gradient, temperature, eta, xi, h=None):
+def em_update(position, gradient, temperature, eta, xi):
     """One explicit Euler-Maruyama update; vectorized over leading axes.
 
     ``temperature`` may be a scalar or a per-chain array broadcast against
-    the position's leading axes. ``h`` is the step the Gaussian increment
-    ``xi`` was drawn on; it defaults to ``eta``.
+    the position's leading axes.
     """
-    coef = np.sqrt(2.0 * (eta if h is None else h) * np.asarray(temperature, dtype=float))
+    coef = np.sqrt(2.0 * eta * np.asarray(temperature, dtype=float))
     if np.ndim(coef) > 0:
         coef = coef[..., None]
     return position - eta * gradient + coef * xi

@@ -30,25 +30,13 @@ class ObjectiveFunction:
     """A scalar field on R^d with an analytic gradient.
 
     ``value_and_grad(x)`` returns ``(eval(x), grad(x))``, bit for bit, from
-    one pass over whatever the two share; without one, it calls ``eval`` and
-    ``grad`` in turn."""
+    one pass over whatever the two share."""
 
     dimension: int
     eval: Callable[[np.ndarray], np.ndarray]
     grad: Callable[[np.ndarray], np.ndarray]
+    value_and_grad: Callable[[np.ndarray], tuple]
     name: str = "objective"
-    value_and_grad: Callable[[np.ndarray], tuple] | None = None
-
-    def __post_init__(self):
-        # A fallback is rebuilt on every construction, so replacing eval or
-        # grad (dataclasses.replace) never leaves it calling the old ones.
-        if self.value_and_grad is None or getattr(self.value_and_grad, "separate", False):
-            eval_fn, grad_fn = self.eval, self.grad
-
-            def value_and_grad(x):
-                return eval_fn(x), grad_fn(x)
-            value_and_grad.separate = True
-            object.__setattr__(self, "value_and_grad", value_and_grad)
 
 
 @dataclass(frozen=True)
@@ -172,12 +160,11 @@ def build_gaussian_mixture(spec: GaussianMixtureSpec) -> ObjectiveFunction:
     )
 
 
-def benchmark_mixture(kappa: float, weights=None, confinement: float = 0.0) -> ObjectiveFunction:
+def benchmark_mixture(kappa: float, confinement: float = 0.0) -> ObjectiveFunction:
     """The standard 25-center benchmark on the 5x5 integer grid with the
     default ascending weight vector."""
-    w = DEFAULT_WEIGHTS if weights is None else np.asarray(weights, dtype=float)
-    spec = GaussianMixtureSpec(DEFAULT_CENTERS, w, kappa, confinement)
-    return build_gaussian_mixture(spec)
+    return build_gaussian_mixture(
+        GaussianMixtureSpec(DEFAULT_CENTERS, DEFAULT_WEIGHTS, kappa, confinement))
 
 
 def quadratic(dim: int = 2, scale: float = 0.5) -> ObjectiveFunction:
@@ -216,11 +203,11 @@ def double_well() -> ObjectiveFunction:
                              name="double_well", value_and_grad=value_and_grad)
 
 
-def check_gradient(f: ObjectiveFunction, point, step: float = 1e-6) -> float:
-    """Max over coordinates of |analytic - central difference| / (1 + |analytic|)."""
+def check_gradient(f: ObjectiveFunction, point) -> float:
+    """Max over coordinates of |analytic - central difference| / (1 + |analytic|),
+    with central differences of step 1e-6."""
+    step = 1e-6
     point = np.asarray(point, dtype=float)
-    if not (step > 0):
-        raise InputError(f"step must be positive, got {step}")
     if not np.all(np.isfinite(point)):
         raise InputError("point must be finite")
     analytic = np.asarray(f.grad(point), dtype=float)

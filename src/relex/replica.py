@@ -69,21 +69,14 @@ def swap_rate(u1, u2, tau1, tau2):
         raise InputError("objective values in swap rate must be finite")
     if not (np.all(tau1 > 0) and np.all(tau2 > 0)):
         raise InputError("temperatures must be positive")
-    out = _rate_at_gap(_inverse_gap(tau1, tau2), u1, u2)
+    out = _rate(tau1, tau2, u1, u2)
     return out if out.ndim else float(out)
 
 
-def _inverse_gap(tau1, tau2):
-    """1/tau1 - 1/tau2; exchanging the temperatures exactly negates it,
-    since IEEE subtraction is sign-symmetric."""
+def _rate(tau1, tau2, u1, u2):
+    """swap_rate without its checks."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return 1.0 / tau1 - 1.0 / tau2
-
-
-def _rate_at_gap(gap, u1, u2):
-    """exp(min(0, gap * (u1 - u2))) for the inverse-temperature gap."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        expo = gap * (u1 - u2)
+        expo = (1.0 / tau1 - 1.0 / tau2) * (u1 - u2)
     # Overflowing reciprocals make inf * 0 or inf - inf, i.e. NaN, exactly at
     # equal values or at temperatures too small to tell apart; fmin maps NaN
     # to exponent 0, rate 1, and equals minimum everywhere else.
@@ -95,15 +88,18 @@ def swap_probability(rate, intensity, h):
     return np.minimum(1.0, intensity * h * np.asarray(rate, float))
 
 
-def _fired(u, gap, fx, intensity, h):
-    """Chains with a uniform in u (m, chains) below the swap probability at values fx
-    (chains, 2). As fl(a h s) <= a h for s <= 1, only those below min(1, a h) get a rate."""
+def _fired(u, T, fx, intensity, h):
+    """Chains with a uniform in u (m, chains) below the swap probability at
+    temperatures T and values fx (chains, 2). As fl(a h s) <= a h for s <= 1,
+    only those below min(1, a h) get a rate."""
     low = u[0] if len(u) == 1 else u.min(axis=0)
     cand = (low < min(1.0, intensity * h)).nonzero()[0]
     if cand.size == 0:
         return cand
-    rate = _rate_at_gap(gap[cand], fx[cand, 0], fx[cand, 1])
-    return cand[(u[:, cand] < swap_probability(rate, intensity, h)).any(axis=0)]
+    # take gathers the candidates' rows in a third of fancy indexing's time
+    tc, fc = T.take(cand, 0), fx.take(cand, 0)
+    rate = _rate(tc[:, 0], tc[:, 1], fc[:, 0], fc[:, 1])
+    return cand[(u.take(cand, 1) < swap_probability(rate, intensity, h)).any(axis=0)]
 
 
 def by_temperature(x, T):
@@ -161,8 +157,6 @@ def run_pair_ensemble(f: ObjectiveFunction, x0, temps, steps: int, streams,
     h = policy.eta
     eta = m * h
     coef = np.sqrt(2.0 * h * T)[..., None]    # em_update's scale; moves with T on a swap
-    if swapping:
-        gap = _inverse_gap(T[:, 0], T[:, 1])
     for k in range(steps):
         fx, grad = f.value_and_grad(x)
         if observe is not None:
@@ -175,13 +169,12 @@ def run_pair_ensemble(f: ObjectiveFunction, x0, temps, steps: int, streams,
         before, x = x, x - eta * grad + coef * xi   # em_update with the cached scale
         check_finite(x, k + 1, before)
         if swapping:
-            fired = _fired(u, gap, fx, policy.intensity, h)
+            fired = _fired(u, T, fx, policy.intensity, h)
             if fired.size:
                 if mode == "temperature":
                     T = T.copy()                # the observer may hold the old T
                     T[fired] = T[fired, ::-1]
                     coef[fired] = coef[fired, ::-1]
-                    gap[fired] = -gap[fired]
                 else:
                     x[fired] = x[fired, ::-1]   # x is this step's fresh array
                 swaps[fired] += 1

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-_MASK64 = (1 << 64) - 1
+from .errors import InputError
 
 # Purpose ids used to derive per-role stream ids from one root seed.
 PURPOSE_POS1 = 1   # position noise of the first (low-temperature) particle
@@ -26,32 +26,29 @@ PURPOSE_INIT = 4   # randomized initial positions
 class RngStream:
     """A replayable Gaussian/uniform stream identified by (seed, stream id).
 
-    ``counter`` counts scalar draws consumed so far; it is bookkeeping only,
+    ``counter`` counts the numbers drawn so far; it is bookkeeping only,
     the underlying Philox state advances with each draw.
     """
 
     def __init__(self, seed: int, stream_id: int = 0):
-        self.seed = int(seed) & _MASK64
-        self.stream_id = int(stream_id) & _MASK64
+        self.seed, self.stream_id = int(seed), int(stream_id)
+        # A Philox key is two 64-bit words; masking would alias other seeds.
+        for what, value in (("seed", self.seed), ("stream id", self.stream_id)):
+            if not 0 <= value < 1 << 64:
+                raise InputError(f"{what} must lie in [0, 2**64), got {value}")
         self.counter = 0
         self._gen = np.random.Generator(
             np.random.Philox(key=np.array([self.seed, self.stream_id], dtype=np.uint64))
         )
 
-    def normal(self, shape=None):
-        """Standard-normal draws; scalar if shape is None."""
-        if shape is None:
-            self.counter += 1
-            return self._gen.standard_normal()
+    def normal(self, shape):
+        """An array of standard-normal draws."""
         out = self._gen.standard_normal(shape)
         self.counter += out.size
         return out
 
-    def uniform(self, shape=None):
-        """Uniform(0, 1) draws; scalar if shape is None."""
-        if shape is None:
-            self.counter += 1
-            return self._gen.random()
+    def uniform(self, shape):
+        """An array of Uniform(0, 1) draws."""
         out = self._gen.random(shape)
         self.counter += out.size
         return out

@@ -225,6 +225,17 @@ class TestDispatch:
         assert code == 2
         assert "config error" in capsys.readouterr().err
 
+    def test_chi2_rejects_negative_intensity_before_any_run(self, tmp_path, capsys,
+                                                            monkeypatch):
+        runs = []
+        monkeypatch.setattr("relex.cli.chi2_decay_experiment", lambda *a, **k: runs.append(a))
+        code = main(["chi2", "--set", "kind=double_well", "--set", "ensemble=1000",
+                     "--set", "intensity=-1", "--out", str(tmp_path)])
+        assert code == 2 and runs == []
+        assert capsys.readouterr().err == (
+            "relex: config error: dynamics.intensity must be nonnegative, got -1\n")
+        assert not (tmp_path / "chi2decay.csv").exists()
+
     @pytest.mark.parametrize("times, message", [
         ("-3,-2,-1", "sample times must be positive and finite"),
         ("0.0001,0.0002,0.0003,0.0004", "sample times must be strictly increasing"),
@@ -337,3 +348,13 @@ class TestDispatch:
         l1 = (out1 / "summary.csv").read_text().splitlines()[0]
         l2 = (out2 / "summary.csv").read_text().splitlines()[0]
         assert "dynamics.seed=1" in l1 and "dynamics.seed=2" in l2
+
+    @pytest.mark.parametrize("seed", ["18446744073709551616", "-1"])
+    def test_seed_outside_64_bits_exits_2(self, tmp_path, capsys, seed):
+        # 2**64 would alias seed 0, and -1 seed 2**64 - 1
+        code = main(["compare", "--set", "steps=100", "--set", "ensemble=2",
+                     "--seed", seed, "--out", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"relex: error: seed must lie in [0, 2**64), got {seed}\n")
+        assert not list(tmp_path.iterdir())

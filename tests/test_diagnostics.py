@@ -170,7 +170,7 @@ class TestDecayExperiment:
         fit = chi2_decay_experiment(
             double_well(), 0.1, 1.0, a=5.0, eta=0.001, ensemble=1000,
             sample_times=np.arange(1, 7) * 0.05, bounds=[[-3.0, 3.0]],
-            resolution=12, seed=11, fit_floor=0.2, n_bootstrap=10)
+            resolution=12, seed=11, fit_floor=0.2)
         assert fit.times.shape == fit.chi2.shape == fit.bootstrap_std.shape
         assert np.all(fit.chi2 >= 0)
         assert fit.chi2[0] > fit.chi2[-1]   # point mass relaxes

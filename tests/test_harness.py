@@ -72,13 +72,17 @@ class TestBuildObjective:
     def test_known_kinds(self):
         assert build_objective({"kind": "gaussian_mixture", "kappa": 0.2}).dimension == 2
         assert build_objective({"kind": "double_well"}).dimension == 1
-        assert build_objective({"kind": "quadratic", "dim": 3}).dimension == 3
+        assert build_objective({"kind": "quadratic"}).dimension == 2
 
     def test_unknown_kind_and_keys(self):
         with pytest.raises(ConfigError):
             build_objective({"kind": "rosenbrock"})
         with pytest.raises(ConfigError):
             build_objective({"kind": "double_well", "bogus": 1})
+        # the quadratic is 2-D, and the sweep list is not an objective key
+        for cfg in ({"kind": "quadratic", "dim": 3}, {"kappa": 0.1, "kappas": [0.1]}):
+            with pytest.raises(ConfigError, match="unknown objective keys"):
+                build_objective(cfg)
 
 
 class TestResolveInit:
@@ -258,7 +262,7 @@ class TestDiscretizationExperiment:
         # coupled MSE falls like eta^2 (Kloeden & Platen)
         res = discretization_error_experiment(double_well(), 0.1, 1.0, 0.0,
                                               (0.04, 0.02, 0.01, 0.005), 1.0, 500,
-                                              seed=6, init=(1.0, -1.0))
+                                              seed=6)
         assert np.all(np.diff(res.mse) < 0)
         assert 1.8 <= res.slope <= 2.8
 
@@ -276,6 +280,8 @@ class TestDiscretizationExperiment:
         (math.inf, (0.02, 0.01), None, "horizon T must be positive"),
         (math.nan, (0.02, 0.01), None, "horizon T must be positive"),
         (0.2, (), None, "at least one stepsize"),
+        (0.2, (math.inf, 0.01), None, "positive and finite"),
+        (0.2, (0.02, math.nan), None, "positive and finite"),
         (0.2, (0.02, 0.01), 0.0, "eta_ref must be positive"),
         (0.2, (0.02, 0.01), -0.001, "eta_ref must be positive"),
         (0.2, (0.02, 0.01), math.inf, "eta_ref must be positive"),

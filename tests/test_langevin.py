@@ -42,13 +42,6 @@ class TestEmUpdate:
         assert np.allclose(out[:, 0], np.sqrt(2 * 0.1 * temps))
         assert np.allclose(out[:, 1], np.sqrt(2 * 0.1 * temps))
 
-    def test_noise_step_scales_only_the_noise(self):
-        pos = np.array([1.0, -2.0])
-        grad = np.array([0.5, 0.5])
-        xi = np.array([1.0, -1.0])
-        out = em_update(pos, grad, 2.0, eta=0.4, xi=xi, h=0.1)
-        assert np.array_equal(out, pos - 0.4 * grad + np.sqrt(2.0 * 0.1 * 2.0) * xi)
-
 
 class TestLangevinStep:
     def test_noise_replay_reproduces_step(self):

@@ -1,9 +1,11 @@
-"""The public surface: ``relex.__all__`` is pinned, so growing or shrinking it
-is a deliberate, reviewed diff of this list. The runtime dependencies are
-pinned too: the package imports only the standard library and numpy. The
-README's library example runs as written."""
+"""The public surface: ``relex.__all__`` and the parameter names of every
+public callable are pinned, so a new name or a new knob is a deliberate,
+reviewed diff of the table below. The runtime dependencies are pinned too:
+the package imports only the standard library and numpy. The README's
+library example runs as written."""
 
 import ast
+import inspect
 import pathlib
 import re
 import sys
@@ -14,22 +16,62 @@ import relex
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
-PUBLIC = [
-    "ConfigError", "DecayFit", "DivergenceError", "FitError",
-    "GaussianMixtureSpec", "GridMeasure", "InputError", "ObjectiveFunction",
-    "RelexError", "RngStream", "RunSummary", "SimConfig", "SwapPolicy",
-    "benchmark_mixture", "build_gaussian_mixture", "build_objective",
-    "check_gradient", "chi2_decay_experiment", "chi_square_divergence",
-    "derive_stream", "dirichlet_acceleration_term",
-    "discretization_error_experiment", "double_well",
-    "empirical_histogram", "gibbs_density", "kappa_sweep",
-    "pair_gibbs_density", "quadratic", "run_comparison", "run_pair_ensemble",
-    "swap_rate", "total_variation",
-]
+# Every public name with its parameter names in order; None for an exception
+# class that keeps Exception's own constructor.
+SIGNATURES = {
+    "ConfigError": None,
+    "DecayFit": ("times", "chi2", "rate", "bootstrap_std", "rate_std"),
+    "DivergenceError": ("message", "iteration", "chain", "slot", "position"),
+    "FitError": None,
+    "GaussianMixtureSpec": ("centers", "weights", "kappa", "confinement"),
+    "GridMeasure": ("bounds", "resolution", "mass", "overflow"),
+    "InputError": None,
+    "ObjectiveFunction": ("dimension", "eval", "grad", "value_and_grad", "name"),
+    "RelexError": None,
+    "RngStream": ("seed", "stream_id"),
+    "RunSummary": ("algorithm", "iterations", "best_curves", "median", "q25", "q75",
+                   "final_best", "swap_counts", "wall_time"),
+    "SimConfig": ("objective", "tau1", "tau2", "intensity", "eta", "steps", "ensemble",
+                  "seed", "init", "stride"),
+    "SwapPolicy": ("intensity", "eta"),
+    "benchmark_mixture": ("kappa", "confinement"),
+    "build_gaussian_mixture": ("spec",),
+    "build_objective": ("obj_cfg",),
+    "check_gradient": ("f", "point"),
+    "chi2_decay_experiment": ("f", "tau1", "tau2", "a", "eta", "ensemble", "sample_times",
+                              "bounds", "resolution", "seed", "fit_floor"),
+    "chi_square_divergence": ("mu", "pi"),
+    "derive_stream": ("seed", "purpose", "chain"),
+    "dirichlet_acceleration_term": ("f_test", "f", "tau1", "tau2", "a", "pair_pi"),
+    "discretization_error_experiment": ("f", "tau1", "tau2", "a", "etas", "T", "ensemble",
+                                        "seed", "eta_ref"),
+    "double_well": (),
+    "empirical_histogram": ("positions", "bounds", "resolution"),
+    "gibbs_density": ("f", "tau", "bounds", "resolution"),
+    "kappa_sweep": ("kappas", "base"),
+    "pair_gibbs_density": ("f", "tau1", "tau2", "bounds", "resolution"),
+    "quadratic": ("dim", "scale"),
+    "run_comparison": ("cfg",),
+    "run_pair_ensemble": ("f", "x0", "temps", "steps", "streams", "policy", "mode",
+                          "observe", "m"),
+    "swap_rate": ("u1", "u2", "tau1", "tau2"),
+    "total_variation": ("mu", "pi"),
+}
 
 
 def test_all_is_pinned():
-    assert sorted(relex.__all__) == PUBLIC
+    assert sorted(relex.__all__) == sorted(SIGNATURES)
+
+
+def test_public_signatures_are_pinned():
+    found = {}
+    for name in relex.__all__:
+        obj = getattr(relex, name)
+        if isinstance(obj, type) and issubclass(obj, Exception) and "__init__" not in vars(obj):
+            found[name] = None
+        else:
+            found[name] = tuple(inspect.signature(obj).parameters)
+    assert found == SIGNATURES
 
 
 def test_every_public_name_resolves():

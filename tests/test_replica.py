@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 from relex.errors import InputError
 from relex.harness import pregenerate_noise
 from relex.objective import ObjectiveFunction, double_well, quadratic
-from relex.replica import (CHUNK_DRAWS, SwapPolicy, _fired, _philox_noise, _rate_at_gap,
-                           by_temperature, pair_snapshots, run_pair_ensemble,
-                           swap_probability, swap_rate)
+from relex.replica import (CHUNK_DRAWS, SwapPolicy, _fired, _philox_noise, by_temperature,
+                           pair_snapshots, run_pair_ensemble, swap_probability,
+                           swap_rate)
 from relex.rng import PURPOSE_POS1, PURPOSE_SWAP, derive_stream, pair_streams
 
 # ranges chosen so exp(min(0, delta)) never underflows to an exact zero
@@ -242,8 +242,10 @@ class TestPairEnsemble:
         assert np.isfinite(x).all()
 
     def test_nan_value_at_finite_position_rejected(self):
-        f = ObjectiveFunction(1, eval=lambda x: np.full(x.shape[:-1], np.nan),
-                              grad=np.zeros_like)
+        def nan_values(x):
+            return np.full(x.shape[:-1], np.nan)
+        f = ObjectiveFunction(1, eval=nan_values, grad=np.zeros_like,
+                              value_and_grad=lambda x: (nan_values(x), np.zeros_like(x)))
         with pytest.raises(InputError, match="finite"):
             run_pair_ensemble(f, pair([[0.0]], [[0.0]]), (0.1, 1.0), 5,
                               pair_streams(0), SwapPolicy(1.0, 0.01))
@@ -280,31 +282,32 @@ class TestPairEnsemble:
             assert np.array_equal(x, x_then) and np.array_equal(T, T_then)
 
 
-def fired_everywhere(u, gap, fx, a, h):
-    """The swap decision with the rate computed for every chain."""
-    rate = _rate_at_gap(gap, fx[:, 0], fx[:, 1])
+def fired_everywhere(u, T, fx, a, h):
+    """The swap decision with the public rate computed for every chain."""
+    rate = swap_rate(fx[:, 0], fx[:, 1], T[:, 0], T[:, 1])
     return np.flatnonzero((u < swap_probability(rate, a, h)).any(axis=0))
 
 
 @st.composite
 def swap_steps(draw):
     """One step's swap inputs: m uniform rows over some chains, with rows of
-    1.0 for chains that never swap, inverse-temperature gaps (0 for equal
-    temperatures, huge for exponents that overflow), finite values, a and h."""
+    1.0 for chains that never swap, temperature pairs (some equal, some so
+    small that the reciprocal or the exponent overflows), finite values, a
+    and h."""
     chains = draw(st.integers(1, 12))
     m = draw(st.integers(1, 3))
     unit = st.one_of(st.floats(0.0, 1.0, exclude_max=True), st.just(1.0),
                      st.sampled_from([0.0, 0.01, 0.02, 0.5]))
     u = np.reshape(draw(st.lists(unit, min_size=m * chains, max_size=m * chains)),
                    (m, chains))
-    gap = np.array(draw(st.lists(st.one_of(st.just(0.0), st.floats(-1e3, 1e3),
-                                           st.sampled_from([1e308, -1e308])),
-                                 min_size=chains, max_size=chains)))
+    temp = st.one_of(st.floats(1e-3, 1e3), st.sampled_from([0.1, 1.0, 1e-308, 1e-320]))
+    T = np.reshape(draw(st.lists(temp, min_size=2 * chains, max_size=2 * chains)),
+                   (chains, 2))
     fx = np.reshape(draw(st.lists(st.floats(-1e3, 1e3), min_size=2 * chains,
                                   max_size=2 * chains)), (chains, 2))
     a = draw(st.one_of(st.floats(0.0, 300.0), st.sampled_from([0.0, 1.0, 100.0])))
     h = draw(st.sampled_from([0.01, 0.001, 0.5]))
-    return u, gap, fx, a, h
+    return u, T, fx, a, h
 
 
 class TestFired:
@@ -315,25 +318,28 @@ class TestFired:
     def test_fires_where_the_full_decision_fires(self, step):
         assert np.array_equal(_fired(*step), fired_everywhere(*step))
 
-    @pytest.mark.parametrize("u, gap, fx, a, h, want", [
+    @pytest.mark.parametrize("u, T, fx, a, h, want", [
         # a * h >= 1: the probability is clamped, every real uniform is a candidate
-        ([[0.9, 0.99, 1.0]], [1.0, 0.0, 0.0], [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]],
-         200.0, 0.01, [0, 1]),
+        ([[0.9, 0.99, 1.0]], [[0.5, 1.0], [1.0, 1.0], [1.0, 1.0]],
+         [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]], 200.0, 0.01, [0, 1]),
         # three rows: one low uniform in any row fires
-        ([[0.5, 0.5, 0.5], [0.5, 0.005, 0.5], [0.5, 0.5, 0.009]], [0.0] * 3,
+        ([[0.5, 0.5, 0.5], [0.5, 0.005, 0.5], [0.5, 0.5, 0.009]], [[0.1, 1.0]] * 3,
          [[0.0, 0.0]] * 3, 1.0, 0.01, [1, 2]),
         # u exactly a * h does not fire, the next float down does
-        ([[0.01, np.nextafter(0.01, 0.0)]], [0.0, 0.0], [[0.0, 0.0]] * 2, 1.0, 0.01, [1]),
-        # gap * (u1 - u2) overflows to -inf: the rate is 0 even at u = 0
-        ([[0.0, 0.0]], [-1e308, 1e308], [[10.0, 0.0], [0.0, 10.0]], 1.0, 0.01, []),
-        # equal temperatures: gap 0, rate 1
-        ([[0.009, 0.011]], [0.0, 0.0], [[-5.0, 5.0], [5.0, -5.0]], 1.0, 0.01, [0]),
+        ([[0.01, np.nextafter(0.01, 0.0)]], [[0.1, 1.0]] * 2, [[0.0, 0.0]] * 2, 1.0, 0.01,
+         [1]),
+        # (1/T1 - 1/T2) * (u1 - u2) overflows to -inf: the rate is 0 even at u = 0
+        ([[0.0, 0.0]], [[1e-308, 1.0], [1.0, 1e-308]], [[0.0, 10.0], [10.0, 0.0]],
+         1.0, 0.01, []),
+        # equal temperatures: rate 1 whatever the values
+        ([[0.009, 0.011]], [[0.5, 0.5], [2.0, 2.0]], [[-5.0, 5.0], [5.0, -5.0]],
+         1.0, 0.01, [0]),
         # rows of 1.0 (a chain that never swaps) never fire, even clamped
-        ([[1.0, 1.0], [1.0, 0.0]], [0.0, 0.0], [[0.0, 0.0]] * 2, 500.0, 0.01, [1]),
+        ([[1.0, 1.0], [1.0, 0.0]], [[0.1, 1.0]] * 2, [[0.0, 0.0]] * 2, 500.0, 0.01, [1]),
     ], ids=["clamped", "three-rows", "u-at-a-h", "rate-zero", "equal-temps",
             "baseline-rows"])
-    def test_edge_cases(self, u, gap, fx, a, h, want):
-        step = (np.array(u), np.array(gap), np.array(fx), a, h)
+    def test_edge_cases(self, u, T, fx, a, h, want):
+        step = (np.array(u), np.array(T), np.array(fx), a, h)
         assert _fired(*step).tolist() == want
         assert fired_everywhere(*step).tolist() == want
 
@@ -343,7 +349,8 @@ class TestFired:
             v = np.zeros(x.shape[:-1])
             v[1] = np.nan
             return v
-        f = ObjectiveFunction(1, eval=f_eval, grad=np.zeros_like)
+        f = ObjectiveFunction(1, eval=f_eval, grad=np.zeros_like,
+                              value_and_grad=lambda x: (f_eval(x), np.zeros_like(x)))
         with pytest.raises(InputError, match="finite"):
             run_pair_ensemble(f, np.zeros((3, 2, 1)), (0.1, 1.0), 5,
                               (pair_streams(0)[0], [None]), SwapPolicy(1.0, 0.01))

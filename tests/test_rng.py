@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from relex.errors import InputError
 from relex.rng import (PURPOSE_INIT, PURPOSE_POS1, PURPOSE_POS2, PURPOSE_SWAP,
                        RngStream, _stream_id, derive_stream)
 
@@ -65,16 +66,24 @@ def test_counter_tracks_draws():
     assert s.counter == 5
     s.uniform((3, 2))
     assert s.counter == 11
-    s.uniform()
-    assert s.counter == 12
 
 
-def test_scalar_draws():
-    s = RngStream(0)
-    u = s.uniform()
-    assert isinstance(u, float) and 0.0 <= u < 1.0
-    z = s.normal()
-    assert isinstance(z, float)
+@pytest.mark.parametrize("seed, stream_id, what", [
+    (-1, 0, "seed"), (1 << 64, 0, "seed"), (0, -1, "stream id"), (0, 1 << 64, "stream id")])
+def test_keys_outside_64_bits_rejected(seed, stream_id, what):
+    # masking them to 64 bits would replay another key's stream
+    bad = seed if what == "seed" else stream_id
+    with pytest.raises(InputError, match=rf"{what} must lie in \[0, 2\*\*64\), got {bad}$"):
+        RngStream(seed, stream_id)
+
+
+def test_derived_stream_of_a_negative_seed_rejected():
+    with pytest.raises(InputError, match=r"seed must lie in \[0, 2\*\*64\), got -1"):
+        derive_stream(-1, PURPOSE_POS1)
+
+
+def test_64_bit_edges_accepted():
+    assert RngStream((1 << 64) - 1, (1 << 64) - 1).normal((2,)).shape == (2,)
 
 
 def test_normal_moments_sane():
