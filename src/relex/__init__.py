@@ -13,18 +13,17 @@ from .errors import ConfigError, DivergenceError, FitError, InputError, RelexErr
 from .harness import (RunSummary, SimConfig, build_objective,
                       discretization_error_experiment, kappa_sweep,
                       run_comparison)
-from .objective import (GaussianMixtureSpec, ObjectiveFunction,
-                        build_gaussian_mixture, check_gradient, double_well,
-                        benchmark_mixture, quadratic)
+from .objective import (ObjectiveFunction, build_gaussian_mixture, check_gradient,
+                        double_well, benchmark_mixture, quadratic)
 from .replica import SwapPolicy, run_pair_ensemble, swap_rate
 from .rng import RngStream, derive_stream
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ConfigError", "DecayFit", "DivergenceError", "FitError",
-    "GaussianMixtureSpec", "GridMeasure", "InputError", "ObjectiveFunction",
-    "RelexError", "RngStream", "RunSummary", "SimConfig", "SwapPolicy",
+    "ConfigError", "DecayFit", "DivergenceError", "FitError", "GridMeasure",
+    "InputError", "ObjectiveFunction", "RelexError", "RngStream", "RunSummary",
+    "SimConfig", "SwapPolicy",
     "build_gaussian_mixture", "build_objective", "check_gradient",
     "chi2_decay_experiment", "chi_square_divergence", "derive_stream",
     "dirichlet_acceleration_term", "discretization_error_experiment",

@@ -10,7 +10,8 @@ which is why decay fits are restricted to a window above it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,8 +65,8 @@ class DecayFit:
     times: np.ndarray
     chi2: np.ndarray
     rate: float
-    bootstrap_std: np.ndarray = field(default_factory=lambda: np.empty(0))
-    rate_std: float = float("nan")
+    bootstrap_std: np.ndarray
+    rate_std: float
 
 
 def _grid(bounds, resolution):
@@ -255,8 +256,8 @@ def dirichlet_acceleration_term(f_test, f: ObjectiveFunction, tau1: float,
     """
     if pair_pi.ndim != 2 or not np.array_equal(pair_pi.bounds[0], pair_pi.bounds[1]):
         raise InputError("pair grid must be square for the exchange map")
-    if a < 0:
-        raise InputError(f"swap intensity must be nonnegative, got {a}")
+    if not (0 <= a < math.inf):
+        raise InputError(f"swap intensity must be nonnegative and finite, got {a}")
     c = pair_pi.centers(0)
     u = np.asarray(f.eval(c[:, None]), dtype=float)
     s = swap_rate(u[:, None], u[None, :], tau1, tau2)

@@ -1,13 +1,15 @@
 """Objective functions: generic interface, the 25-component Gaussian-mixture
 benchmark, and a few standard test potentials.
 
-All objectives evaluate in a vectorized way: ``eval`` maps an array of shape
-(..., d) to (...), ``grad`` maps (..., d) to (..., d), and ``value_and_grad``
-returns both from one shared pass. A single point is just the shape-(d,) case.
+An objective is one vectorized callable, ``value_and_grad``, that maps points
+of shape (..., d) to their values (...) and gradients (..., d) in one shared
+pass; ``eval`` and ``grad`` are its two halves. A single point is just the
+shape-(d,) case.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -29,57 +31,45 @@ DEFAULT_WEIGHTS = np.arange(1, 26, dtype=float) / 325.0
 class ObjectiveFunction:
     """A scalar field on R^d with an analytic gradient.
 
-    ``value_and_grad(x)`` returns ``(eval(x), grad(x))``, bit for bit, from
-    one pass over whatever the two share."""
+    ``value_and_grad(x)`` maps points (..., d) to their values (...) and
+    gradients (..., d) in one pass over whatever the two share; ``eval`` and
+    ``grad`` return its two halves."""
 
     dimension: int
-    eval: Callable[[np.ndarray], np.ndarray]
-    grad: Callable[[np.ndarray], np.ndarray]
     value_and_grad: Callable[[np.ndarray], tuple]
     name: str = "objective"
 
+    def eval(self, x):
+        return self.value_and_grad(x)[0]
 
-@dataclass(frozen=True)
-class GaussianMixtureSpec:
-    """Isotropic Gaussian mixture: centers, nonnegative weights, shared
-    variance kappa. The objective is the negative mixture density."""
-
-    centers: np.ndarray   # (n, 2)
-    weights: np.ndarray   # (n,)
-    kappa: float
-    confinement: float = 0.0   # optional lambda * ||x||^2 term, off by default
-
-    def __post_init__(self):
-        centers = np.atleast_2d(np.asarray(self.centers, dtype=float))
-        weights = np.asarray(self.weights, dtype=float).ravel()
-        object.__setattr__(self, "centers", centers)
-        object.__setattr__(self, "weights", weights)
-        if centers.shape[0] == 0:
-            raise InputError("mixture needs at least one center")
-        if centers.shape[0] != weights.shape[0]:
-            raise InputError(
-                f"{centers.shape[0]} centers but {weights.shape[0]} weights"
-            )
-        if np.any(weights < 0):
-            raise InputError("mixture weights must be nonnegative")
-        if not np.any(weights > 0):
-            raise InputError("at least one mixture weight must be positive")
-        if not (self.kappa > 0):
-            raise InputError(f"kappa must be positive, got {self.kappa}")
-        if self.confinement < 0:
-            raise InputError("confinement must be nonnegative")
+    def grad(self, x):
+        return self.value_and_grad(x)[1]
 
 
-def build_gaussian_mixture(spec: GaussianMixtureSpec) -> ObjectiveFunction:
-    """Negative Gaussian-mixture objective with analytic gradient.
+def build_gaussian_mixture(centers, weights, kappa: float,
+                           confinement: float = 0.0) -> ObjectiveFunction:
+    """Negative isotropic Gaussian-mixture objective with analytic gradient:
+    centers (n, d), nonnegative weights (n,), shared variance kappa.
 
     U(x) = -sum_i w_i / (2 pi kappa) * exp(-||x - c_i||^2 / (2 kappa))
            [+ lambda * ||x||^2 when confinement is enabled]
     """
-    centers = spec.centers
-    weights = spec.weights
-    kappa = float(spec.kappa)
-    lam = float(spec.confinement)
+    centers = np.atleast_2d(np.asarray(centers, dtype=float))
+    weights = np.asarray(weights, dtype=float).ravel()
+    kappa = float(kappa)
+    lam = float(confinement)
+    if centers.shape[0] == 0:
+        raise InputError("mixture needs at least one center")
+    if centers.shape[0] != weights.shape[0]:
+        raise InputError(f"{centers.shape[0]} centers but {weights.shape[0]} weights")
+    if np.any(weights < 0):
+        raise InputError("mixture weights must be nonnegative")
+    if not np.any(weights > 0):
+        raise InputError("at least one mixture weight must be positive")
+    if not (0 < kappa < math.inf):
+        raise InputError(f"kappa must be positive and finite, got {kappa}")
+    if not (0 <= lam < math.inf):
+        raise InputError(f"confinement must be nonnegative and finite, got {lam}")
     dim = centers.shape[1]
     amp = (weights / (2.0 * np.pi * kappa))[:, None]   # (n, 1)
     centers_t = np.ascontiguousarray(centers.T)[:, :, None]   # (d, n, 1)
@@ -138,33 +128,18 @@ def build_gaussian_mixture(spec: GaussianMixtureSpec) -> ObjectiveFunction:
             g = g + 2.0 * lam * x
         return g
 
-    def eval_fn(x):
-        x = _points(x)
-        return _value(x, _components(x)[1])
-
-    def grad_fn(x):
-        x = _points(x)
-        return _grad(x, *_components(x))
-
     def value_and_grad(x):
         x = _points(x)
         diff, comps = _components(x)
         return _value(x, comps), _grad(x, diff, comps)
 
-    return ObjectiveFunction(
-        dimension=dim,
-        eval=eval_fn,
-        grad=grad_fn,
-        name="gaussian_mixture",
-        value_and_grad=value_and_grad,
-    )
+    return ObjectiveFunction(dim, value_and_grad, "gaussian_mixture")
 
 
 def benchmark_mixture(kappa: float, confinement: float = 0.0) -> ObjectiveFunction:
     """The standard 25-center benchmark on the 5x5 integer grid with the
     default ascending weight vector."""
-    return build_gaussian_mixture(
-        GaussianMixtureSpec(DEFAULT_CENTERS, DEFAULT_WEIGHTS, kappa, confinement))
+    return build_gaussian_mixture(DEFAULT_CENTERS, DEFAULT_WEIGHTS, kappa, confinement)
 
 
 def quadratic(dim: int = 2, scale: float = 0.5) -> ObjectiveFunction:
@@ -174,38 +149,24 @@ def quadratic(dim: int = 2, scale: float = 0.5) -> ObjectiveFunction:
         x = np.asarray(x, float)
         return scale * np.sum(x ** 2, axis=-1), 2.0 * scale * x
 
-    return ObjectiveFunction(
-        dimension=dim,
-        eval=lambda x: scale * np.sum(np.asarray(x, float) ** 2, axis=-1),
-        grad=lambda x: 2.0 * scale * np.asarray(x, float),
-        name="quadratic",
-        value_and_grad=value_and_grad,
-    )
+    return ObjectiveFunction(dim, value_and_grad, "quadratic")
 
 
 def double_well() -> ObjectiveFunction:
     """1-D double well U(x) = (x^2 - 1)^2 with minima at x = +-1."""
-
-    def eval_fn(x):
-        x = np.asarray(x, float)[..., 0]
-        return (x * x - 1.0) ** 2
-
-    def grad_fn(x):
-        x = np.asarray(x, float)
-        return 4.0 * x * (x[..., 0:1] ** 2 - 1.0)
 
     def value_and_grad(x):
         x = np.asarray(x, float)
         t = x[..., 0:1] ** 2 - 1.0
         return (t * t)[..., 0], 4.0 * x * t
 
-    return ObjectiveFunction(dimension=1, eval=eval_fn, grad=grad_fn,
-                             name="double_well", value_and_grad=value_and_grad)
+    return ObjectiveFunction(1, value_and_grad, "double_well")
 
 
 def check_gradient(f: ObjectiveFunction, point) -> float:
     """Max over coordinates of |analytic - central difference| / (1 + |analytic|),
-    with central differences of step 1e-6."""
+    with central differences of step 1e-6. ``point`` is one point (d,) or a
+    batch (..., d); a batch gives the max over its points."""
     step = 1e-6
     point = np.asarray(point, dtype=float)
     if not np.all(np.isfinite(point)):
@@ -215,7 +176,7 @@ def check_gradient(f: ObjectiveFunction, point) -> float:
     for k in range(point.shape[-1]):
         hi = point.copy()
         lo = point.copy()
-        hi[k] += step
-        lo[k] -= step
-        fd[k] = (f.eval(hi) - f.eval(lo)) / (2.0 * step)
+        hi[..., k] += step
+        lo[..., k] -= step
+        fd[..., k] = (f.eval(hi) - f.eval(lo)) / (2.0 * step)
     return float(np.max(np.abs(analytic - fd) / (1.0 + np.abs(analytic))))

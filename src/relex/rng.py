@@ -12,6 +12,8 @@ Backed by numpy's Philox counter-based generator.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 from .errors import InputError
@@ -31,11 +33,18 @@ class RngStream:
     """
 
     def __init__(self, seed: int, stream_id: int = 0):
-        self.seed, self.stream_id = int(seed), int(stream_id)
-        # A Philox key is two 64-bit words; masking would alias other seeds.
-        for what, value in (("seed", self.seed), ("stream id", self.stream_id)):
+        # A Philox key is two 64-bit words; truncating a float or masking a
+        # large integer would alias other seeds.
+        key = []
+        for what, value in (("seed", seed), ("stream id", stream_id)):
+            try:
+                value = operator.index(value)
+            except TypeError:
+                raise InputError(f"{what} must be an integer, got {value!r}") from None
             if not 0 <= value < 1 << 64:
                 raise InputError(f"{what} must lie in [0, 2**64), got {value}")
+            key.append(value)
+        self.seed, self.stream_id = key
         self.counter = 0
         self._gen = np.random.Generator(
             np.random.Philox(key=np.array([self.seed, self.stream_id], dtype=np.uint64))

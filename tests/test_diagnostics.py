@@ -157,6 +157,12 @@ class TestDirichletTerm:
         assert np.isclose(v3, 3.0 * v1)
         assert v1 > 0.0
 
+    @pytest.mark.parametrize("a", [-1.0, np.nan, np.inf])
+    def test_rejects_an_intensity_that_is_negative_or_not_finite(self, a):
+        pair = pair_gibbs_density(double_well(), 0.1, 1.0, [[-3, 3]], 10)
+        with pytest.raises(InputError, match="swap intensity must be nonnegative and finite"):
+            dirichlet_acceleration_term(lambda x1, x2: x1, double_well(), 0.1, 1.0, a, pair)
+
     def test_rejects_nonsquare_grid(self):
         gm = GridMeasure(np.array([[-3.0, 3.0], [-2.0, 2.0]]), 10,
                          np.full((10, 10), 0.01))

@@ -132,6 +132,12 @@ class TestRunComparison:
         for x, y in zip(a, b):
             assert np.array_equal(x.best_curves, y.best_curves)
 
+    @pytest.mark.parametrize("init", [(2.0, 2.0), "uniform:0,4"])
+    def test_float_seed_rejected(self, init):
+        # truncated, it would replay the comparison of seed 1
+        with pytest.raises(InputError, match="seed must be an integer, got 1.5"):
+            run_comparison(small_config(seed=1.5, init=init))
+
     def test_builds_five_streams_per_seed(self, monkeypatch):
         # two position streams for the baseline pair, three for the replica pair
         created = []

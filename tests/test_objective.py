@@ -10,7 +10,6 @@ from scipy.optimize import minimize
 
 from relex.errors import InputError
 from relex.objective import (DEFAULT_CENTERS, DEFAULT_WEIGHTS,
-                             GaussianMixtureSpec,
                              build_gaussian_mixture,
                              check_gradient, double_well, benchmark_mixture,
                              quadratic)
@@ -33,24 +32,27 @@ class TestMixtureConstruction:
         assert np.all(np.diff(DEFAULT_WEIGHTS) > 0)
         assert DEFAULT_WEIGHTS[0] == 1.0 / 325.0
 
-    def test_validation_errors(self):
-        with pytest.raises(InputError):
-            GaussianMixtureSpec(np.empty((0, 2)), np.empty(0), 0.1)
-        with pytest.raises(InputError):
-            GaussianMixtureSpec(DEFAULT_CENTERS, DEFAULT_WEIGHTS[:-1], 0.1)
-        with pytest.raises(InputError):
-            GaussianMixtureSpec(DEFAULT_CENTERS, -DEFAULT_WEIGHTS, 0.1)
-        with pytest.raises(InputError):
-            GaussianMixtureSpec(DEFAULT_CENTERS, 0.0 * DEFAULT_WEIGHTS, 0.1)
-        with pytest.raises(InputError):
-            GaussianMixtureSpec(DEFAULT_CENTERS, DEFAULT_WEIGHTS, -0.1)
-        with pytest.raises(InputError):
-            GaussianMixtureSpec(DEFAULT_CENTERS, DEFAULT_WEIGHTS, 0.1,
-                                confinement=-1.0)
+    @pytest.mark.parametrize("args, match", [
+        ((np.empty((0, 2)), np.empty(0), 0.1), "at least one center"),
+        ((DEFAULT_CENTERS, DEFAULT_WEIGHTS[:-1], 0.1), "25 centers but 24 weights"),
+        ((DEFAULT_CENTERS, -DEFAULT_WEIGHTS, 0.1), "weights must be nonnegative"),
+        ((DEFAULT_CENTERS, 0.0 * DEFAULT_WEIGHTS, 0.1), "weight must be positive"),
+        ((DEFAULT_CENTERS, DEFAULT_WEIGHTS, -0.1), "kappa must be positive"),
+        ((DEFAULT_CENTERS, DEFAULT_WEIGHTS, 0.0), "kappa must be positive"),
+        ((DEFAULT_CENTERS, DEFAULT_WEIGHTS, np.inf), "kappa must be positive and finite"),
+        ((DEFAULT_CENTERS, DEFAULT_WEIGHTS, np.nan), "kappa must be positive and finite"),
+        ((DEFAULT_CENTERS, DEFAULT_WEIGHTS, 0.1, -1.0), "confinement must be nonnegative"),
+        ((DEFAULT_CENTERS, DEFAULT_WEIGHTS, 0.1, np.inf),
+         "confinement must be nonnegative and finite"),
+        ((DEFAULT_CENTERS, DEFAULT_WEIGHTS, 0.1, np.nan),
+         "confinement must be nonnegative and finite"),
+    ])
+    def test_validation_errors(self, args, match):
+        with pytest.raises(InputError, match=match):
+            build_gaussian_mixture(*args)
 
     def test_single_center_value(self):
-        f = build_gaussian_mixture(
-            GaussianMixtureSpec(np.array([[0.0, 0.0]]), np.array([1.0]), 0.5))
+        f = build_gaussian_mixture(np.array([[0.0, 0.0]]), np.array([1.0]), 0.5)
         # at the center: -1 / (2 pi kappa)
         assert np.isclose(f.eval(np.zeros(2)), -1.0 / (2 * np.pi * 0.5))
         assert np.allclose(f.grad(np.zeros(2)), 0.0)
@@ -124,6 +126,16 @@ class TestGradients:
         f = benchmark_mixture(0.1, confinement=0.1)
         assert np.allclose(f.grad(x), 0.2 * x, atol=1e-8)
 
+    def test_check_gradient_on_a_batch_is_the_max_over_its_points(self):
+        # the differences shift each point's coordinate, never a whole row
+        assert check_gradient(quadratic(2), np.array([[1.0, 2.0], [3.0, 4.0]])) < 1e-9
+        for f in (benchmark_mixture(0.1), benchmark_mixture(0.3, confinement=0.5),
+                  double_well(), quadratic(3)):
+            pts = np.random.default_rng(5).uniform(-1.0, 5.0, (3, 4, f.dimension))
+            want = max(check_gradient(f, p) for p in pts.reshape(-1, f.dimension))
+            assert check_gradient(f, pts) == want
+            assert check_gradient(f, pts[0]) == max(check_gradient(f, p) for p in pts[0])
+
     def test_check_gradient_rejects_bad_inputs(self):
         f = quadratic(2)
         with pytest.raises(InputError):
@@ -149,7 +161,8 @@ def positions(d):
 
 
 class TestValueAndGrad:
-    """``value_and_grad`` is one pass that returns eval and grad bit for bit."""
+    """``value_and_grad`` maps (..., d) points to (...) values and (..., d)
+    gradients."""
 
     FACTORIES = {
         "mixture": lambda: benchmark_mixture(0.1),
@@ -161,39 +174,38 @@ class TestValueAndGrad:
 
     @pytest.mark.parametrize("name", sorted(FACTORIES))
     @given(data=st.data())
-    def test_bitwise_equal_to_eval_and_grad(self, name, data):
+    def test_shapes(self, name, data):
         f = self.FACTORIES[name]()
         x = data.draw(positions(f.dimension))
         values, grads = f.value_and_grad(x)
         assert values.shape == x.shape[:-1] and grads.shape == x.shape
-        assert np.array_equal(values, f.eval(x))
-        assert np.array_equal(grads, f.grad(x))
 
     def test_fused_closure_is_kept(self):
         f = double_well()
         assert dataclasses.replace(f, name="w").value_and_grad is f.value_and_grad
 
 
-def reference_mixture(spec):
+def reference_mixture(centers, weights, kappa, confinement=0.0):
     """The mixture over (..., n, d) differences with numpy sums over the d
     and center axes: the form the centre-major mixture must reproduce
     bit for bit."""
-    amp = spec.weights / (2.0 * np.pi * spec.kappa)
+    centers = np.atleast_2d(np.asarray(centers, dtype=float))
+    amp = np.asarray(weights, dtype=float) / (2.0 * np.pi * kappa)
 
     def components(x):
-        diff = x[..., None, :] - spec.centers
-        return diff, amp * np.exp(-np.sum(diff * diff, axis=-1) / (2.0 * spec.kappa))
+        diff = x[..., None, :] - centers
+        return diff, amp * np.exp(-np.sum(diff * diff, axis=-1) / (2.0 * kappa))
 
     def eval_fn(x):
         x = np.asarray(x, dtype=float)
         u = -np.sum(components(x)[1], axis=-1)
-        return u + spec.confinement * np.sum(x * x, axis=-1) if spec.confinement else u
+        return u + confinement * np.sum(x * x, axis=-1) if confinement else u
 
     def grad_fn(x):
         x = np.asarray(x, dtype=float)
         diff, comps = components(x)
-        g = np.sum(comps[..., None] * diff, axis=-2) / spec.kappa
-        return g + 2.0 * spec.confinement * x if spec.confinement else g
+        g = np.sum(comps[..., None] * diff, axis=-2) / kappa
+        return g + 2.0 * confinement * x if confinement else g
     return eval_fn, grad_fn
 
 
@@ -205,9 +217,8 @@ def mixtures_and_points(draw):
                             max_size=ncenters * d))
     weights = draw(st.lists(st.floats(0.0, 3.0), min_size=ncenters, max_size=ncenters))
     weights[draw(st.integers(0, ncenters - 1))] = 1.0
-    spec = GaussianMixtureSpec(np.reshape(centers, (ncenters, d)), weights,
-                               kappa=draw(st.floats(0.01, 2.0)),
-                               confinement=draw(st.sampled_from([0.0, 0.1])))
+    spec = (np.reshape(centers, (ncenters, d)), weights, draw(st.floats(0.01, 2.0)),
+            draw(st.sampled_from([0.0, 0.1])))
     lead = draw(st.sampled_from([(), (draw(st.integers(1, 7)),),
                                  (draw(st.integers(1, 7)), 2)]))
     size = int(np.prod(lead, dtype=int)) * d
@@ -217,8 +228,8 @@ def mixtures_and_points(draw):
 
 
 def assert_matches_reference(spec, x):
-    f = build_gaussian_mixture(spec)
-    ref_eval, ref_grad = reference_mixture(spec)
+    f = build_gaussian_mixture(*spec)
+    ref_eval, ref_grad = reference_mixture(*spec)
     values, grads = f.value_and_grad(x)
     assert values.shape == x.shape[:-1] and grads.shape == x.shape
     for got, want in ((f.eval(x), ref_eval(x)), (f.grad(x), ref_grad(x)),
@@ -233,12 +244,10 @@ def test_mixture_matches_the_difference_tensor_form_bitwise(case):
 
 
 @pytest.mark.parametrize("spec", [
-    GaussianMixtureSpec(DEFAULT_CENTERS, DEFAULT_WEIGHTS, 0.1),
-    GaussianMixtureSpec(np.linspace(-4, 4, 7)[:, None], np.arange(1.0, 8.0), 0.3),
-    GaussianMixtureSpec(np.random.default_rng(3).uniform(-5, 5, (25, 3)),
-                        np.arange(1.0, 26.0), 0.2, confinement=0.1),
-    GaussianMixtureSpec(np.random.default_rng(4).uniform(-5, 5, (12, 8)),
-                        np.ones(12), 0.5),
+    (DEFAULT_CENTERS, DEFAULT_WEIGHTS, 0.1),
+    (np.linspace(-4, 4, 7)[:, None], np.arange(1.0, 8.0), 0.3),
+    (np.random.default_rng(3).uniform(-5, 5, (25, 3)), np.arange(1.0, 26.0), 0.2, 0.1),
+    (np.random.default_rng(4).uniform(-5, 5, (12, 8)), np.ones(12), 0.5),
 ], ids=["benchmark", "d1", "d3", "d8"])
 @pytest.mark.parametrize("points", [
     lambda rng, d: rng.uniform(-12.0, 16.0, (40, 2, d)),      # the protocol's pairs
@@ -252,7 +261,7 @@ def test_mixture_matches_the_difference_tensor_form_bitwise(case):
 def test_mixture_matches_the_difference_tensor_form_bitwise_at_fixed_shapes(spec, points):
     # the many-point sets reach far enough out that some components
     # underflow to subnormals and to zero
-    x = points(np.random.default_rng(8), spec.centers.shape[1])
+    x = points(np.random.default_rng(8), np.shape(spec[0])[1])
     assert_matches_reference(spec, x)
 
 
@@ -261,10 +270,10 @@ def test_mixture_matches_the_difference_tensor_form_bitwise_at_fixed_shapes(spec
 def test_mixture_gradient_has_no_negative_zero(x):
     # at a centre every gradient term is a signed zero; the reference's sums
     # start from +0.0, so -0.0 terms sum to +0.0 on every path
-    spec = GaussianMixtureSpec([[0.0, 0.0]], [1.0], 1.0)
+    spec = ([[0.0, 0.0]], [1.0], 1.0)
     x = np.array(x)
     assert_matches_reference(spec, x)
-    assert not np.any(np.signbit(build_gaussian_mixture(spec).grad(x)))
+    assert not np.any(np.signbit(build_gaussian_mixture(*spec).grad(x)))
 
 
 # exp arguments on both sides of the -746 clamp, between it and -745.13 (below
@@ -274,18 +283,19 @@ CLAMP_EXPONENTS = [-746.0, -745.9999999, -746.0000001, -745.5, -745.14, -745.1,
 
 
 @pytest.mark.parametrize("spec", [
-    GaussianMixtureSpec([[0.0, 0.0]], [1.0], 0.1),
-    GaussianMixtureSpec(DEFAULT_CENTERS, DEFAULT_WEIGHTS, 0.1),
-    GaussianMixtureSpec([[0.0], [0.5]], [1.0, 3.0], 0.3),
+    ([[0.0, 0.0]], [1.0], 0.1),
+    (DEFAULT_CENTERS, DEFAULT_WEIGHTS, 0.1),
+    ([[0.0], [0.5]], [1.0, 3.0], 0.3),
 ], ids=["one-centre", "benchmark", "d1"])
 def test_mixture_clamps_underflowing_exponents_bitwise(spec):
     # points on the first axis with these exponents against the centre at
     # the origin, on both sides of it, plus one whose squared distance is inf
-    d = spec.centers.shape[1]
-    r = np.sqrt(-2.0 * spec.kappa * np.array(CLAMP_EXPONENTS))
+    d = np.shape(spec[0])[1]
+    kappa = spec[2]
+    r = np.sqrt(-2.0 * kappa * np.array(CLAMP_EXPONENTS))
     x = np.zeros((2 * r.size + 2, d))
     x[:, 0] = np.concatenate((r, -r, [1e200, -1e200]))
-    expo = -(r * r) / (2.0 * spec.kappa)
+    expo = -(r * r) / (2.0 * kappa)
     for lo, hi in ((-746.001, -746.0), (-746.0, -745.999), (-746.0, -745.1333),
                    (-745.13, -708.4)):
         assert np.any((lo <= expo) & (expo < hi))
@@ -295,14 +305,13 @@ def test_mixture_clamps_underflowing_exponents_bitwise(spec):
         assert_matches_reference(spec, x)
         assert_matches_reference(spec, x.reshape(-1, 2, d))
         assert_matches_reference(spec, x[0])
-        values = build_gaussian_mixture(spec).eval(x)
-        assert values.tobytes() == reference_mixture(spec)[0](x).tobytes()
+        values = build_gaussian_mixture(*spec).eval(x)
+        assert values.tobytes() == reference_mixture(*spec)[0](x).tobytes()
 
 
 def test_mixture_keeps_nan_coordinates():
-    spec = GaussianMixtureSpec(DEFAULT_CENTERS, DEFAULT_WEIGHTS, 0.1)
-    f = build_gaussian_mixture(spec)
-    ref_eval, ref_grad = reference_mixture(spec)
+    f = benchmark_mixture(0.1)
+    ref_eval, ref_grad = reference_mixture(DEFAULT_CENTERS, DEFAULT_WEIGHTS, 0.1)
     x = np.array([[np.nan, 1.0], [40.0, 0.0], [1.0, 2.0]])
     values, grads = f.value_and_grad(x)
     for got, want in ((f.eval(x), ref_eval(x)), (f.grad(x), ref_grad(x)),

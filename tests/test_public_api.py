@@ -23,10 +23,9 @@ SIGNATURES = {
     "DecayFit": ("times", "chi2", "rate", "bootstrap_std", "rate_std"),
     "DivergenceError": ("message", "iteration", "chain", "slot", "position"),
     "FitError": None,
-    "GaussianMixtureSpec": ("centers", "weights", "kappa", "confinement"),
     "GridMeasure": ("bounds", "resolution", "mass", "overflow"),
     "InputError": None,
-    "ObjectiveFunction": ("dimension", "eval", "grad", "value_and_grad", "name"),
+    "ObjectiveFunction": ("dimension", "value_and_grad", "name"),
     "RelexError": None,
     "RngStream": ("seed", "stream_id"),
     "RunSummary": ("algorithm", "iterations", "best_curves", "median", "q25", "q75",
@@ -35,7 +34,7 @@ SIGNATURES = {
                   "seed", "init", "stride"),
     "SwapPolicy": ("intensity", "eta"),
     "benchmark_mixture": ("kappa", "confinement"),
-    "build_gaussian_mixture": ("spec",),
+    "build_gaussian_mixture": ("centers", "weights", "kappa", "confinement"),
     "build_objective": ("obj_cfg",),
     "check_gradient": ("f", "point"),
     "chi2_decay_experiment": ("f", "tau1", "tau2", "a", "eta", "ensemble", "sample_times",

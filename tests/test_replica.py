@@ -193,21 +193,18 @@ class TestPairEnsemble:
 
     @pytest.mark.parametrize("observed", [False, True])
     def test_one_objective_pass_per_step(self, observed):
-        calls = {"eval": 0, "grad": 0, "value_and_grad": 0}
+        calls = []
         f = double_well()
 
-        def counted(name):
-            def fn(x):
-                calls[name] += 1
-                return getattr(f, name)(x)
-            return fn
-        counting = ObjectiveFunction(1, counted("eval"), counted("grad"),
-                                     value_and_grad=counted("value_and_grad"))
+        def counted(x):
+            calls.append(x)
+            return f.value_and_grad(x)
+        counting = ObjectiveFunction(1, counted)
         seen = []
         run_pair_ensemble(counting, pair(np.ones((4, 1)), -np.ones((4, 1))),
                           (0.1, 1.0), 25, pair_streams(3), SwapPolicy(5.0, 0.01),
                           observe=(lambda k, x, T, fx: seen.append(k)) if observed else None)
-        assert calls == {"eval": int(observed), "grad": 0, "value_and_grad": 25}
+        assert len(calls) == 25 + observed
         assert seen == (list(range(26)) if observed else [])
 
     def test_observer_sees_the_values_of_the_positions(self):
@@ -242,10 +239,7 @@ class TestPairEnsemble:
         assert np.isfinite(x).all()
 
     def test_nan_value_at_finite_position_rejected(self):
-        def nan_values(x):
-            return np.full(x.shape[:-1], np.nan)
-        f = ObjectiveFunction(1, eval=nan_values, grad=np.zeros_like,
-                              value_and_grad=lambda x: (nan_values(x), np.zeros_like(x)))
+        f = ObjectiveFunction(1, lambda x: (np.full(x.shape[:-1], np.nan), np.zeros_like(x)))
         with pytest.raises(InputError, match="finite"):
             run_pair_ensemble(f, pair([[0.0]], [[0.0]]), (0.1, 1.0), 5,
                               pair_streams(0), SwapPolicy(1.0, 0.01))
@@ -345,12 +339,11 @@ class TestFired:
 
     def test_nan_value_on_a_chain_that_cannot_fire_rejected(self):
         # uniforms of 1.0: no chain is ever a candidate, yet the NaN is caught
-        def f_eval(x):
+        def value_and_grad(x):
             v = np.zeros(x.shape[:-1])
             v[1] = np.nan
-            return v
-        f = ObjectiveFunction(1, eval=f_eval, grad=np.zeros_like,
-                              value_and_grad=lambda x: (f_eval(x), np.zeros_like(x)))
+            return v, np.zeros_like(x)
+        f = ObjectiveFunction(1, value_and_grad)
         with pytest.raises(InputError, match="finite"):
             run_pair_ensemble(f, np.zeros((3, 2, 1)), (0.1, 1.0), 5,
                               (pair_streams(0)[0], [None]), SwapPolicy(1.0, 0.01))

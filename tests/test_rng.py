@@ -82,6 +82,27 @@ def test_derived_stream_of_a_negative_seed_rejected():
         derive_stream(-1, PURPOSE_POS1)
 
 
+@pytest.mark.parametrize("seed, stream_id, what", [
+    (1.5, 0, "seed"), (1.0, 0, "seed"), (np.float64(2.0), 0, "seed"), ("1", 0, "seed"),
+    (0, 2.5, "stream id")])
+def test_non_integer_keys_rejected(seed, stream_id, what):
+    # truncating them would replay an integer key's stream
+    with pytest.raises(InputError, match=rf"{what} must be an integer, got "):
+        RngStream(seed, stream_id)
+
+
+def test_derived_stream_of_a_float_seed_rejected():
+    with pytest.raises(InputError, match="seed must be an integer, got 1.5"):
+        derive_stream(1.5, PURPOSE_POS1)
+
+
+@pytest.mark.parametrize("seed", [np.int64(7), np.uint64(7), np.int32(7)])
+def test_numpy_integer_seeds_accepted(seed):
+    a = derive_stream(seed, PURPOSE_POS1)
+    assert a.seed == 7 and type(a.seed) is int
+    assert np.array_equal(a.normal((10,)), derive_stream(7, PURPOSE_POS1).normal((10,)))
+
+
 def test_64_bit_edges_accepted():
     assert RngStream((1 << 64) - 1, (1 << 64) - 1).normal((2,)).shape == (2,)
 
