@@ -10,8 +10,7 @@ from .diagnostics import (DecayFit, GridMeasure, chi2_decay_experiment,
                           empirical_histogram, gibbs_density,
                           pair_gibbs_density, total_variation)
 from .errors import ConfigError, DivergenceError, FitError, InputError, RelexError
-from .harness import (RunSummary, SimConfig, build_objective,
-                      discretization_error_experiment, kappa_sweep,
+from .harness import (RunSummary, SimConfig, discretization_error_experiment,
                       run_comparison)
 from .objective import (ObjectiveFunction, build_gaussian_mixture, check_gradient,
                         double_well, benchmark_mixture, quadratic)
@@ -24,10 +23,10 @@ __all__ = [
     "ConfigError", "DecayFit", "DivergenceError", "FitError", "GridMeasure",
     "InputError", "ObjectiveFunction", "RelexError", "RngStream", "RunSummary",
     "SimConfig", "SwapPolicy",
-    "build_gaussian_mixture", "build_objective", "check_gradient",
+    "build_gaussian_mixture", "check_gradient",
     "chi2_decay_experiment", "chi_square_divergence", "derive_stream",
     "dirichlet_acceleration_term", "discretization_error_experiment",
-    "double_well", "empirical_histogram", "gibbs_density", "kappa_sweep",
+    "double_well", "empirical_histogram", "gibbs_density",
     "pair_gibbs_density", "benchmark_mixture", "quadratic", "run_comparison",
     "run_pair_ensemble", "swap_rate", "total_variation",
 ]

@@ -21,7 +21,7 @@ from .diagnostics import (chi2_decay_experiment, dirichlet_acceleration_term,
                           empirical_histogram, gibbs_density,
                           pair_gibbs_density, total_variation)
 from .harness import (SimConfig, discretization_error_experiment,
-                      pregenerate_noise, resolve_init, run_comparison)
+                      pregenerate_noise, run_comparison)
 from .langevin import em_update
 from .objective import check_gradient, double_well, benchmark_mixture
 from .replica import SwapPolicy, pair_snapshots, run_pair_ensemble, swap_rate
@@ -73,7 +73,7 @@ def criterion_2_null_coupling_bitwise():
     f = benchmark_mixture(kappa=0.1)
     steps, nseeds = 10_000, 5
     eta, tau1, tau2 = 0.01, 0.01, 1.0
-    init = resolve_init((2.0, 2.0), f.dimension, nseeds, seed=7)
+    init = np.tile((2.0, 2.0), (nseeds, 1))
     xi, _ = pregenerate_noise(7, nseeds, steps, f.dimension)
     snaps, swaps = pair_snapshots(f, np.stack((init, init), axis=1), (tau1, tau2), steps,
                                   (pair_streams(7, nseeds)[0], None), SwapPolicy(0.0, eta),
@@ -191,7 +191,7 @@ def criterion_7_benchmark_ordering():
     """25-center mixture, kappa 0.1: replica exchange beats the low-temperature
     chain on median final best-so-far, paired sign test p < 0.05."""
     cfg = SimConfig(
-        objective={"kind": "gaussian_mixture", "kappa": 0.1, "confinement": 0.0},
+        objective=benchmark_mixture(0.1),
         tau1=0.01, tau2=1.0, intensity=1.0, eta=0.01, steps=10_000,
         ensemble=20, seed=0, init=(2.0, 2.0),
     )

@@ -24,10 +24,11 @@ import numpy as np
 
 from .diagnostics import chi2_decay_experiment
 from .errors import ConfigError, DivergenceError, RelexError
-from .harness import (SimConfig, build_objective, discretization_error_experiment,
-                      kappa_sweep, run_comparison, write_bestsofar_csv,
-                      write_chi2decay_csv, write_discerr_csv, write_summary_csv)
-from .objective import check_gradient
+from .harness import (SimConfig, discretization_error_experiment, run_comparison,
+                      write_bestsofar_csv, write_chi2decay_csv, write_discerr_csv,
+                      write_summary_csv)
+from .objective import (ObjectiveFunction, benchmark_mixture, check_gradient,
+                        double_well, quadratic)
 from .rng import PURPOSE_INIT, derive_stream
 
 DEFAULTS = {
@@ -61,6 +62,11 @@ DEFAULTS = {
         "dir": "results",
     },
 }
+
+# The factory of each objective kind. A gaussian_mixture takes objective.kappa
+# and objective.confinement; the other kinds take no keys.
+OBJECTIVES = {"gaussian_mixture": benchmark_mixture, "double_well": double_well,
+              "quadratic": quadratic}
 
 
 # ---------------------------------------------------------------------------
@@ -169,33 +175,45 @@ def _get_floats(cfg, section, key):
                    f"{section}.{key} must be comma-separated finite numbers", raw)
 
 
-def _get_init(cfg):
+def _get_objective(cfg) -> ObjectiveFunction:
+    kind = cfg["objective"]["kind"]
+    if kind not in OBJECTIVES:
+        raise ConfigError(f"unknown objective kind {kind!r}")
+    keys = ("kappa", "confinement") if kind == "gaussian_mixture" else ()
+    return OBJECTIVES[kind](*(_get_float(cfg, "objective", key) for key in keys))
+
+
+def _get_init(cfg, dim: int, nseeds: int, seed: int):
+    """dynamics.init: a point, or ``nseeds`` starts drawn uniformly from the
+    box [lo, hi]^dim by the seed's init stream."""
     raw = cfg["dynamics"]["init"]
-    if raw.startswith("uniform:"):
-        return raw
-    return tuple(_floats(raw.split(","), "dynamics.init must be finite coordinates "
-                         "or uniform:lo,hi", raw))
-
-
-def _objective_cfg(cfg) -> dict:
-    obj = {"kind": cfg["objective"]["kind"]}
-    if obj["kind"] == "gaussian_mixture":
-        obj["kappa"] = _get_float(cfg, "objective", "kappa")
-        obj["confinement"] = _get_float(cfg, "objective", "confinement")
-    return obj
+    if not raw.startswith("uniform:"):
+        return tuple(_floats(raw.split(","), "dynamics.init must be finite coordinates "
+                             "or uniform:lo,hi", raw))
+    try:
+        lo, hi = (float(v) for v in raw[len("uniform:"):].split(","))
+    except ValueError as exc:
+        raise ConfigError(f"bad uniform init spec {raw!r}") from exc
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
+        raise ConfigError(f"uniform init bounds must be finite with lo <= hi, got {raw!r}")
+    # a nonpositive ensemble draws nothing; SimConfig rejects it
+    return lo + (hi - lo) * derive_stream(seed, PURPOSE_INIT).uniform((max(nseeds, 0), dim))
 
 
 def build_sim_config(cfg: dict) -> SimConfig:
+    f = _get_objective(cfg)
+    ensemble = _get_int(cfg, "dynamics", "ensemble")
+    seed = _get_int(cfg, "dynamics", "seed")
     return SimConfig(
-        objective=_objective_cfg(cfg),
+        objective=f,
         tau1=_get_float(cfg, "dynamics", "tau1"),
         tau2=_get_float(cfg, "dynamics", "tau2"),
         intensity=_get_float(cfg, "dynamics", "intensity"),
         eta=_get_float(cfg, "dynamics", "eta"),
         steps=_get_int(cfg, "dynamics", "steps"),
-        ensemble=_get_int(cfg, "dynamics", "ensemble"),
-        seed=_get_int(cfg, "dynamics", "seed"),
-        init=_get_init(cfg),
+        ensemble=ensemble,
+        seed=seed,
+        init=_get_init(cfg, f.dimension, ensemble, seed),
         stride=_get_int(cfg, "dynamics", "stride"),
     )
 
@@ -233,13 +251,22 @@ def cmd_sweep(cfg, out_flag) -> int:
         if float(text) != kappa:
             raise ConfigError(f"kappa {kappa!r} is echoed as {text}; give it in 6 digits")
         echoed[text] = kappa
-    results = kappa_sweep(kappas, build_sim_config(cfg))
+    kind = cfg["objective"]["kind"]
+    if kind != "gaussian_mixture":
+        raise ConfigError(f"kappa sweep needs a gaussian_mixture objective, got {kind!r}")
+    if not kappas:
+        raise ConfigError("kappa sweep needs at least one kappa")
+    for kappa in kappas:
+        if kappa <= 0:
+            raise ConfigError(f"kappa must be positive, got {kappa}")
+    # each kappa runs the config its files echo
+    sweep_cfgs = [{**cfg, "objective": {**cfg["objective"], "kappa": text}} for text in echoed]
+    sims = [build_sim_config(sweep_cfg) for sweep_cfg in sweep_cfgs]
+    results = [run_comparison(sim) for sim in sims]
     out = _out_dir(cfg, out_flag)
-    for kappa, summaries in zip(kappas, results):
-        sweep_cfg = {sec: dict(keys) for sec, keys in cfg.items()}
-        sweep_cfg["objective"]["kappa"] = f"{kappa:g}"
+    for text, sweep_cfg, summaries in zip(echoed, sweep_cfgs, results):
         echo = emit_canonical_config(sweep_cfg)
-        tag = f"{kappa:g}".replace(".", "p")
+        tag = text.replace(".", "p")
         write_bestsofar_csv(os.path.join(out, f"bestsofar_kappa{tag}.csv"),
                             summaries, echo)
         write_summary_csv(os.path.join(out, f"summary_kappa{tag}.csv"),
@@ -249,7 +276,7 @@ def cmd_sweep(cfg, out_flag) -> int:
 
 
 def cmd_chi2(cfg, out_flag) -> int:
-    f = build_objective(_objective_cfg(cfg))
+    f = _get_objective(cfg)
     bounds = _get_floats(cfg, "diagnostics", "bounds")
     if len(bounds) != 2:
         raise ConfigError(f"diagnostics.bounds must be two numbers lo,hi, "
@@ -282,7 +309,7 @@ def cmd_chi2(cfg, out_flag) -> int:
 
 
 def cmd_discerr(cfg, out_flag) -> int:
-    f = build_objective(_objective_cfg(cfg))
+    f = _get_objective(cfg)
     result = discretization_error_experiment(
         f,
         tau1=_get_float(cfg, "dynamics", "tau1"),
@@ -303,7 +330,7 @@ def cmd_discerr(cfg, out_flag) -> int:
 
 
 def cmd_gradcheck(cfg, out_flag) -> int:
-    f = build_objective(_objective_cfg(cfg))
+    f = _get_objective(cfg)
     rng = derive_stream(_get_int(cfg, "dynamics", "seed"), PURPOSE_INIT)
     points = -1.0 + 7.0 * rng.uniform((100, f.dimension))
     worst = check_gradient(f, points)

@@ -1,5 +1,5 @@
-"""Experiment orchestration: the three-algorithm comparison, the kappa sweep,
-the coupled discretization-error experiment, and CSV emission.
+"""Experiment orchestration: the three-algorithm comparison, the coupled
+discretization-error experiment, and CSV emission.
 
 All randomness flows from one root seed. Each seed of a comparison owns three
 derived streams (particle-1 noise, particle-2 noise, swap uniforms). A
@@ -12,7 +12,6 @@ reproduces the low-temperature baseline bit for bit.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import time
 from dataclasses import dataclass
@@ -21,18 +20,18 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError
-from .objective import ObjectiveFunction, benchmark_mixture, double_well, quadratic
+from .objective import ObjectiveFunction
 from .replica import SwapPolicy, by_temperature, run_pair_ensemble
-from .rng import PURPOSE_INIT, derive_stream, pair_streams, position_streams
+from .rng import pair_streams, position_streams
 
 
 @dataclass
 class SimConfig:
     """One comparison: the two baselines and the replica pair share every
-    field. ``objective`` is the parsed objective section, e.g.
-    {"kind": "gaussian_mixture", "kappa": 0.1}."""
+    field. ``init`` is one start point of shape (d,) for every seed, or one
+    start per seed, (ensemble, d)."""
 
-    objective: dict
+    objective: ObjectiveFunction
     tau1: float
     tau2: float
     intensity: float
@@ -40,7 +39,7 @@ class SimConfig:
     steps: int
     ensemble: int            # number of seeds (independent runs)
     seed: int
-    init: object             # point tuple, or "uniform:lo,hi"
+    init: object
     stride: int = 10
 
     def __post_init__(self):
@@ -56,6 +55,17 @@ class SimConfig:
             raise ConfigError("steps and ensemble must be positive")
         if self.stride < 1 or self.steps % self.stride != 0:
             raise ConfigError(f"stride {self.stride} must divide steps {self.steps}")
+        if not isinstance(self.objective, ObjectiveFunction):
+            raise ConfigError(f"objective must be an ObjectiveFunction, "
+                              f"got {type(self.objective).__name__}")
+        d = self.objective.dimension
+        shape = np.shape(self.init)
+        if shape not in ((d,), (self.ensemble, d)):
+            raise ConfigError(f"init point has dimension {shape[0]}, expected {d}"
+                              if len(shape) == 1 else f"init has shape {shape}, "
+                              f"expected ({d},) or ({self.ensemble}, {d})")
+        if not np.all(np.isfinite(self.init)):
+            raise ConfigError("init must be finite")
 
 
 @dataclass
@@ -81,41 +91,6 @@ class DiscretizationResult:
     mse: np.ndarray
     stderr: np.ndarray
     slope: float
-
-
-def build_objective(obj_cfg: dict) -> ObjectiveFunction:
-    """Construct the objective named by a config section."""
-    factories = {"gaussian_mixture": benchmark_mixture, "double_well": double_well,
-                 "quadratic": quadratic}
-    cfg = dict(obj_cfg)
-    kind = cfg.pop("kind", "gaussian_mixture")
-    if kind not in factories:
-        raise ConfigError(f"unknown objective kind {kind!r}")
-    args = ((float(cfg.pop("kappa", 0.1)), float(cfg.pop("confinement", 0.0)))
-            if kind == "gaussian_mixture" else ())
-    if cfg:
-        raise ConfigError(f"unknown objective keys: {sorted(cfg)}")
-    return factories[kind](*args)
-
-
-def resolve_init(init, dim: int, nseeds: int, seed: int) -> np.ndarray:
-    """Initial positions of shape (nseeds, dim) from a point or a box spec."""
-    if isinstance(init, str):
-        if not init.startswith("uniform:"):
-            raise ConfigError(f"unrecognized init spec {init!r}")
-        try:
-            lo, hi = (float(v) for v in init[len("uniform:"):].split(","))
-        except ValueError as exc:
-            raise ConfigError(f"bad uniform init spec {init!r}") from exc
-        if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
-            raise ConfigError(f"uniform init bounds must be finite with lo <= hi, "
-                              f"got {init!r}")
-        rng = derive_stream(seed, PURPOSE_INIT)
-        return lo + (hi - lo) * rng.uniform((nseeds, dim))
-    point = np.asarray(init, dtype=float).ravel()
-    if point.shape[0] != dim:
-        raise ConfigError(f"init point has dimension {point.shape[0]}, expected {dim}")
-    return np.tile(point, (nseeds, 1))
 
 
 def pregenerate_noise(seed: int, nseeds: int, steps: int, dim: int):
@@ -174,9 +149,9 @@ def _summarize(algorithm: str, traj: np.ndarray, stride: int, swap_counts=None,
 def run_comparison(cfg: SimConfig):
     """The low-temp baseline, high-temp baseline and replica pair of ``cfg``,
     run over a shared seed set and shared noise."""
-    f = build_objective(cfg.objective)
+    f = cfg.objective
     n = cfg.ensemble
-    init = resolve_init(cfg.init, f.dimension, n, cfg.seed)
+    init = np.broadcast_to(np.asarray(cfg.init, dtype=float), (n, f.dimension))
     pair = np.stack((init, init), axis=1)
     # One kernel run: chains [0, n) are the baseline pairs, which have no
     # swap streams and so never swap, and [n, 2n) the replica pairs; all start
@@ -193,23 +168,6 @@ def run_comparison(cfg: SimConfig):
             _summarize("high-temp", curves[:, :n, 1], cfg.stride, wall_time=wall),
             _summarize("replica-exchange", curves[:, n:, 0], cfg.stride,
                        swap_counts=swaps[n:], wall_time=wall))
-
-
-def kappa_sweep(kappas: Sequence[float], base: SimConfig):
-    """One comparison per mixture width kappa."""
-    kind = base.objective.get("kind", "gaussian_mixture")
-    if kind != "gaussian_mixture":
-        raise ConfigError(f"kappa sweep needs a gaussian_mixture objective, got {kind!r}")
-    kappas = list(kappas)
-    if not kappas:
-        raise ConfigError("kappa sweep needs at least one kappa")
-    configs = []                        # every kappa is checked before any run
-    for kappa in kappas:
-        if not (kappa > 0):
-            raise ConfigError(f"kappa must be positive, got {kappa}")
-        objective = {**base.objective, "kappa": float(kappa)}
-        configs.append(dataclasses.replace(base, objective=objective))
-    return [run_comparison(cfg) for cfg in configs]
 
 
 def discretization_error_experiment(f: ObjectiveFunction, tau1: float, tau2: float,

@@ -33,18 +33,8 @@ class RngStream:
     """
 
     def __init__(self, seed: int, stream_id: int = 0):
-        # A Philox key is two 64-bit words; truncating a float or masking a
-        # large integer would alias other seeds.
-        key = []
-        for what, value in (("seed", seed), ("stream id", stream_id)):
-            try:
-                value = operator.index(value)
-            except TypeError:
-                raise InputError(f"{what} must be an integer, got {value!r}") from None
-            if not 0 <= value < 1 << 64:
-                raise InputError(f"{what} must lie in [0, 2**64), got {value}")
-            key.append(value)
-        self.seed, self.stream_id = key
+        # A Philox key is two 64-bit words.
+        self.seed, self.stream_id = _word("seed", seed, 64), _word("stream id", stream_id, 64)
         self.counter = 0
         self._gen = np.random.Generator(
             np.random.Philox(key=np.array([self.seed, self.stream_id], dtype=np.uint64))
@@ -66,9 +56,21 @@ class RngStream:
         return f"RngStream(seed={self.seed}, stream_id={self.stream_id}, counter={self.counter})"
 
 
+def _word(what: str, value, bits: int) -> int:
+    """``value`` as an integer in [0, 2**bits). Truncating a float or masking
+    a larger integer would alias another key's stream, so both are errors."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise InputError(f"{what} must be an integer, got {value!r}") from None
+    if not 0 <= value < 1 << bits:
+        raise InputError(f"{what} must lie in [0, 2**{bits}), got {value}")
+    return value
+
+
 def _stream_id(purpose: int, chain: int = 0) -> int:
-    """Pack a purpose id and a chain index into one 64-bit stream id."""
-    return ((int(purpose) & 0xFFFFFFFF) << 32) | (int(chain) & 0xFFFFFFFF)
+    """Pack a purpose id and a chain index, each 32 bits, into one 64-bit stream id."""
+    return _word("purpose", purpose, 32) << 32 | _word("chain", chain, 32)
 
 
 def derive_stream(seed: int, purpose: int, chain: int = 0) -> RngStream:

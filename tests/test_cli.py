@@ -8,9 +8,22 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from relex.cli import (DEFAULTS, apply_override, emit_canonical_config,
+from relex.cli import (DEFAULTS, apply_override, build_sim_config, emit_canonical_config,
                        load_config, main, parse_canonical_config)
 from relex.errors import ConfigError
+from relex.objective import benchmark_mixture
+
+
+def no_run(*args, **kwargs):
+    raise AssertionError("an experiment started")
+
+
+@pytest.fixture
+def no_experiment(monkeypatch):
+    """Every experiment the CLI can start fails the test if it starts."""
+    for name in ("run_comparison", "chi2_decay_experiment",
+                 "discretization_error_experiment", "check_gradient"):
+        monkeypatch.setattr(f"relex.cli.{name}", no_run)
 
 
 class TestLoadConfig:
@@ -120,6 +133,39 @@ def test_shipped_configs_load_and_round_trip():
         assert parse_canonical_config(emit_canonical_config(cfg)) == cfg
 
 
+class TestBuildSimConfig:
+    @pytest.mark.parametrize("kind, dimension", [
+        ("gaussian_mixture", 2), ("double_well", 1), ("quadratic", 2)])
+    def test_known_kinds(self, kind, dimension):
+        init = ",".join(["2"] * dimension)
+        sim = build_sim_config(load_config(overrides=[f"kind={kind}", f"init={init}"]))
+        assert sim.objective.dimension == dimension
+
+    def test_mixture_takes_kappa_and_confinement(self):
+        sim = build_sim_config(load_config(overrides=["kappa=0.2", "confinement=0.5"]))
+        point = np.array([[3.0, -1.0]])
+        want = benchmark_mixture(0.2, 0.5).value_and_grad(point)
+        assert all(np.array_equal(a, b) for a, b in zip(sim.objective.value_and_grad(point),
+                                                        want))
+
+    def test_point(self):
+        sim = build_sim_config(load_config(overrides=["init=2,3"]))
+        assert sim.init == (2.0, 3.0)
+
+    def test_uniform_box(self):
+        sim = build_sim_config(load_config(overrides=["init=uniform:-2,2",
+                                                      "ensemble=1000"]))
+        assert sim.init.shape == (1000, 2)
+        assert sim.init.min() >= -2.0 and sim.init.max() <= 2.0
+        assert abs(sim.init.mean()) < 0.1
+
+    @pytest.mark.parametrize("ensemble", ["0", "-3"])
+    def test_uniform_box_of_no_seeds_is_a_config_error(self, ensemble):
+        cfg = load_config(overrides=["init=uniform:-2,2", f"ensemble={ensemble}"])
+        with pytest.raises(ConfigError, match="steps and ensemble must be positive"):
+            build_sim_config(cfg)
+
+
 class TestDispatch:
     def test_unknown_subcommand_exits_2(self, capsys):
         assert main(["annihilate"]) == 2
@@ -160,9 +206,7 @@ class TestDispatch:
                                                               tmp_path, capsys, monkeypatch):
         # each kappa's files and echo carry its 6-digit :g form; a sweep that
         # would overwrite its own files or echo another kappa never starts
-        def no_run(*args):
-            raise AssertionError("the sweep started")
-        monkeypatch.setattr("relex.cli.kappa_sweep", no_run)
+        monkeypatch.setattr("relex.cli.run_comparison", no_run)
         out = tmp_path / "res"
         code = main(["sweep", "--set", f"kappas={kappas}", "--out", str(out)])
         assert code == 2
@@ -171,20 +215,34 @@ class TestDispatch:
 
     @pytest.mark.parametrize("setting, message", [
         ("kappas=0.1,-1", "kappa must be positive, got -1.0"),
+        ("kappas=0.1,inf", "objective.kappas must be comma-separated finite numbers, "
+                           "got '0.1,inf'"),
+        ("kappas=0.1,nan", "objective.kappas must be comma-separated finite numbers, "
+                           "got '0.1,nan'"),
+        ("kappas=", "kappa sweep needs at least one kappa"),
         ("kind=double_well", "kappa sweep needs a gaussian_mixture objective, "
                              "got 'double_well'"),
-    ], ids=["negative-kappa", "not-a-mixture"])
+    ], ids=["negative-kappa", "infinite-kappa", "nan-kappa", "no-kappa", "not-a-mixture"])
     def test_sweep_rejects_a_bad_kappa_before_any_run(self, setting, message, tmp_path,
                                                       capsys, monkeypatch):
         # the bad kappa comes last: no kappa's comparison runs before the error;
         # a sweep over an objective without a kappa never starts
         runs = []
-        monkeypatch.setattr("relex.harness.run_comparison", lambda *args: runs.append(args))
+        monkeypatch.setattr("relex.cli.run_comparison", lambda *args: runs.append(args))
         out = tmp_path / "res"
         code = main(["sweep", "--set", setting, "--out", str(out)])
         assert code == 2 and runs == []
         assert capsys.readouterr().err == f"relex: config error: {message}\n"
         assert not out.exists()
+
+    def test_sweep_of_one_kappa_is_that_kappa_s_compare(self, tmp_path):
+        argv = ["--set", "steps=100", "--set", "ensemble=3", "--set", "init=uniform:-1,5"]
+        assert main(["sweep", *argv, "--set", "kappas=0.2", "--out", str(tmp_path / "s")]) == 0
+        assert main(["compare", *argv, "--set", "kappa=0.2", "--out", str(tmp_path / "c")]) == 0
+        for name in ("bestsofar", "summary"):
+            swept = (tmp_path / "s" / f"{name}_kappa0p2.csv").read_text().splitlines()
+            compared = (tmp_path / "c" / f"{name}.csv").read_text().splitlines()
+            assert swept[1:] == compared[1:]
 
     def test_discerr_writes_csv(self, tmp_path, capsys):
         out = tmp_path / "res"
@@ -305,12 +363,34 @@ class TestDispatch:
                          "--set", "ensemble=50", "--out", str(tmp_path)])
         assert code == 0
 
-    @pytest.mark.parametrize("init", ["uniform:nan,1", "uniform:3,1"])
-    def test_bad_uniform_init_exits_2(self, tmp_path, capsys, init):
+    @pytest.mark.parametrize("init", ["uniform:nan,1", "uniform:3,1", "uniform:-1,inf",
+                                      "uniform:-inf,1", "uniform:2,1"])
+    def test_bad_uniform_init_exits_2(self, tmp_path, capsys, init, no_experiment):
         code = main(["compare", "--set", f"init={init}", "--set", "steps=10",
                      "--set", "ensemble=2", "--set", "stride=1", "--out", str(tmp_path)])
         assert code == 2
-        assert "config error" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"relex: config error: uniform init bounds must be finite with lo <= hi, "
+            f"got {init!r}\n")
+
+    @pytest.mark.parametrize("command, item, message", [
+        ("compare", "kind=rosenbrock", "unknown objective kind 'rosenbrock'"),
+        ("chi2", "kind=rosenbrock", "unknown objective kind 'rosenbrock'"),
+        ("discerr", "kind=rosenbrock", "unknown objective kind 'rosenbrock'"),
+        ("gradcheck", "kind=rosenbrock", "unknown objective kind 'rosenbrock'"),
+        ("compare", "init=gaussian:0,1",
+         "dynamics.init must be finite coordinates or uniform:lo,hi, got 'gaussian:0,1'"),
+        ("compare", "init=uniform:oops", "bad uniform init spec 'uniform:oops'"),
+        ("compare", "init=uniform:1,2,3", "bad uniform init spec 'uniform:1,2,3'"),
+        ("compare", "init=1,2,3", "init point has dimension 3, expected 2"),
+        ("compare", "kind=double_well", "init point has dimension 2, expected 1"),
+    ])
+    def test_bad_objective_or_init_exits_2_before_any_run(self, command, item, message,
+                                                          tmp_path, capsys, no_experiment):
+        code = main([command, "--set", item, "--out", str(tmp_path / "res")])
+        assert code == 2
+        assert capsys.readouterr().err == f"relex: config error: {message}\n"
+        assert not (tmp_path / "res").exists()
 
     def test_unwritable_out_exits_2(self, tmp_path, capsys):
         blocker = tmp_path / "file"

@@ -12,8 +12,7 @@ from hypothesis import strategies as st
 
 from relex.errors import ConfigError, InputError
 from relex.harness import (RunSummary, SimConfig, _best_so_far, _write_rows,
-                           build_objective, discretization_error_experiment,
-                           kappa_sweep, pregenerate_noise, resolve_init,
+                           discretization_error_experiment, pregenerate_noise,
                            run_comparison, write_bestsofar_csv,
                            write_discerr_csv, write_summary_csv)
 from relex.objective import benchmark_mixture, double_well
@@ -23,7 +22,7 @@ from relex.rng import RngStream, pair_streams
 
 def small_config(**overrides):
     base = dict(
-        objective={"kind": "gaussian_mixture", "kappa": 0.1, "confinement": 0.0},
+        objective=benchmark_mixture(0.1),
         tau1=0.01, tau2=1.0, intensity=1.0, eta=0.01, steps=200,
         ensemble=4, seed=1, init=(2.0, 2.0), stride=10,
     )
@@ -56,6 +55,22 @@ class TestSimConfig:
         with pytest.raises(ConfigError):
             small_config(**overrides)
 
+    @pytest.mark.parametrize("overrides, message", [
+        (dict(objective={"kind": "gaussian_mixture", "kappa": 0.1}),
+         "objective must be an ObjectiveFunction, got dict"),
+        (dict(init=(1.0,)), "init point has dimension 1, expected 2"),
+        (dict(init=(1.0, 2.0, 3.0)), "init point has dimension 3, expected 2"),
+        (dict(init=np.zeros((3, 2))), r"init has shape \(3, 2\), expected \(2,\) or \(4, 2\)"),
+        (dict(init=np.zeros((4, 3))), r"init has shape \(4, 3\), expected"),
+        (dict(init=2.0), r"init has shape \(\), expected"),
+        (dict(init="uniform:0,4"), r"init has shape \(\), expected"),
+        (dict(init=(2.0, math.nan)), "init must be finite"),
+        (dict(init=np.full((4, 2), math.inf)), "init must be finite"),
+    ])
+    def test_invalid_objective_or_init(self, overrides, message):
+        with pytest.raises(ConfigError, match=message):
+            small_config(**overrides)
+
     @given(st.sampled_from(["intensity", "eta", "tau1", "tau2"]), st.floats())
     def test_any_float_is_rejected_or_valid(self, name, value):
         try:
@@ -66,50 +81,6 @@ class TestSimConfig:
                    for n in ("intensity", "eta", "tau1", "tau2"))
         assert cfg.tau1 > 0 and cfg.tau2 > 0 and cfg.tau1 < cfg.tau2
         assert cfg.intensity >= 0 and cfg.eta > 0
-
-
-class TestBuildObjective:
-    def test_known_kinds(self):
-        assert build_objective({"kind": "gaussian_mixture", "kappa": 0.2}).dimension == 2
-        assert build_objective({"kind": "double_well"}).dimension == 1
-        assert build_objective({"kind": "quadratic"}).dimension == 2
-
-    def test_unknown_kind_and_keys(self):
-        with pytest.raises(ConfigError):
-            build_objective({"kind": "rosenbrock"})
-        with pytest.raises(ConfigError):
-            build_objective({"kind": "double_well", "bogus": 1})
-        # the quadratic is 2-D, and the sweep list is not an objective key
-        for cfg in ({"kind": "quadratic", "dim": 3}, {"kappa": 0.1, "kappas": [0.1]}):
-            with pytest.raises(ConfigError, match="unknown objective keys"):
-                build_objective(cfg)
-
-
-class TestResolveInit:
-    def test_point(self):
-        init = resolve_init((2.0, 3.0), 2, 5, seed=0)
-        assert init.shape == (5, 2)
-        assert np.all(init == [2.0, 3.0])
-
-    def test_uniform_box(self):
-        init = resolve_init("uniform:-2,2", 2, 1000, seed=0)
-        assert init.shape == (1000, 2)
-        assert init.min() >= -2.0 and init.max() <= 2.0
-        assert abs(init.mean()) < 0.1
-
-    def test_errors(self):
-        with pytest.raises(ConfigError):
-            resolve_init((1.0,), 2, 5, seed=0)
-        with pytest.raises(ConfigError):
-            resolve_init("gaussian:0,1", 2, 5, seed=0)
-        with pytest.raises(ConfigError):
-            resolve_init("uniform:oops", 2, 5, seed=0)
-
-    @pytest.mark.parametrize("spec", ["uniform:nan,1", "uniform:-1,inf",
-                                      "uniform:-inf,1", "uniform:2,1"])
-    def test_bad_uniform_bounds(self, spec):
-        with pytest.raises(ConfigError, match="uniform init bounds"):
-            resolve_init(spec, 2, 5, seed=0)
 
 
 class TestRunComparison:
@@ -132,7 +103,7 @@ class TestRunComparison:
         for x, y in zip(a, b):
             assert np.array_equal(x.best_curves, y.best_curves)
 
-    @pytest.mark.parametrize("init", [(2.0, 2.0), "uniform:0,4"])
+    @pytest.mark.parametrize("init", [(2.0, 2.0), np.full((4, 2), 2.0)])
     def test_float_seed_rejected(self, init):
         # truncated, it would replay the comparison of seed 1
         with pytest.raises(InputError, match="seed must be an integer, got 1.5"):
@@ -147,6 +118,16 @@ class TestRunComparison:
         run_comparison(small_config(init=(2.0, 2.0)))
         assert len(created) == 5 * 4
 
+    def test_one_start_per_seed(self):
+        starts = np.array([[2.0, 2.0], [0.0, 1.0], [-1.0, 3.0], [4.0, 0.5]])
+        shared = run_comparison(small_config(init=(2.0, 2.0)))
+        tiled = run_comparison(small_config(init=np.tile((2.0, 2.0), (4, 1))))
+        apart = run_comparison(small_config(init=starts))
+        for a, b, c in zip(shared, tiled, apart):
+            assert np.array_equal(a.best_curves, b.best_curves)
+            assert np.array_equal(c.best_curves[0], a.best_curves[0])
+            assert not np.array_equal(c.best_curves[1:], a.best_curves[1:])
+
     def test_zero_intensity_matches_low_temp_bitwise(self):
         low, _, rex = run_comparison(small_config(intensity=0.0))
         assert np.array_equal(rex.best_curves, low.best_curves)
@@ -155,8 +136,8 @@ class TestRunComparison:
     def test_best_curves_match_a_full_trajectory_oracle(self):
         cfg = small_config(ensemble=5, steps=120, stride=6, intensity=20.0, tau1=0.1)
         summaries = run_comparison(cfg)
-        f = build_objective(cfg.objective)
-        init = resolve_init(cfg.init, 2, 5, cfg.seed)
+        f = cfg.objective
+        init = np.tile(cfg.init, (5, 1))
         for summary, intensity, slot in zip(summaries, (0.0, 0.0, cfg.intensity),
                                             (0, 1, 0)):
             traj, _ = pair_snapshots(f, np.stack((init, init), axis=1),
@@ -174,7 +155,7 @@ class TestRunComparison:
         # the observer reorders by temperature only when the kernel hands
         # over a new T; the reference reorders every step
         n, steps, stride = 6, 300, 3
-        f = build_objective({"kind": "gaussian_mixture", "kappa": 0.1})
+        f = benchmark_mixture(0.1)
         observe, curves = _best_so_far(steps, stride, n)
         best, want = np.full((n, 2), np.inf), []
 
@@ -192,8 +173,8 @@ class TestRunComparison:
     def test_each_half_of_the_fused_run_is_its_own_run(self):
         n, steps = 5, 150
         cfg = small_config(ensemble=n, steps=steps, intensity=20.0, tau1=0.1)
-        f = build_objective(cfg.objective)
-        init = resolve_init(cfg.init, 2, n, cfg.seed)
+        f = cfg.objective
+        init = np.tile(cfg.init, (n, 1))
         pair = np.stack((init, init), axis=1)
         baseline, _ = pair_streams(cfg.seed, n)
         replica, swap = pair_streams(cfg.seed, n)
@@ -231,22 +212,6 @@ class TestRunComparison:
         finally:
             tracemalloc.stop()
         assert peak < noise_bytes / 4
-
-
-class TestKappaSweep:
-    def test_empty_list_rejected(self):
-        with pytest.raises(ConfigError):
-            kappa_sweep([], small_config())
-        with pytest.raises(ConfigError):
-            kappa_sweep([-0.1], small_config())
-
-    def test_single_kappa_matches_run_comparison(self):
-        base = small_config()
-        sweep = kappa_sweep([0.1], base)
-        direct = run_comparison(base)
-        assert len(sweep) == 1
-        for s, d in zip(sweep[0], direct):
-            assert np.array_equal(s.best_curves, d.best_curves)
 
 
 class TestDiscretizationExperiment:

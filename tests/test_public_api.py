@@ -35,7 +35,6 @@ SIGNATURES = {
     "SwapPolicy": ("intensity", "eta"),
     "benchmark_mixture": ("kappa", "confinement"),
     "build_gaussian_mixture": ("centers", "weights", "kappa", "confinement"),
-    "build_objective": ("obj_cfg",),
     "check_gradient": ("f", "point"),
     "chi2_decay_experiment": ("f", "tau1", "tau2", "a", "eta", "ensemble", "sample_times",
                               "bounds", "resolution", "seed", "fit_floor"),
@@ -47,7 +46,6 @@ SIGNATURES = {
     "double_well": (),
     "empirical_histogram": ("positions", "bounds", "resolution"),
     "gibbs_density": ("f", "tau", "bounds", "resolution"),
-    "kappa_sweep": ("kappas", "base"),
     "pair_gibbs_density": ("f", "tau1", "tau2", "bounds", "resolution"),
     "quadratic": ("dim", "scale"),
     "run_comparison": ("cfg",),

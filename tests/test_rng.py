@@ -37,6 +37,23 @@ def test_stream_id_packs_purpose_and_chain():
     assert _stream_id(PURPOSE_POS1, 3) == (1 << 32) | 3
 
 
+@pytest.mark.parametrize("purpose, chain, message", [
+    (PURPOSE_POS1, 1.5, "chain must be an integer, got 1.5"),
+    (PURPOSE_POS1, 1 << 32, r"chain must lie in \[0, 2\*\*32\), got 4294967296$"),
+    ((1 << 32) + 1, 0, r"purpose must lie in \[0, 2\*\*32\), got 4294967297$"),
+    (PURPOSE_POS1, -1, r"chain must lie in \[0, 2\*\*32\), got -1$"),
+], ids=["float-chain", "chain-2**32", "purpose-2**32+1", "negative-chain"])
+def test_purpose_and_chain_outside_32_bits_rejected(purpose, chain, message):
+    # truncated or masked, each would replay another (purpose, chain) stream
+    with pytest.raises(InputError, match=message):
+        derive_stream(0, purpose, chain)
+
+
+def test_32_bit_edges_and_numpy_integers_pack():
+    assert _stream_id((1 << 32) - 1, (1 << 32) - 1) == (1 << 64) - 1
+    assert _stream_id(np.int64(PURPOSE_POS1), np.uint32(3)) == (1 << 32) | 3
+
+
 def test_derive_stream_matches_manual_construction():
     a = derive_stream(9, PURPOSE_SWAP, chain=5)
     b = RngStream(9, _stream_id(PURPOSE_SWAP, 5))
