@@ -24,7 +24,7 @@ from .harness import (SimConfig, discretization_error_experiment,
                       pregenerate_noise, run_comparison)
 from .langevin import em_update
 from .objective import check_gradient, double_well, benchmark_mixture
-from .replica import SwapPolicy, pair_snapshots, run_pair_ensemble, swap_rate
+from .replica import pair_snapshots, run_pair_ensemble, swap_rate
 from .rng import PURPOSE_INIT, PURPOSE_POS1, derive_stream, pair_streams
 
 
@@ -76,7 +76,7 @@ def criterion_2_null_coupling_bitwise():
     init = np.tile((2.0, 2.0), (nseeds, 1))
     xi, _ = pregenerate_noise(7, nseeds, steps, f.dimension)
     snaps, swaps = pair_snapshots(f, np.stack((init, init), axis=1), (tau1, tau2), steps,
-                                  (pair_streams(7, nseeds)[0], None), SwapPolicy(0.0, eta),
+                                  (pair_streams(7, nseeds)[0], None), eta, 0.0,
                                   range(steps + 1))
     ok = int(swaps.sum()) == 0
     for slot, tau in enumerate((tau1, tau2)):
@@ -98,8 +98,7 @@ def criterion_3_stationarity():
     rng_init = derive_stream(3, PURPOSE_INIT)
     init = -1.5 + 3.0 * rng_init.uniform((chains, 1))
     final, _, _ = run_pair_ensemble(f, init[:, None], tau, steps,
-                                    ([[derive_stream(3, PURPOSE_POS1)]], None),
-                                    SwapPolicy(0.0, eta))
+                                    ([[derive_stream(3, PURPOSE_POS1)]], None), eta, 0.0)
     pi = gibbs_density(f, tau, bounds, 60)
     mu = empirical_histogram(final[:, 0], bounds, 60)
     tv = total_variation(mu, pi)
@@ -220,7 +219,6 @@ def criterion_8_formulation_equivalence():
     low-temperature coordinate: TV < 0.05 between final histograms."""
     f = double_well()
     tau1, tau2, eta, steps, chains = 0.1, 1.0, 0.001, 20_000, 2000
-    policy = SwapPolicy(intensity=5.0, eta=eta)
     bounds = np.array([[-2.5, 2.5]])
     # Pool several well-separated late-time snapshots: the two processes share
     # the same law at every time, so pooling just shrinks the sampling noise.
@@ -229,7 +227,7 @@ def criterion_8_formulation_equivalence():
     x0 = np.broadcast_to(np.reshape((1.0, -1.0), (1, 2, 1)), (chains, 2, 1))
     for offset, mode in ((0, "temperature"), (1, "position")):
         snaps, _ = pair_snapshots(f, x0, (tau1, tau2), steps, pair_streams(80 + offset),
-                                  policy, snapshot_steps, mode)
+                                  eta, 5.0, snapshot_steps, mode)
         pooled[mode] = np.concatenate(snaps[:, :, 0])
     mu_t = empirical_histogram(pooled["temperature"], bounds, 24)
     mu_p = empirical_histogram(pooled["position"], bounds, 24)

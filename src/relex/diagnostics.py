@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FitError, InputError
+from .errors import InputError, integer
 from .objective import ObjectiveFunction
-from .replica import SwapPolicy, pair_snapshots, swap_rate
+from .replica import pair_snapshots, swap_rate
 from .rng import pair_streams
 
 PI_FLOOR = 1e-12
@@ -77,9 +77,10 @@ def _grid(bounds, resolution):
             or not np.all(bounds[:, 0] < bounds[:, 1])):
         raise InputError(f"grid bounds must be finite (lo, hi) rows with lo < hi, "
                          f"got {bounds.tolist()}")
-    if not resolution >= 1:
+    resolution = integer("grid resolution", resolution)
+    if resolution < 1:
         raise InputError(f"grid resolution must be >= 1, got {resolution}")
-    return bounds, int(resolution)
+    return bounds, resolution
 
 
 def _max_boundary_cell(mass: np.ndarray) -> float:
@@ -198,9 +199,10 @@ def chi2_decay_experiment(f: ObjectiveFunction, tau1: float, tau2: float,
     """
     if f.dimension != 1:
         raise InputError("chi-square decay experiment requires a 1-D objective")
-    if ensemble < 1000:
+    if integer("ensemble", ensemble) < 1000:
         raise InputError(f"ensemble must be >= 1000, got {ensemble}")
-    policy = SwapPolicy(intensity=a, eta=eta)
+    if not (0 < eta < math.inf):    # the sample times are counted in steps of eta
+        raise InputError(f"eta must be positive and finite, got {eta}")
     sample_times = np.asarray(sample_times, dtype=float)
     if sample_times.size < 1 or not np.all(np.isfinite(sample_times) & (sample_times > 0)):
         raise InputError("sample times must be positive and finite")
@@ -214,7 +216,7 @@ def chi2_decay_experiment(f: ObjectiveFunction, tau1: float, tau2: float,
     steps = int(sample_steps[-1])
     x0 = np.broadcast_to(np.reshape((1.0, -1.0), (1, 2, 1)), (ensemble, 2, 1))
     snaps, _ = pair_snapshots(f, x0, (tau1, tau2), steps, pair_streams(seed),
-                              policy, sample_steps.tolist(), mode="position")
+                              eta, a, sample_steps.tolist(), mode="position")
     pair_points = snaps[:, :, :, 0]
     chi2 = np.array([_chi2_of_points(pts, pi) for pts in pair_points])
 
@@ -228,7 +230,7 @@ def chi2_decay_experiment(f: ObjectiveFunction, tau1: float, tau2: float,
     def fit_rate(values):
         keep = values > fit_floor
         if keep.sum() < 3:
-            raise FitError(
+            raise InputError(
                 f"only {int(keep.sum())} sample times have chi2 > {fit_floor}"
             )
         return -np.polyfit(times[keep], np.log(values[keep]), 1)[0]
@@ -238,7 +240,7 @@ def chi2_decay_experiment(f: ObjectiveFunction, tau1: float, tau2: float,
     for b in range(N_BOOTSTRAP):
         try:
             boot_rates.append(fit_rate(boot[b]))
-        except FitError:
+        except InputError:
             continue
     rate_std = float(np.std(boot_rates, ddof=1)) if len(boot_rates) > 1 else float("nan")
     return DecayFit(times=times, chi2=chi2, rate=rate,

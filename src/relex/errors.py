@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer check that
+raises them."""
+
+import operator
 
 
 class RelexError(Exception):
@@ -7,7 +10,8 @@ class RelexError(Exception):
 
 class InputError(RelexError):
     """A caller supplied a non-finite, empty or otherwise invalid value, such
-    as mismatched grids or bounds that truncate a Gibbs density."""
+    as mismatched grids, bounds that truncate a Gibbs density, or too few
+    points to fit a decay rate."""
 
 
 class ConfigError(RelexError):
@@ -24,5 +28,11 @@ class DivergenceError(RelexError):
         self.iteration, self.chain, self.slot, self.position = iteration, chain, slot, position
 
 
-class FitError(RelexError):
-    """Too few usable points to fit a decay rate."""
+def integer(what: str, value, error: type = InputError) -> int:
+    """``value`` as an int, else ``error`` naming ``what``. A count or a step
+    index given as a float, even a whole one, is an error: truncating it would
+    run another count, and a fractional step index names no step."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise error(f"{what} must be an integer, got {value!r}") from None

@@ -19,9 +19,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, integer
 from .objective import ObjectiveFunction
-from .replica import SwapPolicy, by_temperature, run_pair_ensemble
+from .replica import by_temperature, run_pair_ensemble
 from .rng import pair_streams, position_streams
 
 
@@ -51,6 +51,8 @@ class SimConfig:
             raise ConfigError("intensity must be nonnegative and finite")
         if not (0 < self.eta < math.inf):
             raise ConfigError("eta must be positive and finite")
+        for name in ("steps", "ensemble", "stride"):
+            integer(name, getattr(self, name), ConfigError)
         if self.steps < 1 or self.ensemble < 1:
             raise ConfigError("steps and ensemble must be positive")
         if self.stride < 1 or self.steps % self.stride != 0:
@@ -162,7 +164,7 @@ def run_comparison(cfg: SimConfig):
     t0 = time.perf_counter()
     _, _, swaps = run_pair_ensemble(f, np.concatenate((pair, pair)),
                                     (cfg.tau1, cfg.tau2), cfg.steps, streams,
-                                    SwapPolicy(cfg.intensity, cfg.eta), observe=observe)
+                                    cfg.eta, cfg.intensity, observe=observe)
     wall = time.perf_counter() - t0
     return (_summarize("low-temp", curves[:, :n, 0], cfg.stride, wall_time=wall),
             _summarize("high-temp", curves[:, :n, 1], cfg.stride, wall_time=wall),
@@ -185,7 +187,7 @@ def discretization_error_experiment(f: ObjectiveFunction, tau1: float, tau2: flo
     the coarse step's start. The finest grid is the brute-force reference for
     the continuous process.
     """
-    if ensemble < 2:
+    if integer("ensemble", ensemble, ConfigError) < 2:
         raise ConfigError(f"ensemble must be >= 2 for a standard error, got {ensemble}")
     if not (0 < T < math.inf):
         raise ConfigError(f"horizon T must be positive and finite, got {T}")
@@ -194,6 +196,9 @@ def discretization_error_experiment(f: ObjectiveFunction, tau1: float, tau2: flo
         raise ConfigError("need at least one stepsize")
     if not np.all(np.isfinite(etas) & (etas > 0)):
         raise ConfigError("all stepsizes must be positive and finite")
+    repeated = etas[1:][etas[1:] == etas[:-1]]     # etas are sorted
+    if repeated.size:
+        raise ConfigError(f"stepsize {repeated[0]} is listed twice")
     if eta_ref is None:
         eta_ref = float(etas.min()) / 16.0
     elif not (0 < eta_ref < math.inf):
@@ -214,11 +219,10 @@ def discretization_error_experiment(f: ObjectiveFunction, tau1: float, tau2: flo
 
     d = f.dimension
     x0 = np.broadcast_to(np.reshape((1.0, -1.0), (1, 2, -1)), (ensemble, 2, d))
-    policy = SwapPolicy(a, eta_ref)
 
     def coupled_run(m: int):
         x, _, _ = run_pair_ensemble(f, x0, (tau1, tau2), n_fine // m, pair_streams(seed),
-                                    policy, m=m)
+                                    eta_ref, a, m=m)
         return x[:, 0], x[:, 1]
 
     ref1, ref2 = coupled_run(1)

@@ -3,55 +3,27 @@
 ``run_pair_ensemble`` advances positions of shape (chains, R, d): R = 1 is a
 set of independent single chains, R = 2 a replica pair per chain. Each step
 every slot takes one Euler-Maruyama step at its current temperature; a pair
-then exchanges with probability min(1, a * h * s), with s evaluated at the
+then exchanges with probability min(1, a * eta * s), with s evaluated at the
 PRE-update positions. Temperature swapping (the discrete algorithm) trades
 the temperatures; position swapping, the distributionally equivalent variant,
 keeps the temperatures and trades the positions.
 
 The kernel draws its own noise from the stream rows it is given: Gaussian
-increments and swap uniforms on the sub-step h = ``policy.eta``. A coarse
-step of m sub-steps advances m * h on the sum of their increments and fires
-if any of their m uniforms does.
+increments and swap uniforms on the sub-step ``eta``. A coarse step of m
+sub-steps advances m * eta on the sum of their increments and fires if any of
+their m uniforms does.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, integer
 from .langevin import check_finite
 from .objective import ObjectiveFunction
-
-
-@dataclass(frozen=True)
-class SwapPolicy:
-    """Swap intensity a >= 0 plus the stepsize eta (on a coarse run, the sub-step).
-
-    The swap probability per (sub-)step is a * eta * s, clamped to [0, 1].
-    Values of a * eta >= 1 are allowed (the clamp keeps the probability
-    valid) but warned about once, since the nominal probability is then
-    ill-defined.
-    """
-
-    intensity: float
-    eta: float
-
-    def __post_init__(self):
-        if not (0 <= self.intensity < math.inf):
-            raise InputError(f"swap intensity must be nonnegative and finite, got {self.intensity}")
-        if not (0 < self.eta < math.inf):
-            raise InputError(f"eta must be positive and finite, got {self.eta}")
-        if self.intensity * self.eta >= 1:
-            warnings.warn(
-                f"intensity * eta = {self.intensity * self.eta:g} >= 1; "
-                "swap probabilities will be clamped to 1",
-                RuntimeWarning,
-                stacklevel=2,
-            )
 
 
 def swap_rate(u1, u2, tau1, tau2):
@@ -110,19 +82,23 @@ def by_temperature(x, T):
 
 
 def run_pair_ensemble(f: ObjectiveFunction, x0, temps, steps: int, streams,
-                      policy: SwapPolicy, mode: str = "temperature", observe=None, m=1):
-    """Advance ``x0`` by ``steps`` Euler-Maruyama steps of ``m * policy.eta``.
+                      eta: float, intensity: float, mode: str = "temperature",
+                      observe=None, m: int = 1):
+    """Advance ``x0`` by ``steps`` Euler-Maruyama steps of ``m * eta``.
 
     ``x0`` has shape (chains, R, d) with R = 1 or 2; ``temps`` broadcasts to
     (chains, R). ``streams`` is the (slots, swap) pair of ``pair_streams``:
     one row of R streams per group of chains (the groups split the chains
     evenly, in order) and one swap stream per group, None for a group that
     never swaps; ``swap=None`` draws no uniforms, and only a run that cannot
-    swap may pass it. Noise is drawn on the sub-step h = ``policy.eta``; a
-    step of m sub-steps sums their increments and tests all m uniforms.
+    swap may pass it. Noise is drawn on the sub-step ``eta``; a step of m
+    sub-steps sums their increments and tests all m uniforms, each against
+    the swap probability min(1, intensity * eta * s). ``intensity * eta >= 1``
+    is allowed, as the clamp keeps the probability valid, but warned about,
+    since the nominal probability is then ill-defined.
     Each step makes one ``f.value_and_grad`` call at the pre-update
     positions; its values feed the swap rate and the observer. The swap
-    branch runs only where a swap can fire: R = 2 and a > 0.
+    branch runs only where a swap can fire: R = 2 and intensity > 0.
     ``observe(k, x, T, fx)`` sees the positions x_k, their temperatures and
     their objective values fx = f(x_k) at k = 0..steps; the final values
     cost one extra ``f.eval``, made only when an observer is given. The
@@ -131,8 +107,16 @@ def run_pair_ensemble(f: ObjectiveFunction, x0, temps, steps: int, streams,
     from ``T`` until it is handed another object. Returns (positions,
     temperatures, swap counts per chain).
     """
+    if not (0 <= intensity < math.inf):
+        raise InputError(f"swap intensity must be nonnegative and finite, got {intensity}")
+    if not (0 < eta < math.inf):
+        raise InputError(f"eta must be positive and finite, got {eta}")
+    if intensity * eta >= 1:
+        warnings.warn(f"intensity * eta = {intensity * eta:g} >= 1; "
+                      "swap probabilities will be clamped to 1", RuntimeWarning, stacklevel=2)
     if mode not in ("temperature", "position"):
         raise InputError(f"unknown swap mode {mode!r}")
+    steps, m = integer("steps", steps), integer("m", m)
     if steps < 1:
         raise InputError(f"steps must be >= 1, got {steps}")
     if m < 1:
@@ -146,7 +130,7 @@ def run_pair_ensemble(f: ObjectiveFunction, x0, temps, steps: int, streams,
     T = np.array(np.broadcast_to(temps, x.shape[:2]), dtype=float)
     if not np.all(np.isfinite(T) & (T >= 0)):
         raise InputError("temperatures must be finite and nonnegative")
-    swapping = x.shape[1] == 2 and policy.intensity > 0
+    swapping = x.shape[1] == 2 and intensity > 0
     if swapping and not np.all(T > 0):
         raise InputError("temperatures must be positive")
     slots, swap = streams
@@ -154,9 +138,8 @@ def run_pair_ensemble(f: ObjectiveFunction, x0, temps, steps: int, streams,
         raise InputError("a swapping run needs swap streams")
     draw = _philox_noise(steps, x.shape, slots, swap, m)
     swaps = np.zeros(x.shape[0], dtype=int)
-    h = policy.eta
-    eta = m * h
-    coef = np.sqrt(2.0 * h * T)[..., None]    # em_update's scale; moves with T on a swap
+    step = m * eta
+    coef = np.sqrt(2.0 * eta * T)[..., None]  # em_update's scale; moves with T on a swap
     for k in range(steps):
         fx, grad = f.value_and_grad(x)
         if observe is not None:
@@ -166,10 +149,10 @@ def run_pair_ensemble(f: ObjectiveFunction, x0, temps, steps: int, streams,
         # trade places, but a finite x can still have a NaN value.
         if swapping and not np.isfinite(fx).all():
             raise InputError("objective values in swap rate must be finite")
-        before, x = x, x - eta * grad + coef * xi   # em_update with the cached scale
+        before, x = x, x - step * grad + coef * xi  # em_update with the cached scale
         check_finite(x, k + 1, before)
         if swapping:
-            fired = _fired(u, T, fx, policy.intensity, h)
+            fired = _fired(u, T, fx, intensity, eta)
             if fired.size:
                 if mode == "temperature":
                     T = T.copy()                # the observer may hold the old T
@@ -184,12 +167,13 @@ def run_pair_ensemble(f: ObjectiveFunction, x0, temps, steps: int, streams,
 
 
 def pair_snapshots(f: ObjectiveFunction, x0, temps, steps: int, streams,
-                   policy: SwapPolicy, at, mode: str = "temperature"):
+                   eta: float, intensity: float, at, mode: str = "temperature"):
     """Pair run that records ``by_temperature(x, T)`` at each step k in
     ``at`` (k = 0 is the start; every k must lie in [0, steps]). Returns
     (snapshots (len(at), chains, 2, d), swap counts per chain)."""
     rows = {}
     for i, k in enumerate(at):
+        k = integer("snapshot step", k)
         if not 0 <= k <= steps:
             raise InputError(f"snapshot step {k} is outside [0, {steps}]")
         rows.setdefault(k, []).append(i)
@@ -198,7 +182,8 @@ def pair_snapshots(f: ObjectiveFunction, x0, temps, steps: int, streams,
     def observe(k, x, T, fx):
         if k in rows:
             snaps[rows[k]] = by_temperature(x, T)
-    _, _, swaps = run_pair_ensemble(f, x0, temps, steps, streams, policy, mode, observe)
+    _, _, swaps = run_pair_ensemble(f, x0, temps, steps, streams, eta, intensity, mode,
+                                    observe)
     return snaps, swaps
 
 

@@ -12,11 +12,9 @@ Backed by numpy's Philox counter-based generator.
 
 from __future__ import annotations
 
-import operator
-
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, integer
 
 # Purpose ids used to derive per-role stream ids from one root seed.
 PURPOSE_POS1 = 1   # position noise of the first (low-temperature) particle
@@ -59,10 +57,7 @@ class RngStream:
 def _word(what: str, value, bits: int) -> int:
     """``value`` as an integer in [0, 2**bits). Truncating a float or masking
     a larger integer would alias another key's stream, so both are errors."""
-    try:
-        value = operator.index(value)
-    except TypeError:
-        raise InputError(f"{what} must be an integer, got {value!r}") from None
+    value = integer(what, value)
     if not 0 <= value < 1 << bits:
         raise InputError(f"{what} must lie in [0, 2**{bits}), got {value}")
     return value

@@ -314,6 +314,29 @@ class TestDispatch:
         assert "ensemble must be >= 2" in capsys.readouterr().err
         assert not (tmp_path / "discerr.csv").exists()
 
+    @pytest.mark.parametrize("command, item, message", [
+        ("chi2", "ensemble=1000 eta=0", "eta must be positive and finite, got 0.0"),
+        ("discerr", "ensemble=20 intensity=-1",
+         "swap intensity must be nonnegative and finite, got -1.0"),
+    ])
+    def test_bad_step_or_swap_intensity_exits_2(self, tmp_path, capsys, command, item,
+                                                message):
+        args = [arg for setting in ["kind=double_well", *item.split()]
+                for arg in ("--set", setting)]
+        code = main([command, *args, "--out", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err == f"relex: error: {message}\n"
+        assert not list(tmp_path.iterdir())
+
+    def test_chi2_fit_above_every_sample_exits_2(self, tmp_path, capsys):
+        code = main(["chi2", "--set", "kind=double_well", "--set", "ensemble=1000",
+                     "--set", "intensity=5", "--set", "fit_floor=1e9",
+                     "--out", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "relex: error: only 0 sample times have chi2 > 1000000000.0\n")
+        assert not list(tmp_path.iterdir())
+
     @pytest.mark.parametrize("item, message", [
         ("resolution=0", "relex: error: grid resolution must be >= 1"),
         ("resolution=-2", "relex: error: grid resolution must be >= 1"),
@@ -334,6 +357,7 @@ class TestDispatch:
         ("etas=", "need at least one stepsize"),
         ("eta_ref=0", "eta_ref must be positive"),
         ("eta_ref=-0.001", "eta_ref must be positive"),
+        ("etas=0.02,0.01,0.02", "stepsize 0.02 is listed twice"),
     ])
     def test_discerr_bad_horizon_or_stepsizes_exit_2(self, tmp_path, capsys, item,
                                                      message):

@@ -84,6 +84,14 @@ def test_grid_builders_reject_bad_grids(builder, bounds, resolution, message):
         BUILDERS[builder](bounds, resolution)
 
 
+@pytest.mark.parametrize("builder", sorted(BUILDERS))
+def test_grid_resolution_must_be_an_integer(builder):
+    # truncating 12.7 would build 12 cells
+    with pytest.raises(InputError, match="^grid resolution must be an integer, got 12.7$"):
+        BUILDERS[builder]([[-3.0, 3.0]], 12.7)
+    assert BUILDERS[builder]([[-3.0, 3.0]], np.int64(12)).resolution == 12
+
+
 class TestHistogramAndDivergences:
     def test_histogram_normalized_with_overflow(self):
         pts = np.array([[0.0], [0.5], [2.0]])   # one point out of bounds
@@ -192,6 +200,9 @@ class TestDecayExperiment:
         with pytest.raises(InputError):
             chi2_decay_experiment(double_well(), 0.1, 1.0, 1.0, 0.001, 2000,
                                   [0.3, 0.2, 0.1], [[-3, 3]], 10, 0)
+        with pytest.raises(InputError, match="^ensemble must be an integer, got 1000.0$"):
+            chi2_decay_experiment(double_well(), 0.1, 1.0, 1.0, 0.001, 1000.0,
+                                  [0.1, 0.2, 0.3], [[-3, 3]], 10, 0)
 
     @pytest.mark.parametrize("times, message", [
         ([-3.0, -2.0, -1.0], "positive and finite"),

@@ -16,7 +16,7 @@ from relex.harness import (RunSummary, SimConfig, _best_so_far, _write_rows,
                            run_comparison, write_bestsofar_csv,
                            write_discerr_csv, write_summary_csv)
 from relex.objective import benchmark_mixture, double_well
-from relex.replica import SwapPolicy, by_temperature, pair_snapshots, run_pair_ensemble
+from relex.replica import by_temperature, pair_snapshots, run_pair_ensemble
 from relex.rng import RngStream, pair_streams
 
 
@@ -70,6 +70,17 @@ class TestSimConfig:
     def test_invalid_objective_or_init(self, overrides, message):
         with pytest.raises(ConfigError, match=message):
             small_config(**overrides)
+
+    @pytest.mark.parametrize("name, value", [
+        ("steps", 100.0), ("ensemble", 4.0), ("stride", 10.0), ("steps", 200.5)])
+    def test_counts_must_be_integers(self, name, value):
+        with pytest.raises(ConfigError, match=f"^{name} must be an integer, got {value}$"):
+            small_config(**{name: value})
+
+    def test_numpy_integer_counts_are_accepted(self):
+        cfg = small_config(steps=np.int64(200), ensemble=np.int32(4), stride=np.uint8(10))
+        low, _, _ = run_comparison(cfg)
+        assert low.best_curves.shape == (4, 21)
 
     @given(st.sampled_from(["intensity", "eta", "tau1", "tau2"]), st.floats())
     def test_any_float_is_rejected_or_valid(self, name, value):
@@ -142,7 +153,7 @@ class TestRunComparison:
                                             (0, 1, 0)):
             traj, _ = pair_snapshots(f, np.stack((init, init), axis=1),
                                      (cfg.tau1, cfg.tau2), 120, pair_streams(cfg.seed, 5),
-                                     SwapPolicy(intensity, cfg.eta), range(121))
+                                     cfg.eta, intensity, range(121))
             best = np.minimum.accumulate(f.eval(traj[:, :, slot]), axis=0)
             assert np.array_equal(summary.best_curves, best[::6].T)
             assert np.array_equal(summary.final_best, best[-1])
@@ -166,7 +177,7 @@ class TestRunComparison:
                 want.append(best.copy())
         _, _, swaps = run_pair_ensemble(
             f, np.full((n, 2, 2), 2.0), (0.1, 1.0), steps, pair_streams(4, n),
-            SwapPolicy(intensity, 0.01), mode, observe=both)
+            0.01, intensity, mode, observe=both)
         assert (swaps.sum() > 30) == (intensity > 0)
         assert np.array_equal(curves, want)
 
@@ -182,14 +193,13 @@ class TestRunComparison:
         x, T, swaps = run_pair_ensemble(f, np.concatenate((pair, pair)),
                                         (cfg.tau1, cfg.tau2), steps,
                                         (baseline + replica, [None] * n + swap),
-                                        SwapPolicy(cfg.intensity, cfg.eta), observe=observe)
+                                        cfg.eta, cfg.intensity, observe=observe)
         assert swaps[:n].sum() == 0 and swaps[n:].sum() > 0
         for half, intensity in ((slice(0, n), 0.0), (slice(n, 2 * n), cfg.intensity)):
             observe, alone = _best_so_far(steps, 1, n)
             x1, T1, swaps1 = run_pair_ensemble(f, pair, (cfg.tau1, cfg.tau2), steps,
-                                               pair_streams(cfg.seed, n),
-                                               SwapPolicy(intensity, cfg.eta),
-                                               observe=observe)
+                                               pair_streams(cfg.seed, n), cfg.eta,
+                                               intensity, observe=observe)
             assert np.array_equal(fused[:, half], alone)
             assert np.array_equal(swaps[half], swaps1)
             assert np.array_equal(x[half], x1) and np.array_equal(T[half], T1)
@@ -261,11 +271,18 @@ class TestDiscretizationExperiment:
         (1.0, (1e10,), 1.0, "not an integer number of steps of eta = 10000000000.0"),
         # eta / eta_ref lies within 1e-9 of the multiple 0
         (1.0, (1e-10,), 1.0, "integer multiple of eta_ref"),
+        # a repeated stepsize would write two equal rows and skew the slope
+        (0.2, (0.02, 0.01, 0.02), None, "stepsize 0.02 is listed twice"),
     ])
     def test_bad_horizon_or_stepsizes_rejected(self, T, etas, eta_ref, message):
         with pytest.raises(ConfigError, match=message):
             discretization_error_experiment(double_well(), 0.1, 1.0, 1.0, etas, T=T,
                                             ensemble=20, seed=0, eta_ref=eta_ref)
+
+    def test_ensemble_must_be_an_integer(self):
+        with pytest.raises(ConfigError, match="^ensemble must be an integer, got 10.0$"):
+            discretization_error_experiment(double_well(), 0.1, 1.0, 1.0, (0.02, 0.01),
+                                            T=0.2, ensemble=10.0, seed=0)
 
     def test_non_nested_etas_rejected(self):
         f = double_well()

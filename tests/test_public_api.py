@@ -22,7 +22,6 @@ SIGNATURES = {
     "ConfigError": None,
     "DecayFit": ("times", "chi2", "rate", "bootstrap_std", "rate_std"),
     "DivergenceError": ("message", "iteration", "chain", "slot", "position"),
-    "FitError": None,
     "GridMeasure": ("bounds", "resolution", "mass", "overflow"),
     "InputError": None,
     "ObjectiveFunction": ("dimension", "value_and_grad", "name"),
@@ -32,7 +31,6 @@ SIGNATURES = {
                    "final_best", "swap_counts", "wall_time"),
     "SimConfig": ("objective", "tau1", "tau2", "intensity", "eta", "steps", "ensemble",
                   "seed", "init", "stride"),
-    "SwapPolicy": ("intensity", "eta"),
     "benchmark_mixture": ("kappa", "confinement"),
     "build_gaussian_mixture": ("centers", "weights", "kappa", "confinement"),
     "check_gradient": ("f", "point"),
@@ -49,8 +47,8 @@ SIGNATURES = {
     "pair_gibbs_density": ("f", "tau1", "tau2", "bounds", "resolution"),
     "quadratic": ("dim", "scale"),
     "run_comparison": ("cfg",),
-    "run_pair_ensemble": ("f", "x0", "temps", "steps", "streams", "policy", "mode",
-                          "observe", "m"),
+    "run_pair_ensemble": ("f", "x0", "temps", "steps", "streams", "eta", "intensity",
+                          "mode", "observe", "m"),
     "swap_rate": ("u1", "u2", "tau1", "tau2"),
     "total_variation": ("mu", "pi"),
 }

@@ -1,6 +1,7 @@
 """Tests for the swap rate, replica pairs (R = 2) run through the kernel
 ``run_pair_ensemble``, and the noise it draws from its streams."""
 
+import re
 import warnings
 
 import numpy as np
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from relex.errors import InputError
 from relex.harness import pregenerate_noise
 from relex.objective import ObjectiveFunction, double_well, quadratic
-from relex.replica import (CHUNK_DRAWS, SwapPolicy, _fired, _philox_noise, by_temperature,
+from relex.replica import (CHUNK_DRAWS, _fired, _philox_noise, by_temperature,
                            pair_snapshots, run_pair_ensemble, swap_probability,
                            swap_rate)
 from relex.rng import PURPOSE_POS1, PURPOSE_SWAP, derive_stream, pair_streams
@@ -76,17 +77,34 @@ class TestSwapRate:
             swap_rate(0.0, 0.0, 0.1, 0.0)
 
 
-class TestSwapPolicy:
-    def test_validation(self):
-        for intensity, eta in ((-1.0, 0.01), (1.0, 0.0), (np.nan, 0.01),
-                               (np.inf, 0.01), (1.0, np.inf), (1.0, np.nan)):
-            with pytest.raises(InputError):
-                SwapPolicy(intensity=intensity, eta=eta)
+class TestSwapParameters:
+    """The kernel's step size eta and swap intensity, and the probability
+    min(1, intensity * eta * s) they give."""
+
+    @pytest.mark.parametrize("eta, intensity, message", [
+        (0.01, -1.0, "swap intensity must be nonnegative and finite, got -1.0"),
+        (0.01, np.nan, "swap intensity must be nonnegative and finite, got nan"),
+        (0.01, np.inf, "swap intensity must be nonnegative and finite, got inf"),
+        (0.0, 1.0, "eta must be positive and finite, got 0.0"),
+        (np.inf, 1.0, "eta must be positive and finite, got inf"),
+        (np.nan, 1.0, "eta must be positive and finite, got nan"),
+        (np.nan, -1.0, "swap intensity"),     # the intensity is checked first
+    ])
+    def test_validation(self, eta, intensity, message):
+        slots, swap = pair_streams(0)
+        for R in (1, 2):
+            with pytest.raises(InputError, match=f"^{re.escape(message)}"):
+                run_pair_ensemble(double_well(), np.zeros((1, R, 1)), 0.1, 5,
+                                  ([row[:R] for row in slots], swap), eta, intensity)
+        assert [s.counter for s in slots[0] + swap] == [0, 0, 0]   # nothing drawn
 
     def test_clamp_warning(self):
-        with pytest.warns(RuntimeWarning):
-            policy = SwapPolicy(intensity=2.0, eta=1.0)
-        assert swap_probability(1.0, policy.intensity, policy.eta) == 1.0
+        with pytest.warns(RuntimeWarning, match=r"intensity \* eta = 2 >= 1; swap "
+                                                "probabilities will be clamped to 1"):
+            _, _, swaps = run_pair_ensemble(flat(), np.zeros((3, 2, 1)), (0.1, 1.0), 4,
+                                            pair_streams(0), 1.0, 2.0)
+        assert swaps.tolist() == [4, 4, 4]
+        assert swap_probability(1.0, 2.0, 1.0) == 1.0
 
     def test_probability_clamped_to_unit_interval(self):
         assert swap_probability(0.0, 5.0, 0.1) == 0.0
@@ -99,11 +117,11 @@ class TestSwapPolicy:
         assert np.all(swap_probability(rates, 0.0, 0.01) == 0.0)
 
 
-def certain_swaps():
-    """intensity * eta = 1: with s = 1 every step swaps."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return SwapPolicy(intensity=100.0, eta=0.01)
+def certain_swaps(f, x0, temps, steps, streams, *args, **kwargs):
+    """The kernel at intensity * eta = 1, where with s = 1 every step swaps;
+    it warns that the probability is clamped."""
+    with pytest.warns(RuntimeWarning, match="clamped to 1"):
+        return run_pair_ensemble(f, x0, temps, steps, streams, 0.01, 100.0, *args, **kwargs)
 
 
 def flat():
@@ -119,9 +137,8 @@ def pair(x1, x2):
 class TestSteppers:
     def test_certain_swap_exchanges_temperatures(self):
         # flat potential: s = 1; intensity * eta = 1 clamps probability to 1
-        _, T, swaps = run_pair_ensemble(flat(), pair([[0.0]], [[1.0]]),
-                                        (0.1, 1.0), 1, pair_streams(0),
-                                        certain_swaps())
+        _, T, swaps = certain_swaps(flat(), pair([[0.0]], [[1.0]]), (0.1, 1.0), 1,
+                                    pair_streams(0))
         assert T.tolist() == [[1.0, 0.1]]
         assert swaps.tolist() == [1]
 
@@ -130,10 +147,8 @@ class TestSteppers:
         # post-step positions, just labeled differently
         f = double_well()
         x0 = pair([[1.0]], [[-1.0]])
-        xt, Tt, _ = run_pair_ensemble(f, x0, (0.1, 1.0), 1, pair_streams(1),
-                                      certain_swaps(), mode="temperature")
-        xp, Tp, _ = run_pair_ensemble(f, x0, (0.1, 1.0), 1, pair_streams(1),
-                                      certain_swaps(), mode="position")
+        xt, Tt, _ = certain_swaps(f, x0, (0.1, 1.0), 1, pair_streams(1), mode="temperature")
+        xp, Tp, _ = certain_swaps(f, x0, (0.1, 1.0), 1, pair_streams(1), mode="position")
         assert np.array_equal(xt, xp[:, ::-1])
         assert np.array_equal(by_temperature(xt, Tt), by_temperature(xp, Tp))
 
@@ -145,7 +160,7 @@ class TestSteppers:
     def test_dimension_mismatch(self):
         with pytest.raises(InputError):
             run_pair_ensemble(quadratic(2), np.zeros((1, 2, 3)), (0.1, 1.0), 1,
-                              pair_streams(0), SwapPolicy(1.0, 0.01))
+                              pair_streams(0), 0.01, 1.0)
 
 
 class TestPairEnsemble:
@@ -153,7 +168,7 @@ class TestPairEnsemble:
         n = 16
         x, _, counts = run_pair_ensemble(
             double_well(), pair(np.ones((n, 1)), -np.ones((n, 1))), (0.1, 1.0),
-            200, pair_streams(0), SwapPolicy(0.0, 0.01))
+            200, pair_streams(0), 0.01, 0.0)
         assert counts.sum() == 0
         assert x.shape == (n, 2, 1)
 
@@ -162,9 +177,8 @@ class TestPairEnsemble:
         # yet snapshots stay keyed by temperature
         for mode in ("temperature", "position"):
             snaps = {}
-            x, T, counts = run_pair_ensemble(
-                flat(), np.zeros((8, 2, 1)), (0.1, 1.0), 10,
-                pair_streams(1), certain_swaps(), mode=mode,
+            x, T, counts = certain_swaps(
+                flat(), np.zeros((8, 2, 1)), (0.1, 1.0), 10, pair_streams(1), mode=mode,
                 observe=lambda k, x, T, fx: snaps.setdefault(k, by_temperature(x, T)))
             assert np.array_equal(snaps[10], by_temperature(x, T))
             assert np.all(counts == 10)
@@ -175,7 +189,7 @@ class TestPairEnsemble:
         kept = []
         _, _, counts = run_pair_ensemble(
             double_well(), pair(np.ones((6, 1)), -np.ones((6, 1))), (0.1, 1.0), 300,
-            pair_streams(2), SwapPolicy(50.0, 0.01),
+            pair_streams(2), 0.01, 50.0,
             observe=lambda k, x, T, fx: kept.append((T, T.copy())))
         assert counts.sum() > 30
         assert len({id(T) for T, _ in kept}) > 30
@@ -184,12 +198,21 @@ class TestPairEnsemble:
     def test_invalid_mode_and_steps(self):
         args = (double_well(), pair(np.ones((2, 1)), -np.ones((2, 1))), (0.1, 1.0))
         with pytest.raises(InputError):
-            run_pair_ensemble(*args, 10, pair_streams(0), SwapPolicy(1.0, 0.01),
+            run_pair_ensemble(*args, 10, pair_streams(0), 0.01, 1.0,
                               mode="bogus")
         with pytest.raises(InputError):
-            run_pair_ensemble(*args, 0, pair_streams(0), SwapPolicy(1.0, 0.01))
+            run_pair_ensemble(*args, 0, pair_streams(0), 0.01, 1.0)
         with pytest.raises(InputError, match="m >= 1"):
-            run_pair_ensemble(*args, 10, pair_streams(0), SwapPolicy(1.0, 0.01), m=0)
+            run_pair_ensemble(*args, 10, pair_streams(0), 0.01, 1.0, m=0)
+
+    @pytest.mark.parametrize("steps, m, message", [
+        (5.0, 1, "steps must be an integer, got 5.0"),
+        (5, 2.0, "m must be an integer, got 2.0"),
+    ])
+    def test_counts_must_be_integers(self, steps, m, message):
+        with pytest.raises(InputError, match=f"^{message}$"):
+            run_pair_ensemble(double_well(), np.zeros((2, 2, 1)), (0.1, 1.0), steps,
+                              pair_streams(0), 0.01, 1.0, m=m)
 
     @pytest.mark.parametrize("observed", [False, True])
     def test_one_objective_pass_per_step(self, observed):
@@ -202,7 +225,7 @@ class TestPairEnsemble:
         counting = ObjectiveFunction(1, counted)
         seen = []
         run_pair_ensemble(counting, pair(np.ones((4, 1)), -np.ones((4, 1))),
-                          (0.1, 1.0), 25, pair_streams(3), SwapPolicy(5.0, 0.01),
+                          (0.1, 1.0), 25, pair_streams(3), 0.01, 5.0,
                           observe=(lambda k, x, T, fx: seen.append(k)) if observed else None)
         assert len(calls) == 25 + observed
         assert seen == (list(range(26)) if observed else [])
@@ -213,54 +236,54 @@ class TestPairEnsemble:
         def observe(k, x, T, fx):
             assert np.array_equal(fx, f.eval(x))
         run_pair_ensemble(f, pair(np.ones((4, 1)), -np.ones((4, 1))), (0.1, 1.0),
-                          40, pair_streams(4), SwapPolicy(5.0, 0.01), observe=observe)
+                          40, pair_streams(4), 0.01, 5.0, observe=observe)
 
     def test_non_finite_start_is_an_input_error(self):
         for bad in (np.nan, np.inf):
             x0 = pair([[0.0], [bad]], [[0.0], [0.0]])
-            for policy in (SwapPolicy(0.0, 0.01), SwapPolicy(1.0, 0.01)):
+            for intensity in (0.0, 1.0):
                 with pytest.raises(InputError, match="starting positions"):
                     run_pair_ensemble(double_well(), x0, (0.1, 1.0), 5,
-                                      pair_streams(0), policy)
+                                      pair_streams(0), 0.01, intensity)
             with pytest.raises(InputError, match="starting positions"):
                 run_pair_ensemble(double_well(), x0[:, :1], 0.5, 5,
                                   ([[derive_stream(0, PURPOSE_POS1)]], None),
-                                  SwapPolicy(0.0, 0.01))
+                                  0.01, 0.0)
 
     def test_zero_temperature_rejected_before_any_step_when_swapping(self):
         slots, swap = pair_streams(0)
         with pytest.raises(InputError, match="positive"):
             run_pair_ensemble(double_well(), pair([[0.0]], [[0.0]]), (0.0, 1.0), 5,
-                              (slots, swap), SwapPolicy(1.0, 0.01))
+                              (slots, swap), 0.01, 1.0)
         assert [s.counter for s in slots[0] + swap] == [0, 0, 0]   # nothing drawn
         # without swaps a zero temperature is plain gradient descent
         x, _, _ = run_pair_ensemble(double_well(), pair([[0.5]], [[0.5]]), (0.0, 1.0),
-                                    5, pair_streams(0), SwapPolicy(0.0, 0.01))
+                                    5, pair_streams(0), 0.01, 0.0)
         assert np.isfinite(x).all()
 
     def test_nan_value_at_finite_position_rejected(self):
         f = ObjectiveFunction(1, lambda x: (np.full(x.shape[:-1], np.nan), np.zeros_like(x)))
         with pytest.raises(InputError, match="finite"):
             run_pair_ensemble(f, pair([[0.0]], [[0.0]]), (0.1, 1.0), 5,
-                              pair_streams(0), SwapPolicy(1.0, 0.01))
+                              pair_streams(0), 0.01, 1.0)
 
     def test_one_slot_noise_for_a_pair_rejected(self):
         # a (chains, 1, d) block would broadcast: both particles, same noise
-        for policy in (SwapPolicy(0.0, 0.01), SwapPolicy(1.0, 0.01)):
+        for intensity in (0.0, 1.0):
             one_slot = ([[derive_stream(0, PURPOSE_POS1)]], [derive_stream(0, PURPOSE_SWAP)])
             with pytest.raises(InputError, match="needs 2 slot streams"):
                 run_pair_ensemble(double_well(), np.zeros((3, 2, 1)), (0.1, 1.0), 5,
-                                  one_slot, policy)
+                                  one_slot, 0.01, intensity)
 
     def test_swapping_run_without_uniforms_rejected(self):
         def no_swap():
             return pair_streams(0)[0], None
         with pytest.raises(InputError, match="needs swap streams"):
             run_pair_ensemble(double_well(), np.zeros((3, 2, 1)), (0.1, 1.0), 5,
-                              no_swap(), SwapPolicy(1.0, 0.01))
+                              no_swap(), 0.01, 1.0)
         # a run that cannot swap needs none
         x, _, _ = run_pair_ensemble(double_well(), np.zeros((3, 2, 1)), (0.1, 1.0), 5,
-                                    no_swap(), SwapPolicy(0.0, 0.01))
+                                    no_swap(), 0.01, 0.0)
         assert np.isfinite(x).all()
 
     @pytest.mark.parametrize("mode", ["temperature", "position"])
@@ -269,8 +292,8 @@ class TestPairEnsemble:
 
         def observe(k, x, T, fx):
             held.append((x, T, x.copy(), T.copy()))
-        _, _, swaps = run_pair_ensemble(flat(), np.zeros((4, 2, 1)), (0.1, 1.0),
-                                        6, pair_streams(2), certain_swaps(), mode, observe)
+        _, _, swaps = certain_swaps(flat(), np.zeros((4, 2, 1)), (0.1, 1.0), 6,
+                                    pair_streams(2), mode, observe)
         assert np.all(swaps == 6)
         for x, T, x_then, T_then in held:
             assert np.array_equal(x, x_then) and np.array_equal(T, T_then)
@@ -346,25 +369,34 @@ class TestFired:
         f = ObjectiveFunction(1, value_and_grad)
         with pytest.raises(InputError, match="finite"):
             run_pair_ensemble(f, np.zeros((3, 2, 1)), (0.1, 1.0), 5,
-                              (pair_streams(0)[0], [None]), SwapPolicy(1.0, 0.01))
+                              (pair_streams(0)[0], [None]), 0.01, 1.0)
 
 
 class TestPairSnapshots:
     def test_steps_outside_the_run_rejected(self):
         args = (double_well(), pair(np.ones((2, 1)), -np.ones((2, 1))), (0.1, 1.0), 5,
-                pair_streams(0), SwapPolicy(1.0, 0.01))
+                pair_streams(0), 0.01, 1.0)
         for at in ([2, 7], [2, -1], [6]):
             with pytest.raises(InputError, match="outside"):
                 pair_snapshots(*args, at)
+
+    def test_fractional_steps_rejected(self):
+        # a step index no step reaches would leave its snapshot unwritten
+        def snapshots(at):
+            return pair_snapshots(double_well(), pair(np.ones((2, 1)), -np.ones((2, 1))),
+                                  (0.1, 1.0), 10, pair_streams(0), 0.01, 1.0, at)[0]
+        with pytest.raises(InputError, match="^snapshot step must be an integer, got 2.5$"):
+            snapshots([2, 2.5, 10])
+        assert np.array_equal(snapshots(np.array([2, 10])), snapshots([2, 10]))
 
     def test_snapshots_match_the_observed_positions(self):
         f = double_well()
         x0 = pair(np.ones((3, 1)), -np.ones((3, 1)))
         seen = {}
-        run_pair_ensemble(f, x0, (0.1, 1.0), 5, pair_streams(5), SwapPolicy(5.0, 0.01),
+        run_pair_ensemble(f, x0, (0.1, 1.0), 5, pair_streams(5), 0.01, 5.0,
                           observe=lambda k, x, T, fx: seen.setdefault(k, by_temperature(x, T)))
         snaps, _ = pair_snapshots(f, x0, (0.1, 1.0), 5, pair_streams(5),
-                                  SwapPolicy(5.0, 0.01), [5, 0, 2, 5])
+                                  0.01, 5.0, [5, 0, 2, 5])
         for row, k in zip(snaps, [5, 0, 2, 5]):
             assert np.array_equal(row, seen[k])
 
@@ -416,20 +448,20 @@ class TestNoiseSources:
         steps = chunk_steps(chains, 1, m) + 10
         slots, swap = pair_streams(5)
         run_pair_ensemble(double_well(), np.zeros((chains, 2, 1)), (0.1, 1.0), steps,
-                          (slots, swap), SwapPolicy(5.0, 0.01), m=m)
+                          (slots, swap), 0.01, 5.0, m=m)
         assert [s.counter for s in slots[0] + swap] == [m * steps * chains] * 3
 
     def test_coarse_step_advances_m_sub_steps(self):
         # zero temperature: no noise, so one step is x - m * eta * grad exactly
         f, x0 = quadratic(1), np.array([[[1.0], [-2.0]]])
-        x, _, _ = run_pair_ensemble(f, x0, 0.0, 1, pair_streams(0), SwapPolicy(0.0, 0.01),
+        x, _, _ = run_pair_ensemble(f, x0, 0.0, 1, pair_streams(0), 0.01, 0.0,
                                     m=3)
         assert np.array_equal(x, x0 - 3 * 0.01 * f.grad(x0))
 
     def test_group_without_swap_stream_never_swaps(self):
         slots, swap = pair_streams(6, 2)
-        _, _, swaps = run_pair_ensemble(flat(), np.zeros((4, 2, 1)), (0.1, 1.0), 8,
-                                        (slots, [None, swap[1]]), certain_swaps())
+        _, _, swaps = certain_swaps(flat(), np.zeros((4, 2, 1)), (0.1, 1.0), 8,
+                                    (slots, [None, swap[1]]))
         assert swaps.tolist() == [0, 0, 8, 8]
 
     def test_malformed_streams_rejected(self):
