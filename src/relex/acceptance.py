@@ -25,7 +25,8 @@ from .harness import (SimConfig, discretization_error_experiment,
 from .langevin import em_update
 from .objective import check_gradient, double_well, benchmark_mixture
 from .replica import pair_snapshots, run_pair_ensemble, swap_rate
-from .rng import PURPOSE_INIT, PURPOSE_POS1, derive_stream, pair_streams
+from .rng import (PURPOSE_INIT, PURPOSE_POS1, STREAM_DIRICHLET_MC, RngStream,
+                  derive_stream, pair_streams)
 
 
 @dataclass
@@ -144,9 +145,9 @@ def criterion_5_dirichlet_term():
     rho1 = gibbs_density(f, tau1, bounds, 4000)
     rho2 = gibbs_density(f, tau2, bounds, 4000)
     width = edges[1] - edges[0]
-    gen = np.random.Generator(np.random.Philox(key=np.array([5, 0xACCE], dtype=np.uint64)))
-    x1 = _histogram_sample(rho1.mass / width, edges, 1_000_000, gen)
-    x2 = _histogram_sample(rho2.mass / width, edges, 1_000_000, gen)
+    rng = RngStream(5, STREAM_DIRICHLET_MC)
+    x1 = _histogram_sample(rho1.mass / width, edges, 1_000_000, rng)
+    x2 = _histogram_sample(rho2.mass / width, edges, 1_000_000, rng)
     s = swap_rate(f.eval(x1[:, None]), f.eval(x2[:, None]), tau1, tau2)
     mc_val = float(np.mean(0.5 * a * s * (x2 - x1) ** 2))
 
@@ -160,16 +161,16 @@ def criterion_5_dirichlet_term():
                 f"symmetric f -> {sym_val}, a=0 -> {zero_a}")
 
 
-def _histogram_sample(density, edges, size, gen):
+def _histogram_sample(density, edges, size, rng):
     """``size`` draws from the piecewise-constant density on ``edges`` by
-    inverse-CDF sampling of ``gen``'s uniforms: the same bits as
-    ``scipy.stats.rv_histogram((density, edges), density=True).rvs(size,
-    random_state=gen)``, whose normalisation and rounding order this follows."""
+    inverse-CDF sampling of the stream ``rng``: the same bits as scipy's
+    ``rv_histogram((density, edges), density=True).rvs(size, random_state=g)``
+    for a Philox generator ``g`` of ``rng``'s key: it normalises and rounds as scipy does."""
     widths = np.diff(edges)
     pdf = density / float(np.sum(density * widths))
     cdf = np.concatenate(([0.0], np.cumsum(pdf * widths)))
     # + 0.0 is scipy's loc shift; it turns a -0.0 from interp into +0.0
-    return np.interp(gen.uniform(size=size), cdf, edges) + 0.0
+    return np.interp(rng.uniform(size), cdf, edges) + 0.0
 
 
 def criterion_6_discretization_slope():

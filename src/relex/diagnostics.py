@@ -18,7 +18,7 @@ import numpy as np
 from .errors import InputError, integer
 from .objective import ObjectiveFunction
 from .replica import pair_snapshots, swap_rate
-from .rng import pair_streams
+from .rng import STREAM_BOOTSTRAP, RngStream, pair_streams
 
 PI_FLOOR = 1e-12
 BOUNDARY_MASS_LIMIT = 1e-6
@@ -84,14 +84,12 @@ def _grid(bounds, resolution):
 
 
 def _max_boundary_cell(mass: np.ndarray) -> float:
-    mask = np.zeros(mass.shape, dtype=bool)
-    for axis in range(mass.ndim):
-        sl = [slice(None)] * mass.ndim
-        sl[axis] = 0
-        mask[tuple(sl)] = True
-        sl[axis] = -1
-        mask[tuple(sl)] = True
-    return float(mass[mask].max())
+    return float(max(np.take(mass, [0, -1], axis=a).max() for a in range(mass.ndim)))
+
+
+def _gibbs_weights(u: np.ndarray, tau: float) -> np.ndarray:
+    """exp(-U/tau) scaled so its largest weight is 1."""
+    return np.exp(-(u - u.min()) / tau)
 
 
 def _untruncated_mass(w: np.ndarray) -> np.ndarray:
@@ -123,7 +121,7 @@ def gibbs_density(f: ObjectiveFunction, tau: float, bounds, resolution: int) -> 
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=-1)
     u = np.asarray(f.eval(pts), dtype=float).reshape(gm.mass.shape)
-    gm.mass = _untruncated_mass(np.exp(-(u - u.min()) / tau))
+    gm.mass = _untruncated_mass(_gibbs_weights(u, tau))
     return gm
 
 
@@ -142,8 +140,8 @@ def pair_gibbs_density(f: ObjectiveFunction, tau1: float, tau2: float,
     c2 = gm.centers(1)[:, None]
     u1 = np.asarray(f.eval(c1), dtype=float)
     u2 = np.asarray(f.eval(c2), dtype=float)
-    w = np.exp(-(u1 - u1.min()) / tau1)[:, None] * np.exp(-(u2 - u2.min()) / tau2)[None, :]
-    gm.mass = _untruncated_mass(w)
+    gm.mass = _untruncated_mass(_gibbs_weights(u1, tau1)[:, None]
+                                * _gibbs_weights(u2, tau2)[None, :])
     return gm
 
 
@@ -219,29 +217,23 @@ def chi2_decay_experiment(f: ObjectiveFunction, tau1: float, tau2: float,
                               eta, a, sample_steps.tolist(), mode="position")
     pair_points = snaps[:, :, :, 0]
     chi2 = np.array([_chi2_of_points(pts, pi) for pts in pair_points])
+    kept = int(np.sum(chi2 > fit_floor))
+    if kept < 3:
+        raise InputError(f"only {kept} sample times have chi2 > {fit_floor}")
 
-    boot_rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0xB007], dtype=np.uint64)))
+    boot_rng = RngStream(seed, STREAM_BOOTSTRAP)
     boot = np.empty((N_BOOTSTRAP, len(times)))
     for b in range(N_BOOTSTRAP):
-        idx = boot_rng.integers(0, ensemble, size=ensemble)
+        idx = boot_rng.integers(ensemble, ensemble)
         boot[b] = [_chi2_of_points(pts[idx], pi) for pts in pair_points]
     bootstrap_std = boot.std(axis=0, ddof=1)
 
     def fit_rate(values):
         keep = values > fit_floor
-        if keep.sum() < 3:
-            raise InputError(
-                f"only {int(keep.sum())} sample times have chi2 > {fit_floor}"
-            )
         return -np.polyfit(times[keep], np.log(values[keep]), 1)[0]
 
     rate = fit_rate(chi2)
-    boot_rates = []
-    for b in range(N_BOOTSTRAP):
-        try:
-            boot_rates.append(fit_rate(boot[b]))
-        except InputError:
-            continue
+    boot_rates = [fit_rate(row) for row in boot if np.sum(row > fit_floor) >= 3]
     rate_std = float(np.std(boot_rates, ddof=1)) if len(boot_rates) > 1 else float("nan")
     return DecayFit(times=times, chi2=chi2, rate=rate,
                     bootstrap_std=bootstrap_std, rate_std=rate_std)

@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, integer
 
 # Centers of the benchmark mixture: (0,0), (0,1), ..., (0,4), (1,0), ..., (4,4).
 DEFAULT_CENTERS = np.array(
@@ -38,6 +38,10 @@ class ObjectiveFunction:
     dimension: int
     value_and_grad: Callable[[np.ndarray], tuple]
     name: str = "objective"
+
+    def __post_init__(self):
+        if integer("dimension", self.dimension) < 1:
+            raise InputError(f"dimension must be >= 1, got {self.dimension}")
 
     def eval(self, x):
         return self.value_and_grad(x)[0]

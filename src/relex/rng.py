@@ -7,7 +7,7 @@ distinct stream ids give statistically independent streams. This is what
 makes coupled A/B comparisons possible: toggling the swap intensity on and
 off leaves the position-noise streams untouched.
 
-Backed by numpy's Philox counter-based generator.
+Backed by numpy's Philox generator; no other module touches numpy.random.
 """
 
 from __future__ import annotations
@@ -22,36 +22,36 @@ PURPOSE_POS2 = 2   # position noise of the second particle
 PURPOSE_SWAP = 3   # uniforms driving swap decisions
 PURPOSE_INIT = 4   # randomized initial positions
 
+# Whole stream ids, used as RngStream(seed, id) outside the purpose scheme.
+STREAM_DIRICHLET_MC = 0xACCE   # criterion 5's Monte Carlo sampler, at seed 5
+STREAM_BOOTSTRAP = 0xB007      # chain resamples of a chi-square decay fit
+
 
 class RngStream:
-    """A replayable Gaussian/uniform stream identified by (seed, stream id).
-
-    ``counter`` counts the numbers drawn so far; it is bookkeeping only,
-    the underlying Philox state advances with each draw.
-    """
+    """A replayable stream of normals, uniforms and bounded integers,
+    identified by (seed, stream id). Each draw advances one Philox state."""
 
     def __init__(self, seed: int, stream_id: int = 0):
         # A Philox key is two 64-bit words.
         self.seed, self.stream_id = _word("seed", seed, 64), _word("stream id", stream_id, 64)
-        self.counter = 0
         self._gen = np.random.Generator(
             np.random.Philox(key=np.array([self.seed, self.stream_id], dtype=np.uint64))
         )
 
     def normal(self, shape):
         """An array of standard-normal draws."""
-        out = self._gen.standard_normal(shape)
-        self.counter += out.size
-        return out
+        return self._gen.standard_normal(shape)
 
     def uniform(self, shape):
         """An array of Uniform(0, 1) draws."""
-        out = self._gen.random(shape)
-        self.counter += out.size
-        return out
+        return self._gen.random(shape)
+
+    def integers(self, high: int, shape):
+        """An array of integers drawn uniformly from [0, high)."""
+        return self._gen.integers(0, high, shape)
 
     def __repr__(self):
-        return f"RngStream(seed={self.seed}, stream_id={self.stream_id}, counter={self.counter})"
+        return f"RngStream(seed={self.seed}, stream_id={self.stream_id})"
 
 
 def _word(what: str, value, bits: int) -> int:

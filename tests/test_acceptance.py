@@ -34,6 +34,7 @@ from relex.acceptance import CRITERIA, run_criterion
 from relex.cli import main
 from relex.diagnostics import gibbs_density
 from relex.objective import double_well
+from relex.rng import STREAM_DIRICHLET_MC, RngStream
 
 
 def _run(index, detail):
@@ -104,8 +105,8 @@ def test_criterion_9_gradient_correctness():
 # Criteria 5 and 7 without scipy: their sampler and sign test against scipy,
 # and both criteria in a process that cannot import scipy.
 
-def _philox(key):
-    return np.random.Generator(np.random.Philox(key=key))
+def _philox(seed, stream_id):
+    return np.random.Generator(np.random.Philox(key=np.array([seed, stream_id], dtype=np.uint64)))
 
 
 @pytest.mark.parametrize("tau", [0.1, 1.0])
@@ -113,10 +114,10 @@ def test_histogram_sample_equals_rv_histogram_at_criterion_5s_densities(tau):
     edges = np.linspace(-3.0, 3.0, 4001)
     rho = gibbs_density(double_well(), tau, np.array([[-3.0, 3.0]]), 4000)
     density = rho.mass / (edges[1] - edges[0])
-    key = np.array([5, 0xACCE], dtype=np.uint64)
     want = stats.rv_histogram((density, edges), density=True).rvs(
-        size=1_000_000, random_state=_philox(key))
-    got = acceptance._histogram_sample(density, edges, 1_000_000, _philox(key))
+        size=1_000_000, random_state=_philox(5, STREAM_DIRICHLET_MC))
+    got = acceptance._histogram_sample(density, edges, 1_000_000,
+                                       RngStream(5, STREAM_DIRICHLET_MC))
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
@@ -125,8 +126,8 @@ def test_histogram_sample_equals_rv_histogram_at_criterion_5s_densities(tau):
 def test_histogram_sample_equals_rv_histogram_on_equal_width_bins(density, lo, width, key):
     edges = np.linspace(lo, lo + width, len(density) + 1)
     want = stats.rv_histogram((np.array(density), edges), density=True).rvs(
-        size=500, random_state=_philox(key))
-    got = acceptance._histogram_sample(np.array(density), edges, 500, _philox(key))
+        size=500, random_state=_philox(key, 0))
+    got = acceptance._histogram_sample(np.array(density), edges, 500, RngStream(key))
     assert got.tobytes() == want.tobytes()
 
 

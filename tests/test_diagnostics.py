@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from relex.diagnostics import (PI_FLOOR, GridMeasure, chi2_decay_experiment,
+from relex.diagnostics import (PI_FLOOR, GridMeasure, _max_boundary_cell,
+                               chi2_decay_experiment,
                                chi_square_divergence,
                                dirichlet_acceleration_term,
                                empirical_histogram, gibbs_density,
@@ -11,6 +12,7 @@ from relex.diagnostics import (PI_FLOOR, GridMeasure, chi2_decay_experiment,
 from relex.errors import InputError
 from relex.harness import _best_so_far, _summarize
 from relex.objective import double_well, quadratic
+from relex.rng import RngStream
 
 
 class TestGibbsDensity:
@@ -45,6 +47,15 @@ class TestGibbsDensity:
         assert np.isclose(pi.mass.sum(), 1.0)
         # symmetry of the standard Gaussian
         assert np.allclose(pi.mass, pi.mass.T)
+
+    @pytest.mark.parametrize("shape", [(1,), (5,), (4, 1), (3, 6), (2, 3, 4), (5, 5, 5)])
+    def test_max_boundary_cell_reads_every_face_and_no_interior_cell(self, shape):
+        mass = RngStream(1).uniform(shape)
+        interior = (slice(1, -1),) * mass.ndim
+        faces = mass.copy()
+        faces[interior] = -np.inf
+        mass[interior] += 10.0   # an interior peak never counts
+        assert _max_boundary_cell(mass) == faces.max()
 
 
 class TestPairGibbsDensity:

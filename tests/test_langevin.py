@@ -48,10 +48,10 @@ class TestLangevinStep:
         pos = np.array([[1.0, 2.0]])
         rng = derive_stream(0, PURPOSE_POS1)
         new = run_chains(pos, f, 0.5, 0.01, 1, rng)
-        assert rng.counter == 2   # exactly d draws per particle-step
-
-        replay = derive_stream(0, PURPOSE_POS1).normal((1, 2))
-        assert np.array_equal(new, em_update(pos, f.grad(pos), 0.5, 0.01, replay))
+        replay = derive_stream(0, PURPOSE_POS1).normal((1, 3))
+        assert np.array_equal(new, em_update(pos, f.grad(pos), 0.5, 0.01, replay[:, :2]))
+        # exactly d draws per particle-step: the stream reads on at the third
+        assert np.array_equal(rng.normal((1, 1)), replay[:, 2:])
 
     def test_zero_temperature_descends_deterministically(self):
         f = quadratic(2)   # grad = x, so x <- (1 - eta) x

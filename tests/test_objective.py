@@ -51,6 +51,20 @@ class TestMixtureConstruction:
         with pytest.raises(InputError, match=match):
             build_gaussian_mixture(*args)
 
+    @pytest.mark.parametrize("dim, match", [
+        (2.5, "dimension must be an integer, got 2.5"),
+        (0, "dimension must be >= 1, got 0"),
+        (-1, "dimension must be >= 1, got -1"),
+    ])
+    def test_dimension_must_be_a_positive_integer(self, dim, match):
+        # caught here, not later as a kernel shape error naming the bad dimension
+        with pytest.raises(InputError, match=f"^{match}$"):
+            quadratic(dim)
+
+    def test_zero_column_centers_rejected(self):
+        with pytest.raises(InputError, match="^dimension must be >= 1, got 0$"):
+            build_gaussian_mixture(np.empty((3, 0)), np.ones(3), 0.1)
+
     def test_single_center_value(self):
         f = build_gaussian_mixture(np.array([[0.0, 0.0]]), np.array([1.0]), 0.5)
         # at the center: -1 / (2 pi kappa)

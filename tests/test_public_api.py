@@ -11,6 +11,7 @@ import re
 import sys
 
 import numpy as np
+import pytest
 
 import relex
 
@@ -85,6 +86,45 @@ def test_package_imports_only_the_standard_library_and_numpy():
                 found.add(node.module)
     assert found
     assert {name.partition(".")[0] for name in found} - allowed == set()
+
+
+def _uses_numpy_random(tree) -> bool:
+    """Whether a module imports numpy.random or reads .random off a name
+    bound to numpy."""
+    numpy_names = {alias.asname or alias.name for node in ast.walk(tree)
+                   if isinstance(node, ast.Import)
+                   for alias in node.names if alias.name == "numpy"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) and any(
+                alias.name.startswith("numpy.random") for alias in node.names):
+            return True
+        if isinstance(node, ast.ImportFrom) and node.level == 0 and (
+                (node.module or "").startswith("numpy.random")
+                or node.module == "numpy" and any(a.name == "random" for a in node.names)):
+            return True
+        if (isinstance(node, ast.Attribute) and node.attr == "random"
+                and isinstance(node.value, ast.Name) and node.value.id in numpy_names):
+            return True
+    return False
+
+
+def test_only_rng_touches_numpy_random():
+    # every random draw comes from an RngStream, so stream keys have one home
+    users = {path.name for path in pathlib.Path(relex.__file__).parent.glob("*.py")
+             if _uses_numpy_random(ast.parse(path.read_text(), str(path)))}
+    assert users == {"rng.py"}
+
+
+@pytest.mark.parametrize("source", [
+    "import numpy as np\nnp.random.default_rng()",
+    "import numpy\nnumpy.random.Philox(1)",
+    "import numpy.random",
+    "from numpy import random",
+    "from numpy.random import Generator",
+])
+def test_numpy_random_detector_sees_each_spelling(source):
+    assert _uses_numpy_random(ast.parse(source))
+    assert not _uses_numpy_random(ast.parse("import numpy as np\nrandom = np.ones(2)"))
 
 
 def test_readme_library_example_runs():

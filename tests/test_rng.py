@@ -5,7 +5,8 @@ import pytest
 
 from relex.errors import InputError
 from relex.rng import (PURPOSE_INIT, PURPOSE_POS1, PURPOSE_POS2, PURPOSE_SWAP,
-                       RngStream, _stream_id, derive_stream)
+                       STREAM_BOOTSTRAP, STREAM_DIRICHLET_MC, RngStream, _stream_id,
+                       derive_stream)
 
 
 def test_same_seed_and_stream_reproduce():
@@ -76,13 +77,32 @@ def test_draw_order_independence_across_streams():
     assert np.array_equal(y1, y2)
 
 
-def test_counter_tracks_draws():
-    s = RngStream(0)
-    assert s.counter == 0
-    s.normal((5,))
-    assert s.counter == 5
-    s.uniform((3, 2))
-    assert s.counter == 11
+def _philox(seed, stream_id):
+    return np.random.Generator(np.random.Philox(key=np.array([seed, stream_id], dtype=np.uint64)))
+
+
+@pytest.mark.parametrize("high, shape", [(2000, 2000), (1, (3, 4)), (7, ()), (2 ** 40, (5,))])
+def test_integers_equal_generator_integers_on_the_same_key(high, shape):
+    got = RngStream(4, STREAM_BOOTSTRAP).integers(high, shape)
+    want = _philox(4, STREAM_BOOTSTRAP).integers(0, high, shape)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert got.shape == np.empty(shape).shape
+    assert got.min() >= 0 and got.max() < high
+
+
+def test_draws_continue_one_philox_sequence():
+    # successive draws of any kind read on from where the last one stopped
+    s, g = RngStream(3, 9), _philox(3, 9)
+    assert np.array_equal(s.normal((5,)), g.standard_normal(5))
+    assert np.array_equal(s.uniform((3, 2)), g.random((3, 2)))
+    assert np.array_equal(s.integers(10, 4), g.integers(0, 10, 4))
+    assert np.array_equal(s.normal(2), g.standard_normal(2))
+
+
+def test_named_stream_ids_differ_from_every_purpose_stream():
+    # a derived id carries its purpose, at least 1, in the upper 32 bits
+    assert min(PURPOSE_POS1, PURPOSE_POS2, PURPOSE_SWAP, PURPOSE_INIT) >= 1
+    assert STREAM_DIRICHLET_MC >> 32 == STREAM_BOOTSTRAP >> 32 == 0
 
 
 @pytest.mark.parametrize("seed, stream_id, what", [
