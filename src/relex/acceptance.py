@@ -77,7 +77,7 @@ def criterion_2_null_coupling_bitwise():
     init = np.tile((2.0, 2.0), (nseeds, 1))
     xi, _ = pregenerate_noise(7, nseeds, steps, f.dimension)
     snaps, swaps = pair_snapshots(f, np.stack((init, init), axis=1), (tau1, tau2), steps,
-                                  (pair_streams(7, nseeds)[0], None), eta, 0.0,
+                                  pair_streams(7, nseeds), eta, 0.0,
                                   range(steps + 1))
     ok = int(swaps.sum()) == 0
     for slot, tau in enumerate((tau1, tau2)):
@@ -291,7 +291,7 @@ def run_all() -> list:
     CRITERIA order. A criterion whose result never arrives, say because its
     worker died, is a failed record naming the error."""
     import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 
     if not CRITERIA:
         return []
@@ -307,7 +307,12 @@ def run_all() -> list:
     # caller may have narrowed. relex starts no threads of its own.
     with ProcessPoolExecutor(min(cpus, len(CRITERIA)),
                              mp_context=multiprocessing.get_context("fork")) as pool:
-        futures = [(i, pool.submit(_run_indexed, i)) for i in order]
+        futures = []
+        for i in order:
+            try:
+                futures.append((i, pool.submit(_run_indexed, i)))
+            except BrokenExecutor as exc:          # a worker has already died
+                records[i] = CriterionRecord(CRITERIA[i][0], False, _raised(exc), 0.0)
         for i, future in futures:
             try:
                 records[i] = future.result()

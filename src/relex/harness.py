@@ -79,9 +79,6 @@ class RunSummary:
     algorithm: str
     iterations: np.ndarray       # thinned iteration indices, starting at 0
     best_curves: np.ndarray      # (nseeds, npoints) running minima, per seed
-    median: np.ndarray
-    q25: np.ndarray
-    q75: np.ndarray
     final_best: np.ndarray       # (nseeds,)
     swap_counts: np.ndarray | None = None
     wall_time: float = 0.0
@@ -134,14 +131,10 @@ def _summarize(algorithm: str, traj: np.ndarray, stride: int, swap_counts=None,
                wall_time: float = 0.0) -> RunSummary:
     """``traj`` holds one arm's best-so-far curves, (npoints, nseeds),
     sampled every ``stride`` steps from step 0."""
-    thin = traj.T                                # (nseeds, npoints)
     return RunSummary(
         algorithm=algorithm,
         iterations=np.arange(traj.shape[0]) * stride,
-        best_curves=thin,
-        median=np.median(thin, axis=0),
-        q25=np.quantile(thin, 0.25, axis=0),
-        q75=np.quantile(thin, 0.75, axis=0),
+        best_curves=traj.T,
         final_best=traj[-1],
         swap_counts=swap_counts,
         wall_time=wall_time,
@@ -245,54 +238,55 @@ def discretization_error_experiment(f: ObjectiveFunction, tau1: float, tau2: flo
 # CSV emission. All files start with a canonical config echo comment and a
 # header row; doubles are written with 17 significant digits.
 
-def _fmt(v) -> str:
-    if isinstance(v, (float, np.floating)):
-        return f"{v:.17g}"
-    return str(v)
+def _cells(column) -> list:
+    """One CSV column as text. A text column (dtype object) is written as it
+    is; any other is formatted once per distinct value, floats with 17
+    significant digits and keyed by their bits, so -0.0 keeps its own text."""
+    column = np.asarray(column)
+    if column.dtype == object:
+        return column.tolist()
+    floats = column.dtype == np.float64
+    distinct, inverse = np.unique(column.view(np.int64) if floats else column,
+                                  return_inverse=True)
+    text = ([f"{v:.17g}" for v in distinct.view(np.float64).tolist()] if floats
+            else [str(v) for v in distinct.tolist()])
+    return np.array(text, dtype=object)[inverse].tolist()
 
 
-def _write_lines(path, config_line: str, header: Sequence[str], lines):
+def _write_csv(path, config_line: str, header: Sequence[str], blocks):
+    """Write the rows under ``header`` block by block; a block is a tuple of
+    equal-length columns."""
     with open(path, "w") as fh:
         fh.write(f"# config: {config_line}\n")
         fh.write(",".join(header) + "\n")
-        fh.writelines(lines)
-
-
-def _write_rows(path, config_line: str, header: Sequence[str], rows):
-    _write_lines(path, config_line, header,
-                 (",".join(_fmt(v) for v in row) + "\n" for row in rows))
+        for block in blocks:
+            fh.writelines(",".join(row) + "\n" for row in zip(*map(_cells, block)))
 
 
 def write_bestsofar_csv(path, summaries: Sequence[RunSummary], config_line: str = ""):
-    # The largest CSV, so each seed's curve is one joined string of f-string
-    # rows; it writes the bytes _write_rows would for integer iterations.
-    def lines():
-        for summary in summaries:
-            heads = [f"{it},{summary.algorithm}," for it in summary.iterations.tolist()]
-            for s, curve in enumerate(summary.best_curves.tolist()):
-                seed = f"{s},"
-                yield "".join([f"{h}{seed}{v:.17g}\n" for h, v in zip(heads, curve)])
-    _write_lines(path, config_line, ["iteration", "algorithm", "seed", "best_so_far"], lines())
+    def block(s):
+        nseeds, npoints = s.best_curves.shape
+        return (np.tile(s.iterations, nseeds),
+                np.array([s.algorithm] * s.best_curves.size, dtype=object),
+                np.repeat(np.arange(nseeds), npoints), s.best_curves.ravel())
+    _write_csv(path, config_line, ["iteration", "algorithm", "seed", "best_so_far"],
+               map(block, summaries))
 
 
 def write_summary_csv(path, summaries: Sequence[RunSummary], config_line: str = ""):
-    def rows():
-        for summary in summaries:
-            for i, it in enumerate(summary.iterations):
-                yield (it, summary.algorithm, summary.median[i],
-                       summary.q25[i], summary.q75[i])
-    _write_rows(path, config_line, ["iteration", "algorithm", "median", "q25", "q75"], rows())
+    _write_csv(path, config_line, ["iteration", "algorithm", "median", "q25", "q75"],
+               ((s.iterations, np.array([s.algorithm] * s.iterations.size, dtype=object),
+                 np.median(s.best_curves, axis=0), np.quantile(s.best_curves, 0.25, axis=0),
+                 np.quantile(s.best_curves, 0.75, axis=0)) for s in summaries))
 
 
 def write_chi2decay_csv(path, fits_by_intensity: dict, config_line: str = ""):
     """``fits_by_intensity`` maps the swap intensity a to its DecayFit."""
-    def rows():
-        for a, fit in fits_by_intensity.items():
-            for t, c, b in zip(fit.times, fit.chi2, fit.bootstrap_std):
-                yield (t, a, c, b)
-    _write_rows(path, config_line, ["time", "a", "chi2", "bootstrap_std"], rows())
+    _write_csv(path, config_line, ["time", "a", "chi2", "bootstrap_std"],
+               ((fit.times, np.full(len(fit.times), a), fit.chi2, fit.bootstrap_std)
+                for a, fit in fits_by_intensity.items()))
 
 
 def write_discerr_csv(path, result: DiscretizationResult, config_line: str = ""):
-    rows = zip(result.etas, result.mse, result.stderr)
-    _write_rows(path, config_line, ["eta", "mse", "stderr"], rows)
+    _write_csv(path, config_line, ["eta", "mse", "stderr"],
+               [(result.etas, result.mse, result.stderr)])

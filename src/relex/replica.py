@@ -90,8 +90,8 @@ def run_pair_ensemble(f: ObjectiveFunction, x0, temps, steps: int, streams,
     (chains, R). ``streams`` is the (slots, swap) pair of ``pair_streams``:
     one row of R streams per group of chains (the groups split the chains
     evenly, in order) and one swap stream per group, None for a group that
-    never swaps; ``swap=None`` draws no uniforms, and only a run that cannot
-    swap may pass it. Noise is drawn on the sub-step ``eta``; a step of m
+    never swaps; a run that cannot swap draws no uniforms and may pass
+    ``swap=None``. Noise is drawn on the sub-step ``eta``; a step of m
     sub-steps sums their increments and tests all m uniforms, each against
     the swap probability min(1, intensity * eta * s). ``intensity * eta >= 1``
     is allowed, as the clamp keeps the probability valid, but warned about,
@@ -136,7 +136,7 @@ def run_pair_ensemble(f: ObjectiveFunction, x0, temps, steps: int, streams,
     slots, swap = streams
     if swapping and swap is None:
         raise InputError("a swapping run needs swap streams")
-    draw = _philox_noise(steps, x.shape, slots, swap, m)
+    draw = _philox_noise(steps, x.shape, slots, swap if swapping else None, m)
     swaps = np.zeros(x.shape[0], dtype=int)
     step = m * eta
     coef = np.sqrt(2.0 * eta * T)[..., None]  # em_update's scale; moves with T on a swap

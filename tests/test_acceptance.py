@@ -20,6 +20,8 @@ import pickle
 import subprocess
 import sys
 import time
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from types import SimpleNamespace
 
 import numpy as np
@@ -272,3 +274,32 @@ def test_dead_worker_fails_the_criteria_it_leaves(fakes, capsys):
     for line, name in ((lines[0], "1 fake pass"), (lines[2], "3 fake pass")):
         assert (line.startswith(f"[PASS] {name}: pass at ")
                 or line.startswith(f"[FAIL] {name}: raised BrokenProcessPool"))
+
+
+def test_pool_broken_before_every_submit_fails_the_rest(fakes, monkeypatch, capsys):
+    # Once a worker has died, every submit raises: the criteria not yet
+    # submitted fail naming the broken pool, and the ones already submitted
+    # are still collected.
+    fakes([("1 fake pass", fake_pass), ("2 fake pass", fake_pass),
+           ("8 fake pass", fake_pass)])               # submitted as 8, 2, 1
+    submit, calls = ProcessPoolExecutor.submit, []
+
+    def submit_breaks_from_second(pool, *args):
+        calls.append(args)
+        if len(calls) >= 2:
+            raise BrokenProcessPool("a worker died")
+        return submit(pool, *args)
+    monkeypatch.setattr(ProcessPoolExecutor, "submit", submit_breaks_from_second)
+    broken = "raised BrokenProcessPool: a worker died"
+    records = acceptance.run_all()
+    assert [(r.name, r.passed) for r in records] == [
+        ("1 fake pass", False), ("2 fake pass", False), ("8 fake pass", True)]
+    assert records[0].detail == records[1].detail == broken
+
+    calls.clear()
+    assert main(["check"]) == 4
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == [f"[FAIL] 1 fake pass: {broken} (0.0s)",
+                         f"[FAIL] 2 fake pass: {broken} (0.0s)"]
+    assert lines[2].startswith("[PASS] 8 fake pass: pass at ")
+    assert lines[3] == "check: 1/3 criteria passed"

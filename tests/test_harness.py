@@ -11,7 +11,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from relex.errors import ConfigError, InputError
-from relex.harness import (RunSummary, SimConfig, _best_so_far, _write_rows,
+from relex.harness import (RunSummary, SimConfig, _best_so_far,
                            discretization_error_experiment, pregenerate_noise,
                            run_comparison, write_bestsofar_csv,
                            write_discerr_csv, write_summary_csv)
@@ -102,7 +102,6 @@ class TestRunComparison:
         for s in summaries:
             assert s.best_curves.shape == (4, 21)
             assert np.all(np.diff(s.best_curves, axis=1) <= 0)
-            assert np.all(s.q25 <= s.median) and np.all(s.median <= s.q75)
             assert np.array_equal(s.final_best, s.best_curves[:, -1])
         assert summaries[2].swap_counts is not None
         # both baselines are the two slots of one shared run
@@ -316,6 +315,17 @@ class TestCsvWriters:
         assert lines[1] == "iteration,algorithm,median,q25,q75"
         assert len(lines) == 2 + 3 * 21
 
+    def test_summary_holds_the_quartiles_of_the_curves(self, tmp_path):
+        summaries = run_comparison(small_config())
+        path = tmp_path / "summary.csv"
+        write_summary_csv(path, summaries, "x.y=1")
+        expected = [f"{it},{s.algorithm},{m:.17g},{lo:.17g},{hi:.17g}"
+                    for s in summaries
+                    for it, m, lo, hi in zip(s.iterations, np.median(s.best_curves, axis=0),
+                                             np.quantile(s.best_curves, 0.25, axis=0),
+                                             np.quantile(s.best_curves, 0.75, axis=0))]
+        assert path.read_text().splitlines()[2:] == expected
+
     def test_discerr_layout(self, tmp_path):
         res = discretization_error_experiment(
             double_well(), 0.1, 1.0, 1.0, (0.02, 0.01), T=0.2, ensemble=20,
@@ -345,7 +355,7 @@ def run_summaries(draw):
         curves = np.reshape(values, (npoints, nseeds)).T
         summaries.append(RunSummary(
             algorithm, np.arange(npoints) * draw(st.integers(1, 10**6)), curves,
-            curves[0], curves[0], curves[0], curves[:, -1]))
+            curves[:, -1]))
     return summaries
 
 
@@ -356,26 +366,25 @@ ALL_UNDERFLOW = float(benchmark_mixture(0.1).eval(np.array([100.0, 100.0])))
 @given(run_summaries())
 @example([RunSummary("low-temp", np.arange(3) * 10,
                      np.array([[-0.0, 5e-324, 1e308], [-1e-300, 0.1, -2.5e-310]]),
-                     *[np.zeros(3)] * 3, np.zeros(2))])
+                     np.zeros(2))])
 @example([RunSummary("replica-exchange", np.arange(4) * 10**6,
                      np.array([[ALL_UNDERFLOW, -1.2e-310, np.inf, 0.1 + 0.2],
                                [-0.12392914196873872, -1 / 3, 2.2250738585072009e-308,
                                 -np.inf]]),
-                     *[np.zeros(4)] * 3, np.zeros(2)),
+                     np.zeros(2)),
           RunSummary("low-temp", np.arange(1), np.array([[1e-300], [-123456.78901234567]]),
-                     *[np.zeros(1)] * 3, np.zeros(2))])
-def test_bestsofar_csv_matches_the_generic_writer(summaries):
-    def rows():
-        for summary in summaries:
-            for s in range(summary.best_curves.shape[0]):
-                for it, v in zip(summary.iterations, summary.best_curves[s]):
-                    yield (it, summary.algorithm, s, v)
+                     np.zeros(2))])
+def test_bestsofar_csv_matches_a_per_cell_reference(summaries):
+    # the reference formats every cell on its own, with no distinct-value reuse
+    rows = [f"{it},{summary.algorithm},{s},{v:.17g}\n"
+            for summary in summaries
+            for s in range(summary.best_curves.shape[0])
+            for it, v in zip(summary.iterations.tolist(), summary.best_curves[s].tolist())]
     with tempfile.TemporaryDirectory() as tmp:
-        fast, generic = Path(tmp, "fast.csv"), Path(tmp, "generic.csv")
-        write_bestsofar_csv(fast, summaries, "x.y=1")
-        _write_rows(generic, "x.y=1", ["iteration", "algorithm", "seed", "best_so_far"],
-                    rows())
-        assert fast.read_bytes() == generic.read_bytes()
+        path = Path(tmp, "bestsofar.csv")
+        write_bestsofar_csv(path, summaries, "x.y=1")
+        assert path.read_text() == ("# config: x.y=1\niteration,algorithm,seed,best_so_far\n"
+                                    + "".join(rows))
 
 
 def test_a_point_where_every_component_underflows_has_value_minus_zero():

@@ -28,8 +28,8 @@ SIGNATURES = {
     "ObjectiveFunction": ("dimension", "value_and_grad", "name"),
     "RelexError": None,
     "RngStream": ("seed", "stream_id"),
-    "RunSummary": ("algorithm", "iterations", "best_curves", "median", "q25", "q75",
-                   "final_best", "swap_counts", "wall_time"),
+    "RunSummary": ("algorithm", "iterations", "best_curves", "final_best", "swap_counts",
+                   "wall_time"),
     "SimConfig": ("objective", "tau1", "tau2", "intensity", "eta", "steps", "ensemble",
                   "seed", "init", "stride"),
     "benchmark_mixture": ("kappa", "confinement"),

@@ -298,6 +298,13 @@ class TestPairEnsemble:
                                     no_swap(), 0.01, 0.0)
         assert np.isfinite(x).all()
 
+    def test_run_that_cannot_swap_draws_no_uniforms(self):
+        slots, swap = pair_streams(0)
+        run_pair_ensemble(double_well(), np.zeros((3, 2, 1)), (0.1, 1.0), 5,
+                          (slots, swap), 0.01, 0.0)
+        fresh = RngStream(swap[0].seed, swap[0].stream_id)
+        assert np.array_equal(swap[0].uniform(3), fresh.uniform(3))
+
     @pytest.mark.parametrize("mode", ["temperature", "position"])
     def test_swaps_leave_observed_arrays_alone(self, mode):
         held = []
