@@ -9,7 +9,7 @@ from .diagnostics import (DecayFit, GridMeasure, chi2_decay_experiment,
                           chi_square_divergence, dirichlet_acceleration_term,
                           empirical_histogram, gibbs_density,
                           pair_gibbs_density, total_variation)
-from .errors import ConfigError, DivergenceError, InputError, RelexError
+from .errors import DivergenceError, InputError, RelexError
 from .harness import (RunSummary, SimConfig, discretization_error_experiment,
                       run_comparison)
 from .objective import (ObjectiveFunction, build_gaussian_mixture, check_gradient,
@@ -20,7 +20,7 @@ from .rng import RngStream, derive_stream
 __version__ = "0.1.0"
 
 __all__ = [
-    "ConfigError", "DecayFit", "DivergenceError", "GridMeasure", "InputError",
+    "DecayFit", "DivergenceError", "GridMeasure", "InputError",
     "ObjectiveFunction", "RelexError", "RngStream", "RunSummary", "SimConfig",
     "build_gaussian_mixture", "check_gradient",
     "chi2_decay_experiment", "chi_square_divergence", "derive_stream",

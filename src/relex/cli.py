@@ -6,7 +6,7 @@ comes from an INI-style file with sections [objective], [dynamics],
 ``--seed`` overrides dynamics.seed. Every CSV carries the canonical config
 echo so outputs are self-describing.
 
-Exit codes: 0 success, 2 configuration/usage or I/O error, 3 divergence,
+Exit codes: 0 success, 2 invalid input, usage or I/O error, 3 divergence,
 4 acceptance-check failure.
 """
 
@@ -23,7 +23,7 @@ import sys
 import numpy as np
 
 from .diagnostics import chi2_decay_experiment
-from .errors import ConfigError, DivergenceError, RelexError
+from .errors import DivergenceError, InputError, RelexError
 from .harness import (SimConfig, discretization_error_experiment, run_comparison,
                       write_bestsofar_csv, write_chi2decay_csv, write_discerr_csv,
                       write_summary_csv)
@@ -77,19 +77,22 @@ def load_config(path: str | None = None, overrides=(), seed=None) -> dict:
     cfg = {section: dict(keys) for section, keys in DEFAULTS.items()}
     if path is not None:
         if not os.path.isfile(path):
-            raise ConfigError(f"config file not found: {path}")
-        parser = configparser.ConfigParser()
+            raise InputError(f"config file not found: {path}")
+        # values are taken literally: '%' is a character, not an interpolation
+        parser = configparser.ConfigParser(interpolation=None)
         try:
-            with open(path) as fh:
+            with open(path, encoding="utf-8") as fh:
                 parser.read_file(fh)
         except configparser.Error as exc:
-            raise ConfigError(f"cannot parse {path}: {exc}") from exc
+            raise InputError(f"cannot parse {path}: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise InputError(f"cannot read {path}: {exc}") from exc
         for section in parser.sections():
             if section not in cfg:
-                raise ConfigError(f"unknown config section [{section}]")
+                raise InputError(f"unknown config section [{section}]")
             for key, value in parser.items(section):
                 if key not in cfg[section]:
-                    raise ConfigError(f"unknown config key {section}.{key}")
+                    raise InputError(f"unknown config key {section}.{key}")
                 cfg[section][key] = value.strip()
     for item in overrides:
         apply_override(cfg, item)
@@ -101,20 +104,20 @@ def load_config(path: str | None = None, overrides=(), seed=None) -> dict:
 def apply_override(cfg: dict, item: str):
     """Apply one KEY=VALUE override; KEY is section.key or an unambiguous key."""
     if "=" not in item:
-        raise ConfigError(f"override {item!r} is not KEY=VALUE")
+        raise InputError(f"override {item!r} is not KEY=VALUE")
     key, value = item.split("=", 1)
     key = key.strip()
     if "." in key:
         section, name = key.split(".", 1)
         if section not in cfg or name not in cfg[section]:
-            raise ConfigError(f"unknown config key {key}")
+            raise InputError(f"unknown config key {key}")
         cfg[section][name] = value.strip()
         return
     hits = [section for section in cfg if key in cfg[section]]
     if not hits:
-        raise ConfigError(f"unknown config key {key}")
+        raise InputError(f"unknown config key {key}")
     if len(hits) > 1:
-        raise ConfigError(f"ambiguous config key {key} (in sections {hits})")
+        raise InputError(f"ambiguous config key {key} (in sections {hits})")
     cfg[hits[0]][key] = value.strip()
 
 
@@ -138,7 +141,7 @@ def parse_canonical_config(line: str) -> dict:
         key, _, value = token.partition("=")
         section, _, name = key.partition(".")
         if not section or not name:
-            raise ConfigError(f"bad canonical config token {token!r}")
+            raise InputError(f"bad canonical config token {token!r}")
         cfg.setdefault(section, {})[name] = value
     return cfg
 
@@ -146,13 +149,13 @@ def parse_canonical_config(line: str) -> dict:
 # Typed accessors -----------------------------------------------------------
 
 def _floats(pieces, what: str, raw: str) -> list:
-    """``pieces`` parsed as floats; ConfigError unless all are finite."""
+    """``pieces`` parsed as floats; InputError unless all are finite."""
     try:
         values = [float(v) for v in pieces]
     except ValueError:
         values = [math.nan]
     if not all(math.isfinite(v) for v in values):
-        raise ConfigError(f"{what}, got {raw!r}")
+        raise InputError(f"{what}, got {raw!r}")
     return values
 
 
@@ -165,8 +168,8 @@ def _get_int(cfg, section, key):
     try:
         return int(cfg[section][key])
     except ValueError as exc:
-        raise ConfigError(f"{section}.{key} must be an integer, got "
-                          f"{cfg[section][key]!r}") from exc
+        raise InputError(f"{section}.{key} must be an integer, got "
+                         f"{cfg[section][key]!r}") from exc
 
 
 def _get_floats(cfg, section, key):
@@ -178,7 +181,7 @@ def _get_floats(cfg, section, key):
 def _get_objective(cfg) -> ObjectiveFunction:
     kind = cfg["objective"]["kind"]
     if kind not in OBJECTIVES:
-        raise ConfigError(f"unknown objective kind {kind!r}")
+        raise InputError(f"unknown objective kind {kind!r}")
     keys = ("kappa", "confinement") if kind == "gaussian_mixture" else ()
     return OBJECTIVES[kind](*(_get_float(cfg, "objective", key) for key in keys))
 
@@ -193,9 +196,9 @@ def _get_init(cfg, dim: int, nseeds: int, seed: int):
     try:
         lo, hi = (float(v) for v in raw[len("uniform:"):].split(","))
     except ValueError as exc:
-        raise ConfigError(f"bad uniform init spec {raw!r}") from exc
+        raise InputError(f"bad uniform init spec {raw!r}") from exc
     if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
-        raise ConfigError(f"uniform init bounds must be finite with lo <= hi, got {raw!r}")
+        raise InputError(f"uniform init bounds must be finite with lo <= hi, got {raw!r}")
     # a nonpositive ensemble draws nothing; SimConfig rejects it
     return lo + (hi - lo) * derive_stream(seed, PURPOSE_INIT).uniform((max(nseeds, 0), dim))
 
@@ -245,20 +248,20 @@ def cmd_sweep(cfg, out_flag) -> int:
     for kappa in kappas:
         text = f"{kappa:g}"
         if text in echoed:
-            raise ConfigError(f"kappa {kappa!r} is listed twice" if echoed[text] == kappa
-                              else f"kappas {echoed[text]!r} and {kappa!r} would both "
-                              f"write the kappa{text.replace('.', 'p')} files")
+            raise InputError(f"kappa {kappa!r} is listed twice" if echoed[text] == kappa
+                             else f"kappas {echoed[text]!r} and {kappa!r} would both "
+                             f"write the kappa{text.replace('.', 'p')} files")
         if float(text) != kappa:
-            raise ConfigError(f"kappa {kappa!r} is echoed as {text}; give it in 6 digits")
+            raise InputError(f"kappa {kappa!r} is echoed as {text}; give it in 6 digits")
         echoed[text] = kappa
     kind = cfg["objective"]["kind"]
     if kind != "gaussian_mixture":
-        raise ConfigError(f"kappa sweep needs a gaussian_mixture objective, got {kind!r}")
+        raise InputError(f"kappa sweep needs a gaussian_mixture objective, got {kind!r}")
     if not kappas:
-        raise ConfigError("kappa sweep needs at least one kappa")
+        raise InputError("kappa sweep needs at least one kappa")
     for kappa in kappas:
         if kappa <= 0:
-            raise ConfigError(f"kappa must be positive, got {kappa}")
+            raise InputError(f"kappa must be positive, got {kappa}")
     # each kappa runs the config its files echo
     sweep_cfgs = [{**cfg, "objective": {**cfg["objective"], "kappa": text}} for text in echoed]
     sims = [build_sim_config(sweep_cfg) for sweep_cfg in sweep_cfgs]
@@ -279,12 +282,12 @@ def cmd_chi2(cfg, out_flag) -> int:
     f = _get_objective(cfg)
     bounds = _get_floats(cfg, "diagnostics", "bounds")
     if len(bounds) != 2:
-        raise ConfigError(f"diagnostics.bounds must be two numbers lo,hi, "
-                          f"got {cfg['diagnostics']['bounds']!r}")
+        raise InputError(f"diagnostics.bounds must be two numbers lo,hi, "
+                         f"got {cfg['diagnostics']['bounds']!r}")
     times = np.asarray(_get_floats(cfg, "diagnostics", "sample_times"))
     intensity = _get_float(cfg, "dynamics", "intensity")
     if intensity < 0:
-        raise ConfigError(f"dynamics.intensity must be nonnegative, got {intensity:g}")
+        raise InputError(f"dynamics.intensity must be nonnegative, got {intensity:g}")
     fits = {}
     for a in (0.0, intensity) if intensity > 0 else (0.0,):
         fits[a] = chi2_decay_experiment(
@@ -387,9 +390,6 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config, args.overrides, args.seed)
         return HANDLERS[args.subcommand](cfg, args.out)
-    except ConfigError as exc:
-        print(f"relex: config error: {exc}", file=sys.stderr)
-        return 2
     except DivergenceError as exc:
         print(f"relex: divergence: {exc}", file=sys.stderr)
         return 3

@@ -199,6 +199,8 @@ def chi2_decay_experiment(f: ObjectiveFunction, tau1: float, tau2: float,
         raise InputError("chi-square decay experiment requires a 1-D objective")
     if integer("ensemble", ensemble) < 1000:
         raise InputError(f"ensemble must be >= 1000, got {ensemble}")
+    if not tau1 < tau2:     # the grid is (tau1, tau2), the snapshots (low, high)
+        raise InputError("replica exchange requires tau1 < tau2")
     if not (0 < eta < math.inf):    # the sample times are counted in steps of eta
         raise InputError(f"eta must be positive and finite, got {eta}")
     sample_times = np.asarray(sample_times, dtype=float)

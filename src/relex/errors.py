@@ -10,12 +10,8 @@ class RelexError(Exception):
 
 class InputError(RelexError):
     """A caller supplied a non-finite, empty or otherwise invalid value, such
-    as mismatched grids, bounds that truncate a Gibbs density, or too few
-    points to fit a decay rate."""
-
-
-class ConfigError(RelexError):
-    """A configuration file or parameter set is invalid."""
+    as a malformed config file, an unknown key, mismatched grids, bounds that
+    truncate a Gibbs density, or too few points to fit a decay rate."""
 
 
 class DivergenceError(RelexError):
@@ -28,11 +24,11 @@ class DivergenceError(RelexError):
         self.iteration, self.chain, self.slot, self.position = iteration, chain, slot, position
 
 
-def integer(what: str, value, error: type = InputError) -> int:
-    """``value`` as an int, else ``error`` naming ``what``. A count or a step
+def integer(what: str, value) -> int:
+    """``value`` as an int, else an InputError naming ``what``. A count or a step
     index given as a float, even a whole one, is an error: truncating it would
     run another count, and a fractional step index names no step."""
     try:
         return operator.index(value)
     except TypeError:
-        raise error(f"{what} must be an integer, got {value!r}") from None
+        raise InputError(f"{what} must be an integer, got {value!r}") from None

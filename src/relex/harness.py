@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, integer
+from .errors import InputError, integer
 from .objective import ObjectiveFunction
 from .replica import by_temperature, run_pair_ensemble
 from .rng import pair_streams, position_streams
@@ -44,30 +44,30 @@ class SimConfig:
 
     def __post_init__(self):
         if not (0 < self.tau1 < math.inf and 0 < self.tau2 < math.inf):
-            raise ConfigError("temperatures must be positive and finite")
+            raise InputError("temperatures must be positive and finite")
         if not (self.tau1 < self.tau2):
-            raise ConfigError("replica exchange requires tau1 < tau2")
+            raise InputError("replica exchange requires tau1 < tau2")
         if not (0 <= self.intensity < math.inf):
-            raise ConfigError("intensity must be nonnegative and finite")
+            raise InputError("intensity must be nonnegative and finite")
         if not (0 < self.eta < math.inf):
-            raise ConfigError("eta must be positive and finite")
+            raise InputError("eta must be positive and finite")
         for name in ("steps", "ensemble", "stride"):
-            integer(name, getattr(self, name), ConfigError)
+            integer(name, getattr(self, name))
         if self.steps < 1 or self.ensemble < 1:
-            raise ConfigError("steps and ensemble must be positive")
+            raise InputError("steps and ensemble must be positive")
         if self.stride < 1 or self.steps % self.stride != 0:
-            raise ConfigError(f"stride {self.stride} must divide steps {self.steps}")
+            raise InputError(f"stride {self.stride} must divide steps {self.steps}")
         if not isinstance(self.objective, ObjectiveFunction):
-            raise ConfigError(f"objective must be an ObjectiveFunction, "
-                              f"got {type(self.objective).__name__}")
+            raise InputError(f"objective must be an ObjectiveFunction, "
+                             f"got {type(self.objective).__name__}")
         d = self.objective.dimension
         shape = np.shape(self.init)
         if shape not in ((d,), (self.ensemble, d)):
-            raise ConfigError(f"init point has dimension {shape[0]}, expected {d}"
-                              if len(shape) == 1 else f"init has shape {shape}, "
-                              f"expected ({d},) or ({self.ensemble}, {d})")
+            raise InputError(f"init point has dimension {shape[0]}, expected {d}"
+                             if len(shape) == 1 else f"init has shape {shape}, "
+                             f"expected ({d},) or ({self.ensemble}, {d})")
         if not np.all(np.isfinite(self.init)):
-            raise ConfigError("init must be finite")
+            raise InputError("init must be finite")
 
 
 @dataclass
@@ -180,35 +180,35 @@ def discretization_error_experiment(f: ObjectiveFunction, tau1: float, tau2: flo
     the coarse step's start. The finest grid is the brute-force reference for
     the continuous process.
     """
-    if integer("ensemble", ensemble, ConfigError) < 2:
-        raise ConfigError(f"ensemble must be >= 2 for a standard error, got {ensemble}")
+    if integer("ensemble", ensemble) < 2:
+        raise InputError(f"ensemble must be >= 2 for a standard error, got {ensemble}")
     if not (0 < T < math.inf):
-        raise ConfigError(f"horizon T must be positive and finite, got {T}")
+        raise InputError(f"horizon T must be positive and finite, got {T}")
     etas = np.asarray(sorted(etas, reverse=True), dtype=float)
     if etas.size == 0:
-        raise ConfigError("need at least one stepsize")
+        raise InputError("need at least one stepsize")
     if not np.all(np.isfinite(etas) & (etas > 0)):
-        raise ConfigError("all stepsizes must be positive and finite")
+        raise InputError("all stepsizes must be positive and finite")
     repeated = etas[1:][etas[1:] == etas[:-1]]     # etas are sorted
     if repeated.size:
-        raise ConfigError(f"stepsize {repeated[0]} is listed twice")
+        raise InputError(f"stepsize {repeated[0]} is listed twice")
     if eta_ref is None:
         eta_ref = float(etas.min()) / 16.0
     elif not (0 < eta_ref < math.inf):
-        raise ConfigError(f"eta_ref must be positive and finite, got {eta_ref}")
+        raise InputError(f"eta_ref must be positive and finite, got {eta_ref}")
     ratios = etas / eta_ref
     ms = [int(round(r)) for r in ratios]        # sub-steps per coarse step
     if np.any(np.abs(ratios - np.rint(ratios)) > 1e-9) or min(ms) < 1:
-        raise ConfigError("every eta must be an integer multiple of eta_ref")
+        raise InputError("every eta must be an integer multiple of eta_ref")
     n_fine = T / eta_ref
     if abs(n_fine - round(n_fine)) > 1e-9:
-        raise ConfigError("horizon T must be an integer number of reference steps")
+        raise InputError("horizon T must be an integer number of reference steps")
     n_fine = int(round(n_fine))
     if n_fine < 1:
-        raise ConfigError(f"horizon T = {T} is shorter than eta_ref = {eta_ref}")
+        raise InputError(f"horizon T = {T} is shorter than eta_ref = {eta_ref}")
     for eta, m in zip(etas, ms):
         if abs(T / eta - round(T / eta)) > 1e-9 or n_fine % m:
-            raise ConfigError(f"T = {T} is not an integer number of steps of eta = {eta}")
+            raise InputError(f"T = {T} is not an integer number of steps of eta = {eta}")
 
     d = f.dimension
     x0 = np.broadcast_to(np.reshape((1.0, -1.0), (1, 2, -1)), (ensemble, 2, d))

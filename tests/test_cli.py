@@ -1,6 +1,9 @@
 """Tests for config handling and the command-line entry point."""
 
+import os
 import string
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -8,9 +11,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import relex
 from relex.cli import (DEFAULTS, apply_override, build_sim_config, emit_canonical_config,
                        load_config, main, parse_canonical_config)
-from relex.errors import ConfigError
+from relex.errors import InputError
 from relex.objective import benchmark_mixture
 
 
@@ -43,18 +47,38 @@ class TestLoadConfig:
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("[dynamics]\ntemperature = 1\n")
-        with pytest.raises(ConfigError):
+        with pytest.raises(InputError):
             load_config(str(path))
 
     def test_unknown_section_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("[physics]\neta = 0.01\n")
-        with pytest.raises(ConfigError):
+        with pytest.raises(InputError):
             load_config(str(path))
 
     def test_missing_file(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(InputError):
             load_config("/no/such/file.cfg")
+
+    @pytest.mark.parametrize("text, message", [
+        ("[dynamics]\ninit = 2%,2\n",
+         "dynamics.init must be finite coordinates or uniform:lo,hi, got '2%,2'"),
+        ("[dynamics]\nsteps = 20\nstride = %(steps)s\n",
+         "dynamics.stride must be an integer, got '%(steps)s'"),
+    ], ids=["stray-percent", "interpolation"])
+    def test_values_are_read_literally(self, tmp_path, capsys, text, message, no_experiment):
+        path = tmp_path / "run.cfg"
+        path.write_text(text)
+        assert main(["compare", "--config", str(path), "--out", str(tmp_path / "res")]) == 2
+        assert capsys.readouterr().err == f"relex: error: {message}\n"
+        assert not (tmp_path / "res").exists()
+
+    def test_file_that_is_not_utf8_exits_2(self, tmp_path, capsys, no_experiment):
+        path = tmp_path / "run.cfg"
+        path.write_bytes(b"\xff\xfe[dynamics]\neta = 0.005\n")
+        assert main(["compare", "--config", str(path), "--out", str(tmp_path / "res")]) == 2
+        assert capsys.readouterr().err.startswith(f"relex: error: cannot read {path}: ")
+        assert not (tmp_path / "res").exists()
 
     def test_seed_flag_wins(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -78,7 +102,7 @@ class TestOverrides:
 
     def test_bad_overrides(self):
         for item in ["eta", "nosuchkey=1", "physics.eta=1", "dynamics.bogus=1"]:
-            with pytest.raises(ConfigError):
+            with pytest.raises(InputError):
                 apply_override(load_config(), item)
 
 
@@ -162,7 +186,7 @@ class TestBuildSimConfig:
     @pytest.mark.parametrize("ensemble", ["0", "-3"])
     def test_uniform_box_of_no_seeds_is_a_config_error(self, ensemble):
         cfg = load_config(overrides=["init=uniform:-2,2", f"ensemble={ensemble}"])
-        with pytest.raises(ConfigError, match="steps and ensemble must be positive"):
+        with pytest.raises(InputError, match="steps and ensemble must be positive"):
             build_sim_config(cfg)
 
 
@@ -173,7 +197,7 @@ class TestDispatch:
 
     def test_config_error_exits_2(self, capsys):
         assert main(["compare", "--set", "bogus=1"]) == 2
-        assert "config error" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith("relex: error: ")
 
     def test_compare_writes_csvs(self, tmp_path, capsys):
         out = tmp_path / "res"
@@ -232,7 +256,7 @@ class TestDispatch:
         out = tmp_path / "res"
         code = main(["sweep", "--set", setting, "--out", str(out)])
         assert code == 2 and runs == []
-        assert capsys.readouterr().err == f"relex: config error: {message}\n"
+        assert capsys.readouterr().err == f"relex: error: {message}\n"
         assert not out.exists()
 
     def test_sweep_of_one_kappa_is_that_kappa_s_compare(self, tmp_path):
@@ -281,7 +305,7 @@ class TestDispatch:
         code = main(["chi2", "--set", "kind=double_well", "--set", "intensity=nan",
                      "--out", str(tmp_path)])
         assert code == 2
-        assert "config error" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith("relex: error: ")
 
     def test_chi2_rejects_negative_intensity_before_any_run(self, tmp_path, capsys,
                                                             monkeypatch):
@@ -291,7 +315,7 @@ class TestDispatch:
                      "--set", "intensity=-1", "--out", str(tmp_path)])
         assert code == 2 and runs == []
         assert capsys.readouterr().err == (
-            "relex: config error: dynamics.intensity must be nonnegative, got -1\n")
+            "relex: error: dynamics.intensity must be nonnegative, got -1\n")
         assert not (tmp_path / "chi2decay.csv").exists()
 
     @pytest.mark.parametrize("times, message", [
@@ -316,6 +340,7 @@ class TestDispatch:
 
     @pytest.mark.parametrize("command, item, message", [
         ("chi2", "ensemble=1000 eta=0", "eta must be positive and finite, got 0.0"),
+        ("chi2", "ensemble=1000 tau1=1 tau2=0.1", "replica exchange requires tau1 < tau2"),
         ("discerr", "ensemble=20 intensity=-1",
          "swap intensity must be nonnegative and finite, got -1.0"),
     ])
@@ -341,8 +366,8 @@ class TestDispatch:
         ("resolution=0", "relex: error: grid resolution must be >= 1"),
         ("resolution=-2", "relex: error: grid resolution must be >= 1"),
         ("bounds=3,-3", "relex: error: grid bounds must be finite"),
-        ("bounds=1,2,3", "relex: config error: diagnostics.bounds must be two numbers"),
-        ("bounds=1", "relex: config error: diagnostics.bounds must be two numbers"),
+        ("bounds=1,2,3", "relex: error: diagnostics.bounds must be two numbers"),
+        ("bounds=1", "relex: error: diagnostics.bounds must be two numbers"),
     ])
     def test_chi2_bad_grid_exits_2(self, tmp_path, capsys, item, message):
         code = main(["chi2", "--set", "kind=double_well", "--set", "ensemble=1000",
@@ -374,7 +399,7 @@ class TestDispatch:
         args = [arg for item in items for arg in ("--set", item)]
         code = main(["discerr", *args, "--out", str(tmp_path)])
         assert code == 2
-        assert capsys.readouterr().err.startswith(f"relex: config error: {message}")
+        assert capsys.readouterr().err.startswith(f"relex: error: {message}")
         assert not (tmp_path / "discerr.csv").exists()
 
     def test_discerr_coarse_steps_do_not_warn_of_clamping(self, tmp_path):
@@ -394,7 +419,7 @@ class TestDispatch:
                      "--set", "ensemble=2", "--set", "stride=1", "--out", str(tmp_path)])
         assert code == 2
         assert capsys.readouterr().err == (
-            f"relex: config error: uniform init bounds must be finite with lo <= hi, "
+            f"relex: error: uniform init bounds must be finite with lo <= hi, "
             f"got {init!r}\n")
 
     @pytest.mark.parametrize("command, item, message", [
@@ -413,7 +438,7 @@ class TestDispatch:
                                                           tmp_path, capsys, no_experiment):
         code = main([command, "--set", item, "--out", str(tmp_path / "res")])
         assert code == 2
-        assert capsys.readouterr().err == f"relex: config error: {message}\n"
+        assert capsys.readouterr().err == f"relex: error: {message}\n"
         assert not (tmp_path / "res").exists()
 
     def test_unwritable_out_exits_2(self, tmp_path, capsys):
@@ -441,6 +466,24 @@ class TestDispatch:
         err = capsys.readouterr().err
         assert "divergence" in err
         assert "in chain 0, slot 0; last finite position [" in err
+
+    def test_entry_point_sets_the_process_exit_status(self, tmp_path):
+        src = os.path.dirname(os.path.dirname(relex.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))))
+
+        def entry(*argv):
+            return subprocess.run([sys.executable, "-c", "from relex.cli import entry; entry()",
+                                   *argv], env=env, text=True, capture_output=True)
+        assert entry("gradcheck").returncode == 0
+        bad = entry("compare", "--set", "bogus=1")
+        assert (bad.returncode, bad.stderr) == (2, "relex: error: unknown config key bogus\n")
+        diverged = entry("compare", "--set", "kind=quadratic", "--set", "eta=1000000",
+                         "--set", "steps=100", "--set", "ensemble=2", "--set", "tau1=0.1",
+                         "--out", str(tmp_path))
+        assert diverged.returncode == 3
+        # a clamped swap probability warns on stderr before the error line
+        assert diverged.stderr.splitlines()[-1].startswith("relex: divergence: ")
 
     def test_seed_flag_changes_echo(self, tmp_path):
         out1 = tmp_path / "a"

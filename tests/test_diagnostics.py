@@ -214,6 +214,11 @@ class TestDecayExperiment:
         with pytest.raises(InputError, match="^ensemble must be an integer, got 1000.0$"):
             chi2_decay_experiment(double_well(), 0.1, 1.0, 1.0, 0.001, 1000.0,
                                   [0.1, 0.2, 0.3], [[-3, 3]], 10, 0)
+        # the snapshots are ordered (low, high) and the Gibbs grid (tau1, tau2)
+        for tau1, tau2 in ((1.0, 0.1), (1.0, 1.0)):
+            with pytest.raises(InputError, match="^replica exchange requires tau1 < tau2$"):
+                chi2_decay_experiment(double_well(), tau1, tau2, 1.0, 0.001, 1000,
+                                      [0.1, 0.2, 0.3], [[-3, 3]], 10, 0)
 
     @pytest.mark.parametrize("times, message", [
         ([-3.0, -2.0, -1.0], "positive and finite"),

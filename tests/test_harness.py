@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from relex.errors import ConfigError, InputError
+from relex.errors import InputError
 from relex.harness import (RunSummary, SimConfig, _best_so_far,
                            discretization_error_experiment, pregenerate_noise,
                            run_comparison, write_bestsofar_csv,
@@ -52,7 +52,7 @@ class TestSimConfig:
         dict(tau1=float("nan")),
     ])
     def test_invalid(self, overrides):
-        with pytest.raises(ConfigError):
+        with pytest.raises(InputError):
             small_config(**overrides)
 
     @pytest.mark.parametrize("overrides, message", [
@@ -68,13 +68,13 @@ class TestSimConfig:
         (dict(init=np.full((4, 2), math.inf)), "init must be finite"),
     ])
     def test_invalid_objective_or_init(self, overrides, message):
-        with pytest.raises(ConfigError, match=message):
+        with pytest.raises(InputError, match=message):
             small_config(**overrides)
 
     @pytest.mark.parametrize("name, value", [
         ("steps", 100.0), ("ensemble", 4.0), ("stride", 10.0), ("steps", 200.5)])
     def test_counts_must_be_integers(self, name, value):
-        with pytest.raises(ConfigError, match=f"^{name} must be an integer, got {value}$"):
+        with pytest.raises(InputError, match=f"^{name} must be an integer, got {value}$"):
             small_config(**{name: value})
 
     def test_numpy_integer_counts_are_accepted(self):
@@ -86,7 +86,7 @@ class TestSimConfig:
     def test_any_float_is_rejected_or_valid(self, name, value):
         try:
             cfg = small_config(**{name: value})
-        except (ConfigError, InputError):
+        except InputError:
             return
         assert all(math.isfinite(getattr(cfg, n))
                    for n in ("intensity", "eta", "tau1", "tau2"))
@@ -226,7 +226,7 @@ class TestRunComparison:
 class TestDiscretizationExperiment:
     @pytest.mark.parametrize("ensemble", [1, 0, -3])
     def test_ensemble_below_two_rejected(self, ensemble):
-        with pytest.raises(ConfigError, match="ensemble must be >= 2"):
+        with pytest.raises(InputError, match="ensemble must be >= 2"):
             discretization_error_experiment(double_well(), 0.1, 1.0, 1.0, [0.02, 0.01],
                                             0.2, ensemble, seed=0)
 
@@ -274,22 +274,22 @@ class TestDiscretizationExperiment:
         (0.2, (0.02, 0.01, 0.02), None, "stepsize 0.02 is listed twice"),
     ])
     def test_bad_horizon_or_stepsizes_rejected(self, T, etas, eta_ref, message):
-        with pytest.raises(ConfigError, match=message):
+        with pytest.raises(InputError, match=message):
             discretization_error_experiment(double_well(), 0.1, 1.0, 1.0, etas, T=T,
                                             ensemble=20, seed=0, eta_ref=eta_ref)
 
     def test_ensemble_must_be_an_integer(self):
-        with pytest.raises(ConfigError, match="^ensemble must be an integer, got 10.0$"):
+        with pytest.raises(InputError, match="^ensemble must be an integer, got 10.0$"):
             discretization_error_experiment(double_well(), 0.1, 1.0, 1.0, (0.02, 0.01),
                                             T=0.2, ensemble=10.0, seed=0)
 
     def test_non_nested_etas_rejected(self):
         f = double_well()
-        with pytest.raises(ConfigError):
+        with pytest.raises(InputError):
             discretization_error_experiment(f, 0.1, 1.0, 1.0, (0.03, 0.01),
                                             T=0.3, ensemble=10, seed=0,
                                             eta_ref=0.004)
-        with pytest.raises(ConfigError):
+        with pytest.raises(InputError):
             discretization_error_experiment(f, 0.1, 1.0, 1.0, (0.01, -0.01),
                                             T=0.1, ensemble=10, seed=0)
 

@@ -20,7 +20,6 @@ README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 # Every public name with its parameter names in order; None for an exception
 # class that keeps Exception's own constructor.
 SIGNATURES = {
-    "ConfigError": None,
     "DecayFit": ("times", "chi2", "rate", "bootstrap_std", "rate_std"),
     "DivergenceError": ("message", "iteration", "chain", "slot", "position"),
     "GridMeasure": ("bounds", "resolution", "mass", "overflow"),
