@@ -3,8 +3,8 @@
 Subcommands: compare, sweep, chi2, discerr, gradcheck, check. Configuration
 comes from an INI-style file with sections [objective], [dynamics],
 [diagnostics], [output]; ``--set key=value`` overrides win left to right, and
-``--seed`` overrides dynamics.seed. Every CSV carries the canonical config
-echo so outputs are self-describing.
+``--seed`` overrides dynamics.seed. GRAMMAR parses all of it before any
+subcommand runs; every CSV echoes it canonically, so outputs describe themselves.
 
 Exit codes: 0 success, 2 invalid input, usage or I/O error, 3 divergence,
 4 acceptance-check failure.
@@ -27,50 +27,113 @@ from .errors import DivergenceError, InputError, RelexError
 from .harness import (SimConfig, discretization_error_experiment, run_comparison,
                       write_bestsofar_csv, write_chi2decay_csv, write_discerr_csv,
                       write_summary_csv)
-from .objective import (ObjectiveFunction, benchmark_mixture, check_gradient,
-                        double_well, quadratic)
+from .objective import benchmark_mixture, check_gradient, double_well, quadratic
 from .rng import PURPOSE_INIT, derive_stream
 
-DEFAULTS = {
+# The objective of each kind, built from the parsed config: a gaussian_mixture
+# takes objective.kappa and objective.confinement; the other kinds take no keys.
+OBJECTIVES = {"gaussian_mixture": lambda v: benchmark_mixture(v["kappa"], v["confinement"]),
+              "double_well": lambda v: double_well(), "quadratic": lambda v: quadratic()}
+
+
+# Value parsers: each takes a key's section.key name and its raw text --------
+
+def _floats(pieces, what: str, raw: str) -> list:
+    """``pieces`` parsed as floats; InputError unless all are finite."""
+    try:
+        values = [float(v) for v in pieces]
+    except ValueError:
+        values = [math.nan]
+    if not all(math.isfinite(v) for v in values):
+        raise InputError(f"{what}, got {raw!r}")
+    return values
+
+
+def _float(name, raw):
+    return _floats([raw], f"{name} must be a finite number", raw)[0]
+
+
+def _int(name, raw):
+    try:
+        return int(raw)
+    except ValueError as exc:
+        raise InputError(f"{name} must be an integer, got {raw!r}") from exc
+
+
+def _float_list(name, raw):
+    return _floats([v for v in raw.split(",") if v.strip()],
+                   f"{name} must be comma-separated finite numbers", raw)
+
+
+def _kind(name, raw):
+    if raw not in OBJECTIVES:
+        raise InputError(f"unknown objective kind {raw!r}")
+    return raw
+
+
+def _bounds(name, raw):
+    bounds = _float_list(name, raw)
+    if len(bounds) != 2:
+        raise InputError(f"{name} must be two numbers lo,hi, got {raw!r}")
+    return bounds
+
+
+def _init(name, raw):
+    """A start point, or ``slice(lo, hi)`` for starts drawn uniformly from the
+    box [lo, hi]^dim."""
+    if not raw.startswith("uniform:"):
+        return tuple(_floats(raw.split(","), f"{name} must be finite coordinates "
+                             "or uniform:lo,hi", raw))
+    try:
+        lo, hi = (float(v) for v in raw[len("uniform:"):].split(","))
+    except ValueError as exc:
+        raise InputError(f"bad uniform init spec {raw!r}") from exc
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
+        raise InputError(f"uniform init bounds must be finite with lo <= hi, got {raw!r}")
+    return slice(lo, hi)
+
+
+# The config grammar: section -> key -> (default text, parser). No key name
+# appears in two sections, so a bare --set KEY names one key and
+# parse_config's values can be keyed by bare name.
+GRAMMAR = {
     "objective": {
-        "kind": "gaussian_mixture",
-        "kappa": "0.1",
-        "kappas": "0.05,0.1,0.2,0.3",
-        "confinement": "0",
+        "kind": ("gaussian_mixture", _kind),
+        "kappa": ("0.1", _float),
+        "kappas": ("0.05,0.1,0.2,0.3", _float_list),
+        "confinement": ("0", _float),
     },
     "dynamics": {
-        "tau1": "0.01",
-        "tau2": "1",
-        "intensity": "1",
-        "eta": "0.01",
-        "steps": "10000",
-        "ensemble": "20",
-        "seed": "0",
-        "init": "2,2",
-        "stride": "10",
+        "tau1": ("0.01", _float),
+        "tau2": ("1", _float),
+        "intensity": ("1", _float),
+        "eta": ("0.01", _float),
+        "steps": ("10000", _int),
+        "ensemble": ("20", _int),
+        "seed": ("0", _int),
+        "init": ("2,2", _init),
+        "stride": ("10", _int),
     },
     "diagnostics": {
-        "sample_times": "0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9,1.0",
-        "bounds": "-3,3",
-        "resolution": "24",
-        "fit_floor": "0.01",
-        "etas": "0.04,0.02,0.01,0.005",
-        "horizon": "1",
-        "eta_ref": "",
+        "sample_times": ("0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9,1.0", _float_list),
+        "bounds": ("-3,3", _bounds),
+        "resolution": ("24", _int),
+        "fit_floor": ("0.01", _float),
+        "etas": ("0.04,0.02,0.01,0.005", _float_list),
+        "horizon": ("1", _float),
+        "eta_ref": ("", lambda name, raw: _float(name, raw) if raw else None),
     },
     "output": {
-        "dir": "results",
+        "dir": ("results", lambda name, raw: raw),
     },
 }
-
-# The factory of each objective kind. A gaussian_mixture takes objective.kappa
-# and objective.confinement; the other kinds take no keys.
-OBJECTIVES = {"gaussian_mixture": benchmark_mixture, "double_well": double_well,
-              "quadratic": quadratic}
+DEFAULTS = {section: {key: default for key, (default, _) in keys.items()}
+            for section, keys in GRAMMAR.items()}
+SECTION_OF = {key: section for section, keys in GRAMMAR.items() for key in keys}
 
 
 # ---------------------------------------------------------------------------
-# Config loading, overrides, canonical echo.
+# Config loading, overrides, parsing, canonical echo.
 
 def load_config(path: str | None = None, overrides=(), seed=None) -> dict:
     """Defaults, then the config file, then --set overrides, then --seed."""
@@ -87,38 +150,42 @@ def load_config(path: str | None = None, overrides=(), seed=None) -> dict:
             raise InputError(f"cannot parse {path}: {exc}") from exc
         except UnicodeDecodeError as exc:
             raise InputError(f"cannot read {path}: {exc}") from exc
+        if parser.defaults():   # configparser would copy its keys into every section
+            raise InputError("unknown config section [DEFAULT]")
         for section in parser.sections():
-            if section not in cfg:
+            if section not in GRAMMAR:
                 raise InputError(f"unknown config section [{section}]")
             for key, value in parser.items(section):
-                if key not in cfg[section]:
-                    raise InputError(f"unknown config key {section}.{key}")
-                cfg[section][key] = value.strip()
+                _set(cfg, f"{section}.{key}", value)
     for item in overrides:
         apply_override(cfg, item)
     if seed is not None:
-        cfg["dynamics"]["seed"] = str(int(seed))
+        _set(cfg, "seed", str(int(seed)))
     return cfg
 
 
+def _set(cfg: dict, name: str, value: str):
+    """Set the key ``name``, given as section.key or as its bare key."""
+    section, dot, key = name.rpartition(".")
+    if not dot:
+        section = SECTION_OF.get(key)
+    if key not in GRAMMAR.get(section, ()):
+        raise InputError(f"unknown config key {name}")
+    cfg[section][key] = value.strip()
+
+
 def apply_override(cfg: dict, item: str):
-    """Apply one KEY=VALUE override; KEY is section.key or an unambiguous key."""
+    """Apply one KEY=VALUE override; KEY is section.key or a bare key."""
     if "=" not in item:
         raise InputError(f"override {item!r} is not KEY=VALUE")
     key, value = item.split("=", 1)
-    key = key.strip()
-    if "." in key:
-        section, name = key.split(".", 1)
-        if section not in cfg or name not in cfg[section]:
-            raise InputError(f"unknown config key {key}")
-        cfg[section][name] = value.strip()
-        return
-    hits = [section for section in cfg if key in cfg[section]]
-    if not hits:
-        raise InputError(f"unknown config key {key}")
-    if len(hits) > 1:
-        raise InputError(f"ambiguous config key {key} (in sections {hits})")
-    cfg[hits[0]][key] = value.strip()
+    _set(cfg, key.strip(), value)
+
+
+def parse_config(cfg: dict) -> dict:
+    """Every key of ``cfg`` parsed by its GRAMMAR row, keyed by bare key name."""
+    return {key: parse(f"{section}.{key}", cfg[section][key])
+            for section, keys in GRAMMAR.items() for key, (_, parse) in keys.items()}
 
 
 def emit_canonical_config(cfg: dict) -> str:
@@ -146,93 +213,29 @@ def parse_canonical_config(line: str) -> dict:
     return cfg
 
 
-# Typed accessors -----------------------------------------------------------
-
-def _floats(pieces, what: str, raw: str) -> list:
-    """``pieces`` parsed as floats; InputError unless all are finite."""
-    try:
-        values = [float(v) for v in pieces]
-    except ValueError:
-        values = [math.nan]
-    if not all(math.isfinite(v) for v in values):
-        raise InputError(f"{what}, got {raw!r}")
-    return values
+def _take(values: dict, *keys) -> dict:
+    return {key: values[key] for key in keys}
 
 
-def _get_float(cfg, section, key):
-    raw = cfg[section][key]
-    return _floats([raw], f"{section}.{key} must be a finite number", raw)[0]
-
-
-def _get_int(cfg, section, key):
-    try:
-        return int(cfg[section][key])
-    except ValueError as exc:
-        raise InputError(f"{section}.{key} must be an integer, got "
-                         f"{cfg[section][key]!r}") from exc
-
-
-def _get_floats(cfg, section, key):
-    raw = cfg[section][key]
-    return _floats([v for v in raw.split(",") if v.strip()],
-                   f"{section}.{key} must be comma-separated finite numbers", raw)
-
-
-def _get_objective(cfg) -> ObjectiveFunction:
-    kind = cfg["objective"]["kind"]
-    if kind not in OBJECTIVES:
-        raise InputError(f"unknown objective kind {kind!r}")
-    keys = ("kappa", "confinement") if kind == "gaussian_mixture" else ()
-    return OBJECTIVES[kind](*(_get_float(cfg, "objective", key) for key in keys))
-
-
-def _get_init(cfg, dim: int, nseeds: int, seed: int):
-    """dynamics.init: a point, or ``nseeds`` starts drawn uniformly from the
-    box [lo, hi]^dim by the seed's init stream."""
-    raw = cfg["dynamics"]["init"]
-    if not raw.startswith("uniform:"):
-        return tuple(_floats(raw.split(","), "dynamics.init must be finite coordinates "
-                             "or uniform:lo,hi", raw))
-    try:
-        lo, hi = (float(v) for v in raw[len("uniform:"):].split(","))
-    except ValueError as exc:
-        raise InputError(f"bad uniform init spec {raw!r}") from exc
-    if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
-        raise InputError(f"uniform init bounds must be finite with lo <= hi, got {raw!r}")
-    # a nonpositive ensemble draws nothing; SimConfig rejects it
-    return lo + (hi - lo) * derive_stream(seed, PURPOSE_INIT).uniform((max(nseeds, 0), dim))
-
-
-def build_sim_config(cfg: dict) -> SimConfig:
-    f = _get_objective(cfg)
-    ensemble = _get_int(cfg, "dynamics", "ensemble")
-    seed = _get_int(cfg, "dynamics", "seed")
-    return SimConfig(
-        objective=f,
-        tau1=_get_float(cfg, "dynamics", "tau1"),
-        tau2=_get_float(cfg, "dynamics", "tau2"),
-        intensity=_get_float(cfg, "dynamics", "intensity"),
-        eta=_get_float(cfg, "dynamics", "eta"),
-        steps=_get_int(cfg, "dynamics", "steps"),
-        ensemble=ensemble,
-        seed=seed,
-        init=_get_init(cfg, f.dimension, ensemble, seed),
-        stride=_get_int(cfg, "dynamics", "stride"),
-    )
-
-
-def _out_dir(cfg, out_flag):
-    path = out_flag if out_flag is not None else cfg["output"]["dir"]
-    os.makedirs(path, exist_ok=True)
-    return path
+def build_sim_config(values: dict) -> SimConfig:
+    """The SimConfig of parsed config values; a ``uniform:lo,hi`` init draws
+    one start per seed from the seed's init stream."""
+    f = OBJECTIVES[values["kind"]](values)
+    init = values["init"]
+    if isinstance(init, slice):   # ensemble <= 0 draws nothing; SimConfig rejects it
+        box = derive_stream(values["seed"], PURPOSE_INIT).uniform(
+            (max(values["ensemble"], 0), f.dimension))
+        init = init.start + (init.stop - init.start) * box
+    return SimConfig(objective=f, init=init, **_take(
+        values, "tau1", "tau2", "intensity", "eta", "steps", "ensemble", "seed", "stride"))
 
 
 # ---------------------------------------------------------------------------
 # Subcommand handlers.
 
-def cmd_compare(cfg, out_flag) -> int:
-    summaries = run_comparison(build_sim_config(cfg))
-    out = _out_dir(cfg, out_flag)
+def cmd_compare(cfg, values, out) -> int:
+    summaries = run_comparison(build_sim_config(values))
+    os.makedirs(out, exist_ok=True)
     echo = emit_canonical_config(cfg)
     write_bestsofar_csv(os.path.join(out, "bestsofar.csv"), summaries, echo)
     write_summary_csv(os.path.join(out, "summary.csv"), summaries, echo)
@@ -242,8 +245,8 @@ def cmd_compare(cfg, out_flag) -> int:
     return 0
 
 
-def cmd_sweep(cfg, out_flag) -> int:
-    kappas = _get_floats(cfg, "objective", "kappas")
+def cmd_sweep(cfg, values, out) -> int:
+    kappas = values["kappas"]
     echoed = {}   # each kappa's 6-digit echo names its files, so it must be exact and unique
     for kappa in kappas:
         text = f"{kappa:g}"
@@ -254,21 +257,20 @@ def cmd_sweep(cfg, out_flag) -> int:
         if float(text) != kappa:
             raise InputError(f"kappa {kappa!r} is echoed as {text}; give it in 6 digits")
         echoed[text] = kappa
-    kind = cfg["objective"]["kind"]
-    if kind != "gaussian_mixture":
-        raise InputError(f"kappa sweep needs a gaussian_mixture objective, got {kind!r}")
+    if values["kind"] != "gaussian_mixture":
+        raise InputError(f"kappa sweep needs a gaussian_mixture objective, "
+                         f"got {values['kind']!r}")
     if not kappas:
         raise InputError("kappa sweep needs at least one kappa")
     for kappa in kappas:
         if kappa <= 0:
             raise InputError(f"kappa must be positive, got {kappa}")
     # each kappa runs the config its files echo
-    sweep_cfgs = [{**cfg, "objective": {**cfg["objective"], "kappa": text}} for text in echoed]
-    sims = [build_sim_config(sweep_cfg) for sweep_cfg in sweep_cfgs]
+    sims = [build_sim_config({**values, "kappa": kappa}) for kappa in echoed.values()]
     results = [run_comparison(sim) for sim in sims]
-    out = _out_dir(cfg, out_flag)
-    for text, sweep_cfg, summaries in zip(echoed, sweep_cfgs, results):
-        echo = emit_canonical_config(sweep_cfg)
+    os.makedirs(out, exist_ok=True)
+    for text, summaries in zip(echoed, results):
+        echo = emit_canonical_config({**cfg, "objective": {**cfg["objective"], "kappa": text}})
         tag = text.replace(".", "p")
         write_bestsofar_csv(os.path.join(out, f"bestsofar_kappa{tag}.csv"),
                             summaries, echo)
@@ -278,32 +280,17 @@ def cmd_sweep(cfg, out_flag) -> int:
     return 0
 
 
-def cmd_chi2(cfg, out_flag) -> int:
-    f = _get_objective(cfg)
-    bounds = _get_floats(cfg, "diagnostics", "bounds")
-    if len(bounds) != 2:
-        raise InputError(f"diagnostics.bounds must be two numbers lo,hi, "
-                         f"got {cfg['diagnostics']['bounds']!r}")
-    times = np.asarray(_get_floats(cfg, "diagnostics", "sample_times"))
-    intensity = _get_float(cfg, "dynamics", "intensity")
+def cmd_chi2(cfg, values, out) -> int:
+    f = OBJECTIVES[values["kind"]](values)
+    intensity = values["intensity"]
     if intensity < 0:
         raise InputError(f"dynamics.intensity must be nonnegative, got {intensity:g}")
     fits = {}
     for a in (0.0, intensity) if intensity > 0 else (0.0,):
-        fits[a] = chi2_decay_experiment(
-            f,
-            tau1=_get_float(cfg, "dynamics", "tau1"),
-            tau2=_get_float(cfg, "dynamics", "tau2"),
-            a=a,
-            eta=_get_float(cfg, "dynamics", "eta"),
-            ensemble=_get_int(cfg, "dynamics", "ensemble"),
-            sample_times=times,
-            bounds=np.array([bounds]),
-            resolution=_get_int(cfg, "diagnostics", "resolution"),
-            seed=_get_int(cfg, "dynamics", "seed"),
-            fit_floor=_get_float(cfg, "diagnostics", "fit_floor"),
-        )
-    out = _out_dir(cfg, out_flag)
+        fits[a] = chi2_decay_experiment(f, a=a, bounds=np.array([values["bounds"]]), **_take(
+            values, "tau1", "tau2", "eta", "ensemble", "sample_times", "resolution", "seed",
+            "fit_floor"))
+    os.makedirs(out, exist_ok=True)
     write_chi2decay_csv(os.path.join(out, "chi2decay.csv"), fits,
                         emit_canonical_config(cfg))
     rates = {a: f"{fit.rate:.4g}" for a, fit in fits.items()}
@@ -311,30 +298,20 @@ def cmd_chi2(cfg, out_flag) -> int:
     return 0
 
 
-def cmd_discerr(cfg, out_flag) -> int:
-    f = _get_objective(cfg)
+def cmd_discerr(cfg, values, out) -> int:
     result = discretization_error_experiment(
-        f,
-        tau1=_get_float(cfg, "dynamics", "tau1"),
-        tau2=_get_float(cfg, "dynamics", "tau2"),
-        a=_get_float(cfg, "dynamics", "intensity"),
-        etas=_get_floats(cfg, "diagnostics", "etas"),
-        T=_get_float(cfg, "diagnostics", "horizon"),
-        ensemble=_get_int(cfg, "dynamics", "ensemble"),
-        seed=_get_int(cfg, "dynamics", "seed"),
-        eta_ref=(_get_float(cfg, "diagnostics", "eta_ref")
-                 if cfg["diagnostics"]["eta_ref"] else None),
-    )
-    out = _out_dir(cfg, out_flag)
+        OBJECTIVES[values["kind"]](values), a=values["intensity"], T=values["horizon"],
+        **_take(values, "tau1", "tau2", "etas", "ensemble", "seed", "eta_ref"))
+    os.makedirs(out, exist_ok=True)
     write_discerr_csv(os.path.join(out, "discerr.csv"), result,
                       emit_canonical_config(cfg))
     print(f"discerr: wrote {out}/discerr.csv; log-log slope {result.slope:.4g}")
     return 0
 
 
-def cmd_gradcheck(cfg, out_flag) -> int:
-    f = _get_objective(cfg)
-    rng = derive_stream(_get_int(cfg, "dynamics", "seed"), PURPOSE_INIT)
+def cmd_gradcheck(cfg, values, out) -> int:
+    f = OBJECTIVES[values["kind"]](values)
+    rng = derive_stream(values["seed"], PURPOSE_INIT)
     points = -1.0 + 7.0 * rng.uniform((100, f.dimension))
     worst = check_gradient(f, points)
     ok = worst < 1e-5
@@ -343,7 +320,7 @@ def cmd_gradcheck(cfg, out_flag) -> int:
     return 0 if ok else 4
 
 
-def cmd_check(cfg, out_flag) -> int:
+def cmd_check(cfg, values, out) -> int:
     from .acceptance import run_all
     records = run_all()
     all_pass = True
@@ -389,7 +366,9 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         cfg = load_config(args.config, args.overrides, args.seed)
-        return HANDLERS[args.subcommand](cfg, args.out)
+        values = parse_config(cfg)
+        out = values["dir"] if args.out is None else args.out
+        return HANDLERS[args.subcommand](cfg, values, out)
     except DivergenceError as exc:
         print(f"relex: divergence: {exc}", file=sys.stderr)
         return 3

@@ -206,6 +206,9 @@ def chi2_decay_experiment(f: ObjectiveFunction, tau1: float, tau2: float,
     sample_times = np.asarray(sample_times, dtype=float)
     if sample_times.size < 1 or not np.all(np.isfinite(sample_times) & (sample_times > 0)):
         raise InputError("sample times must be positive and finite")
+    last = float(sample_times.max())
+    if last / float(eta) >= 2**53:     # beyond 2**53 a float step count is inexact
+        raise InputError(f"sample time {last:g} is 2**53 or more steps of eta = {eta:g}")
     sample_steps = np.maximum(1, np.rint(sample_times / eta).astype(int))
     if np.any(np.diff(sample_steps) <= 0):
         raise InputError(f"sample times must be strictly increasing once rounded to "

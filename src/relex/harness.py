@@ -196,6 +196,9 @@ def discretization_error_experiment(f: ObjectiveFunction, tau1: float, tau2: flo
         eta_ref = float(etas.min()) / 16.0
     elif not (0 < eta_ref < math.inf):
         raise InputError(f"eta_ref must be positive and finite, got {eta_ref}")
+    for what, span in ((f"horizon T = {T}", T), (f"stepsize {etas[0]}", etas[0])):
+        if float(span) / float(eta_ref) >= 2**53:   # no float counts such steps exactly
+            raise InputError(f"{what} is 2**53 or more steps of eta_ref = {eta_ref}")
     ratios = etas / eta_ref
     ms = [int(round(r)) for r in ratios]        # sub-steps per coarse step
     if np.any(np.abs(ratios - np.rint(ratios)) > 1e-9) or min(ms) < 1:

@@ -72,6 +72,9 @@ def build_gaussian_mixture(centers, weights, kappa: float,
         raise InputError("at least one mixture weight must be positive")
     if not (0 < kappa < math.inf):
         raise InputError(f"kappa must be positive and finite, got {kappa}")
+    if not math.isfinite(float(weights.max()) / (2.0 * math.pi * kappa)):
+        raise InputError(f"kappa = {kappa} overflows the mixture amplitude "
+                         f"max(weights) / (2 pi kappa)")
     if not (0 <= lam < math.inf):
         raise InputError(f"confinement must be nonnegative and finite, got {lam}")
     dim = centers.shape[1]

@@ -1,6 +1,7 @@
 """Tests for config handling and the command-line entry point."""
 
 import os
+import pathlib
 import string
 import subprocess
 import sys
@@ -12,10 +13,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import relex
-from relex.cli import (DEFAULTS, apply_override, build_sim_config, emit_canonical_config,
-                       load_config, main, parse_canonical_config)
+from relex.cli import (DEFAULTS, GRAMMAR, apply_override, build_sim_config,
+                       emit_canonical_config, load_config, main, parse_canonical_config,
+                       parse_config)
 from relex.errors import InputError
 from relex.objective import benchmark_mixture
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
 
 def no_run(*args, **kwargs):
@@ -80,6 +84,16 @@ class TestLoadConfig:
         assert capsys.readouterr().err.startswith(f"relex: error: cannot read {path}: ")
         assert not (tmp_path / "res").exists()
 
+    @pytest.mark.parametrize("text", ["[DEFAULT]\nsteps = 5\n",
+                                      "[DEFAULT]\nkappa = 0.3\n[dynamics]\nsteps = 5\n"],
+                             ids=["alone", "beside-a-section"])
+    def test_default_section_rejected(self, tmp_path, text):
+        # configparser leaves [DEFAULT] out of sections() and copies its keys into each one
+        path = tmp_path / "run.cfg"
+        path.write_text(text)
+        with pytest.raises(InputError, match=r"^unknown config section \[DEFAULT\]$"):
+            load_config(str(path))
+
     def test_seed_flag_wins(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("[dynamics]\nseed = 3\n")
@@ -104,6 +118,40 @@ class TestOverrides:
         for item in ["eta", "nosuchkey=1", "physics.eta=1", "dynamics.bogus=1"]:
             with pytest.raises(InputError):
                 apply_override(load_config(), item)
+
+
+class TestGrammar:
+    def test_every_default_parses(self):
+        for section, keys in GRAMMAR.items():
+            for key, (default, parse) in keys.items():
+                parse(f"{section}.{key}", default)
+        values = parse_config(load_config())
+        assert values["init"] == (2.0, 2.0) and values["eta_ref"] is None
+
+    def test_no_key_name_is_in_two_sections(self):
+        # a bare --set KEY and parse_config's flat values rely on this
+        names = [key for keys in GRAMMAR.values() for key in keys]
+        assert len(names) == len(set(names))
+
+    @pytest.mark.parametrize("argv, message", [
+        (["gradcheck", "--set", "steps=abc"], "dynamics.steps must be an integer, got 'abc'"),
+        (["chi2", "--set", "kind=double_well", "--set", "ensemble=1000",
+          "--set", "kappa=oops"], "objective.kappa must be a finite number, got 'oops'"),
+        (["check", "--set", "eta=x"], "dynamics.eta must be a finite number, got 'x'"),
+    ], ids=["gradcheck", "chi2", "check"])
+    def test_malformed_unread_key_exits_2_before_any_run(self, argv, message, tmp_path,
+                                                         capsys, monkeypatch, no_experiment):
+        monkeypatch.setattr("relex.acceptance.run_all", no_run)
+        assert main([*argv, "--out", str(tmp_path / "res")]) == 2
+        assert capsys.readouterr().err == f"relex: error: {message}\n"
+        assert not (tmp_path / "res").exists()
+
+    def test_readme_table_lists_the_grammar(self):
+        head = "| section | key | default | parses to |\n|---|---|---|---|\n"
+        rows = README.read_text().split(head, 1)[1].split("\n\n", 1)[0].splitlines()
+        table = [tuple(cell.strip().strip("`") for cell in row.split("|")[1:4]) for row in rows]
+        assert table == [(section, key, default) for section, keys in DEFAULTS.items()
+                         for key, default in keys.items()]
 
 
 class TestCanonicalConfig:
@@ -162,23 +210,25 @@ class TestBuildSimConfig:
         ("gaussian_mixture", 2), ("double_well", 1), ("quadratic", 2)])
     def test_known_kinds(self, kind, dimension):
         init = ",".join(["2"] * dimension)
-        sim = build_sim_config(load_config(overrides=[f"kind={kind}", f"init={init}"]))
+        sim = build_sim_config(parse_config(load_config(overrides=[f"kind={kind}",
+                                                                   f"init={init}"])))
         assert sim.objective.dimension == dimension
 
     def test_mixture_takes_kappa_and_confinement(self):
-        sim = build_sim_config(load_config(overrides=["kappa=0.2", "confinement=0.5"]))
+        sim = build_sim_config(parse_config(load_config(overrides=["kappa=0.2",
+                                                                   "confinement=0.5"])))
         point = np.array([[3.0, -1.0]])
         want = benchmark_mixture(0.2, 0.5).value_and_grad(point)
         assert all(np.array_equal(a, b) for a, b in zip(sim.objective.value_and_grad(point),
                                                         want))
 
     def test_point(self):
-        sim = build_sim_config(load_config(overrides=["init=2,3"]))
+        sim = build_sim_config(parse_config(load_config(overrides=["init=2,3"])))
         assert sim.init == (2.0, 3.0)
 
     def test_uniform_box(self):
-        sim = build_sim_config(load_config(overrides=["init=uniform:-2,2",
-                                                      "ensemble=1000"]))
+        sim = build_sim_config(parse_config(load_config(overrides=["init=uniform:-2,2",
+                                                                   "ensemble=1000"])))
         assert sim.init.shape == (1000, 2)
         assert sim.init.min() >= -2.0 and sim.init.max() <= 2.0
         assert abs(sim.init.mean()) < 0.1
@@ -187,7 +237,7 @@ class TestBuildSimConfig:
     def test_uniform_box_of_no_seeds_is_a_config_error(self, ensemble):
         cfg = load_config(overrides=["init=uniform:-2,2", f"ensemble={ensemble}"])
         with pytest.raises(InputError, match="steps and ensemble must be positive"):
-            build_sim_config(cfg)
+            build_sim_config(parse_config(cfg))
 
 
 class TestDispatch:
@@ -440,6 +490,34 @@ class TestDispatch:
         assert code == 2
         assert capsys.readouterr().err == f"relex: error: {message}\n"
         assert not (tmp_path / "res").exists()
+
+    @pytest.mark.parametrize("command", ["compare", "gradcheck"])
+    def test_mixture_kappa_that_overflows_exits_2(self, command, tmp_path, capsys,
+                                                  no_experiment):
+        # 1 / (2 pi 5e-324) is inf: no RuntimeWarning, no run, an error naming kappa
+        code = main([command, "--set", "kappa=5e-324", "--out", str(tmp_path / "res")])
+        assert code == 2
+        assert capsys.readouterr().err == ("relex: error: kappa = 5e-324 overflows the "
+                                           "mixture amplitude max(weights) / (2 pi kappa)\n")
+        assert not (tmp_path / "res").exists()
+
+    @pytest.mark.parametrize("command, items, message", [
+        ("chi2", ["ensemble=1000", "eta=1e-300"],
+         "sample time 1 is 2**53 or more steps of eta = 1e-300"),
+        ("discerr", ["ensemble=8", "horizon=0.04", "eta_ref=1e-300"],
+         "horizon T = 0.04 is 2**53 or more steps of eta_ref = 1e-300"),
+        ("discerr", ["horizon=1e-300", "eta_ref=1e-310", "etas=1e10"],
+         "stepsize 10000000000.0 is 2**53 or more steps of eta_ref = 1e-310"),
+    ], ids=["chi2-sample-time", "discerr-horizon", "discerr-stepsize"])
+    def test_step_count_a_float_cannot_hold_exits_2(self, command, items, message, tmp_path,
+                                                    capsys, monkeypatch):
+        # the kernels are stubbed: a regression fails here instead of running ~1e298 steps
+        monkeypatch.setattr("relex.diagnostics.pair_snapshots", no_run)
+        monkeypatch.setattr("relex.harness.run_pair_ensemble", no_run)
+        args = [arg for item in ["kind=double_well", *items] for arg in ("--set", item)]
+        assert main([command, *args, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"relex: error: {message}\n"
+        assert not list(tmp_path.iterdir())
 
     def test_unwritable_out_exits_2(self, tmp_path, capsys):
         blocker = tmp_path / "file"
