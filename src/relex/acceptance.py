@@ -99,7 +99,7 @@ def criterion_3_stationarity():
     rng_init = derive_stream(3, PURPOSE_INIT)
     init = -1.5 + 3.0 * rng_init.uniform((chains, 1))
     final, _, _ = run_pair_ensemble(f, init[:, None], tau, steps,
-                                    ([[derive_stream(3, PURPOSE_POS1)]], None), eta, 0.0)
+                                    [(derive_stream(3, PURPOSE_POS1), None)], eta, 0.0)
     pi = gibbs_density(f, tau, bounds, 60)
     mu = empirical_histogram(final[:, 0], bounds, 60)
     tv = total_variation(mu, pi)

@@ -87,9 +87,15 @@ def _max_boundary_cell(mass: np.ndarray) -> float:
     return float(max(np.take(mass, [0, -1], axis=a).max() for a in range(mass.ndim)))
 
 
-def _gibbs_weights(u: np.ndarray, tau: float) -> np.ndarray:
-    """exp(-U/tau) scaled so its largest weight is 1."""
-    return np.exp(-(u - u.min()) / tau)
+def _gibbs_weights(u: np.ndarray, tau: float, what: str = "tau") -> np.ndarray:
+    """exp(-U/tau) scaled so its largest weight is 1; InputError naming the
+    temperature ``what`` where (U - min U) / tau is not finite on the grid."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = (u - u.min()) / tau
+    if not np.all(np.isfinite(scaled)):
+        raise InputError(f"(U - min U) / {what} is not finite on the Gibbs grid "
+                         f"at {what} = {tau:g}")
+    return np.exp(-scaled)
 
 
 def _untruncated_mass(w: np.ndarray) -> np.ndarray:
@@ -140,8 +146,8 @@ def pair_gibbs_density(f: ObjectiveFunction, tau1: float, tau2: float,
     c2 = gm.centers(1)[:, None]
     u1 = np.asarray(f.eval(c1), dtype=float)
     u2 = np.asarray(f.eval(c2), dtype=float)
-    gm.mass = _untruncated_mass(_gibbs_weights(u1, tau1)[:, None]
-                                * _gibbs_weights(u2, tau2)[None, :])
+    gm.mass = _untruncated_mass(_gibbs_weights(u1, tau1, "tau1")[:, None]
+                                * _gibbs_weights(u2, tau2, "tau2")[None, :])
     return gm
 
 

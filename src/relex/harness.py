@@ -99,11 +99,10 @@ def pregenerate_noise(seed: int, nseeds: int, steps: int, dim: int):
     streams of the same keys are tested against it."""
     xi = np.empty((steps, nseeds, 2, dim))
     uswap = np.empty((steps, nseeds))
-    slots, swap = pair_streams(seed, nseeds)
-    for s in range(nseeds):
-        xi[:, s, 0] = slots[s][0].normal((steps, dim))
-        xi[:, s, 1] = slots[s][1].normal((steps, dim))
-        uswap[:, s] = swap[s].uniform(steps)
+    for s, (pos1, pos2, swap) in enumerate(pair_streams(seed, nseeds)):
+        xi[:, s, 0] = pos1.normal((steps, dim))
+        xi[:, s, 1] = pos2.normal((steps, dim))
+        uswap[:, s] = swap.uniform(steps)
     return xi, uswap
 
 
@@ -148,11 +147,9 @@ def run_comparison(cfg: SimConfig):
     n = cfg.ensemble
     init = np.broadcast_to(np.asarray(cfg.init, dtype=float), (n, f.dimension))
     pair = np.stack((init, init), axis=1)
-    # One kernel run: chains [0, n) are the baseline pairs, which have no
-    # swap streams and so never swap, and [n, 2n) the replica pairs; all start
-    # at init and draw from each seed's position streams.
-    replica, swap = pair_streams(cfg.seed, n)
-    streams = (position_streams(cfg.seed, n) + replica, [None] * n + swap)
+    # One kernel run: the baseline pairs [0, n) have no swap stream and so
+    # never swap; the replica pairs [n, 2n) share their start and noise.
+    streams = position_streams(cfg.seed, n) + pair_streams(cfg.seed, n)
     observe, curves = _best_so_far(cfg.steps, cfg.stride, 2 * n)
     t0 = time.perf_counter()
     _, _, swaps = run_pair_ensemble(f, np.concatenate((pair, pair)),
@@ -194,6 +191,8 @@ def discretization_error_experiment(f: ObjectiveFunction, tau1: float, tau2: flo
         raise InputError(f"stepsize {repeated[0]} is listed twice")
     if eta_ref is None:
         eta_ref = float(etas.min()) / 16.0
+        if eta_ref == 0.0:
+            raise InputError(f"default eta_ref = {etas.min():g} / 16 underflows to 0")
     elif not (0 < eta_ref < math.inf):
         raise InputError(f"eta_ref must be positive and finite, got {eta_ref}")
     for what, span in ((f"horizon T = {T}", T), (f"stepsize {etas[0]}", etas[0])):

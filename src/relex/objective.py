@@ -37,7 +37,6 @@ class ObjectiveFunction:
 
     dimension: int
     value_and_grad: Callable[[np.ndarray], tuple]
-    name: str = "objective"
 
     def __post_init__(self):
         if integer("dimension", self.dimension) < 1:
@@ -140,7 +139,7 @@ def build_gaussian_mixture(centers, weights, kappa: float,
         diff, comps = _components(x)
         return _value(x, comps), _grad(x, diff, comps)
 
-    return ObjectiveFunction(dim, value_and_grad, "gaussian_mixture")
+    return ObjectiveFunction(dim, value_and_grad)
 
 
 def benchmark_mixture(kappa: float, confinement: float = 0.0) -> ObjectiveFunction:
@@ -156,7 +155,7 @@ def quadratic(dim: int = 2, scale: float = 0.5) -> ObjectiveFunction:
         x = np.asarray(x, float)
         return scale * np.sum(x ** 2, axis=-1), 2.0 * scale * x
 
-    return ObjectiveFunction(dim, value_and_grad, "quadratic")
+    return ObjectiveFunction(dim, value_and_grad)
 
 
 def double_well() -> ObjectiveFunction:
@@ -167,7 +166,7 @@ def double_well() -> ObjectiveFunction:
         t = x[..., 0:1] ** 2 - 1.0
         return (t * t)[..., 0], 4.0 * x * t
 
-    return ObjectiveFunction(1, value_and_grad, "double_well")
+    return ObjectiveFunction(1, value_and_grad)
 
 
 def check_gradient(f: ObjectiveFunction, point) -> float:

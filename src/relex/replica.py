@@ -87,11 +87,11 @@ def run_pair_ensemble(f: ObjectiveFunction, x0, temps, steps: int, streams,
     """Advance ``x0`` by ``steps`` Euler-Maruyama steps of ``m * eta``.
 
     ``x0`` has shape (chains, R, d) with R = 1 or 2; ``temps`` broadcasts to
-    (chains, R). ``streams`` is the (slots, swap) pair of ``pair_streams``:
-    one row of R streams per group of chains (the groups split the chains
-    evenly, in order) and one swap stream per group, None for a group that
-    never swaps; a run that cannot swap draws no uniforms and may pass
-    ``swap=None``. Noise is drawn on the sub-step ``eta``; a step of m
+    (chains, R). ``streams`` holds one tuple per group of chains (the groups
+    split the chains evenly, in order): the group's R slot streams, then its
+    swap stream, or None for a group that never swaps. ``rng.pair_streams``
+    and ``rng.position_streams`` build them; a run that cannot swap draws no
+    uniforms. Noise is drawn on the sub-step ``eta``; a step of m
     sub-steps sums their increments and tests all m uniforms, each against
     the swap probability min(1, intensity * eta * s). ``intensity * eta >= 1``
     is allowed, as the clamp keeps the probability valid, but warned about,
@@ -127,24 +127,24 @@ def run_pair_ensemble(f: ObjectiveFunction, x0, temps, steps: int, streams,
                          f"got {x.shape}")
     if not np.all(np.isfinite(x)):
         raise InputError("starting positions must be finite")
-    T = np.array(np.broadcast_to(temps, x.shape[:2]), dtype=float)
+    T = np.asarray(temps, dtype=float)
+    try:
+        T = np.array(np.broadcast_to(T, x.shape[:2]))
+    except ValueError:
+        raise InputError(f"temperatures of shape {T.shape} do not broadcast to "
+                         f"(chains, R) = {x.shape[:2]}") from None
     if not np.all(np.isfinite(T) & (T >= 0)):
         raise InputError("temperatures must be finite and nonnegative")
     swapping = x.shape[1] == 2 and intensity > 0
     if swapping and not np.all(T > 0):
         raise InputError("temperatures must be positive")
-    slots, swap = streams
-    if swapping and swap is None:
-        raise InputError("a swapping run needs swap streams")
-    draw = _philox_noise(steps, x.shape, slots, swap if swapping else None, m)
     swaps = np.zeros(x.shape[0], dtype=int)
     step = m * eta
     coef = np.sqrt(2.0 * eta * T)[..., None]  # em_update's scale; moves with T on a swap
-    for k in range(steps):
+    for k, (xi, u) in enumerate(_philox_noise(steps, x.shape, streams, swapping, m)):
         fx, grad = f.value_and_grad(x)
         if observe is not None:
             observe(k, x, T, fx)
-        xi, u = draw(k)
         # The one per-step check the swap rate needs: temperatures only
         # trade places, but a finite x can still have a NaN value.
         if swapping and not np.isfinite(fx).all():
@@ -191,38 +191,31 @@ def pair_snapshots(f: ObjectiveFunction, x0, temps, steps: int, streams,
 CHUNK_DRAWS = 1 << 10
 
 
-def _philox_noise(steps, shape, slots, swap, m):
-    """``source(k) -> (xi, u)``, the noise of step k of a ``steps``-step run
-    over positions of ``shape`` (chains, R, d) from the streams of
-    ``run_pair_ensemble``. Fine rows come in chunks that stop at the run's
-    last step, as one whole-run draw would. Step k sums fine rows
-    km..km+m-1 and takes their m uniform rows, so every m shares the
-    Brownian path of the same keys."""
+def _philox_noise(steps, shape, streams, swapping, m):
+    """Checks the layout of ``run_pair_ensemble``'s streams for positions of
+    ``shape`` (chains, R, d), then yields each step's noise (xi, u), u with a
+    column per chain only if ``swapping``. Fine rows come in chunks that stop
+    at the last step, as one whole-run draw would. Step k sums fine rows
+    km..km+m-1 and takes their m uniform rows: every m shares one Brownian path."""
     chains, R, d = shape
-    groups = len(slots)
-    if groups == 0 or chains % groups:
-        raise InputError(f"{chains} chains do not split into {groups} groups")
-    if any(len(row) != R for row in slots):
-        raise InputError(f"every group needs {R} slot streams, one per slot")
-    if swap is not None and len(swap) != groups:
-        raise InputError(f"{len(swap)} swap streams for {groups} groups")
-    per = chains // groups
+    if not streams or chains % len(streams):
+        raise InputError(f"{chains} chains do not split into {len(streams)} groups")
+    if any(not isinstance(group, tuple) or len(group) != R + 1 for group in streams):
+        raise InputError(f"a group is a tuple of {R} slot streams, then a swap stream or None")
+    per = chains // len(streams)
     span = max(1, CHUNK_DRAWS // (per * d * m))     # kernel steps per chunk
-    xi = u = None
 
-    def source(k):
-        nonlocal xi, u
-        if k % span == 0:
+    def chunks():
+        for k in range(0, steps, span):
             rows = min(span, steps - k) * m
             xi = np.empty((rows, chains, R, d))
-            u = None if swap is None else np.ones((rows, chains))
-            for g, row in enumerate(slots):
+            u = np.ones((rows, chains if swapping else 0))
+            for g, (*slots, swap) in enumerate(streams):
                 cols = slice(g * per, (g + 1) * per)
-                for r, stream in enumerate(row):
+                for r, stream in enumerate(slots):
                     xi[:, cols, r] = stream.normal((rows, per, d))
-                if u is not None and swap[g] is not None:
-                    u[:, cols] = swap[g].uniform((rows, per))
-        lo = k % span * m
-        inc = xi[lo] if m == 1 else xi[lo:lo + m].sum(axis=0)
-        return inc, None if u is None else u[lo:lo + m]
-    return source
+                if swapping and swap is not None:
+                    u[:, cols] = swap.uniform((rows, per))
+            for lo in range(0, rows, m):
+                yield xi[lo] if m == 1 else xi[lo:lo + m].sum(axis=0), u[lo:lo + m]
+    return chunks()

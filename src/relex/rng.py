@@ -74,12 +74,12 @@ def derive_stream(seed: int, purpose: int, chain: int = 0) -> RngStream:
 
 
 def position_streams(seed: int, groups: int = 1):
-    """The [pos1, pos2] streams of ``groups`` pair groups, keyed (seed, purpose, group)."""
-    return [[derive_stream(seed, p, g) for p in (PURPOSE_POS1, PURPOSE_POS2)]
+    """The (pos1, pos2, None) streams of ``groups`` pair groups that never swap."""
+    return [(derive_stream(seed, PURPOSE_POS1, g), derive_stream(seed, PURPOSE_POS2, g), None)
             for g in range(groups)]
 
 
 def pair_streams(seed: int, groups: int = 1):
-    """(position_streams, [swap per group]) of ``groups`` pair groups."""
-    return (position_streams(seed, groups),
-            [derive_stream(seed, PURPOSE_SWAP, g) for g in range(groups)])
+    """(pos1, pos2, swap) streams of ``groups`` pair groups, keyed (seed, purpose, group)."""
+    return [(pos1, pos2, derive_stream(seed, PURPOSE_SWAP, g))
+            for g, (pos1, pos2, _) in enumerate(position_streams(seed, groups))]

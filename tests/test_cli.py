@@ -452,6 +452,14 @@ class TestDispatch:
         assert capsys.readouterr().err.startswith(f"relex: error: {message}")
         assert not (tmp_path / "discerr.csv").exists()
 
+    def test_discerr_stepsize_whose_default_eta_ref_underflows_exits_2(self, tmp_path, capsys):
+        # 5e-324 / 16 is 0.0, which the step counts then divided by
+        code = main(["discerr", "--set", "etas=5e-324", "--out", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err == ("relex: error: default eta_ref = 4.94066e-324 / 16 "
+                                           "underflows to 0\n")
+        assert not list(tmp_path.iterdir())
+
     def test_discerr_coarse_steps_do_not_warn_of_clamping(self, tmp_path):
         # a * eta = 30 * 0.04 >= 1, but every swap probability is tested on
         # the sub-step eta_ref = 0.02 / 16, where a * eta_ref = 0.0375
@@ -517,6 +525,19 @@ class TestDispatch:
         args = [arg for item in ["kind=double_well", *items] for arg in ("--set", item)]
         assert main([command, *args, "--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err == f"relex: error: {message}\n"
+        assert not list(tmp_path.iterdir())
+
+    def test_chi2_temperature_too_small_for_the_gibbs_grid_exits_2(self, tmp_path, capsys,
+                                                                   monkeypatch):
+        # rejected by the pair Gibbs grid, before any kernel run and without a warning
+        monkeypatch.setattr("relex.diagnostics.pair_snapshots", no_run)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["chi2", "--set", "kind=double_well", "--set", "ensemble=1000",
+                         "--set", "tau1=5e-324", "--out", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err == ("relex: error: (U - min U) / tau1 is not finite "
+                                           "on the Gibbs grid at tau1 = 4.94066e-324\n")
         assert not list(tmp_path.iterdir())
 
     def test_unwritable_out_exits_2(self, tmp_path, capsys):

@@ -1,5 +1,7 @@
 """Tests for grids, divergences, the decay fit, and the Dirichlet swap term."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -41,6 +43,12 @@ class TestGibbsDensity:
         with pytest.raises(InputError):
             gibbs_density(double_well(), 1.0, [[-3.0, 3.0], [-3.0, 3.0]], 10)
 
+    def test_temperature_too_small_for_the_grid_rejected(self):
+        # (U - min U) / tau overflows: an error naming tau, and no RuntimeWarning first
+        with pytest.raises(InputError, match=re.escape(
+                "(U - min U) / tau is not finite on the Gibbs grid at tau = 4.94066e-324")):
+            gibbs_density(double_well(), 5e-324, [[-3.0, 3.0]], 10)
+
     def test_2d_grid(self):
         pi = gibbs_density(quadratic(2, scale=0.5), 0.5, [[-6, 6], [-6, 6]], 50)
         assert pi.mass.shape == (50, 50)
@@ -67,6 +75,12 @@ class TestPairGibbsDensity:
         assert np.allclose(pair.mass, np.outer(m1, m2))
         marg1 = gibbs_density(f, 0.1, [[-3.0, 3.0]], 40)
         assert np.allclose(m1, marg1.mass)
+
+    @pytest.mark.parametrize("tau1, tau2, name", [(5e-324, 1.0, "tau1"), (0.1, 5e-324, "tau2")])
+    def test_temperature_too_small_for_the_grid_rejected(self, tau1, tau2, name):
+        with pytest.raises(InputError, match=re.escape(
+                f"(U - min U) / {name} is not finite on the Gibbs grid at {name} = 4.94066e-324")):
+            pair_gibbs_density(double_well(), tau1, tau2, [[-3.0, 3.0]], 10)
 
     def test_requires_1d_objective(self):
         with pytest.raises(InputError):

@@ -17,7 +17,7 @@ from relex.harness import (RunSummary, SimConfig, _best_so_far,
                            write_discerr_csv, write_summary_csv)
 from relex.objective import benchmark_mixture, double_well
 from relex.replica import by_temperature, pair_snapshots, run_pair_ensemble
-from relex.rng import RngStream, pair_streams
+from relex.rng import RngStream, pair_streams, position_streams
 
 
 def small_config(**overrides):
@@ -186,12 +186,10 @@ class TestRunComparison:
         f = cfg.objective
         init = np.tile(cfg.init, (n, 1))
         pair = np.stack((init, init), axis=1)
-        baseline, _ = pair_streams(cfg.seed, n)
-        replica, swap = pair_streams(cfg.seed, n)
         observe, fused = _best_so_far(steps, 1, 2 * n)
         x, T, swaps = run_pair_ensemble(f, np.concatenate((pair, pair)),
                                         (cfg.tau1, cfg.tau2), steps,
-                                        (baseline + replica, [None] * n + swap),
+                                        position_streams(cfg.seed, n) + pair_streams(cfg.seed, n),
                                         cfg.eta, cfg.intensity, observe=observe)
         assert swaps[:n].sum() == 0 and swaps[n:].sum() > 0
         for half, intensity in ((slice(0, n), 0.0), (slice(n, 2 * n), cfg.intensity)):
@@ -265,6 +263,7 @@ class TestDiscretizationExperiment:
         (0.2, (0.02, 0.01), 0.0, "eta_ref must be positive"),
         (0.2, (0.02, 0.01), -0.001, "eta_ref must be positive"),
         (0.2, (0.02, 0.01), math.inf, "eta_ref must be positive"),
+        (0.2, (5e-324,), None, "default eta_ref = 4.94066e-324 / 16 underflows to 0"),
         # T / eta_ref and T / eta lie within 1e-9 of 0: no step to run
         (1e-13, (0.02, 0.01), None, r"horizon T = 1e-13 is shorter than eta_ref"),
         (1.0, (1e10,), 1.0, "not an integer number of steps of eta = 10000000000.0"),

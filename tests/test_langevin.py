@@ -8,13 +8,13 @@ from relex.errors import DivergenceError, InputError
 from relex.langevin import DIVERGENCE_LIMIT, check_finite, em_update
 from relex.objective import double_well, quadratic
 from relex.replica import run_pair_ensemble
-from relex.rng import PURPOSE_POS1, derive_stream, pair_streams
+from relex.rng import PURPOSE_POS1, derive_stream, position_streams
 
 
 def run_chains(init, f, tau, eta, steps, rng, observe=None):
     """Independent single chains from ``init`` (n, d); returns (n, d)."""
     init = np.asarray(init, dtype=float)
-    x, _, _ = run_pair_ensemble(f, init[:, None], tau, steps, ([[rng]], None), eta, 0.0,
+    x, _, _ = run_pair_ensemble(f, init[:, None], tau, steps, [(rng, None)], eta, 0.0,
                                 observe=observe)
     return x[:, 0]
 
@@ -83,7 +83,7 @@ class TestLangevinStep:
         x0 = np.zeros((3, 2, 1))
         x0[1, 1] = 1.0
         with pytest.raises(DivergenceError) as err:
-            run_pair_ensemble(f, x0, 0.0, 1000, (pair_streams(0)[0], None), 3.0, 0.0)
+            run_pair_ensemble(f, x0, 0.0, 1000, position_streams(0), 3.0, 0.0)
         e = err.value
         assert (e.iteration, e.chain, e.slot) == (40, 1, 1)
         assert e.position.tolist() == [-(2.0 ** 39)]
@@ -153,5 +153,5 @@ class TestRunEnsemble:
         f = quadratic(2)
         for x0 in (np.zeros((4, 1, 3)), np.zeros((4, 2)), np.zeros((4, 3, 2))):
             with pytest.raises(InputError):
-                run_pair_ensemble(f, x0, 1.0, 10, ([[derive_stream(0, PURPOSE_POS1)]], None),
+                run_pair_ensemble(f, x0, 1.0, 10, [(derive_stream(0, PURPOSE_POS1), None)],
                                   0.1, 0.0)

@@ -196,7 +196,7 @@ class TestValueAndGrad:
 
     def test_fused_closure_is_kept(self):
         f = double_well()
-        assert dataclasses.replace(f, name="w").value_and_grad is f.value_and_grad
+        assert dataclasses.replace(f, dimension=1).value_and_grad is f.value_and_grad
 
 
 def reference_mixture(centers, weights, kappa, confinement=0.0):

@@ -24,7 +24,7 @@ SIGNATURES = {
     "DivergenceError": ("message", "iteration", "chain", "slot", "position"),
     "GridMeasure": ("bounds", "resolution", "mass", "overflow"),
     "InputError": None,
-    "ObjectiveFunction": ("dimension", "value_and_grad", "name"),
+    "ObjectiveFunction": ("dimension", "value_and_grad"),
     "RelexError": None,
     "RngStream": ("seed", "stream_id"),
     "RunSummary": ("algorithm", "iterations", "best_curves", "final_best", "swap_counts",

@@ -15,18 +15,19 @@ from relex.objective import ObjectiveFunction, double_well, quadratic
 from relex.replica import (CHUNK_DRAWS, _fired, _philox_noise, by_temperature,
                            pair_snapshots, run_pair_ensemble, swap_probability,
                            swap_rate)
-from relex.rng import PURPOSE_POS1, PURPOSE_SWAP, RngStream, derive_stream, pair_streams
+from relex.rng import (PURPOSE_POS1, PURPOSE_SWAP, RngStream, derive_stream, pair_streams,
+                       position_streams)
 
 
-def drew_exactly(pos_and_swap, n):
-    """Whether each of a group's [pos1, pos2, swap] streams has taken exactly
+def drew_exactly(group, n):
+    """Whether each of a group's (pos1, pos2, swap) streams has taken exactly
     n draws: its next draws are those a fresh replay of its key makes after n."""
     def drew(stream, draw):
         replay = RngStream(stream.seed, stream.stream_id)
         draw(replay, n)
         return np.array_equal(draw(stream, 8), draw(replay, 8))
     return all(drew(s, draw) for s, draw in zip(
-        pos_and_swap, (RngStream.normal, RngStream.normal, RngStream.uniform)))
+        group, (RngStream.normal, RngStream.normal, RngStream.uniform)))
 
 
 # ranges chosen so exp(min(0, delta)) never underflows to an exact zero
@@ -103,12 +104,21 @@ class TestSwapParameters:
         (np.nan, -1.0, "swap intensity"),     # the intensity is checked first
     ])
     def test_validation(self, eta, intensity, message):
-        slots, swap = pair_streams(0)
+        streams = pair_streams(0)
         for R in (1, 2):
             with pytest.raises(InputError, match=f"^{re.escape(message)}"):
                 run_pair_ensemble(double_well(), np.zeros((1, R, 1)), 0.1, 5,
-                                  ([row[:R] for row in slots], swap), eta, intensity)
-        assert drew_exactly(slots[0] + swap, 0)   # nothing drawn
+                                  [group[:R] + group[2:] for group in streams], eta, intensity)
+        assert drew_exactly(streams[0], 0)   # nothing drawn
+
+    @pytest.mark.parametrize("temps, shape", [
+        ((0.1, 0.2, 0.3), "(3,)"), (np.ones((2, 2)), "(2, 2)"), (np.ones((3, 2, 1)), "(3, 2, 1)")])
+    def test_temperatures_that_do_not_broadcast_rejected(self, temps, shape):
+        streams = pair_streams(0)
+        with pytest.raises(InputError, match=re.escape(
+                f"temperatures of shape {shape} do not broadcast to (chains, R) = (3, 2)")):
+            run_pair_ensemble(double_well(), np.zeros((3, 2, 1)), temps, 5, streams, 0.01, 1.0)
+        assert drew_exactly(streams[0], 0)   # nothing drawn
 
     def test_clamp_warning(self):
         with pytest.warns(RuntimeWarning, match=r"intensity \* eta = 2 >= 1; swap "
@@ -259,15 +269,14 @@ class TestPairEnsemble:
                                       pair_streams(0), 0.01, intensity)
             with pytest.raises(InputError, match="starting positions"):
                 run_pair_ensemble(double_well(), x0[:, :1], 0.5, 5,
-                                  ([[derive_stream(0, PURPOSE_POS1)]], None),
-                                  0.01, 0.0)
+                                  [(derive_stream(0, PURPOSE_POS1), None)], 0.01, 0.0)
 
     def test_zero_temperature_rejected_before_any_step_when_swapping(self):
-        slots, swap = pair_streams(0)
+        streams = pair_streams(0)
         with pytest.raises(InputError, match="positive"):
             run_pair_ensemble(double_well(), pair([[0.0]], [[0.0]]), (0.0, 1.0), 5,
-                              (slots, swap), 0.01, 1.0)
-        assert drew_exactly(slots[0] + swap, 0)   # nothing drawn
+                              streams, 0.01, 1.0)
+        assert drew_exactly(streams[0], 0)   # nothing drawn
         # without swaps a zero temperature is plain gradient descent
         x, _, _ = run_pair_ensemble(double_well(), pair([[0.5]], [[0.5]]), (0.0, 1.0),
                                     5, pair_streams(0), 0.01, 0.0)
@@ -282,28 +291,31 @@ class TestPairEnsemble:
     def test_one_slot_noise_for_a_pair_rejected(self):
         # a (chains, 1, d) block would broadcast: both particles, same noise
         for intensity in (0.0, 1.0):
-            one_slot = ([[derive_stream(0, PURPOSE_POS1)]], [derive_stream(0, PURPOSE_SWAP)])
-            with pytest.raises(InputError, match="needs 2 slot streams"):
+            one_slot = [(derive_stream(0, PURPOSE_POS1), derive_stream(0, PURPOSE_SWAP))]
+            with pytest.raises(InputError, match="a group is a tuple of 2 slot streams"):
                 run_pair_ensemble(double_well(), np.zeros((3, 2, 1)), (0.1, 1.0), 5,
                                   one_slot, 0.01, intensity)
 
     def test_swapping_run_without_uniforms_rejected(self):
-        def no_swap():
-            return pair_streams(0)[0], None
-        with pytest.raises(InputError, match="needs swap streams"):
-            run_pair_ensemble(double_well(), np.zeros((3, 2, 1)), (0.1, 1.0), 5,
-                              no_swap(), 0.01, 1.0)
-        # a run that cannot swap needs none
-        x, _, _ = run_pair_ensemble(double_well(), np.zeros((3, 2, 1)), (0.1, 1.0), 5,
-                                    no_swap(), 0.01, 0.0)
-        assert np.isfinite(x).all()
+        # a group without its swap entry is a layout error, whether or not
+        # the run can swap; None is how a group says it never swaps
+        for intensity in (0.0, 1.0):
+            with pytest.raises(InputError, match="^a group is a tuple of 2 slot streams, "
+                                                 "then a swap stream or None$"):
+                run_pair_ensemble(double_well(), np.zeros((3, 2, 1)), (0.1, 1.0), 5,
+                                  [pair_streams(0)[0][:2]], 0.01, intensity)
+        _, _, swaps = certain_swaps(flat(), np.zeros((3, 2, 1)), (0.1, 1.0), 5,
+                                    position_streams(0))
+        assert swaps.tolist() == [0, 0, 0]
 
-    def test_run_that_cannot_swap_draws_no_uniforms(self):
-        slots, swap = pair_streams(0)
-        run_pair_ensemble(double_well(), np.zeros((3, 2, 1)), (0.1, 1.0), 5,
-                          (slots, swap), 0.01, 0.0)
-        fresh = RngStream(swap[0].seed, swap[0].stream_id)
-        assert np.array_equal(swap[0].uniform(3), fresh.uniform(3))
+    @pytest.mark.parametrize("R, intensity", [(2, 0.0), (1, 1.0)])
+    def test_run_that_cannot_swap_draws_no_uniforms(self, R, intensity):
+        streams = pair_streams(0)
+        run_pair_ensemble(double_well(), np.zeros((3, R, 1)), (0.1, 1.0)[:R], 5,
+                          [group[:R] + group[2:] for group in streams], 0.01, intensity)
+        swap = streams[0][2]
+        fresh = RngStream(swap.seed, swap.stream_id)
+        assert np.array_equal(swap.uniform(3), fresh.uniform(3))
 
     @pytest.mark.parametrize("mode", ["temperature", "position"])
     def test_swaps_leave_observed_arrays_alone(self, mode):
@@ -388,7 +400,7 @@ class TestFired:
         f = ObjectiveFunction(1, value_and_grad)
         with pytest.raises(InputError, match="finite"):
             run_pair_ensemble(f, np.zeros((3, 2, 1)), (0.1, 1.0), 5,
-                              (pair_streams(0)[0], [None]), 0.01, 1.0)
+                              position_streams(0), 0.01, 1.0)
 
 
 class TestPairSnapshots:
@@ -431,32 +443,31 @@ class TestNoiseSources:
         # longer than one chunk, and not a multiple of it
         n, d = 3, 2
         steps = 2 * chunk_steps(1, d) + 37
-        source = _philox_noise(steps, (n, 2, d), *pair_streams(9, n), 1)
+        noise = list(_philox_noise(steps, (n, 2, d), pair_streams(9, n), True, 1))
         xi, u = pregenerate_noise(9, n, steps, d)
-        for k in range(steps):
-            inc, rows = source(k)
+        assert len(noise) == steps
+        for k, (inc, rows) in enumerate(noise):
             assert np.array_equal(inc, xi[k]) and np.array_equal(rows, u[k:k + 1])
 
     def test_unit_coarse_steps_are_the_fine_steps(self):
         chains = 4
         steps = chunk_steps(chains, 1) + 5
-        source = _philox_noise(steps, (chains, 2, 1), *pair_streams(3), 1)
-        ((pos1, pos2),), (swap,) = pair_streams(3)
+        noise = list(_philox_noise(steps, (chains, 2, 1), pair_streams(3), True, 1))
+        [(pos1, pos2, swap)] = pair_streams(3)
         xi = np.stack([pos1.normal((steps, chains, 1)), pos2.normal((steps, chains, 1))],
                       axis=2)
         u = swap.uniform((steps, chains))
-        for k in range(steps):
-            inc, rows = source(k)
+        assert len(noise) == steps
+        for k, (inc, rows) in enumerate(noise):
             assert np.array_equal(inc, xi[k]) and np.array_equal(rows, u[k:k + 1])
 
     def test_coarse_step_sums_its_block(self):
         m, chains = 3, 4
         steps = chunk_steps(chains, 1, m) + 4
-        fine = _philox_noise(m * steps, (chains, 2, 1), *pair_streams(4), 1)
-        rows = [fine(j) for j in range(m * steps)]
-        coarse = _philox_noise(steps, (chains, 2, 1), *pair_streams(4), m)
-        for k in range(steps):
-            inc, u = coarse(k)
+        rows = list(_philox_noise(m * steps, (chains, 2, 1), pair_streams(4), True, 1))
+        coarse = list(_philox_noise(steps, (chains, 2, 1), pair_streams(4), True, m))
+        assert len(rows) == m * steps and len(coarse) == steps
+        for k, (inc, u) in enumerate(coarse):
             block = rows[m * k:m * (k + 1)]
             assert np.array_equal(inc, np.stack([row[0] for row in block]).sum(axis=0))
             assert np.array_equal(u, np.concatenate([row[1] for row in block]))
@@ -465,10 +476,10 @@ class TestNoiseSources:
     def test_draw_counts_are_exact_after_a_run(self, m):
         chains = 4
         steps = chunk_steps(chains, 1, m) + 10
-        slots, swap = pair_streams(5)
+        streams = pair_streams(5)
         run_pair_ensemble(double_well(), np.zeros((chains, 2, 1)), (0.1, 1.0), steps,
-                          (slots, swap), 0.01, 5.0, m=m)
-        assert drew_exactly(slots[0] + swap, m * steps * chains)
+                          streams, 0.01, 5.0, m=m)
+        assert drew_exactly(streams[0], m * steps * chains)
 
     def test_coarse_step_advances_m_sub_steps(self):
         # zero temperature: no noise, so one step is x - m * eta * grad exactly
@@ -478,17 +489,20 @@ class TestNoiseSources:
         assert np.array_equal(x, x0 - 3 * 0.01 * f.grad(x0))
 
     def test_group_without_swap_stream_never_swaps(self):
-        slots, swap = pair_streams(6, 2)
-        _, _, swaps = certain_swaps(flat(), np.zeros((4, 2, 1)), (0.1, 1.0), 8,
-                                    (slots, [None, swap[1]]))
+        streams = pair_streams(6, 2)
+        streams[0] = streams[0][:2] + (None,)
+        _, _, swaps = certain_swaps(flat(), np.zeros((4, 2, 1)), (0.1, 1.0), 8, streams)
         assert swaps.tolist() == [0, 0, 8, 8]
 
     def test_malformed_streams_rejected(self):
-        slots, swap = pair_streams(0, 2)
-        for chains, rows, swaps, message in (
-                (3, slots, swap, "do not split"),
-                (4, [slots[0], slots[1][:1]], swap, "needs 2 slot streams"),
-                (4, slots, swap[:1], "swap streams"),
-                (4, [], None, "do not split")):
+        # checked when the source is built, before its first step is asked for
+        streams = pair_streams(0, 2)
+        for chains, groups, message in (
+                (3, streams, "do not split"),
+                (4, [streams[0], streams[1][1:]], "a group is a tuple of 2 slot streams"),
+                (2, [streams[0][0]], "a group is a tuple"),      # a bare stream
+                (2, [list(streams[0])], "a group is a tuple"),   # a list of streams
+                (4, [], "do not split")):
             with pytest.raises(InputError, match=message):
-                _philox_noise(5, (chains, 2, 1), rows, swaps, 1)
+                _philox_noise(5, (chains, 2, 1), groups, True, 1)
+        assert all(drew_exactly(group, 0) for group in streams)   # nothing drawn
