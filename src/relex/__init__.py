@@ -10,8 +10,7 @@ from .diagnostics import (DecayFit, GridMeasure, chi2_decay_experiment,
                           empirical_histogram, gibbs_density,
                           pair_gibbs_density, total_variation)
 from .errors import DivergenceError, InputError, RelexError
-from .harness import (RunSummary, SimConfig, discretization_error_experiment,
-                      run_comparison)
+from .harness import RunSummary, discretization_error_experiment, run_comparison
 from .objective import (ObjectiveFunction, build_gaussian_mixture, check_gradient,
                         double_well, benchmark_mixture, quadratic)
 from .replica import run_pair_ensemble, swap_rate
@@ -21,7 +20,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DecayFit", "DivergenceError", "GridMeasure", "InputError",
-    "ObjectiveFunction", "RelexError", "RngStream", "RunSummary", "SimConfig",
+    "ObjectiveFunction", "RelexError", "RngStream", "RunSummary",
     "build_gaussian_mixture", "check_gradient",
     "chi2_decay_experiment", "chi_square_divergence", "derive_stream",
     "dirichlet_acceleration_term", "discretization_error_experiment",

@@ -20,8 +20,7 @@ import numpy as np
 from .diagnostics import (chi2_decay_experiment, dirichlet_acceleration_term,
                           empirical_histogram, gibbs_density,
                           pair_gibbs_density, total_variation)
-from .harness import (SimConfig, discretization_error_experiment,
-                      pregenerate_noise, run_comparison)
+from .harness import discretization_error_experiment, pregenerate_noise, run_comparison
 from .langevin import em_update
 from .objective import check_gradient, double_well, benchmark_mixture
 from .replica import pair_snapshots, run_pair_ensemble, swap_rate
@@ -190,17 +189,14 @@ def criterion_6_discretization_slope():
 def criterion_7_benchmark_ordering():
     """25-center mixture, kappa 0.1: replica exchange beats the low-temperature
     chain on median final best-so-far, paired sign test p < 0.05."""
-    cfg = SimConfig(
-        objective=benchmark_mixture(0.1),
-        tau1=0.01, tau2=1.0, intensity=1.0, eta=0.01, steps=10_000,
-        ensemble=20, seed=0, init=(2.0, 2.0),
-    )
-    low, _, rex = run_comparison(cfg)
+    ensemble = 20
+    low, _, rex = run_comparison(benchmark_mixture(0.1), tau1=0.01, tau2=1.0, a=1.0, eta=0.01,
+                                 steps=10_000, ensemble=ensemble, seed=0, init=(2.0, 2.0))
     med_low = float(np.median(low.final_best))
     med_re = float(np.median(rex.final_best))
     wins = int(np.sum(rex.final_best < low.final_best))
     ties = int(np.sum(rex.final_best == low.final_best))
-    n_eff = cfg.ensemble - ties
+    n_eff = ensemble - ties
     medians = f"median final best: replica {med_re:.5f} vs low-temp {med_low:.5f}"
     if n_eff == 0:
         return False, f"{medians}; all {ties} seeds tie, sign test undefined"

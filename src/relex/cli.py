@@ -24,9 +24,8 @@ import numpy as np
 
 from .diagnostics import chi2_decay_experiment
 from .errors import DivergenceError, InputError, RelexError
-from .harness import (SimConfig, discretization_error_experiment, run_comparison,
-                      write_bestsofar_csv, write_chi2decay_csv, write_discerr_csv,
-                      write_summary_csv)
+from .harness import (discretization_error_experiment, run_comparison, write_bestsofar_csv,
+                      write_chi2decay_csv, write_discerr_csv, write_summary_csv)
 from .objective import benchmark_mixture, check_gradient, double_well, quadratic
 from .rng import PURPOSE_INIT, derive_stream
 
@@ -217,24 +216,29 @@ def _take(values: dict, *keys) -> dict:
     return {key: values[key] for key in keys}
 
 
-def build_sim_config(values: dict) -> SimConfig:
-    """The SimConfig of parsed config values; a ``uniform:lo,hi`` init draws
-    one start per seed from the seed's init stream."""
-    f = OBJECTIVES[values["kind"]](values)
+def start(values: dict, dimension: int):
+    """The start of a comparison in ``dimension`` dimensions: the init point,
+    or for ``uniform:lo,hi`` one start per seed drawn from the seed's init stream."""
     init = values["init"]
-    if isinstance(init, slice):   # ensemble <= 0 draws nothing; SimConfig rejects it
-        box = derive_stream(values["seed"], PURPOSE_INIT).uniform(
-            (max(values["ensemble"], 0), f.dimension))
-        init = init.start + (init.stop - init.start) * box
-    return SimConfig(objective=f, init=init, **_take(
-        values, "tau1", "tau2", "intensity", "eta", "steps", "ensemble", "seed", "stride"))
+    if not isinstance(init, slice):
+        return init
+    # ensemble <= 0 draws nothing; run_comparison rejects it
+    box = derive_stream(values["seed"], PURPOSE_INIT).uniform(
+        (max(values["ensemble"], 0), dimension))
+    return init.start + (init.stop - init.start) * box
+
+
+def _comparison(values: dict, f):
+    """run_comparison of the config values on the objective ``f``."""
+    return run_comparison(f, a=values["intensity"], init=start(values, f.dimension), **_take(
+        values, "tau1", "tau2", "eta", "steps", "ensemble", "seed", "stride"))
 
 
 # ---------------------------------------------------------------------------
 # Subcommand handlers.
 
 def cmd_compare(cfg, values, out) -> int:
-    summaries = run_comparison(build_sim_config(values))
+    summaries = _comparison(values, OBJECTIVES[values["kind"]](values))
     os.makedirs(out, exist_ok=True)
     echo = emit_canonical_config(cfg)
     write_bestsofar_csv(os.path.join(out, "bestsofar.csv"), summaries, echo)
@@ -262,12 +266,10 @@ def cmd_sweep(cfg, values, out) -> int:
                          f"got {values['kind']!r}")
     if not kappas:
         raise InputError("kappa sweep needs at least one kappa")
-    for kappa in kappas:
-        if kappa <= 0:
-            raise InputError(f"kappa must be positive, got {kappa}")
-    # each kappa runs the config its files echo
-    sims = [build_sim_config({**values, "kappa": kappa}) for kappa in echoed.values()]
-    results = [run_comparison(sim) for sim in sims]
+    # each kappa runs the config its files echo; every objective is built before any run
+    objectives = [OBJECTIVES["gaussian_mixture"]({**values, "kappa": kappa})
+                  for kappa in echoed.values()]
+    results = [_comparison(values, f) for f in objectives]
     os.makedirs(out, exist_ok=True)
     for text, summaries in zip(echoed, results):
         echo = emit_canonical_config({**cfg, "objective": {**cfg["objective"], "kappa": text}})

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, integer
+from .errors import InputError, floats, integer
 from .objective import ObjectiveFunction
 from .replica import pair_snapshots, swap_rate
 from .rng import STREAM_BOOTSTRAP, RngStream, pair_streams
@@ -72,7 +72,7 @@ class DecayFit:
 def _grid(bounds, resolution):
     """Checked grid parameters: bounds as a (d, 2) float array of finite
     lo < hi rows, and a resolution of at least one cell per axis."""
-    bounds = np.atleast_2d(np.asarray(bounds, dtype=float))
+    bounds = np.atleast_2d(floats("grid bounds", bounds))
     if (bounds.ndim != 2 or bounds.shape[1] != 2 or not np.all(np.isfinite(bounds))
             or not np.all(bounds[:, 0] < bounds[:, 1])):
         raise InputError(f"grid bounds must be finite (lo, hi) rows with lo < hi, "
@@ -152,10 +152,13 @@ def pair_gibbs_density(f: ObjectiveFunction, tau1: float, tau2: float,
 
 
 def empirical_histogram(positions, bounds, resolution: int) -> GridMeasure:
-    """Normalized occupancy histogram; out-of-bounds mass reported separately."""
-    positions = np.atleast_2d(np.asarray(positions, dtype=float))
+    """Normalized occupancy histogram; out-of-bounds mass, +-inf included, is
+    reported separately. A NaN position lies nowhere, so it is an error."""
+    positions = np.atleast_2d(floats("positions", positions))
     if positions.shape[0] == 0:
         raise InputError("no positions to histogram")
+    if np.isnan(positions).any():
+        raise InputError("positions to histogram must not be NaN")
     bounds, resolution = _grid(bounds, resolution)
     counts, _ = np.histogramdd(positions, bins=resolution,
                                range=[tuple(b) for b in bounds])
@@ -209,7 +212,7 @@ def chi2_decay_experiment(f: ObjectiveFunction, tau1: float, tau2: float,
         raise InputError("replica exchange requires tau1 < tau2")
     if not (0 < eta < math.inf):    # the sample times are counted in steps of eta
         raise InputError(f"eta must be positive and finite, got {eta}")
-    sample_times = np.asarray(sample_times, dtype=float)
+    sample_times = floats("sample times", sample_times)
     if sample_times.size < 1 or not np.all(np.isfinite(sample_times) & (sample_times > 0)):
         raise InputError("sample times must be positive and finite")
     last = float(sample_times.max())

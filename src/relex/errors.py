@@ -1,7 +1,10 @@
-"""Exception types shared across the package, and the integer check that
-raises them."""
+"""Exception types shared across the package, and the integer and float
+coercions that raise them."""
 
 import operator
+import reprlib
+
+import numpy as np
 
 
 class RelexError(Exception):
@@ -32,3 +35,13 @@ def integer(what: str, value) -> int:
         return operator.index(value)
     except TypeError:
         raise InputError(f"{what} must be an integer, got {value!r}") from None
+
+
+def floats(what: str, value) -> np.ndarray:
+    """``value`` as a float array, else an InputError naming ``what``: a string,
+    a ragged nesting or an object that is not a number is not an array of floats."""
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise InputError(f"{what} must be a number or a regular array of numbers, "
+                         f"got {reprlib.repr(value)}") from None

@@ -19,55 +19,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InputError, integer
+from .errors import InputError, floats, integer
 from .objective import ObjectiveFunction
 from .replica import by_temperature, run_pair_ensemble
 from .rng import pair_streams, position_streams
-
-
-@dataclass
-class SimConfig:
-    """One comparison: the two baselines and the replica pair share every
-    field. ``init`` is one start point of shape (d,) for every seed, or one
-    start per seed, (ensemble, d)."""
-
-    objective: ObjectiveFunction
-    tau1: float
-    tau2: float
-    intensity: float
-    eta: float
-    steps: int
-    ensemble: int            # number of seeds (independent runs)
-    seed: int
-    init: object
-    stride: int = 10
-
-    def __post_init__(self):
-        if not (0 < self.tau1 < math.inf and 0 < self.tau2 < math.inf):
-            raise InputError("temperatures must be positive and finite")
-        if not (self.tau1 < self.tau2):
-            raise InputError("replica exchange requires tau1 < tau2")
-        if not (0 <= self.intensity < math.inf):
-            raise InputError("intensity must be nonnegative and finite")
-        if not (0 < self.eta < math.inf):
-            raise InputError("eta must be positive and finite")
-        for name in ("steps", "ensemble", "stride"):
-            integer(name, getattr(self, name))
-        if self.steps < 1 or self.ensemble < 1:
-            raise InputError("steps and ensemble must be positive")
-        if self.stride < 1 or self.steps % self.stride != 0:
-            raise InputError(f"stride {self.stride} must divide steps {self.steps}")
-        if not isinstance(self.objective, ObjectiveFunction):
-            raise InputError(f"objective must be an ObjectiveFunction, "
-                             f"got {type(self.objective).__name__}")
-        d = self.objective.dimension
-        shape = np.shape(self.init)
-        if shape not in ((d,), (self.ensemble, d)):
-            raise InputError(f"init point has dimension {shape[0]}, expected {d}"
-                             if len(shape) == 1 else f"init has shape {shape}, "
-                             f"expected ({d},) or ({self.ensemble}, {d})")
-        if not np.all(np.isfinite(self.init)):
-            raise InputError("init must be finite")
 
 
 @dataclass
@@ -140,25 +95,45 @@ def _summarize(algorithm: str, traj: np.ndarray, stride: int, swap_counts=None,
     )
 
 
-def run_comparison(cfg: SimConfig):
-    """The low-temp baseline, high-temp baseline and replica pair of ``cfg``,
-    run over a shared seed set and shared noise."""
-    f = cfg.objective
-    n = cfg.ensemble
-    init = np.broadcast_to(np.asarray(cfg.init, dtype=float), (n, f.dimension))
+def run_comparison(f: ObjectiveFunction, tau1: float, tau2: float, a: float, eta: float,
+                   steps: int, ensemble: int, seed: int, init, stride: int = 10):
+    """The low-temp baseline, high-temp baseline and replica pair at swap
+    intensity ``a``, run over ``ensemble`` seeds with shared noise for
+    ``steps`` steps of ``eta`` from ``init``: one start point (d,) for every
+    seed, or one start per seed, (ensemble, d). The best-so-far curves are
+    sampled every ``stride`` steps. The kernel checks ``a``, ``eta`` and that
+    the start is finite before it draws anything."""
+    if not isinstance(f, ObjectiveFunction):
+        raise InputError(f"objective must be an ObjectiveFunction, got {type(f).__name__}")
+    if not (0 < tau1 < math.inf and 0 < tau2 < math.inf):
+        raise InputError("temperatures must be positive and finite")
+    if not (tau1 < tau2):
+        raise InputError("replica exchange requires tau1 < tau2")
+    steps, ensemble = integer("steps", steps), integer("ensemble", ensemble)
+    stride = integer("stride", stride)
+    if steps < 1 or ensemble < 1:
+        raise InputError("steps and ensemble must be positive")
+    if stride < 1 or steps % stride != 0:
+        raise InputError(f"stride {stride} must divide steps {steps}")
+    d, n = f.dimension, ensemble
+    init = floats("init", init)
+    if init.shape not in ((d,), (n, d)):
+        raise InputError(f"init point has dimension {init.shape[0]}, expected {d}"
+                         if init.ndim == 1 else f"init has shape {init.shape}, "
+                         f"expected ({d},) or ({n}, {d})")
+    init = np.broadcast_to(init, (n, d))
     pair = np.stack((init, init), axis=1)
     # One kernel run: the baseline pairs [0, n) have no swap stream and so
     # never swap; the replica pairs [n, 2n) share their start and noise.
-    streams = position_streams(cfg.seed, n) + pair_streams(cfg.seed, n)
-    observe, curves = _best_so_far(cfg.steps, cfg.stride, 2 * n)
+    streams = position_streams(seed, n) + pair_streams(seed, n)
+    observe, curves = _best_so_far(steps, stride, 2 * n)
     t0 = time.perf_counter()
-    _, _, swaps = run_pair_ensemble(f, np.concatenate((pair, pair)),
-                                    (cfg.tau1, cfg.tau2), cfg.steps, streams,
-                                    cfg.eta, cfg.intensity, observe=observe)
+    _, _, swaps = run_pair_ensemble(f, np.concatenate((pair, pair)), (tau1, tau2), steps,
+                                    streams, eta, a, observe=observe)
     wall = time.perf_counter() - t0
-    return (_summarize("low-temp", curves[:, :n, 0], cfg.stride, wall_time=wall),
-            _summarize("high-temp", curves[:, :n, 1], cfg.stride, wall_time=wall),
-            _summarize("replica-exchange", curves[:, n:, 0], cfg.stride,
+    return (_summarize("low-temp", curves[:, :n, 0], stride, wall_time=wall),
+            _summarize("high-temp", curves[:, :n, 1], stride, wall_time=wall),
+            _summarize("replica-exchange", curves[:, n:, 0], stride,
                        swap_counts=swaps[n:], wall_time=wall))
 
 
@@ -181,7 +156,7 @@ def discretization_error_experiment(f: ObjectiveFunction, tau1: float, tau2: flo
         raise InputError(f"ensemble must be >= 2 for a standard error, got {ensemble}")
     if not (0 < T < math.inf):
         raise InputError(f"horizon T must be positive and finite, got {T}")
-    etas = np.asarray(sorted(etas, reverse=True), dtype=float)
+    etas = np.sort(floats("stepsizes", etas), axis=None)[::-1]
     if etas.size == 0:
         raise InputError("need at least one stepsize")
     if not np.all(np.isfinite(etas) & (etas > 0)):

@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InputError, integer
+from .errors import InputError, floats, integer
 
 # Centers of the benchmark mixture: (0,0), (0,1), ..., (0,4), (1,0), ..., (4,4).
 DEFAULT_CENTERS = np.array(
@@ -57,14 +57,17 @@ def build_gaussian_mixture(centers, weights, kappa: float,
     U(x) = -sum_i w_i / (2 pi kappa) * exp(-||x - c_i||^2 / (2 kappa))
            [+ lambda * ||x||^2 when confinement is enabled]
     """
-    centers = np.atleast_2d(np.asarray(centers, dtype=float))
-    weights = np.asarray(weights, dtype=float).ravel()
+    centers = np.atleast_2d(floats("mixture centers", centers))
+    weights = floats("mixture weights", weights).ravel()
     kappa = float(kappa)
     lam = float(confinement)
     if centers.shape[0] == 0:
         raise InputError("mixture needs at least one center")
     if centers.shape[0] != weights.shape[0]:
         raise InputError(f"{centers.shape[0]} centers but {weights.shape[0]} weights")
+    for what, values in (("centers", centers), ("weights", weights)):
+        if not np.all(np.isfinite(values)):
+            raise InputError(f"mixture {what} must be finite")
     if np.any(weights < 0):
         raise InputError("mixture weights must be nonnegative")
     if not np.any(weights > 0):
@@ -174,7 +177,10 @@ def check_gradient(f: ObjectiveFunction, point) -> float:
     with central differences of step 1e-6. ``point`` is one point (d,) or a
     batch (..., d); a batch gives the max over its points."""
     step = 1e-6
-    point = np.asarray(point, dtype=float)
+    point = floats("point", point)
+    if point.shape[-1:] != (f.dimension,):
+        raise InputError(f"point must have a last axis of size {f.dimension}, "
+                         f"got shape {point.shape}")
     if not np.all(np.isfinite(point)):
         raise InputError("point must be finite")
     analytic = np.asarray(f.grad(point), dtype=float)

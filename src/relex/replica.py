@@ -21,7 +21,7 @@ import warnings
 
 import numpy as np
 
-from .errors import InputError, integer
+from .errors import InputError, floats, integer
 from .langevin import check_finite
 from .objective import ObjectiveFunction
 
@@ -33,10 +33,8 @@ def swap_rate(u1, u2, tau1, tau2):
     value exceeds the second's; equal values or equal temperatures give 1,
     even where 1/tau overflows. Vectorized over array inputs.
     """
-    u1 = np.asarray(u1, dtype=float)
-    u2 = np.asarray(u2, dtype=float)
-    tau1 = np.asarray(tau1, dtype=float)
-    tau2 = np.asarray(tau2, dtype=float)
+    u1, u2 = floats("objective values", u1), floats("objective values", u2)
+    tau1, tau2 = floats("temperatures", tau1), floats("temperatures", tau2)
     if not (np.all(np.isfinite(u1)) and np.all(np.isfinite(u2))):
         raise InputError("objective values in swap rate must be finite")
     if not (np.all(tau1 > 0) and np.all(tau2 > 0)):
@@ -121,13 +119,13 @@ def run_pair_ensemble(f: ObjectiveFunction, x0, temps, steps: int, streams,
         raise InputError(f"steps must be >= 1, got {steps}")
     if m < 1:
         raise InputError(f"a step needs m >= 1 sub-steps, got {m}")
-    x = np.array(x0, dtype=float)
+    x = np.array(floats("starting positions", x0))
     if x.ndim != 3 or x.shape[1] not in (1, 2) or x.shape[2] != f.dimension:
         raise InputError(f"positions must have shape (chains, 1 or 2, {f.dimension}), "
                          f"got {x.shape}")
     if not np.all(np.isfinite(x)):
         raise InputError("starting positions must be finite")
-    T = np.asarray(temps, dtype=float)
+    T = floats("temperatures", temps)
     try:
         T = np.array(np.broadcast_to(T, x.shape[:2]))
     except ValueError:

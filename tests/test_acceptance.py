@@ -144,7 +144,7 @@ def test_sign_test_equals_binomtest():
 
 def test_criterion_7_fails_readably_when_every_seed_ties(monkeypatch):
     tie = SimpleNamespace(final_best=np.full(20, -0.1))
-    monkeypatch.setattr(acceptance, "run_comparison", lambda cfg: (tie, tie, tie))
+    monkeypatch.setattr(acceptance, "run_comparison", lambda *args, **kwargs: (tie, tie, tie))
     record = run_criterion(*CRITERIA[6])
     assert not record.passed
     assert record.detail == ("median final best: replica -0.10000 vs low-temp "

@@ -1,5 +1,6 @@
 """Tests for config handling and the command-line entry point."""
 
+import inspect
 import os
 import pathlib
 import string
@@ -13,10 +14,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import relex
-from relex.cli import (DEFAULTS, GRAMMAR, apply_override, build_sim_config,
-                       emit_canonical_config, load_config, main, parse_canonical_config,
-                       parse_config)
+from relex.cli import (DEFAULTS, GRAMMAR, apply_override, emit_canonical_config, load_config,
+                       main, parse_canonical_config, parse_config, start)
 from relex.errors import InputError
+from relex.harness import run_comparison
 from relex.objective import benchmark_mixture
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
@@ -28,9 +29,11 @@ def no_run(*args, **kwargs):
 
 @pytest.fixture
 def no_experiment(monkeypatch):
-    """Every experiment the CLI can start fails the test if it starts."""
-    for name in ("run_comparison", "chi2_decay_experiment",
-                 "discretization_error_experiment", "check_gradient"):
+    """Every experiment the CLI can start fails the test if it starts. A
+    comparison checks its own values, so it fails only once its kernel runs."""
+    monkeypatch.setattr("relex.harness.run_pair_ensemble", no_run)
+    for name in ("chi2_decay_experiment", "discretization_error_experiment",
+                 "check_gradient"):
         monkeypatch.setattr(f"relex.cli.{name}", no_run)
 
 
@@ -205,39 +208,66 @@ def test_shipped_configs_load_and_round_trip():
         assert parse_canonical_config(emit_canonical_config(cfg)) == cfg
 
 
-class TestBuildSimConfig:
+class Ran(Exception):
+    """The CLI started a comparison."""
+
+
+@pytest.fixture
+def comparisons(monkeypatch):
+    """The arguments, by name, of each comparison the CLI starts; starting
+    one raises Ran."""
+    calls = []
+
+    def record(*args, **kwargs):
+        calls.append(inspect.signature(run_comparison).bind(*args, **kwargs).arguments)
+        raise Ran
+    monkeypatch.setattr("relex.cli.run_comparison", record)
+    return calls
+
+
+class TestComparisonArguments:
     @pytest.mark.parametrize("kind, dimension", [
         ("gaussian_mixture", 2), ("double_well", 1), ("quadratic", 2)])
-    def test_known_kinds(self, kind, dimension):
+    def test_known_kinds(self, kind, dimension, comparisons):
         init = ",".join(["2"] * dimension)
-        sim = build_sim_config(parse_config(load_config(overrides=[f"kind={kind}",
-                                                                   f"init={init}"])))
-        assert sim.objective.dimension == dimension
+        with pytest.raises(Ran):
+            main(["compare", "--set", f"kind={kind}", "--set", f"init={init}"])
+        assert comparisons[0]["f"].dimension == dimension
 
-    def test_mixture_takes_kappa_and_confinement(self):
-        sim = build_sim_config(parse_config(load_config(overrides=["kappa=0.2",
-                                                                   "confinement=0.5"])))
+    def test_mixture_takes_kappa_and_confinement(self, comparisons):
+        with pytest.raises(Ran):
+            main(["compare", "--set", "kappa=0.2", "--set", "confinement=0.5"])
         point = np.array([[3.0, -1.0]])
         want = benchmark_mixture(0.2, 0.5).value_and_grad(point)
-        assert all(np.array_equal(a, b) for a, b in zip(sim.objective.value_and_grad(point),
-                                                        want))
+        assert all(np.array_equal(a, b) for a, b in
+                   zip(comparisons[0]["f"].value_and_grad(point), want))
+
+    def test_run_values_reach_the_comparison(self, comparisons):
+        with pytest.raises(Ran):
+            main(["compare", "--set", "intensity=3", "--set", "tau1=0.05", "--set", "steps=40",
+                  "--set", "stride=8", "--seed", "9"])
+        run = dict(comparisons[0])
+        del run["f"]
+        assert run == dict(tau1=0.05, tau2=1.0, a=3.0, eta=0.01, steps=40, ensemble=20,
+                           seed=9, init=(2.0, 2.0), stride=8)
 
     def test_point(self):
-        sim = build_sim_config(parse_config(load_config(overrides=["init=2,3"])))
-        assert sim.init == (2.0, 3.0)
+        assert start(parse_config(load_config(overrides=["init=2,3"])), 2) == (2.0, 3.0)
 
     def test_uniform_box(self):
-        sim = build_sim_config(parse_config(load_config(overrides=["init=uniform:-2,2",
-                                                                   "ensemble=1000"])))
-        assert sim.init.shape == (1000, 2)
-        assert sim.init.min() >= -2.0 and sim.init.max() <= 2.0
-        assert abs(sim.init.mean()) < 0.1
+        init = start(parse_config(load_config(overrides=["init=uniform:-2,2",
+                                                         "ensemble=1000"])), 2)
+        assert init.shape == (1000, 2)
+        assert init.min() >= -2.0 and init.max() <= 2.0
+        assert abs(init.mean()) < 0.1
 
     @pytest.mark.parametrize("ensemble", ["0", "-3"])
-    def test_uniform_box_of_no_seeds_is_a_config_error(self, ensemble):
-        cfg = load_config(overrides=["init=uniform:-2,2", f"ensemble={ensemble}"])
-        with pytest.raises(InputError, match="steps and ensemble must be positive"):
-            build_sim_config(parse_config(cfg))
+    def test_uniform_box_of_no_seeds_exits_2(self, ensemble, tmp_path, capsys):
+        code = main(["compare", "--set", "init=uniform:-2,2", "--set", f"ensemble={ensemble}",
+                     "--out", str(tmp_path / "res")])
+        assert code == 2
+        assert capsys.readouterr().err == "relex: error: steps and ensemble must be positive\n"
+        assert not (tmp_path / "res").exists()
 
 
 class TestDispatch:
@@ -288,7 +318,7 @@ class TestDispatch:
         assert not out.exists()
 
     @pytest.mark.parametrize("setting, message", [
-        ("kappas=0.1,-1", "kappa must be positive, got -1.0"),
+        ("kappas=0.1,-1", "kappa must be positive and finite, got -1.0"),
         ("kappas=0.1,inf", "objective.kappas must be comma-separated finite numbers, "
                            "got '0.1,inf'"),
         ("kappas=0.1,nan", "objective.kappas must be comma-separated finite numbers, "

@@ -124,6 +124,14 @@ class TestHistogramAndDivergences:
         assert np.isclose(mu.mass.sum(), 1.0)
         assert np.isclose(mu.overflow, 1.0 / 3.0)
 
+    def test_infinite_positions_overflow(self):
+        mu = empirical_histogram([[0.1], [np.inf], [-np.inf], [0.2]], [[-1.0, 1.0]], 4)
+        assert mu.overflow == 0.5 and mu.mass.sum() == 1.0
+
+    def test_nan_position_rejected(self):
+        with pytest.raises(InputError, match="^positions to histogram must not be NaN$"):
+            empirical_histogram([[0.1], [np.nan], [0.2]], [[-1.0, 1.0]], 4)
+
     def test_empty_inputs_raise(self):
         with pytest.raises(InputError, match="no positions to histogram"):
             empirical_histogram(np.empty((0, 1)), [[-1, 1]], 4)

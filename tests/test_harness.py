@@ -1,9 +1,11 @@
 """Tests for the experiment harness and CSV emission."""
 
+import contextlib
 import math
 import tempfile
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from relex.errors import InputError
-from relex.harness import (RunSummary, SimConfig, _best_so_far,
+from relex.harness import (RunSummary, _best_so_far,
                            discretization_error_experiment, pregenerate_noise,
                            run_comparison, write_bestsofar_csv,
                            write_discerr_csv, write_summary_csv)
@@ -20,83 +22,99 @@ from relex.replica import by_temperature, pair_snapshots, run_pair_ensemble
 from relex.rng import RngStream, pair_streams, position_streams
 
 
-def small_config(**overrides):
+def small_run(**overrides):
+    """run_comparison's arguments for a small comparison."""
     base = dict(
-        objective=benchmark_mixture(0.1),
-        tau1=0.01, tau2=1.0, intensity=1.0, eta=0.01, steps=200,
+        f=benchmark_mixture(0.1),
+        tau1=0.01, tau2=1.0, a=1.0, eta=0.01, steps=200,
         ensemble=4, seed=1, init=(2.0, 2.0), stride=10,
     )
     base.update(overrides)
-    return SimConfig(**base)
+    return base
 
 
-class TestSimConfig:
-    def test_valid(self):
-        cfg = small_config()
-        assert (cfg.steps, cfg.eta, cfg.ensemble) == (200, 0.01, 4)
+class Drew(Exception):
+    """A stream was asked for noise."""
 
-    @pytest.mark.parametrize("overrides", [
-        dict(tau1=-0.1),
-        dict(tau1=2.0),                # violates tau1 < tau2
-        dict(tau1=1.0),                # tau1 == tau2
-        dict(intensity=-1.0),
-        dict(eta=0.0),
-        dict(steps=0),
-        dict(ensemble=0),
-        dict(stride=7),                # does not divide steps
-        dict(intensity=float("nan")),
-        dict(intensity=float("inf")),
-        dict(eta=float("inf")),
-        dict(eta=float("nan")),
-        dict(tau2=float("inf")),
-        dict(tau1=float("nan")),
-    ])
-    def test_invalid(self, overrides):
-        with pytest.raises(InputError):
-            small_config(**overrides)
 
+def drew(*args, **kwargs):
+    raise Drew
+
+
+@contextlib.contextmanager
+def no_draws():
+    """Any draw from a stream raises Drew."""
+    with mock.patch.object(RngStream, "normal", drew), \
+            mock.patch.object(RngStream, "uniform", drew):
+        yield
+
+
+class TestRunComparisonInputs:
     @pytest.mark.parametrize("overrides, message", [
-        (dict(objective={"kind": "gaussian_mixture", "kappa": 0.1}),
+        (dict(tau1=-0.1), "temperatures must be positive and finite"),
+        (dict(tau1=0.0), "temperatures must be positive and finite"),
+        (dict(tau1=math.nan), "temperatures must be positive and finite"),
+        (dict(tau2=math.inf), "temperatures must be positive and finite"),
+        (dict(tau1=2.0), "replica exchange requires tau1 < tau2"),
+        (dict(tau1=1.0), "replica exchange requires tau1 < tau2"),
+        (dict(a=-1.0), "swap intensity must be nonnegative and finite, got -1.0"),
+        (dict(a=math.nan), "swap intensity must be nonnegative and finite, got nan"),
+        (dict(a=math.inf), "swap intensity must be nonnegative and finite, got inf"),
+        (dict(eta=0.0), "eta must be positive and finite, got 0.0"),
+        (dict(eta=math.nan), "eta must be positive and finite, got nan"),
+        (dict(eta=math.inf), "eta must be positive and finite, got inf"),
+        (dict(steps=0), "steps and ensemble must be positive"),
+        (dict(ensemble=0), "steps and ensemble must be positive"),
+        (dict(steps=100.0), "^steps must be an integer, got 100.0$"),
+        (dict(steps=200.5), "^steps must be an integer, got 200.5$"),
+        (dict(ensemble=4.0), "^ensemble must be an integer, got 4.0$"),
+        (dict(stride=10.0), "^stride must be an integer, got 10.0$"),
+        (dict(stride=7), "stride 7 must divide steps 200"),
+        (dict(f={"kind": "gaussian_mixture", "kappa": 0.1}),
          "objective must be an ObjectiveFunction, got dict"),
         (dict(init=(1.0,)), "init point has dimension 1, expected 2"),
         (dict(init=(1.0, 2.0, 3.0)), "init point has dimension 3, expected 2"),
         (dict(init=np.zeros((3, 2))), r"init has shape \(3, 2\), expected \(2,\) or \(4, 2\)"),
         (dict(init=np.zeros((4, 3))), r"init has shape \(4, 3\), expected"),
         (dict(init=2.0), r"init has shape \(\), expected"),
-        (dict(init="uniform:0,4"), r"init has shape \(\), expected"),
-        (dict(init=(2.0, math.nan)), "init must be finite"),
-        (dict(init=np.full((4, 2), math.inf)), "init must be finite"),
+        (dict(init="uniform:0,4"), "init must be a number or a regular array of numbers, "
+                                   "got 'uniform:0,4'"),
+        (dict(init=[[2.0, 2.0], [2.0]]), "init must be a number or a regular array"),
+        (dict(init=(2.0, math.nan)), "starting positions must be finite"),
+        (dict(init=np.full((4, 2), math.inf)), "starting positions must be finite"),
     ])
-    def test_invalid_objective_or_init(self, overrides, message):
-        with pytest.raises(InputError, match=message):
-            small_config(**overrides)
+    def test_invalid_value_fails_before_any_draw(self, overrides, message):
+        with no_draws(), pytest.raises(InputError, match=message):
+            run_comparison(**small_run(**overrides))
 
-    @pytest.mark.parametrize("name, value", [
-        ("steps", 100.0), ("ensemble", 4.0), ("stride", 10.0), ("steps", 200.5)])
-    def test_counts_must_be_integers(self, name, value):
-        with pytest.raises(InputError, match=f"^{name} must be an integer, got {value}$"):
-            small_config(**{name: value})
+    def test_valid_values_reach_the_first_draw(self):
+        with no_draws(), pytest.raises(Drew):
+            run_comparison(**small_run())
 
     def test_numpy_integer_counts_are_accepted(self):
-        cfg = small_config(steps=np.int64(200), ensemble=np.int32(4), stride=np.uint8(10))
-        low, _, _ = run_comparison(cfg)
+        low, _, _ = run_comparison(**small_run(steps=np.int64(200), ensemble=np.int32(4),
+                                               stride=np.uint8(10)))
         assert low.best_curves.shape == (4, 21)
 
-    @given(st.sampled_from(["intensity", "eta", "tau1", "tau2"]), st.floats())
+    @pytest.mark.filterwarnings("ignore:intensity \\* eta")
+    @given(st.sampled_from(["a", "eta", "tau1", "tau2"]), st.floats())
     def test_any_float_is_rejected_or_valid(self, name, value):
+        run = small_run(**{name: value})
         try:
-            cfg = small_config(**{name: value})
+            with no_draws():
+                run_comparison(**run)
         except InputError:
             return
-        assert all(math.isfinite(getattr(cfg, n))
-                   for n in ("intensity", "eta", "tau1", "tau2"))
-        assert cfg.tau1 > 0 and cfg.tau2 > 0 and cfg.tau1 < cfg.tau2
-        assert cfg.intensity >= 0 and cfg.eta > 0
+        except Drew:
+            pass
+        assert all(math.isfinite(run[n]) for n in ("a", "eta", "tau1", "tau2"))
+        assert 0 < run["tau1"] < run["tau2"]
+        assert run["a"] >= 0 and run["eta"] > 0
 
 
 class TestRunComparison:
     def test_summaries_shape_and_monotonicity(self):
-        summaries = run_comparison(small_config())
+        summaries = run_comparison(**small_run())
         assert [s.algorithm for s in summaries] == [
             "low-temp", "high-temp", "replica-exchange"]
         for s in summaries:
@@ -108,8 +126,8 @@ class TestRunComparison:
         assert summaries[0].wall_time == summaries[1].wall_time
 
     def test_bitwise_reproducible(self):
-        a = run_comparison(small_config())
-        b = run_comparison(small_config())
+        a = run_comparison(**small_run())
+        b = run_comparison(**small_run())
         for x, y in zip(a, b):
             assert np.array_equal(x.best_curves, y.best_curves)
 
@@ -117,7 +135,7 @@ class TestRunComparison:
     def test_float_seed_rejected(self, init):
         # truncated, it would replay the comparison of seed 1
         with pytest.raises(InputError, match="seed must be an integer, got 1.5"):
-            run_comparison(small_config(seed=1.5, init=init))
+            run_comparison(**small_run(seed=1.5, init=init))
 
     def test_builds_five_streams_per_seed(self, monkeypatch):
         # two position streams for the baseline pair, three for the replica pair
@@ -125,34 +143,35 @@ class TestRunComparison:
         init = RngStream.__init__
         monkeypatch.setattr(RngStream, "__init__",
                             lambda self, *args: created.append(args) or init(self, *args))
-        run_comparison(small_config(init=(2.0, 2.0)))
+        run_comparison(**small_run(init=(2.0, 2.0)))
         assert len(created) == 5 * 4
 
     def test_one_start_per_seed(self):
         starts = np.array([[2.0, 2.0], [0.0, 1.0], [-1.0, 3.0], [4.0, 0.5]])
-        shared = run_comparison(small_config(init=(2.0, 2.0)))
-        tiled = run_comparison(small_config(init=np.tile((2.0, 2.0), (4, 1))))
-        apart = run_comparison(small_config(init=starts))
+        shared = run_comparison(**small_run(init=(2.0, 2.0)))
+        tiled = run_comparison(**small_run(init=np.tile((2.0, 2.0), (4, 1))))
+        apart = run_comparison(**small_run(init=starts))
         for a, b, c in zip(shared, tiled, apart):
             assert np.array_equal(a.best_curves, b.best_curves)
             assert np.array_equal(c.best_curves[0], a.best_curves[0])
             assert not np.array_equal(c.best_curves[1:], a.best_curves[1:])
 
     def test_zero_intensity_matches_low_temp_bitwise(self):
-        low, _, rex = run_comparison(small_config(intensity=0.0))
+        low, _, rex = run_comparison(**small_run(a=0.0))
         assert np.array_equal(rex.best_curves, low.best_curves)
         assert rex.swap_counts.sum() == 0
 
     def test_best_curves_match_a_full_trajectory_oracle(self):
-        cfg = small_config(ensemble=5, steps=120, stride=6, intensity=20.0, tau1=0.1)
-        summaries = run_comparison(cfg)
-        f = cfg.objective
-        init = np.tile(cfg.init, (5, 1))
-        for summary, intensity, slot in zip(summaries, (0.0, 0.0, cfg.intensity),
+        run = small_run(ensemble=5, steps=120, stride=6, a=20.0, tau1=0.1)
+        summaries = run_comparison(**run)
+        f = run["f"]
+        init = np.tile(run["init"], (5, 1))
+        for summary, intensity, slot in zip(summaries, (0.0, 0.0, run["a"]),
                                             (0, 1, 0)):
             traj, _ = pair_snapshots(f, np.stack((init, init), axis=1),
-                                     (cfg.tau1, cfg.tau2), 120, pair_streams(cfg.seed, 5),
-                                     cfg.eta, intensity, range(121))
+                                     (run["tau1"], run["tau2"]), 120,
+                                     pair_streams(run["seed"], 5), run["eta"], intensity,
+                                     range(121))
             best = np.minimum.accumulate(f.eval(traj[:, :, slot]), axis=0)
             assert np.array_equal(summary.best_curves, best[::6].T)
             assert np.array_equal(summary.final_best, best[-1])
@@ -182,26 +201,25 @@ class TestRunComparison:
 
     def test_each_half_of_the_fused_run_is_its_own_run(self):
         n, steps = 5, 150
-        cfg = small_config(ensemble=n, steps=steps, intensity=20.0, tau1=0.1)
-        f = cfg.objective
-        init = np.tile(cfg.init, (n, 1))
+        run = small_run(ensemble=n, steps=steps, a=20.0, tau1=0.1)
+        f = run["f"]
+        init = np.tile(run["init"], (n, 1))
         pair = np.stack((init, init), axis=1)
         observe, fused = _best_so_far(steps, 1, 2 * n)
+        streams = position_streams(run["seed"], n) + pair_streams(run["seed"], n)
         x, T, swaps = run_pair_ensemble(f, np.concatenate((pair, pair)),
-                                        (cfg.tau1, cfg.tau2), steps,
-                                        position_streams(cfg.seed, n) + pair_streams(cfg.seed, n),
-                                        cfg.eta, cfg.intensity, observe=observe)
+                                        (run["tau1"], run["tau2"]), steps, streams,
+                                        run["eta"], run["a"], observe=observe)
         assert swaps[:n].sum() == 0 and swaps[n:].sum() > 0
-        for half, intensity in ((slice(0, n), 0.0), (slice(n, 2 * n), cfg.intensity)):
+        for half, intensity in ((slice(0, n), 0.0), (slice(n, 2 * n), run["a"])):
             observe, alone = _best_so_far(steps, 1, n)
-            x1, T1, swaps1 = run_pair_ensemble(f, pair, (cfg.tau1, cfg.tau2), steps,
-                                               pair_streams(cfg.seed, n), cfg.eta,
+            x1, T1, swaps1 = run_pair_ensemble(f, pair, (run["tau1"], run["tau2"]), steps,
+                                               pair_streams(run["seed"], n), run["eta"],
                                                intensity, observe=observe)
             assert np.array_equal(fused[:, half], alone)
             assert np.array_equal(swaps[half], swaps1)
             assert np.array_equal(x[half], x1) and np.array_equal(T[half], T1)
-        low, high, rex = run_comparison(
-            small_config(ensemble=n, steps=steps, stride=1, intensity=20.0, tau1=0.1))
+        low, high, rex = run_comparison(**{**run, "stride": 1})
         assert np.array_equal(low.best_curves, fused[:, :n, 0].T)
         assert np.array_equal(high.best_curves, fused[:, :n, 1].T)
         assert np.array_equal(rex.best_curves, fused[:, n:, 0].T)
@@ -210,11 +228,11 @@ class TestRunComparison:
     def test_peak_memory_is_a_fraction_of_the_noise_block(self):
         # the noise is drawn in chunks, so the run never holds the whole-run
         # block (16 MB here)
-        cfg = small_config(ensemble=20, steps=20_000, stride=10)
-        noise_bytes = sum(a.nbytes for a in pregenerate_noise(cfg.seed, 20, 20_000, 2))
+        run = small_run(ensemble=20, steps=20_000, stride=10)
+        noise_bytes = sum(a.nbytes for a in pregenerate_noise(run["seed"], 20, 20_000, 2))
         tracemalloc.start()
         try:
-            run_comparison(cfg)
+            run_comparison(**run)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -295,7 +313,7 @@ class TestDiscretizationExperiment:
 
 class TestCsvWriters:
     def test_bestsofar_layout(self, tmp_path):
-        summaries = run_comparison(small_config())
+        summaries = run_comparison(**small_run())
         path = tmp_path / "bestsofar.csv"
         write_bestsofar_csv(path, summaries, "dynamics.eta=0.01")
         lines = path.read_text().splitlines()
@@ -307,7 +325,7 @@ class TestCsvWriters:
         assert float(val) == summaries[0].best_curves[0, 0]
 
     def test_summary_layout(self, tmp_path):
-        summaries = run_comparison(small_config())
+        summaries = run_comparison(**small_run())
         path = tmp_path / "summary.csv"
         write_summary_csv(path, summaries, "x.y=1")
         lines = path.read_text().splitlines()
@@ -315,7 +333,7 @@ class TestCsvWriters:
         assert len(lines) == 2 + 3 * 21
 
     def test_summary_holds_the_quartiles_of_the_curves(self, tmp_path):
-        summaries = run_comparison(small_config())
+        summaries = run_comparison(**small_run())
         path = tmp_path / "summary.csv"
         write_summary_csv(path, summaries, "x.y=1")
         expected = [f"{it},{s.algorithm},{m:.17g},{lo:.17g},{hi:.17g}"

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize
 
 from relex.errors import InputError
-from relex.objective import (DEFAULT_CENTERS, DEFAULT_WEIGHTS,
+from relex.objective import (DEFAULT_CENTERS, DEFAULT_WEIGHTS, ObjectiveFunction,
                              build_gaussian_mixture,
                              check_gradient, double_well, benchmark_mixture,
                              quadratic)
@@ -46,6 +46,11 @@ class TestMixtureConstruction:
          "confinement must be nonnegative and finite"),
         ((DEFAULT_CENTERS, DEFAULT_WEIGHTS, 0.1, np.nan),
          "confinement must be nonnegative and finite"),
+        # caught before the amplitude check, which would name kappa
+        (([[np.nan, 0.0]], [1.0], 0.1), "^mixture centers must be finite$"),
+        (([[np.inf, 0.0]], [1.0], 0.1), "^mixture centers must be finite$"),
+        (([[0.0, 0.0], [1.0, 1.0]], [1.0, np.nan], 0.1), "^mixture weights must be finite$"),
+        (([[0.0, 0.0], [1.0, 1.0]], [1.0, np.inf], 0.1), "^mixture weights must be finite$"),
     ])
     def test_validation_errors(self, args, match):
         with pytest.raises(InputError, match=match):
@@ -154,6 +159,16 @@ class TestGradients:
         f = quadratic(2)
         with pytest.raises(InputError):
             check_gradient(f, np.array([np.nan, 0.0]))
+
+    @pytest.mark.parametrize("point, shape", [(0.5, r"\(\)"), ([0.5, 0.2], r"\(2,\)"),
+                                              (np.zeros((3, 2)), r"\(3, 2\)")])
+    def test_check_gradient_rejects_a_point_of_another_dimension(self, point, shape):
+        def value_and_grad(x):
+            raise AssertionError("evaluated")
+        f = ObjectiveFunction(1, value_and_grad)
+        with pytest.raises(InputError, match=f"^point must have a last axis of size 1, "
+                                             f"got shape {shape}$"):
+            check_gradient(f, point)
 
 
 def test_double_well_shape():

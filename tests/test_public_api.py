@@ -1,8 +1,9 @@
 """The public surface: ``relex.__all__`` and the parameter names of every
 public callable are pinned, so a new name or a new knob is a deliberate,
 reviewed diff of the table below. The runtime dependencies are pinned too:
-the package imports only the standard library and numpy. The README's
-library example runs as written."""
+the package imports only the standard library and numpy. An array input that
+is not numbers is an InputError naming it. The README's library example runs
+as written."""
 
 import ast
 import inspect
@@ -14,6 +15,8 @@ import numpy as np
 import pytest
 
 import relex
+from relex import InputError
+from relex.rng import pair_streams
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
@@ -29,8 +32,6 @@ SIGNATURES = {
     "RngStream": ("seed", "stream_id"),
     "RunSummary": ("algorithm", "iterations", "best_curves", "final_best", "swap_counts",
                    "wall_time"),
-    "SimConfig": ("objective", "tau1", "tau2", "intensity", "eta", "steps", "ensemble",
-                  "seed", "init", "stride"),
     "benchmark_mixture": ("kappa", "confinement"),
     "build_gaussian_mixture": ("centers", "weights", "kappa", "confinement"),
     "check_gradient": ("f", "point"),
@@ -46,7 +47,8 @@ SIGNATURES = {
     "gibbs_density": ("f", "tau", "bounds", "resolution"),
     "pair_gibbs_density": ("f", "tau1", "tau2", "bounds", "resolution"),
     "quadratic": ("dim", "scale"),
-    "run_comparison": ("cfg",),
+    "run_comparison": ("f", "tau1", "tau2", "a", "eta", "steps", "ensemble", "seed", "init",
+                       "stride"),
     "run_pair_ensemble": ("f", "x0", "temps", "steps", "streams", "eta", "intensity",
                           "mode", "observe", "m"),
     "swap_rate": ("u1", "u2", "tau1", "tau2"),
@@ -132,3 +134,41 @@ def test_readme_library_example_runs():
     names = {}
     exec(blocks[0], names)
     assert np.median(names["rex"].final_best) <= np.median(names["low"].final_best)
+
+
+F = relex.double_well()
+PAIRS = np.zeros((2, 2, 1))
+
+
+@pytest.mark.parametrize("call, what", [
+    (lambda: relex.run_pair_ensemble(F, PAIRS, "hot", 5, pair_streams(0), 0.01, 1.0),
+     "temperatures"),
+    (lambda: relex.run_pair_ensemble(F, PAIRS, [[0.1, 0.2], [0.3]], 5, pair_streams(0),
+                                     0.01, 1.0), "temperatures"),
+    (lambda: relex.run_pair_ensemble(F, PAIRS, (0.1, object()), 5, pair_streams(0),
+                                     0.01, 1.0), "temperatures"),
+    (lambda: relex.run_pair_ensemble(F, "abc", 0.1, 5, pair_streams(0), 0.01, 1.0),
+     "starting positions"),
+    (lambda: relex.run_comparison(relex.benchmark_mixture(0.1), 0.01, 1.0, 1.0, 0.01, 10, 2,
+                                  0, [[2.0, 2.0], [2.0]]), "init"),
+    (lambda: relex.empirical_histogram("abc", [[-1.0, 1.0]], 4), "positions"),
+    (lambda: relex.build_gaussian_mixture("ab", [1.0], 0.1), "mixture centers"),
+    (lambda: relex.build_gaussian_mixture([[0.0, 0.0]], ["x"], 0.1), "mixture weights"),
+    (lambda: relex.swap_rate("a", 0, 0.1, 1), "objective values"),
+    (lambda: relex.swap_rate(0, 0, 0.1, [1, [2]]), "temperatures"),
+    (lambda: relex.gibbs_density(F, 0.5, "ab", 10), "grid bounds"),
+    (lambda: relex.check_gradient(F, "a"), "point"),
+    (lambda: relex.chi2_decay_experiment(F, 0.1, 1.0, 1.0, 0.01, 1000, "abc", [[-3.0, 3.0]],
+                                         10, 0), "sample times"),
+    (lambda: relex.discretization_error_experiment(F, 0.1, 1.0, 1.0, "ab", 1.0, 10, 0),
+     "stepsizes"),
+    (lambda: relex.discretization_error_experiment(F, 0.1, 1.0, 1.0, [0.01, [0.02]], 1.0,
+                                                   10, 0), "stepsizes"),
+], ids=["temps-text", "temps-ragged", "temps-object", "x0-text", "init-ragged",
+        "histogram-text", "centers-text", "weights-text", "swap-rate-text",
+        "swap-rate-ragged", "gibbs-bounds-text", "gradcheck-text", "sample-times-text",
+        "etas-text", "etas-ragged"])
+def test_an_array_input_that_is_not_numbers_is_an_input_error(call, what):
+    with pytest.raises(InputError, match=f"^{what} must be a number or a regular array "
+                                         f"of numbers, got "):
+        call()
