@@ -23,7 +23,7 @@ import sys
 import numpy as np
 
 from .diagnostics import chi2_decay_experiment
-from .errors import DivergenceError, InputError, RelexError
+from .errors import DivergenceError, InputError, RelexError, positive
 from .harness import (discretization_error_experiment, run_comparison, write_bestsofar_csv,
                       write_chi2decay_csv, write_discerr_csv, write_summary_csv)
 from .objective import benchmark_mixture, check_gradient, double_well, quadratic
@@ -284,14 +284,11 @@ def cmd_sweep(cfg, values, out) -> int:
 
 def cmd_chi2(cfg, values, out) -> int:
     f = OBJECTIVES[values["kind"]](values)
-    intensity = values["intensity"]
-    if intensity < 0:
-        raise InputError(f"dynamics.intensity must be nonnegative, got {intensity:g}")
-    fits = {}
-    for a in (0.0, intensity) if intensity > 0 else (0.0,):
-        fits[a] = chi2_decay_experiment(f, a=a, bounds=np.array([values["bounds"]]), **_take(
-            values, "tau1", "tau2", "eta", "ensemble", "sample_times", "resolution", "seed",
-            "fit_floor"))
+    intensity = positive("dynamics.intensity", values["intensity"], zero=True)
+    # one run without swaps, and one at the intensity unless that is 0 too
+    fits = {a: chi2_decay_experiment(f, a=a, bounds=np.array([values["bounds"]]), **_take(
+        values, "tau1", "tau2", "eta", "ensemble", "sample_times", "resolution", "seed",
+        "fit_floor")) for a in dict.fromkeys((0.0, intensity))}
     os.makedirs(out, exist_ok=True)
     write_chi2decay_csv(os.path.join(out, "chi2decay.csv"), fits,
                         emit_canonical_config(cfg))

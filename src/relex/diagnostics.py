@@ -10,12 +10,11 @@ which is why decay fits are restricted to a window above it.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, floats, integer
+from .errors import InputError, floats, integer, number, positive
 from .objective import ObjectiveFunction
 from .replica import pair_snapshots, swap_rate
 from .rng import STREAM_BOOTSTRAP, RngStream, pair_streams
@@ -77,10 +76,7 @@ def _grid(bounds, resolution):
             or not np.all(bounds[:, 0] < bounds[:, 1])):
         raise InputError(f"grid bounds must be finite (lo, hi) rows with lo < hi, "
                          f"got {bounds.tolist()}")
-    resolution = integer("grid resolution", resolution)
-    if resolution < 1:
-        raise InputError(f"grid resolution must be >= 1, got {resolution}")
-    return bounds, resolution
+    return bounds, integer("grid resolution", resolution, 1)
 
 
 def _max_boundary_cell(mass: np.ndarray) -> float:
@@ -117,8 +113,7 @@ def gibbs_density(f: ObjectiveFunction, tau: float, bounds, resolution: int) -> 
     Raises InputError when a boundary cell carries visible mass, meaning
     the requested bounds truncate the density.
     """
-    if not (tau > 0):
-        raise InputError(f"tau must be positive, got {tau}")
+    tau = positive("tau", tau)
     bounds, resolution = _grid(bounds, resolution)
     if bounds.shape[0] != f.dimension:
         raise InputError(f"bounds must have {f.dimension} rows")
@@ -136,8 +131,7 @@ def pair_gibbs_density(f: ObjectiveFunction, tau1: float, tau2: float,
     """Product-grid Gibbs density exp(-U(x1)/tau1 - U(x2)/tau2), d = 1 only."""
     if f.dimension != 1:
         raise InputError("pair grid diagnostics require a 1-D objective")
-    if not (tau1 > 0 and tau2 > 0):
-        raise InputError("temperatures must be positive")
+    tau1, tau2 = positive("tau1", tau1), positive("tau2", tau2)
     bounds, resolution = _grid(bounds, resolution)
     if bounds.shape[0] == 1:
         bounds = np.vstack([bounds, bounds])
@@ -160,6 +154,9 @@ def empirical_histogram(positions, bounds, resolution: int) -> GridMeasure:
     if np.isnan(positions).any():
         raise InputError("positions to histogram must not be NaN")
     bounds, resolution = _grid(bounds, resolution)
+    if positions.shape[1:] != bounds.shape[:1]:     # (N, d): a flat vector is one point
+        raise InputError(f"positions of shape {positions.shape} have {positions.shape[-1]} "
+                         f"coordinates, but the bounds have {bounds.shape[0]} rows")
     counts, _ = np.histogramdd(positions, bins=resolution,
                                range=[tuple(b) for b in bounds])
     total = positions.shape[0]
@@ -206,17 +203,17 @@ def chi2_decay_experiment(f: ObjectiveFunction, tau1: float, tau2: float,
     """
     if f.dimension != 1:
         raise InputError("chi-square decay experiment requires a 1-D objective")
-    if integer("ensemble", ensemble) < 1000:
-        raise InputError(f"ensemble must be >= 1000, got {ensemble}")
+    ensemble = integer("ensemble", ensemble, 1000)
+    tau1, tau2 = positive("tau1", tau1), positive("tau2", tau2)
     if not tau1 < tau2:     # the grid is (tau1, tau2), the snapshots (low, high)
         raise InputError("replica exchange requires tau1 < tau2")
-    if not (0 < eta < math.inf):    # the sample times are counted in steps of eta
-        raise InputError(f"eta must be positive and finite, got {eta}")
+    eta = positive("eta", eta)      # the sample times are counted in steps of eta
+    fit_floor = number("fit_floor", fit_floor)
     sample_times = floats("sample times", sample_times)
     if sample_times.size < 1 or not np.all(np.isfinite(sample_times) & (sample_times > 0)):
         raise InputError("sample times must be positive and finite")
     last = float(sample_times.max())
-    if last / float(eta) >= 2**53:     # beyond 2**53 a float step count is inexact
+    if last / eta >= 2**53:     # beyond 2**53 a float step count is inexact
         raise InputError(f"sample time {last:g} is 2**53 or more steps of eta = {eta:g}")
     sample_steps = np.maximum(1, np.rint(sample_times / eta).astype(int))
     if np.any(np.diff(sample_steps) <= 0):
@@ -264,8 +261,7 @@ def dirichlet_acceleration_term(f_test, f: ObjectiveFunction, tau1: float,
     """
     if pair_pi.ndim != 2 or not np.array_equal(pair_pi.bounds[0], pair_pi.bounds[1]):
         raise InputError("pair grid must be square for the exchange map")
-    if not (0 <= a < math.inf):
-        raise InputError(f"swap intensity must be nonnegative and finite, got {a}")
+    a = positive("swap intensity", a, zero=True)
     c = pair_pi.centers(0)
     u = np.asarray(f.eval(c[:, None]), dtype=float)
     s = swap_rate(u[:, None], u[None, :], tau1, tau2)

@@ -1,6 +1,7 @@
-"""Exception types shared across the package, and the integer and float
-coercions that raise them."""
+"""Exception types shared across the package, and the coercions of integers,
+numbers and float arrays that raise them."""
 
+import math
 import operator
 import reprlib
 
@@ -27,21 +28,47 @@ class DivergenceError(RelexError):
         self.iteration, self.chain, self.slot, self.position = iteration, chain, slot, position
 
 
-def integer(what: str, value) -> int:
-    """``value`` as an int, else an InputError naming ``what``. A count or a step
-    index given as a float, even a whole one, is an error: truncating it would
-    run another count, and a fractional step index names no step."""
+def integer(what: str, value, low: int | None = None) -> int:
+    """``value`` as an int of at least ``low``, else an InputError naming ``what``.
+    A count or a step index given as a float, even a whole one, is an error:
+    truncating it would run another count, and a fractional step names no step."""
     try:
-        return operator.index(value)
+        if isinstance(value, (bool, np.bool_)):     # a truth value, not a count
+            raise TypeError
+        value = operator.index(value)
     except TypeError:
-        raise InputError(f"{what} must be an integer, got {value!r}") from None
+        raise InputError(f"{what} must be an integer, got {reprlib.repr(value)}") from None
+    if low is not None and value < low:
+        raise InputError(f"{what} must be >= {low}, got {value}")
+    return value
+
+
+def number(what: str, value, test=math.isfinite, condition: str = "a finite number") -> float:
+    """``value`` as a float that passes ``test``, else an InputError saying ``what``
+    must be ``condition``. Text, bytes, bools, None and arrays with axes are no
+    number; by default any finite float of either sign passes."""
+    try:
+        array = np.asarray(value)
+        real = float(array) if array.ndim == 0 and array.dtype.kind in "iuf" else None
+    except (TypeError, ValueError):                 # a ragged nesting
+        real = None
+    if real is None or not test(real):
+        shown = reprlib.repr(value) if real is None else real
+        raise InputError(f"{what} must be {condition}, got {shown}")
+    return real
+
+
+def positive(what: str, value, zero: bool = False) -> float:
+    """``value`` as a finite float above 0, or at or above 0 with ``zero``."""
+    return number(what, value, lambda x: (0 <= x if zero else 0 < x) and x < math.inf,
+                  f"{'nonnegative' if zero else 'positive'} and finite")
 
 
 def floats(what: str, value) -> np.ndarray:
-    """``value`` as a float array, else an InputError naming ``what``: a string,
-    a ragged nesting or an object that is not a number is not an array of floats."""
+    """``value`` as a float array, else an InputError naming ``what``: text, bytes,
+    None, a ragged nesting or any other object that is no number holds no floats."""
     try:
-        return np.asarray(value, dtype=float)
+        return np.asarray(value).astype(float, copy=False, casting="same_kind")
     except (TypeError, ValueError):
         raise InputError(f"{what} must be a number or a regular array of numbers, "
                          f"got {reprlib.repr(value)}") from None

@@ -12,14 +12,13 @@ reproduces the low-temperature baseline bit for bit.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .errors import InputError, floats, integer
+from .errors import InputError, floats, integer, positive
 from .objective import ObjectiveFunction
 from .replica import by_temperature, run_pair_ensemble
 from .rng import pair_streams, position_streams
@@ -105,15 +104,12 @@ def run_comparison(f: ObjectiveFunction, tau1: float, tau2: float, a: float, eta
     the start is finite before it draws anything."""
     if not isinstance(f, ObjectiveFunction):
         raise InputError(f"objective must be an ObjectiveFunction, got {type(f).__name__}")
-    if not (0 < tau1 < math.inf and 0 < tau2 < math.inf):
-        raise InputError("temperatures must be positive and finite")
+    tau1, tau2 = positive("tau1", tau1), positive("tau2", tau2)
     if not (tau1 < tau2):
         raise InputError("replica exchange requires tau1 < tau2")
-    steps, ensemble = integer("steps", steps), integer("ensemble", ensemble)
-    stride = integer("stride", stride)
-    if steps < 1 or ensemble < 1:
-        raise InputError("steps and ensemble must be positive")
-    if stride < 1 or steps % stride != 0:
+    steps, ensemble = integer("steps", steps, 1), integer("ensemble", ensemble, 1)
+    stride = integer("stride", stride, 1)
+    if steps % stride != 0:
         raise InputError(f"stride {stride} must divide steps {steps}")
     d, n = f.dimension, ensemble
     init = floats("init", init)
@@ -152,10 +148,8 @@ def discretization_error_experiment(f: ObjectiveFunction, tau1: float, tau2: flo
     the coarse step's start. The finest grid is the brute-force reference for
     the continuous process.
     """
-    if integer("ensemble", ensemble) < 2:
-        raise InputError(f"ensemble must be >= 2 for a standard error, got {ensemble}")
-    if not (0 < T < math.inf):
-        raise InputError(f"horizon T must be positive and finite, got {T}")
+    ensemble = integer("ensemble", ensemble, 2)     # a standard error needs two
+    T = positive("horizon T", T)
     etas = np.sort(floats("stepsizes", etas), axis=None)[::-1]
     if etas.size == 0:
         raise InputError("need at least one stepsize")
@@ -164,14 +158,11 @@ def discretization_error_experiment(f: ObjectiveFunction, tau1: float, tau2: flo
     repeated = etas[1:][etas[1:] == etas[:-1]]     # etas are sorted
     if repeated.size:
         raise InputError(f"stepsize {repeated[0]} is listed twice")
-    if eta_ref is None:
-        eta_ref = float(etas.min()) / 16.0
-        if eta_ref == 0.0:
-            raise InputError(f"default eta_ref = {etas.min():g} / 16 underflows to 0")
-    elif not (0 < eta_ref < math.inf):
-        raise InputError(f"eta_ref must be positive and finite, got {eta_ref}")
+    eta_ref = float(etas.min()) / 16.0 if eta_ref is None else positive("eta_ref", eta_ref)
+    if eta_ref == 0.0:      # only the default can underflow
+        raise InputError(f"default eta_ref = {etas.min():g} / 16 underflows to 0")
     for what, span in ((f"horizon T = {T}", T), (f"stepsize {etas[0]}", etas[0])):
-        if float(span) / float(eta_ref) >= 2**53:   # no float counts such steps exactly
+        if float(span) / eta_ref >= 2**53:   # no float counts such steps exactly
             raise InputError(f"{what} is 2**53 or more steps of eta_ref = {eta_ref}")
     ratios = etas / eta_ref
     ms = [int(round(r)) for r in ratios]        # sub-steps per coarse step
@@ -203,9 +194,9 @@ def discretization_error_experiment(f: ObjectiveFunction, tau1: float, tau2: flo
         sq = np.sum((c1 - ref1) ** 2, axis=1) + np.sum((c2 - ref2) ** 2, axis=1)
         mses[i] = sq.mean()
         stderrs[i] = sq.std(ddof=1) / np.sqrt(ensemble)
-    positive = mses > 0
-    if positive.sum() >= 2:
-        slope = float(np.polyfit(np.log(etas[positive]), np.log(mses[positive]), 1)[0])
+    nonzero = mses > 0
+    if nonzero.sum() >= 2:
+        slope = float(np.polyfit(np.log(etas[nonzero]), np.log(mses[nonzero]), 1)[0])
     else:
         slope = float("nan")
     return DiscretizationResult(etas=etas, mse=mses, stderr=stderrs, slope=slope)

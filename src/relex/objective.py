@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InputError, floats, integer
+from .errors import InputError, floats, integer, positive
 
 # Centers of the benchmark mixture: (0,0), (0,1), ..., (0,4), (1,0), ..., (4,4).
 DEFAULT_CENTERS = np.array(
@@ -39,8 +39,7 @@ class ObjectiveFunction:
     value_and_grad: Callable[[np.ndarray], tuple]
 
     def __post_init__(self):
-        if integer("dimension", self.dimension) < 1:
-            raise InputError(f"dimension must be >= 1, got {self.dimension}")
+        integer("dimension", self.dimension, 1)
 
     def eval(self, x):
         return self.value_and_grad(x)[0]
@@ -59,8 +58,8 @@ def build_gaussian_mixture(centers, weights, kappa: float,
     """
     centers = np.atleast_2d(floats("mixture centers", centers))
     weights = floats("mixture weights", weights).ravel()
-    kappa = float(kappa)
-    lam = float(confinement)
+    kappa = positive("kappa", kappa)
+    lam = positive("confinement", confinement, zero=True)
     if centers.shape[0] == 0:
         raise InputError("mixture needs at least one center")
     if centers.shape[0] != weights.shape[0]:
@@ -72,13 +71,9 @@ def build_gaussian_mixture(centers, weights, kappa: float,
         raise InputError("mixture weights must be nonnegative")
     if not np.any(weights > 0):
         raise InputError("at least one mixture weight must be positive")
-    if not (0 < kappa < math.inf):
-        raise InputError(f"kappa must be positive and finite, got {kappa}")
     if not math.isfinite(float(weights.max()) / (2.0 * math.pi * kappa)):
         raise InputError(f"kappa = {kappa} overflows the mixture amplitude "
                          f"max(weights) / (2 pi kappa)")
-    if not (0 <= lam < math.inf):
-        raise InputError(f"confinement must be nonnegative and finite, got {lam}")
     dim = centers.shape[1]
     amp = (weights / (2.0 * np.pi * kappa))[:, None]   # (n, 1)
     centers_t = np.ascontiguousarray(centers.T)[:, :, None]   # (d, n, 1)
@@ -152,7 +147,8 @@ def benchmark_mixture(kappa: float, confinement: float = 0.0) -> ObjectiveFuncti
 
 
 def quadratic(dim: int = 2, scale: float = 0.5) -> ObjectiveFunction:
-    """U(x) = scale * ||x||^2. With scale 0.5 the gradient is x itself."""
+    """U(x) = scale * ||x||^2, scale >= 0. With scale 0.5 the gradient is x itself."""
+    scale = positive("scale", scale, zero=True)
 
     def value_and_grad(x):
         x = np.asarray(x, float)

@@ -16,12 +16,11 @@ their m uniforms does.
 
 from __future__ import annotations
 
-import math
 import warnings
 
 import numpy as np
 
-from .errors import InputError, floats, integer
+from .errors import InputError, floats, integer, positive
 from .langevin import check_finite
 from .objective import ObjectiveFunction
 
@@ -105,20 +104,14 @@ def run_pair_ensemble(f: ObjectiveFunction, x0, temps, steps: int, streams,
     from ``T`` until it is handed another object. Returns (positions,
     temperatures, swap counts per chain).
     """
-    if not (0 <= intensity < math.inf):
-        raise InputError(f"swap intensity must be nonnegative and finite, got {intensity}")
-    if not (0 < eta < math.inf):
-        raise InputError(f"eta must be positive and finite, got {eta}")
+    intensity = positive("swap intensity", intensity, zero=True)
+    eta = positive("eta", eta)
     if intensity * eta >= 1:
         warnings.warn(f"intensity * eta = {intensity * eta:g} >= 1; "
                       "swap probabilities will be clamped to 1", RuntimeWarning, stacklevel=2)
     if mode not in ("temperature", "position"):
         raise InputError(f"unknown swap mode {mode!r}")
-    steps, m = integer("steps", steps), integer("m", m)
-    if steps < 1:
-        raise InputError(f"steps must be >= 1, got {steps}")
-    if m < 1:
-        raise InputError(f"a step needs m >= 1 sub-steps, got {m}")
+    steps, m = integer("steps", steps, 1), integer("m", m, 1)
     x = np.array(floats("starting positions", x0))
     if x.ndim != 3 or x.shape[1] not in (1, 2) or x.shape[2] != f.dimension:
         raise InputError(f"positions must have shape (chains, 1 or 2, {f.dimension}), "
@@ -175,7 +168,7 @@ def pair_snapshots(f: ObjectiveFunction, x0, temps, steps: int, streams,
         if not 0 <= k <= steps:
             raise InputError(f"snapshot step {k} is outside [0, {steps}]")
         rows.setdefault(k, []).append(i)
-    snaps = np.empty((len(at),) + np.shape(x0))
+    snaps = np.empty((len(at),) + floats("starting positions", x0).shape)
 
     def observe(k, x, T, fx):
         if k in rows:

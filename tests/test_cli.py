@@ -266,7 +266,7 @@ class TestComparisonArguments:
         code = main(["compare", "--set", "init=uniform:-2,2", "--set", f"ensemble={ensemble}",
                      "--out", str(tmp_path / "res")])
         assert code == 2
-        assert capsys.readouterr().err == "relex: error: steps and ensemble must be positive\n"
+        assert capsys.readouterr().err == f"relex: error: ensemble must be >= 1, got {ensemble}\n"
         assert not (tmp_path / "res").exists()
 
 
@@ -395,7 +395,7 @@ class TestDispatch:
                      "--set", "intensity=-1", "--out", str(tmp_path)])
         assert code == 2 and runs == []
         assert capsys.readouterr().err == (
-            "relex: error: dynamics.intensity must be nonnegative, got -1\n")
+            "relex: error: dynamics.intensity must be nonnegative and finite, got -1.0\n")
         assert not (tmp_path / "chi2decay.csv").exists()
 
     @pytest.mark.parametrize("times, message", [

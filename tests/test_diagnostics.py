@@ -138,6 +138,14 @@ class TestHistogramAndDivergences:
         with pytest.raises(InputError, match="all positions fall outside the histogram bounds"):
             empirical_histogram(np.array([[5.0]]), [[-1, 1]], 4)
 
+    def test_flat_vector_is_one_point_and_must_match_the_bounds(self):
+        # positions are (N, d): a flat vector is one point of len(vector) coordinates
+        with pytest.raises(InputError, match=r"^positions of shape \(1, 3\) have 3 "
+                                             "coordinates, but the bounds have 1 rows$"):
+            empirical_histogram([0.1, 0.2, 0.3], [[-1, 1]], 4)
+        mu = empirical_histogram([0.1, 0.2], [[-1, 1], [-1, 1]], 4)
+        assert mu.mass[2, 2] == 1.0
+
     def test_chi2_zero_iff_equal(self):
         pi = gibbs_density(double_well(), 0.5, [[-3, 3]], 30)
         # cells whose mass sits below the pi floor contribute O(floor) noise
@@ -241,6 +249,20 @@ class TestDecayExperiment:
             with pytest.raises(InputError, match="^replica exchange requires tau1 < tau2$"):
                 chi2_decay_experiment(double_well(), tau1, tau2, 1.0, 0.001, 1000,
                                       [0.1, 0.2, 0.3], [[-3, 3]], 10, 0)
+
+    @pytest.mark.parametrize("floor", ["x", None, True, np.nan, -np.inf, [0.01, 0.02]])
+    def test_fit_floor_is_checked_before_any_draw(self, floor, monkeypatch):
+        def drew(*args):
+            raise AssertionError("drew noise")
+        monkeypatch.setattr(RngStream, "normal", drew)
+        with pytest.raises(InputError, match="^fit_floor must be a finite number, got "):
+            chi2_decay_experiment(double_well(), 0.1, 1.0, 1.0, 0.001, 1000,
+                                  [0.1, 0.2, 0.3], [[-3, 3]], 10, 0, fit_floor=floor)
+
+    def test_a_negative_fit_floor_keeps_every_time(self):
+        fit = chi2_decay_experiment(double_well(), 0.1, 1.0, 5.0, 0.001, 1000,
+                                    [0.01, 0.02, 0.03], [[-3.0, 3.0]], 12, 11, fit_floor=-1.0)
+        assert fit.times.size == 3 and np.isfinite(fit.rate)
 
     @pytest.mark.parametrize("times, message", [
         ([-3.0, -2.0, -1.0], "positive and finite"),

@@ -51,10 +51,10 @@ def no_draws():
 
 class TestRunComparisonInputs:
     @pytest.mark.parametrize("overrides, message", [
-        (dict(tau1=-0.1), "temperatures must be positive and finite"),
-        (dict(tau1=0.0), "temperatures must be positive and finite"),
-        (dict(tau1=math.nan), "temperatures must be positive and finite"),
-        (dict(tau2=math.inf), "temperatures must be positive and finite"),
+        (dict(tau1=-0.1), "^tau1 must be positive and finite, got -0.1$"),
+        (dict(tau1=0.0), "^tau1 must be positive and finite, got 0.0$"),
+        (dict(tau1=math.nan), "^tau1 must be positive and finite, got nan$"),
+        (dict(tau2=math.inf), "^tau2 must be positive and finite, got inf$"),
         (dict(tau1=2.0), "replica exchange requires tau1 < tau2"),
         (dict(tau1=1.0), "replica exchange requires tau1 < tau2"),
         (dict(a=-1.0), "swap intensity must be nonnegative and finite, got -1.0"),
@@ -63,8 +63,8 @@ class TestRunComparisonInputs:
         (dict(eta=0.0), "eta must be positive and finite, got 0.0"),
         (dict(eta=math.nan), "eta must be positive and finite, got nan"),
         (dict(eta=math.inf), "eta must be positive and finite, got inf"),
-        (dict(steps=0), "steps and ensemble must be positive"),
-        (dict(ensemble=0), "steps and ensemble must be positive"),
+        (dict(steps=0), "^steps must be >= 1, got 0$"),
+        (dict(ensemble=0), "^ensemble must be >= 1, got 0$"),
         (dict(steps=100.0), "^steps must be an integer, got 100.0$"),
         (dict(steps=200.5), "^steps must be an integer, got 200.5$"),
         (dict(ensemble=4.0), "^ensemble must be an integer, got 4.0$"),

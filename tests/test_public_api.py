@@ -2,8 +2,9 @@
 public callable are pinned, so a new name or a new knob is a deliberate,
 reviewed diff of the table below. The runtime dependencies are pinned too:
 the package imports only the standard library and numpy. An array input that
-is not numbers is an InputError naming it. The README's library example runs
-as written."""
+is not numbers is an InputError naming it, and so is a scalar parameter that
+is no number or out of its range. The README's library example runs as
+written."""
 
 import ast
 import inspect
@@ -16,7 +17,10 @@ import pytest
 
 import relex
 from relex import InputError
-from relex.rng import pair_streams
+from relex.cli import cmd_chi2, load_config, parse_config
+from relex.errors import floats
+from relex.objective import DEFAULT_CENTERS, DEFAULT_WEIGHTS
+from relex.rng import RngStream, pair_streams
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
@@ -164,11 +168,104 @@ PAIRS = np.zeros((2, 2, 1))
      "stepsizes"),
     (lambda: relex.discretization_error_experiment(F, 0.1, 1.0, 1.0, [0.01, [0.02]], 1.0,
                                                    10, 0), "stepsizes"),
+    # text stays text even where it spells a number
+    (lambda: relex.swap_rate("0.5", 0, 0.1, 1), "objective values"),
+    (lambda: relex.empirical_histogram(["1", "2"], [[-1.0, 1.0]], 4), "positions"),
+    (lambda: relex.swap_rate(0, 0, b"3", 1), "temperatures"),
+    (lambda: floats("x", "1.5"), "x"),
 ], ids=["temps-text", "temps-ragged", "temps-object", "x0-text", "init-ragged",
         "histogram-text", "centers-text", "weights-text", "swap-rate-text",
         "swap-rate-ragged", "gibbs-bounds-text", "gradcheck-text", "sample-times-text",
-        "etas-text", "etas-ragged"])
+        "etas-text", "etas-ragged", "swap-rate-numeric-text", "histogram-numeric-text",
+        "temps-bytes", "floats-numeric-text"])
 def test_an_array_input_that_is_not_numbers_is_an_input_error(call, what):
     with pytest.raises(InputError, match=f"^{what} must be a number or a regular array "
                                          f"of numbers, got "):
         call()
+
+
+# Every public scalar parameter: the name its message starts with, a call that
+# passes the value for it (all other arguments valid) and one out-of-range value.
+CHI2_VALUES = parse_config(load_config())
+PAIR_PI = relex.pair_gibbs_density(F, 0.1, 1.0, [[-3.0, 3.0]], 8)
+
+
+def _pairs(**kw):
+    return relex.run_pair_ensemble(F, PAIRS, (0.1, 1.0), **{
+        "steps": 5, "streams": pair_streams(0), "eta": 0.01, "intensity": 1.0, "m": 1, **kw})
+
+
+def _comparison(**kw):
+    return relex.run_comparison(F, **{"tau1": 0.1, "tau2": 1.0, "a": 1.0, "eta": 0.01,
+                                      "steps": 10, "ensemble": 2, "seed": 0, "init": (0.0,),
+                                      "stride": 5, **kw})
+
+
+def _chi2(**kw):
+    return relex.chi2_decay_experiment(F, **{
+        "tau1": 0.1, "tau2": 1.0, "a": 1.0, "eta": 0.01, "ensemble": 1000,
+        "sample_times": (0.1, 0.2, 0.3), "bounds": [[-3.0, 3.0]], "resolution": 10,
+        "seed": 0, "fit_floor": 0.01, **kw})
+
+
+def _discretization(**kw):
+    return relex.discretization_error_experiment(F, **{
+        "tau1": 0.1, "tau2": 1.0, "a": 1.0, "etas": (0.02, 0.01), "T": 0.2,
+        "ensemble": 10, "seed": 0, "eta_ref": 0.005, **kw})
+
+
+SCALARS = {
+    "run_pair_ensemble.intensity": ("swap intensity", lambda v: _pairs(intensity=v), -1.0),
+    "run_pair_ensemble.eta": ("eta", lambda v: _pairs(eta=v), 0.0),
+    "run_pair_ensemble.steps": ("steps", lambda v: _pairs(steps=v), 0),
+    "run_pair_ensemble.m": ("m", lambda v: _pairs(m=v), 0),
+    "run_comparison.tau1": ("tau1", lambda v: _comparison(tau1=v), -0.1),
+    "run_comparison.tau2": ("tau2", lambda v: _comparison(tau2=v), 0.0),
+    "run_comparison.steps": ("steps", lambda v: _comparison(steps=v), 0),
+    "run_comparison.ensemble": ("ensemble", lambda v: _comparison(ensemble=v), 0),
+    "run_comparison.stride": ("stride", lambda v: _comparison(stride=v), 0),
+    "chi2_decay_experiment.ensemble": ("ensemble", lambda v: _chi2(ensemble=v), 999),
+    "chi2_decay_experiment.tau1": ("tau1", lambda v: _chi2(tau1=v), 0.0),
+    "chi2_decay_experiment.tau2": ("tau2", lambda v: _chi2(tau2=v), -1.0),
+    "chi2_decay_experiment.eta": ("eta", lambda v: _chi2(eta=v), 0.0),
+    "discretization_error_experiment.ensemble": (
+        "ensemble", lambda v: _discretization(ensemble=v), 1),
+    "discretization_error_experiment.T": ("horizon T", lambda v: _discretization(T=v), 0.0),
+    "discretization_error_experiment.eta_ref": (
+        "eta_ref", lambda v: _discretization(eta_ref=v), -0.001),
+    "gibbs_density.tau": ("tau", lambda v: relex.gibbs_density(F, v, [[-3.0, 3.0]], 10), 0.0),
+    "gibbs_density.resolution": (
+        "grid resolution", lambda v: relex.gibbs_density(F, 0.5, [[-3.0, 3.0]], v), 0),
+    "pair_gibbs_density.tau1": (
+        "tau1", lambda v: relex.pair_gibbs_density(F, v, 1.0, [[-3.0, 3.0]], 10), 0.0),
+    "pair_gibbs_density.tau2": (
+        "tau2", lambda v: relex.pair_gibbs_density(F, 0.1, v, [[-3.0, 3.0]], 10), -1.0),
+    "dirichlet_acceleration_term.a": ("swap intensity", lambda v: relex.dirichlet_acceleration_term(
+        lambda x1, x2: x1, F, 0.1, 1.0, v, PAIR_PI), -1.0),
+    "ObjectiveFunction.dimension": (
+        "dimension", lambda v: relex.ObjectiveFunction(v, lambda x: (x, x)), 0),
+    "build_gaussian_mixture.kappa": ("kappa", lambda v: relex.build_gaussian_mixture(
+        DEFAULT_CENTERS, DEFAULT_WEIGHTS, v), 0.0),
+    "build_gaussian_mixture.confinement": ("confinement", lambda v: relex.build_gaussian_mixture(
+        DEFAULT_CENTERS, DEFAULT_WEIGHTS, 0.1, v), -1.0),
+    "quadratic.scale": ("scale", lambda v: relex.quadratic(2, v), -0.5),
+    "cli.cmd_chi2.intensity": ("dynamics.intensity", lambda v: cmd_chi2(
+        None, {**CHI2_VALUES, "intensity": v}, None), -1.0),
+}
+NO_NUMBERS = {"text": "1", "none": None, "bool": True, "array": np.array([1.0, 2.0]),
+              "object": object(), "nan": np.nan, "inf": np.inf}
+
+
+# eta_ref=None asks for the default reference step, so it is no error
+CASES = [(scalar, bad) for scalar in SCALARS for bad in [*NO_NUMBERS, "out-of-range"]
+         if (scalar, bad) != ("discretization_error_experiment.eta_ref", "none")]
+
+
+@pytest.mark.parametrize("scalar, bad", CASES, ids=[f"{s}-{b}" for s, b in CASES])
+def test_a_scalar_that_is_no_number_or_out_of_range_is_an_input_error(scalar, bad,
+                                                                       monkeypatch):
+    what, call, out_of_range = SCALARS[scalar]
+    for draw in ("normal", "uniform", "integers"):
+        monkeypatch.setattr(RngStream, draw, lambda *args: pytest.fail("noise was drawn"))
+    with pytest.raises(InputError, match=f"^{re.escape(what)} must be "):
+        call(out_of_range if bad == "out-of-range" else NO_NUMBERS[bad])

@@ -224,7 +224,7 @@ class TestPairEnsemble:
                               mode="bogus")
         with pytest.raises(InputError):
             run_pair_ensemble(*args, 0, pair_streams(0), 0.01, 1.0)
-        with pytest.raises(InputError, match="m >= 1"):
+        with pytest.raises(InputError, match="^m must be >= 1, got 0$"):
             run_pair_ensemble(*args, 10, pair_streams(0), 0.01, 1.0, m=0)
 
     @pytest.mark.parametrize("steps, m, message", [
@@ -419,6 +419,13 @@ class TestPairSnapshots:
         with pytest.raises(InputError, match="^snapshot step must be an integer, got 2.5$"):
             snapshots([2, 2.5, 10])
         assert np.array_equal(snapshots(np.array([2, 10])), snapshots([2, 10]))
+
+    def test_ragged_start_is_an_input_error(self):
+        # the snapshot array is sized from the coerced start, not from np.shape
+        with pytest.raises(InputError, match="^starting positions must be a number or a "
+                                             "regular array of numbers, got "):
+            pair_snapshots(double_well(), [[[0.0], [0.0]], [[0.0]]], (0.1, 1.0), 5,
+                           pair_streams(0), 0.01, 1.0, [1])
 
     def test_snapshots_match_the_observed_positions(self):
         f = double_well()

@@ -121,7 +121,7 @@ def test_derived_stream_of_a_negative_seed_rejected():
 
 @pytest.mark.parametrize("seed, stream_id, what", [
     (1.5, 0, "seed"), (1.0, 0, "seed"), (np.float64(2.0), 0, "seed"), ("1", 0, "seed"),
-    (0, 2.5, "stream id")])
+    (True, 0, "seed"), (0, np.True_, "stream id"), (0, 2.5, "stream id")])
 def test_non_integer_keys_rejected(seed, stream_id, what):
     # truncating them would replay an integer key's stream
     with pytest.raises(InputError, match=rf"{what} must be an integer, got "):
