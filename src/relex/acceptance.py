@@ -75,9 +75,8 @@ def criterion_2_null_coupling_bitwise():
     eta, tau1, tau2 = 0.01, 0.01, 1.0
     init = np.tile((2.0, 2.0), (nseeds, 1))
     xi, _ = pregenerate_noise(7, nseeds, steps, f.dimension)
-    snaps, swaps = pair_snapshots(f, np.stack((init, init), axis=1), (tau1, tau2), steps,
-                                  pair_streams(7, nseeds), eta, 0.0,
-                                  range(steps + 1))
+    snaps, swaps = pair_snapshots(f, np.stack((init, init), axis=1), (tau1, tau2),
+                                  pair_streams(7, nseeds), eta, 0.0, range(steps + 1))
     ok = int(swaps.sum()) == 0
     for slot, tau in enumerate((tau1, tau2)):
         pos = init
@@ -135,8 +134,7 @@ def criterion_5_dirichlet_term():
     bounds = np.array([[-3.0, 3.0]])
     pair_pi = pair_gibbs_density(f, tau1, tau2, bounds, 200)
 
-    grid_val = dirichlet_acceleration_term(lambda x1, x2: x1, f, tau1, tau2,
-                                           a, pair_pi)
+    grid_val = dirichlet_acceleration_term(lambda x1, x2: x1, a, pair_pi)
 
     # Monte Carlo oracle: sample the two independent Gibbs marginals from
     # fine histogram inverses and average a/2 * s * (x2 - x1)^2.
@@ -151,10 +149,8 @@ def criterion_5_dirichlet_term():
     mc_val = float(np.mean(0.5 * a * s * (x2 - x1) ** 2))
 
     rel = abs(grid_val - mc_val) / abs(mc_val)
-    sym_val = dirichlet_acceleration_term(lambda x1, x2: x1 + x2, f, tau1,
-                                          tau2, a, pair_pi)
-    zero_a = dirichlet_acceleration_term(lambda x1, x2: x1, f, tau1, tau2,
-                                         0.0, pair_pi)
+    sym_val = dirichlet_acceleration_term(lambda x1, x2: x1 + x2, a, pair_pi)
+    zero_a = dirichlet_acceleration_term(lambda x1, x2: x1, 0.0, pair_pi)
     ok = rel < 0.02 and sym_val == 0.0 and zero_a == 0.0
     return ok, (f"grid {grid_val:.6g} vs MC {mc_val:.6g} (rel {rel:.4f}); "
                 f"symmetric f -> {sym_val}, a=0 -> {zero_a}")
@@ -223,8 +219,8 @@ def criterion_8_formulation_equivalence():
     pooled = {}
     x0 = np.broadcast_to(np.reshape((1.0, -1.0), (1, 2, 1)), (chains, 2, 1))
     for offset, mode in ((0, "temperature"), (1, "position")):
-        snaps, _ = pair_snapshots(f, x0, (tau1, tau2), steps, pair_streams(80 + offset),
-                                  eta, 5.0, snapshot_steps, mode)
+        snaps, _ = pair_snapshots(f, x0, (tau1, tau2), pair_streams(80 + offset), eta, 5.0,
+                                  snapshot_steps, mode)
         pooled[mode] = np.concatenate(snaps[:, :, 0])
     mu_t = empirical_histogram(pooled["temperature"], bounds, 24)
     mu_p = empirical_histogram(pooled["position"], bounds, 24)

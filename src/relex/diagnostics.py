@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import InputError, floats, integer, number, positive
 from .objective import ObjectiveFunction
-from .replica import pair_snapshots, swap_rate
+from .replica import pair_snapshots
 from .rng import STREAM_BOOTSTRAP, RngStream, pair_streams
 
 PI_FLOOR = 1e-12
@@ -28,28 +28,33 @@ N_BOOTSTRAP = 40    # chain resamples behind a decay fit's standard errors
 class GridMeasure:
     """Probability mass on a uniform rectangular grid.
 
-    ``bounds`` is (d, 2); ``mass`` has shape (resolution,) * d. ``overflow``
+    ``bounds`` is (d, 2); ``mass`` has d axes of ``resolution`` cells. ``overflow``
     is the fraction of source points that fell outside the bounds (histogram
     use only; excluded from the normalized mass).
     """
 
     bounds: np.ndarray
-    resolution: int
     mass: np.ndarray
     overflow: float = 0.0
 
     def __post_init__(self):
         self.bounds = np.atleast_2d(np.asarray(self.bounds, dtype=float))
         self.mass = np.asarray(self.mass, dtype=float)
+        shape = self.mass.shape
+        if len(shape) != self.ndim or 0 in shape or len(set(shape)) != 1:
+            raise InputError(f"grid mass must have one equal, non-empty axis per bounds "
+                             f"row, got shape {shape} for {self.ndim} rows")
 
     @property
     def ndim(self):
         return self.bounds.shape[0]
 
+    @property
+    def resolution(self) -> int:
+        return self.mass.shape[0]
+
     def centers(self, axis: int = 0) -> np.ndarray:
-        lo, hi = self.bounds[axis]
-        width = (hi - lo) / self.resolution
-        return lo + (np.arange(self.resolution) + 0.5) * width
+        return _centers(self.bounds[axis], self.resolution)
 
     def same_grid(self, other: "GridMeasure") -> bool:
         return (self.resolution == other.resolution
@@ -77,6 +82,12 @@ def _grid(bounds, resolution):
         raise InputError(f"grid bounds must be finite (lo, hi) rows with lo < hi, "
                          f"got {bounds.tolist()}")
     return bounds, integer("grid resolution", resolution, 1)
+
+
+def _centers(row, resolution: int) -> np.ndarray:
+    """The ``resolution`` cell centres of the axis ``row`` = (lo, hi)."""
+    lo, hi = row
+    return lo + (np.arange(resolution) + 0.5) * ((hi - lo) / resolution)
 
 
 def _max_boundary_cell(mass: np.ndarray) -> float:
@@ -117,32 +128,27 @@ def gibbs_density(f: ObjectiveFunction, tau: float, bounds, resolution: int) -> 
     bounds, resolution = _grid(bounds, resolution)
     if bounds.shape[0] != f.dimension:
         raise InputError(f"bounds must have {f.dimension} rows")
-    gm = GridMeasure(bounds, resolution, np.empty((resolution,) * f.dimension))
-    axes = [gm.centers(k) for k in range(f.dimension)]
-    mesh = np.meshgrid(*axes, indexing="ij")
+    mesh = np.meshgrid(*(_centers(row, resolution) for row in bounds), indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=-1)
-    u = np.asarray(f.eval(pts), dtype=float).reshape(gm.mass.shape)
-    gm.mass = _untruncated_mass(_gibbs_weights(u, tau))
-    return gm
+    u = np.asarray(f.eval(pts), dtype=float).reshape((resolution,) * f.dimension)
+    return GridMeasure(bounds, _untruncated_mass(_gibbs_weights(u, tau)))
 
 
 def pair_gibbs_density(f: ObjectiveFunction, tau1: float, tau2: float,
                        bounds, resolution: int) -> GridMeasure:
-    """Product-grid Gibbs density exp(-U(x1)/tau1 - U(x2)/tau2), d = 1 only."""
+    """Product-grid Gibbs density exp(-U(x1)/tau1 - U(x2)/tau2), d = 1 only,
+    on the square grid whose two axes both span the one bounds row (lo, hi)."""
     if f.dimension != 1:
         raise InputError("pair grid diagnostics require a 1-D objective")
     tau1, tau2 = positive("tau1", tau1), positive("tau2", tau2)
     bounds, resolution = _grid(bounds, resolution)
-    if bounds.shape[0] == 1:
-        bounds = np.vstack([bounds, bounds])
-    gm = GridMeasure(bounds, resolution, np.empty((resolution,) * 2))
-    c1 = gm.centers(0)[:, None]
-    c2 = gm.centers(1)[:, None]
-    u1 = np.asarray(f.eval(c1), dtype=float)
-    u2 = np.asarray(f.eval(c2), dtype=float)
-    gm.mass = _untruncated_mass(_gibbs_weights(u1, tau1, "tau1")[:, None]
-                                * _gibbs_weights(u2, tau2, "tau2")[None, :])
-    return gm
+    if bounds.shape[0] != 1:
+        raise InputError(f"a pair grid takes one (lo, hi) bounds row for both axes, "
+                         f"got {bounds.shape[0]} rows")
+    u = np.asarray(f.eval(_centers(bounds[0], resolution)[:, None]), dtype=float)
+    mass = _untruncated_mass(_gibbs_weights(u, tau1, "tau1")[:, None]
+                             * _gibbs_weights(u, tau2, "tau2")[None, :])
+    return GridMeasure(np.vstack([bounds, bounds]), mass)
 
 
 def empirical_histogram(positions, bounds, resolution: int) -> GridMeasure:
@@ -163,8 +169,7 @@ def empirical_histogram(positions, bounds, resolution: int) -> GridMeasure:
     inside = counts.sum()
     if inside == 0:
         raise InputError("all positions fall outside the histogram bounds")
-    return GridMeasure(bounds, resolution, counts / inside,
-                       overflow=float(1.0 - inside / total))
+    return GridMeasure(bounds, counts / inside, overflow=float(1.0 - inside / total))
 
 
 def chi_square_divergence(mu: GridMeasure, pi: GridMeasure) -> float:
@@ -222,10 +227,9 @@ def chi2_decay_experiment(f: ObjectiveFunction, tau1: float, tau2: float,
     pi = pair_gibbs_density(f, tau1, tau2, bounds, resolution)
 
     times = sample_steps * eta
-    steps = int(sample_steps[-1])
     x0 = np.broadcast_to(np.reshape((1.0, -1.0), (1, 2, 1)), (ensemble, 2, 1))
-    snaps, _ = pair_snapshots(f, x0, (tau1, tau2), steps, pair_streams(seed),
-                              eta, a, sample_steps.tolist(), mode="position")
+    snaps, _ = pair_snapshots(f, x0, (tau1, tau2), pair_streams(seed), eta, a,
+                              sample_steps.tolist(), mode="position")
     pair_points = snaps[:, :, :, 0]
     chi2 = np.array([_chi2_of_points(pts, pi) for pts in pair_points])
     kept = int(np.sum(chi2 > fit_floor))
@@ -250,21 +254,21 @@ def chi2_decay_experiment(f: ObjectiveFunction, tau1: float, tau2: float,
                     bootstrap_std=bootstrap_std, rate_std=rate_std)
 
 
-def dirichlet_acceleration_term(f_test, f: ObjectiveFunction, tau1: float,
-                                tau2: float, a: float, pair_pi: GridMeasure) -> float:
+def dirichlet_acceleration_term(f_test, a: float, pair_pi: GridMeasure) -> float:
     """Grid quadrature of the swap term of the Dirichlet form:
     integral of a/2 * s(x1, x2) * (f(x2, x1) - f(x1, x2))^2 dpi.
 
-    ``f_test`` must accept two broadcastable coordinate arrays. The grid must
-    be square (both axes identical) so the exchange (x1, x2) -> (x2, x1)
-    stays on grid points.
+    ``pair_pi`` is the pair Gibbs law on a grid, as ``pair_gibbs_density``
+    builds it. Its swap rate is s = min(1, pi(x2, x1) / pi(x1, x2)), so
+    s * pi = min(pi, pi exchanged) and the sum weighs by the grid's own mass:
+    a/2 * sum of min(pi, pi^T) * (f(x2, x1) - f(x1, x2))^2. ``f_test`` must
+    accept two broadcastable coordinate arrays. The grid must be square (both
+    axes identical) so the exchange (x1, x2) -> (x2, x1) stays on grid points.
     """
     if pair_pi.ndim != 2 or not np.array_equal(pair_pi.bounds[0], pair_pi.bounds[1]):
         raise InputError("pair grid must be square for the exchange map")
     a = positive("swap intensity", a, zero=True)
     c = pair_pi.centers(0)
-    u = np.asarray(f.eval(c[:, None]), dtype=float)
-    s = swap_rate(u[:, None], u[None, :], tau1, tau2)
     x1, x2 = np.meshgrid(c, c, indexing="ij")
     diff = np.asarray(f_test(x2, x1), dtype=float) - np.asarray(f_test(x1, x2), dtype=float)
-    return float(0.5 * a * np.sum(s * diff * diff * pair_pi.mass))
+    return float(0.5 * a * np.sum(np.minimum(pair_pi.mass, pair_pi.mass.T) * diff * diff))

@@ -66,9 +66,12 @@ def positive(what: str, value, zero: bool = False) -> float:
 
 def floats(what: str, value) -> np.ndarray:
     """``value`` as a float array, else an InputError naming ``what``: text, bytes,
-    None, a ragged nesting or any other object that is no number holds no floats."""
+    None, bools, a ragged nesting or any other object that is no number holds no floats."""
     try:
-        return np.asarray(value).astype(float, copy=False, casting="same_kind")
+        array = np.asarray(value)
+        if array.dtype.kind == "b":
+            raise TypeError
+        return array.astype(float, copy=False, casting="same_kind")
     except (TypeError, ValueError):
         raise InputError(f"{what} must be a number or a regular array of numbers, "
                          f"got {reprlib.repr(value)}") from None

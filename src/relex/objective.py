@@ -27,6 +27,14 @@ DEFAULT_CENTERS = np.array(
 DEFAULT_WEIGHTS = np.arange(1, 26, dtype=float) / 325.0
 
 
+def _points(x, dim: int, what: str = "points") -> np.ndarray:
+    """``x`` as a float array of points (..., dim), else an InputError naming ``what``."""
+    x = np.asarray(x, dtype=float)
+    if x.shape[-1:] != (dim,):
+        raise InputError(f"{what} must have a last axis of size {dim}, got shape {x.shape}")
+    return x
+
+
 @dataclass(frozen=True)
 class ObjectiveFunction:
     """A scalar field on R^d with an analytic gradient.
@@ -78,13 +86,6 @@ def build_gaussian_mixture(centers, weights, kappa: float,
     amp = (weights / (2.0 * np.pi * kappa))[:, None]   # (n, 1)
     centers_t = np.ascontiguousarray(centers.T)[:, :, None]   # (d, n, 1)
 
-    def _points(x):
-        x = np.asarray(x, dtype=float)
-        if x.shape[-1:] != (dim,):
-            raise InputError(f"points must have a last axis of size {dim}, "
-                             f"got shape {x.shape}")
-        return x
-
     # The mixture works centre-major: one (d, n, P) array of differences over
     # the P points flattened innermost, so each numpy call covers every point.
     # Its sums round exactly as the same sums over (..., n, d) differences.
@@ -133,7 +134,7 @@ def build_gaussian_mixture(centers, weights, kappa: float,
         return g
 
     def value_and_grad(x):
-        x = _points(x)
+        x = _points(x, dim)
         diff, comps = _components(x)
         return _value(x, comps), _grad(x, diff, comps)
 
@@ -151,7 +152,7 @@ def quadratic(dim: int = 2, scale: float = 0.5) -> ObjectiveFunction:
     scale = positive("scale", scale, zero=True)
 
     def value_and_grad(x):
-        x = np.asarray(x, float)
+        x = _points(x, dim)
         return scale * np.sum(x ** 2, axis=-1), 2.0 * scale * x
 
     return ObjectiveFunction(dim, value_and_grad)
@@ -161,7 +162,7 @@ def double_well() -> ObjectiveFunction:
     """1-D double well U(x) = (x^2 - 1)^2 with minima at x = +-1."""
 
     def value_and_grad(x):
-        x = np.asarray(x, float)
+        x = _points(x, 1)
         t = x[..., 0:1] ** 2 - 1.0
         return (t * t)[..., 0], 4.0 * x * t
 
@@ -173,10 +174,7 @@ def check_gradient(f: ObjectiveFunction, point) -> float:
     with central differences of step 1e-6. ``point`` is one point (d,) or a
     batch (..., d); a batch gives the max over its points."""
     step = 1e-6
-    point = floats("point", point)
-    if point.shape[-1:] != (f.dimension,):
-        raise InputError(f"point must have a last axis of size {f.dimension}, "
-                         f"got shape {point.shape}")
+    point = _points(floats("point", point), f.dimension, "point")
     if not np.all(np.isfinite(point)):
         raise InputError("point must be finite")
     analytic = np.asarray(f.grad(point), dtype=float)

@@ -157,17 +157,15 @@ def run_pair_ensemble(f: ObjectiveFunction, x0, temps, steps: int, streams,
     return x, T, swaps
 
 
-def pair_snapshots(f: ObjectiveFunction, x0, temps, steps: int, streams,
-                   eta: float, intensity: float, at, mode: str = "temperature"):
-    """Pair run that records ``by_temperature(x, T)`` at each step k in
-    ``at`` (k = 0 is the start; every k must lie in [0, steps]). Returns
+def pair_snapshots(f: ObjectiveFunction, x0, temps, streams, eta: float,
+                   intensity: float, at, mode: str = "temperature"):
+    """Pair run to step max(at) that records ``by_temperature(x, T)`` at each
+    step k >= 0 in ``at`` (k = 0 is the start). Returns
     (snapshots (len(at), chains, 2, d), swap counts per chain)."""
     rows = {}
     for i, k in enumerate(at):
-        k = integer("snapshot step", k)
-        if not 0 <= k <= steps:
-            raise InputError(f"snapshot step {k} is outside [0, {steps}]")
-        rows.setdefault(k, []).append(i)
+        rows.setdefault(integer("snapshot step", k, 0), []).append(i)
+    steps = integer("last snapshot step", max(rows, default=0), 1)
     snaps = np.empty((len(at),) + floats("starting positions", x0).shape)
 
     def observe(k, x, T, fx):

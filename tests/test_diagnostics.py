@@ -4,6 +4,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relex.diagnostics import (PI_FLOOR, GridMeasure, _max_boundary_cell,
                                chi2_decay_experiment,
@@ -13,7 +15,8 @@ from relex.diagnostics import (PI_FLOOR, GridMeasure, _max_boundary_cell,
                                pair_gibbs_density, total_variation)
 from relex.errors import InputError
 from relex.harness import _best_so_far, _summarize
-from relex.objective import double_well, quadratic
+from relex.objective import ObjectiveFunction, double_well, quadratic
+from relex.replica import swap_rate
 from relex.rng import RngStream
 
 
@@ -86,6 +89,23 @@ class TestPairGibbsDensity:
         with pytest.raises(InputError):
             pair_gibbs_density(quadratic(2), 0.1, 1.0, [[-3, 3]], 10)
 
+    @pytest.mark.parametrize("rows", [2, 3])
+    def test_takes_one_bounds_row(self, rows):
+        with pytest.raises(InputError, match=f"^a pair grid takes one \\(lo, hi\\) bounds row "
+                                             f"for both axes, got {rows} rows$"):
+            pair_gibbs_density(double_well(), 0.1, 1.0, [[-3.0, 3.0]] * rows, 10)
+
+    def test_evaluates_u_once_on_the_shared_centres(self):
+        calls = []
+
+        def value_and_grad(x):
+            calls.append(np.array(x))
+            return double_well().value_and_grad(x)
+        pair = pair_gibbs_density(ObjectiveFunction(1, value_and_grad), 0.1, 1.0,
+                                  [[-3.0, 3.0]], 12)
+        assert len(calls) == 1 and np.array_equal(calls[0][:, 0], pair.centers(1))
+        assert np.array_equal(pair.bounds, [[-3.0, 3.0], [-3.0, 3.0]])
+
 
 BUILDERS = {
     "gibbs": lambda bounds, res: gibbs_density(double_well(), 0.5, bounds, res),
@@ -115,6 +135,24 @@ def test_grid_resolution_must_be_an_integer(builder):
     with pytest.raises(InputError, match="^grid resolution must be an integer, got 12.7$"):
         BUILDERS[builder]([[-3.0, 3.0]], 12.7)
     assert BUILDERS[builder]([[-3.0, 3.0]], np.int64(12)).resolution == 12
+
+
+class TestGridMeasure:
+    def test_resolution_is_the_mass_axis(self):
+        gm = GridMeasure([[-1.0, 1.0], [0.0, 2.0]], np.full((4, 4), 1 / 16))
+        assert gm.resolution == 4 and gm.ndim == 2
+        assert np.array_equal(gm.centers(1), [0.25, 0.75, 1.25, 1.75])
+
+    @pytest.mark.parametrize("bounds, mass", [
+        ([[-1.0, 1.0], [-1.0, 1.0]], np.full((10, 12), 1 / 120)),
+        ([[-1.0, 1.0]], 1.0),
+        ([[-1.0, 1.0]], np.empty(0)),
+        ([[-1.0, 1.0]], np.full((3, 3), 1 / 9)),
+    ], ids=["unequal-axes", "0-d", "empty", "axes-beyond-the-bounds"])
+    def test_mass_must_be_one_equal_nonempty_axis_per_bounds_row(self, bounds, mass):
+        with pytest.raises(InputError, match="^grid mass must have one equal, non-empty "
+                                             "axis per bounds row, got shape "):
+            GridMeasure(bounds, mass)
 
 
 class TestHistogramAndDivergences:
@@ -154,7 +192,7 @@ class TestHistogramAndDivergences:
 
     def test_chi2_positive_and_floored(self):
         pi = gibbs_density(double_well(), 0.5, [[-3, 3]], 30)
-        mu = GridMeasure(pi.bounds, pi.resolution, np.roll(pi.mass, 3))
+        mu = GridMeasure(pi.bounds, np.roll(pi.mass, 3))
         assert chi_square_divergence(mu, pi) > 0.0
         assert 0.0 < total_variation(mu, pi) <= 1.0
 
@@ -177,6 +215,21 @@ class TestHistogramAndDivergences:
         assert total_variation(mu, pi) < 0.02
 
 
+def swap_term_reference(f_test, f, tau1, tau2, a, pair_pi):
+    """The swap term from its definition: a/2 * sum of s * (Delta f)^2 * pi, with
+    s from ``swap_rate`` of U at the temperatures the pair grid was built at."""
+    c = pair_pi.centers(0)
+    u = np.asarray(f.eval(c[:, None]), dtype=float)
+    s = swap_rate(u[:, None], u[None, :], tau1, tau2)
+    x1, x2 = np.meshgrid(c, c, indexing="ij")
+    diff = np.asarray(f_test(x2, x1), dtype=float) - np.asarray(f_test(x1, x2), dtype=float)
+    return float(0.5 * a * np.sum(s * diff * diff * pair_pi.mass))
+
+
+TEST_FUNCTIONS = [lambda x1, x2: x1, lambda x1, x2: x1 * x2 + x1,
+                  lambda x1, x2: np.sin(3.0 * x1) - x2 ** 2, lambda x1, x2: x1 ** 3]
+
+
 class TestDirichletTerm:
     def test_flat_potential_closed_form(self):
         # s = 1 everywhere and pi is the discrete uniform over cell centers:
@@ -184,40 +237,51 @@ class TestDirichletTerm:
         # h^2 (n^2 - 1) / 12 for n cells of width h.
         n = 60
         pair = pair_gibbs_density(quadratic(1, scale=0.0), 0.1, 1.0, [[-3, 3]], n)
-        val = dirichlet_acceleration_term(lambda x1, x2: x1, quadratic(1, scale=0.0),
-                                          0.1, 1.0, 1.0, pair)
+        val = dirichlet_acceleration_term(lambda x1, x2: x1, 1.0, pair)
         h = 6.0 / n
         var = h * h * (n * n - 1) / 12.0
         assert np.isclose(val, var, rtol=1e-12)
 
     def test_symmetric_f_and_zero_intensity_vanish(self):
-        f = double_well()
-        pair = pair_gibbs_density(f, 0.1, 1.0, [[-3, 3]], 50)
-        assert dirichlet_acceleration_term(lambda a, b: a * b, f, 0.1, 1.0,
-                                           1.0, pair) == 0.0
-        assert dirichlet_acceleration_term(lambda a, b: a, f, 0.1, 1.0,
-                                           0.0, pair) == 0.0
+        pair = pair_gibbs_density(double_well(), 0.1, 1.0, [[-3, 3]], 50)
+        assert dirichlet_acceleration_term(lambda a, b: a * b, 1.0, pair) == 0.0
+        assert dirichlet_acceleration_term(lambda a, b: a, 0.0, pair) == 0.0
 
     def test_scales_linearly_in_intensity(self):
-        f = double_well()
-        pair = pair_gibbs_density(f, 0.1, 1.0, [[-3, 3]], 50)
-        v1 = dirichlet_acceleration_term(lambda a, b: a, f, 0.1, 1.0, 1.0, pair)
-        v3 = dirichlet_acceleration_term(lambda a, b: a, f, 0.1, 1.0, 3.0, pair)
+        pair = pair_gibbs_density(double_well(), 0.1, 1.0, [[-3, 3]], 50)
+        v1 = dirichlet_acceleration_term(lambda a, b: a, 1.0, pair)
+        v3 = dirichlet_acceleration_term(lambda a, b: a, 3.0, pair)
         assert np.isclose(v3, 3.0 * v1)
         assert v1 > 0.0
+
+    def test_criterion_5_grid_equals_the_reference_exactly(self):
+        pair = pair_gibbs_density(double_well(), 0.1, 1.0, [[-3.0, 3.0]], 200)
+        val = dirichlet_acceleration_term(lambda x1, x2: x1, 1.0, pair)
+        assert val == swap_term_reference(lambda x1, x2: x1, double_well(), 0.1, 1.0, 1.0,
+                                          pair) == 0.34981380398579837
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(tau1=st.floats(0.05, 1.0), tau2=st.floats(0.05, 1.0), n=st.integers(8, 60),
+           lo=st.floats(-3.5, -3.0), hi=st.floats(3.0, 3.5),
+           f_test=st.sampled_from(TEST_FUNCTIONS))
+    def test_min_of_the_grid_mass_is_the_swap_rate_times_the_mass(self, tau1, tau2, n, lo,
+                                                                   hi, f_test):
+        # s = min(1, pi(x2, x1) / pi(x1, x2)), so s * pi = min(pi, pi^T) up to rounding
+        pair = pair_gibbs_density(double_well(), tau1, tau2, [[lo, hi]], n)
+        want = swap_term_reference(f_test, double_well(), tau1, tau2, 1.0, pair)
+        got = dirichlet_acceleration_term(f_test, 1.0, pair)
+        assert abs(got - want) <= 1e-15 * abs(want)
 
     @pytest.mark.parametrize("a", [-1.0, np.nan, np.inf])
     def test_rejects_an_intensity_that_is_negative_or_not_finite(self, a):
         pair = pair_gibbs_density(double_well(), 0.1, 1.0, [[-3, 3]], 10)
         with pytest.raises(InputError, match="swap intensity must be nonnegative and finite"):
-            dirichlet_acceleration_term(lambda x1, x2: x1, double_well(), 0.1, 1.0, a, pair)
+            dirichlet_acceleration_term(lambda x1, x2: x1, a, pair)
 
     def test_rejects_nonsquare_grid(self):
-        gm = GridMeasure(np.array([[-3.0, 3.0], [-2.0, 2.0]]), 10,
-                         np.full((10, 10), 0.01))
+        gm = GridMeasure(np.array([[-3.0, 3.0], [-2.0, 2.0]]), np.full((10, 10), 0.01))
         with pytest.raises(InputError, match="pair grid must be square for the exchange map"):
-            dirichlet_acceleration_term(lambda a, b: a, double_well(),
-                                        0.1, 1.0, 1.0, gm)
+            dirichlet_acceleration_term(lambda a, b: a, 1.0, gm)
 
 
 class TestDecayExperiment:

@@ -169,7 +169,7 @@ class TestRunComparison:
         for summary, intensity, slot in zip(summaries, (0.0, 0.0, run["a"]),
                                             (0, 1, 0)):
             traj, _ = pair_snapshots(f, np.stack((init, init), axis=1),
-                                     (run["tau1"], run["tau2"]), 120,
+                                     (run["tau1"], run["tau2"]),
                                      pair_streams(run["seed"], 5), run["eta"], intensity,
                                      range(121))
             best = np.minimum.accumulate(f.eval(traj[:, :, slot]), axis=0)

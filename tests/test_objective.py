@@ -349,9 +349,16 @@ def test_mixture_keeps_nan_coordinates():
         assert np.all(np.isnan(got[0])) and not np.any(np.isnan(got[1:]))
 
 
-@pytest.mark.parametrize("shape", [(3,), (4, 1), (2, 2, 3), ()])
-def test_mixture_rejects_points_of_another_dimension(shape):
-    f = benchmark_mixture(0.1)
+@pytest.mark.parametrize("factory", [double_well, lambda: quadratic(2),
+                                     lambda: benchmark_mixture(0.1)],
+                         ids=["double_well", "quadratic", "mixture"])
+@pytest.mark.parametrize("shape", [(3,), (4, 3), (2, 2, 3), ()])
+def test_points_of_another_dimension_are_rejected(factory, shape):
+    f = factory()
     for fn in (f.eval, f.grad, f.value_and_grad):
-        with pytest.raises(InputError, match="last axis of size 2"):
+        with pytest.raises(InputError, match=f"^points must have a last axis of size "
+                                             f"{f.dimension}, got shape "):
             fn(np.zeros(shape))
+    # one coordinate too few
+    with pytest.raises(InputError, match="last axis"):
+        f.eval(np.zeros((4, 2) if f.dimension == 1 else (4, f.dimension - 1)))

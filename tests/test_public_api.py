@@ -29,7 +29,7 @@ README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 SIGNATURES = {
     "DecayFit": ("times", "chi2", "rate", "bootstrap_std", "rate_std"),
     "DivergenceError": ("message", "iteration", "chain", "slot", "position"),
-    "GridMeasure": ("bounds", "resolution", "mass", "overflow"),
+    "GridMeasure": ("bounds", "mass", "overflow"),
     "InputError": None,
     "ObjectiveFunction": ("dimension", "value_and_grad"),
     "RelexError": None,
@@ -43,7 +43,7 @@ SIGNATURES = {
                               "bounds", "resolution", "seed", "fit_floor"),
     "chi_square_divergence": ("mu", "pi"),
     "derive_stream": ("seed", "purpose", "chain"),
-    "dirichlet_acceleration_term": ("f_test", "f", "tau1", "tau2", "a", "pair_pi"),
+    "dirichlet_acceleration_term": ("f_test", "a", "pair_pi"),
     "discretization_error_experiment": ("f", "tau1", "tau2", "a", "etas", "T", "ensemble",
                                         "seed", "eta_ref"),
     "double_well": (),
@@ -173,11 +173,17 @@ PAIRS = np.zeros((2, 2, 1))
     (lambda: relex.empirical_histogram(["1", "2"], [[-1.0, 1.0]], 4), "positions"),
     (lambda: relex.swap_rate(0, 0, b"3", 1), "temperatures"),
     (lambda: floats("x", "1.5"), "x"),
+    # truth values are no numbers either, as errors.number holds
+    (lambda: relex.swap_rate(True, 0, 0.1, 1), "objective values"),
+    (lambda: relex.swap_rate(0, 0, [True, False], 1), "temperatures"),
+    (lambda: relex.empirical_histogram([[True], [False]], [[-1.0, 2.0]], 3), "positions"),
+    (lambda: floats("x", np.bool_(1)), "x"),
 ], ids=["temps-text", "temps-ragged", "temps-object", "x0-text", "init-ragged",
         "histogram-text", "centers-text", "weights-text", "swap-rate-text",
         "swap-rate-ragged", "gibbs-bounds-text", "gradcheck-text", "sample-times-text",
         "etas-text", "etas-ragged", "swap-rate-numeric-text", "histogram-numeric-text",
-        "temps-bytes", "floats-numeric-text"])
+        "temps-bytes", "floats-numeric-text", "swap-rate-bool", "temps-bools",
+        "histogram-bools", "floats-numpy-bool"])
 def test_an_array_input_that_is_not_numbers_is_an_input_error(call, what):
     with pytest.raises(InputError, match=f"^{what} must be a number or a regular array "
                                          f"of numbers, got "):
@@ -241,7 +247,7 @@ SCALARS = {
     "pair_gibbs_density.tau2": (
         "tau2", lambda v: relex.pair_gibbs_density(F, 0.1, v, [[-3.0, 3.0]], 10), -1.0),
     "dirichlet_acceleration_term.a": ("swap intensity", lambda v: relex.dirichlet_acceleration_term(
-        lambda x1, x2: x1, F, 0.1, 1.0, v, PAIR_PI), -1.0),
+        lambda x1, x2: x1, v, PAIR_PI), -1.0),
     "ObjectiveFunction.dimension": (
         "dimension", lambda v: relex.ObjectiveFunction(v, lambda x: (x, x)), 0),
     "build_gaussian_mixture.kappa": ("kappa", lambda v: relex.build_gaussian_mixture(

@@ -405,17 +405,37 @@ class TestFired:
 
 class TestPairSnapshots:
     def test_steps_outside_the_run_rejected(self):
-        args = (double_well(), pair(np.ones((2, 1)), -np.ones((2, 1))), (0.1, 1.0), 5,
-                pair_streams(0), 0.01, 1.0)
-        for at in ([2, 7], [2, -1], [6]):
-            with pytest.raises(InputError, match="outside"):
-                pair_snapshots(*args, at)
+        # the run ends at max(at), so only a step before the start lies outside it
+        with pytest.raises(InputError, match="^snapshot step must be >= 0, got -1$"):
+            pair_snapshots(double_well(), pair(np.ones((2, 1)), -np.ones((2, 1))), (0.1, 1.0),
+                           pair_streams(0), 0.01, 1.0, [2, -1])
+
+    def test_run_ends_at_the_last_snapshot_step(self):
+        calls = []
+
+        def value_and_grad(x):
+            calls.append(x.shape)
+            return double_well().value_and_grad(x)
+        f, x0 = ObjectiveFunction(1, value_and_grad), pair(np.ones((2, 1)), -np.ones((2, 1)))
+        seen = []
+        run_pair_ensemble(f, x0, (0.1, 1.0), 3, pair_streams(0), 0.01, 1.0,
+                          observe=lambda k, x, T, fx: seen.append(by_temperature(x, T)))
+        calls.clear()
+        snaps, _ = pair_snapshots(f, x0, (0.1, 1.0), pair_streams(0), 0.01, 1.0, [3, 0])
+        assert np.array_equal(snaps, [seen[3], seen[0]])
+        assert len(calls) == 4      # three steps, then the observer's final values
+
+    @pytest.mark.parametrize("at", [[0], []])
+    def test_a_run_of_no_steps_is_an_input_error(self, at):
+        with pytest.raises(InputError, match="^last snapshot step must be >= 1, got 0$"):
+            pair_snapshots(double_well(), pair(np.ones((2, 1)), -np.ones((2, 1))), (0.1, 1.0),
+                           pair_streams(0), 0.01, 1.0, at)
 
     def test_fractional_steps_rejected(self):
         # a step index no step reaches would leave its snapshot unwritten
         def snapshots(at):
             return pair_snapshots(double_well(), pair(np.ones((2, 1)), -np.ones((2, 1))),
-                                  (0.1, 1.0), 10, pair_streams(0), 0.01, 1.0, at)[0]
+                                  (0.1, 1.0), pair_streams(0), 0.01, 1.0, at)[0]
         with pytest.raises(InputError, match="^snapshot step must be an integer, got 2.5$"):
             snapshots([2, 2.5, 10])
         assert np.array_equal(snapshots(np.array([2, 10])), snapshots([2, 10]))
@@ -424,7 +444,7 @@ class TestPairSnapshots:
         # the snapshot array is sized from the coerced start, not from np.shape
         with pytest.raises(InputError, match="^starting positions must be a number or a "
                                              "regular array of numbers, got "):
-            pair_snapshots(double_well(), [[[0.0], [0.0]], [[0.0]]], (0.1, 1.0), 5,
+            pair_snapshots(double_well(), [[[0.0], [0.0]], [[0.0]]], (0.1, 1.0),
                            pair_streams(0), 0.01, 1.0, [1])
 
     def test_snapshots_match_the_observed_positions(self):
@@ -433,8 +453,8 @@ class TestPairSnapshots:
         seen = {}
         run_pair_ensemble(f, x0, (0.1, 1.0), 5, pair_streams(5), 0.01, 5.0,
                           observe=lambda k, x, T, fx: seen.setdefault(k, by_temperature(x, T)))
-        snaps, _ = pair_snapshots(f, x0, (0.1, 1.0), 5, pair_streams(5),
-                                  0.01, 5.0, [5, 0, 2, 5])
+        snaps, _ = pair_snapshots(f, x0, (0.1, 1.0), pair_streams(5), 0.01, 5.0,
+                                  [5, 0, 2, 5])
         for row, k in zip(snaps, [5, 0, 2, 5]):
             assert np.array_equal(row, seen[k])
 
