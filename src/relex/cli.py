@@ -237,15 +237,23 @@ def _comparison(values: dict, f):
 # ---------------------------------------------------------------------------
 # Subcommand handlers.
 
-def cmd_compare(cfg, values, out) -> int:
-    summaries = _comparison(values, OBJECTIVES[values["kind"]](values))
+def _write(out, cfg, files) -> str:
+    """The one output path: make the directory ``out`` and write each
+    (file name, writer, data) of ``files`` into it, every file under the
+    canonical echo of ``cfg``. Returns the paths written, as handlers print them."""
     os.makedirs(out, exist_ok=True)
     echo = emit_canonical_config(cfg)
-    write_bestsofar_csv(os.path.join(out, "bestsofar.csv"), summaries, echo)
-    write_summary_csv(os.path.join(out, "summary.csv"), summaries, echo)
+    for name, writer, data in files:
+        writer(os.path.join(out, name), data, echo)
+    return ", ".join(f"{out}/{name}" for name, _, _ in files)
+
+
+def cmd_compare(cfg, values, out) -> int:
+    summaries = _comparison(values, OBJECTIVES[values["kind"]](values))
+    wrote = _write(out, cfg, [("bestsofar.csv", write_bestsofar_csv, summaries),
+                              ("summary.csv", write_summary_csv, summaries)])
     finals = {s.algorithm: float(np.median(s.final_best)) for s in summaries}
-    print(f"compare: wrote {out}/bestsofar.csv, {out}/summary.csv; "
-          f"median final best {finals}")
+    print(f"compare: wrote {wrote}; median final best {finals}")
     return 0
 
 
@@ -270,14 +278,11 @@ def cmd_sweep(cfg, values, out) -> int:
     objectives = [OBJECTIVES["gaussian_mixture"]({**values, "kappa": kappa})
                   for kappa in echoed.values()]
     results = [_comparison(values, f) for f in objectives]
-    os.makedirs(out, exist_ok=True)
     for text, summaries in zip(echoed, results):
-        echo = emit_canonical_config({**cfg, "objective": {**cfg["objective"], "kappa": text}})
         tag = text.replace(".", "p")
-        write_bestsofar_csv(os.path.join(out, f"bestsofar_kappa{tag}.csv"),
-                            summaries, echo)
-        write_summary_csv(os.path.join(out, f"summary_kappa{tag}.csv"),
-                          summaries, echo)
+        _write(out, {**cfg, "objective": {**cfg["objective"], "kappa": text}},
+               [(f"bestsofar_kappa{tag}.csv", write_bestsofar_csv, summaries),
+                (f"summary_kappa{tag}.csv", write_summary_csv, summaries)])
     print(f"sweep: wrote {2 * len(kappas)} files under {out}")
     return 0
 
@@ -289,11 +294,9 @@ def cmd_chi2(cfg, values, out) -> int:
     fits = {a: chi2_decay_experiment(f, a=a, bounds=np.array([values["bounds"]]), **_take(
         values, "tau1", "tau2", "eta", "ensemble", "sample_times", "resolution", "seed",
         "fit_floor")) for a in dict.fromkeys((0.0, intensity))}
-    os.makedirs(out, exist_ok=True)
-    write_chi2decay_csv(os.path.join(out, "chi2decay.csv"), fits,
-                        emit_canonical_config(cfg))
+    wrote = _write(out, cfg, [("chi2decay.csv", write_chi2decay_csv, fits)])
     rates = {a: f"{fit.rate:.4g}" for a, fit in fits.items()}
-    print(f"chi2: wrote {out}/chi2decay.csv; fitted decay rates {rates}")
+    print(f"chi2: wrote {wrote}; fitted decay rates {rates}")
     return 0
 
 
@@ -301,10 +304,8 @@ def cmd_discerr(cfg, values, out) -> int:
     result = discretization_error_experiment(
         OBJECTIVES[values["kind"]](values), a=values["intensity"], T=values["horizon"],
         **_take(values, "tau1", "tau2", "etas", "ensemble", "seed", "eta_ref"))
-    os.makedirs(out, exist_ok=True)
-    write_discerr_csv(os.path.join(out, "discerr.csv"), result,
-                      emit_canonical_config(cfg))
-    print(f"discerr: wrote {out}/discerr.csv; log-log slope {result.slope:.4g}")
+    wrote = _write(out, cfg, [("discerr.csv", write_discerr_csv, result)])
+    print(f"discerr: wrote {wrote}; log-log slope {result.slope:.4g}")
     return 0
 
 

@@ -24,7 +24,7 @@ BOUNDARY_MASS_LIMIT = 1e-6
 N_BOOTSTRAP = 40    # chain resamples behind a decay fit's standard errors
 
 
-@dataclass
+@dataclass(frozen=True)
 class GridMeasure:
     """Probability mass on a uniform rectangular grid.
 
@@ -38,8 +38,9 @@ class GridMeasure:
     overflow: float = 0.0
 
     def __post_init__(self):
-        self.bounds = np.atleast_2d(np.asarray(self.bounds, dtype=float))
-        self.mass = np.asarray(self.mass, dtype=float)
+        # frozen: a field set later would skip the shape check below
+        object.__setattr__(self, "bounds", np.atleast_2d(np.asarray(self.bounds, dtype=float)))
+        object.__setattr__(self, "mass", np.asarray(self.mass, dtype=float))
         shape = self.mass.shape
         if len(shape) != self.ndim or 0 in shape or len(set(shape)) != 1:
             raise InputError(f"grid mass must have one equal, non-empty axis per bounds "

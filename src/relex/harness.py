@@ -5,8 +5,8 @@ All randomness flows from one root seed. Each seed of a comparison owns three
 derived streams (particle-1 noise, particle-2 noise, swap uniforms). A
 comparison is one kernel run over two copies of the seed set: in the first
 copy the pairs never swap, so their two slots are the single-temperature
-baselines; the second copy is the replica run on the same noise, drawn from
-streams of the same keys. A replica run with intensity 0 therefore
+baselines; the second copy is the replica run on the same noise, from the
+same slot streams, drawn once. A replica run with intensity 0 therefore
 reproduces the low-temperature baseline bit for bit.
 """
 
@@ -21,7 +21,7 @@ import numpy as np
 from .errors import InputError, floats, integer, positive
 from .objective import ObjectiveFunction
 from .replica import by_temperature, run_pair_ensemble
-from .rng import pair_streams, position_streams
+from .rng import pair_streams
 
 
 @dataclass
@@ -120,8 +120,10 @@ def run_comparison(f: ObjectiveFunction, tau1: float, tau2: float, a: float, eta
     init = np.broadcast_to(init, (n, d))
     pair = np.stack((init, init), axis=1)
     # One kernel run: the baseline pairs [0, n) have no swap stream and so
-    # never swap; the replica pairs [n, 2n) share their start and noise.
-    streams = position_streams(seed, n) + pair_streams(seed, n)
+    # never swap; the replica pairs [n, 2n) share their start and their slot
+    # streams, whose increments the kernel draws once for both.
+    pairs = pair_streams(seed, n)
+    streams = [(p1, p2, None) for p1, p2, _ in pairs] + pairs
     observe, curves = _best_so_far(steps, stride, 2 * n)
     t0 = time.perf_counter()
     _, _, swaps = run_pair_ensemble(f, np.concatenate((pair, pair)), (tau1, tau2), steps,

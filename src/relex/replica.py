@@ -88,11 +88,13 @@ def run_pair_ensemble(f: ObjectiveFunction, x0, temps, steps: int, streams,
     split the chains evenly, in order): the group's R slot streams, then its
     swap stream, or None for a group that never swaps. ``rng.pair_streams``
     and ``rng.position_streams`` build them; a run that cannot swap draws no
-    uniforms. Noise is drawn on the sub-step ``eta``; a step of m
-    sub-steps sums their increments and tests all m uniforms, each against
-    the swap probability min(1, intensity * eta * s). ``intensity * eta >= 1``
-    is allowed, as the clamp keeps the probability valid, but warned about,
-    since the nominal probability is then ill-defined.
+    uniforms. One slot stream object held in several places is drawn once,
+    and every place that holds it takes the same increments. Noise is drawn
+    on the sub-step ``eta``; a step of m sub-steps sums their increments and
+    tests all m uniforms, each against the swap probability
+    min(1, intensity * eta * s). ``intensity * eta >= 1`` is allowed, as the
+    clamp keeps the probability valid, but warned about, since the nominal
+    probability is then ill-defined.
     Each step makes one ``f.value_and_grad`` call at the pre-update
     positions; its values feed the swap rate and the observer. The swap
     branch runs only where a swap can fire: R = 2 and intensity > 0.
@@ -160,9 +162,9 @@ def run_pair_ensemble(f: ObjectiveFunction, x0, temps, steps: int, streams,
 def pair_snapshots(f: ObjectiveFunction, x0, temps, streams, eta: float,
                    intensity: float, at, mode: str = "temperature"):
     """Pair run to step max(at) that records ``by_temperature(x, T)`` at each
-    step k >= 0 in ``at`` (k = 0 is the start). Returns
+    step k >= 0 in ``at``, any iterable of steps (k = 0 is the start). Returns
     (snapshots (len(at), chains, 2, d), swap counts per chain)."""
-    rows = {}
+    at, rows = list(at), {}
     for i, k in enumerate(at):
         rows.setdefault(integer("snapshot step", k, 0), []).append(i)
     steps = integer("last snapshot step", max(rows, default=0), 1)
@@ -199,10 +201,13 @@ def _philox_noise(steps, shape, streams, swapping, m):
             rows = min(span, steps - k) * m
             xi = np.empty((rows, chains, R, d))
             u = np.ones((rows, chains if swapping else 0))
+            drawn = {}      # id of a slot stream -> its block of this chunk
             for g, (*slots, swap) in enumerate(streams):
                 cols = slice(g * per, (g + 1) * per)
                 for r, stream in enumerate(slots):
-                    xi[:, cols, r] = stream.normal((rows, per, d))
+                    if id(stream) not in drawn:
+                        drawn[id(stream)] = stream.normal((rows, per, d))
+                    xi[:, cols, r] = drawn[id(stream)]
                 if swapping and swap is not None:
                     u[:, cols] = swap.uniform((rows, per))
             for lo in range(0, rows, m):

@@ -1,5 +1,6 @@
 """Tests for grids, divergences, the decay fit, and the Dirichlet swap term."""
 
+import dataclasses
 import re
 
 import numpy as np
@@ -153,6 +154,12 @@ class TestGridMeasure:
         with pytest.raises(InputError, match="^grid mass must have one equal, non-empty "
                                              "axis per bounds row, got shape "):
             GridMeasure(bounds, mass)
+
+    def test_fields_cannot_be_set_past_the_shape_check(self):
+        gm = GridMeasure([[-1.0, 1.0]], np.full(4, 1 / 4))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            gm.mass = np.ones((3, 3))
+        assert gm.resolution == 4 and gm.mass.shape == (4,)
 
 
 class TestHistogramAndDivergences:

@@ -19,13 +19,15 @@ versions.
 """
 
 import hashlib
+import re
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from relex.cli import main
+from relex.cli import (build_parser, emit_canonical_config, load_config, main,
+                       parse_canonical_config)
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -127,3 +129,24 @@ def test_csv_hashes(case, tmp_path):
     written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                for p in tmp_path.glob("*.csv")}
     assert written == HASHES[EXP_FINGERPRINT][case]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")   # the sweep's intensity * eta = 1
+@pytest.mark.parametrize("case", ["compare", "sweep", "chi2", "discerr-double-well"])
+def test_every_file_echoes_the_config_it_ran(case, tmp_path):
+    # the one output path: each file-writing subcommand writes its own files
+    # and nothing else, each under the echo of the config that made it
+    args = build_parser().parse_args(CASES[case])
+    cfg = load_config(args.config, args.overrides, args.seed)
+    assert main(CASES[case] + ["--out", str(tmp_path)]) == 0
+    written = sorted(p.name for p in tmp_path.iterdir())
+    assert written == sorted(AVX512[case])
+    for name in written:
+        first = (tmp_path / name).read_text().splitlines()[0]
+        assert first.startswith("# config: ")
+        echo = first[len("# config: "):]
+        kappa = re.search(r"_kappa(.+)\.csv$", name)
+        ran = cfg if kappa is None else {
+            **cfg, "objective": {**cfg["objective"], "kappa": kappa[1].replace("p", ".")}}
+        assert parse_canonical_config(echo) == ran
+        assert emit_canonical_config(parse_canonical_config(echo)) == echo

@@ -4,6 +4,7 @@ import contextlib
 import math
 import tempfile
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 from unittest import mock
 
@@ -137,14 +138,26 @@ class TestRunComparison:
         with pytest.raises(InputError, match="seed must be an integer, got 1.5"):
             run_comparison(**small_run(seed=1.5, init=init))
 
-    def test_builds_five_streams_per_seed(self, monkeypatch):
-        # two position streams for the baseline pair, three for the replica pair
+    def test_builds_three_streams_per_seed(self, monkeypatch):
+        # the baseline pair holds the replica pair's two slot streams; only
+        # the replica pair has a swap stream
         created = []
         init = RngStream.__init__
         monkeypatch.setattr(RngStream, "__init__",
                             lambda self, *args: created.append(args) or init(self, *args))
         run_comparison(**small_run(init=(2.0, 2.0)))
-        assert len(created) == 5 * 4
+        assert len(created) == 3 * 4
+
+    def test_draws_each_slot_increment_once(self, monkeypatch):
+        # both halves of the fused run take their increments from one draw
+        drawn = Counter()
+        normal = RngStream.normal
+        monkeypatch.setattr(RngStream, "normal", lambda self, shape: drawn.update(
+            {(self.seed, self.stream_id): math.prod(shape)}) or normal(self, shape))
+        run = small_run(ensemble=3, steps=40)
+        run_comparison(**run)
+        assert len(drawn) == 2 * 3
+        assert set(drawn.values()) == {run["steps"] * run["f"].dimension}
 
     def test_one_start_per_seed(self):
         starts = np.array([[2.0, 2.0], [0.0, 1.0], [-1.0, 3.0], [4.0, 0.5]])

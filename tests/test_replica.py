@@ -440,6 +440,14 @@ class TestPairSnapshots:
             snapshots([2, 2.5, 10])
         assert np.array_equal(snapshots(np.array([2, 10])), snapshots([2, 10]))
 
+    def test_steps_may_come_from_a_generator(self):
+        def snapshots(at):
+            return pair_snapshots(double_well(), pair(np.ones((2, 1)), -np.ones((2, 1))),
+                                  (0.1, 1.0), pair_streams(0), 0.01, 5.0, at)
+        listed, counted = snapshots([4, 0, 2, 4])
+        generated, generated_counts = snapshots(k for k in [4, 0, 2, 4])
+        assert np.array_equal(generated, listed) and np.array_equal(generated_counts, counted)
+
     def test_ragged_start_is_an_input_error(self):
         # the snapshot array is sized from the coerced start, not from np.shape
         with pytest.raises(InputError, match="^starting positions must be a number or a "
