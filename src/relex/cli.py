@@ -245,7 +245,7 @@ def _write(out, cfg, files) -> str:
     echo = emit_canonical_config(cfg)
     for name, writer, data in files:
         writer(os.path.join(out, name), data, echo)
-    return ", ".join(f"{out}/{name}" for name, _, _ in files)
+    return ", ".join(os.path.join(out, name) for name, _, _ in files)
 
 
 def cmd_compare(cfg, values, out) -> int:

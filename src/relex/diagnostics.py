@@ -38,13 +38,15 @@ class GridMeasure:
     overflow: float = 0.0
 
     def __post_init__(self):
-        # frozen: a field set later would skip the shape check below
-        object.__setattr__(self, "bounds", np.atleast_2d(np.asarray(self.bounds, dtype=float)))
+        # frozen: a field set later would skip the checks below
+        object.__setattr__(self, "bounds", _bounds(self.bounds))
         object.__setattr__(self, "mass", np.asarray(self.mass, dtype=float))
         shape = self.mass.shape
         if len(shape) != self.ndim or 0 in shape or len(set(shape)) != 1:
             raise InputError(f"grid mass must have one equal, non-empty axis per bounds "
                              f"row, got shape {shape} for {self.ndim} rows")
+        if not np.all(np.isfinite(self.mass) & (self.mass >= 0)):
+            raise InputError("grid mass must be finite and nonnegative in every cell")
 
     @property
     def ndim(self):
@@ -58,9 +60,7 @@ class GridMeasure:
         return _centers(self.bounds[axis], self.resolution)
 
     def same_grid(self, other: "GridMeasure") -> bool:
-        return (self.resolution == other.resolution
-                and self.bounds.shape == other.bounds.shape
-                and np.array_equal(self.bounds, other.bounds))
+        return self.resolution == other.resolution and np.array_equal(self.bounds, other.bounds)
 
 
 @dataclass
@@ -74,15 +74,20 @@ class DecayFit:
     rate_std: float
 
 
-def _grid(bounds, resolution):
-    """Checked grid parameters: bounds as a (d, 2) float array of finite
-    lo < hi rows, and a resolution of at least one cell per axis."""
+def _bounds(bounds) -> np.ndarray:
+    """Checked grid bounds: a (d, 2) float array of finite lo < hi rows."""
     bounds = np.atleast_2d(floats("grid bounds", bounds))
     if (bounds.ndim != 2 or bounds.shape[1] != 2 or not np.all(np.isfinite(bounds))
             or not np.all(bounds[:, 0] < bounds[:, 1])):
         raise InputError(f"grid bounds must be finite (lo, hi) rows with lo < hi, "
                          f"got {bounds.tolist()}")
-    return bounds, integer("grid resolution", resolution, 1)
+    return bounds
+
+
+def _grid(bounds, resolution):
+    """Checked grid parameters: bounds as ``_bounds`` checks them, and a
+    resolution of at least one cell per axis."""
+    return _bounds(bounds), integer("grid resolution", resolution, 1)
 
 
 def _centers(row, resolution: int) -> np.ndarray:
@@ -221,7 +226,10 @@ def chi2_decay_experiment(f: ObjectiveFunction, tau1: float, tau2: float,
     last = float(sample_times.max())
     if last / eta >= 2**53:     # beyond 2**53 a float step count is inexact
         raise InputError(f"sample time {last:g} is 2**53 or more steps of eta = {eta:g}")
-    sample_steps = np.maximum(1, np.rint(sample_times / eta).astype(int))
+    sample_steps = np.rint(sample_times / eta).astype(int)    # to the nearest step
+    if sample_steps.min() < 1:
+        raise InputError(f"sample time {float(sample_times.min())} rounds to step 0 of "
+                         f"eta = {eta:g}; sample times must exceed half a step")
     if np.any(np.diff(sample_steps) <= 0):
         raise InputError(f"sample times must be strictly increasing once rounded to "
                          f"steps of eta = {eta:g}, got steps {sample_steps.tolist()}")
@@ -255,21 +263,22 @@ def chi2_decay_experiment(f: ObjectiveFunction, tau1: float, tau2: float,
                     bootstrap_std=bootstrap_std, rate_std=rate_std)
 
 
-def dirichlet_acceleration_term(f_test, a: float, pair_pi: GridMeasure) -> float:
+def dirichlet_acceleration_term(h, a: float, pair_pi: GridMeasure) -> float:
     """Grid quadrature of the swap term of the Dirichlet form:
-    integral of a/2 * s(x1, x2) * (f(x2, x1) - f(x1, x2))^2 dpi.
+    integral of a/2 * s(x1, x2) * (h(x2, x1) - h(x1, x2))^2 dpi.
 
     ``pair_pi`` is the pair Gibbs law on a grid, as ``pair_gibbs_density``
-    builds it. Its swap rate is s = min(1, pi(x2, x1) / pi(x1, x2)), so
-    s * pi = min(pi, pi exchanged) and the sum weighs by the grid's own mass:
-    a/2 * sum of min(pi, pi^T) * (f(x2, x1) - f(x1, x2))^2. ``f_test`` must
-    accept two broadcastable coordinate arrays. The grid must be square (both
-    axes identical) so the exchange (x1, x2) -> (x2, x1) stays on grid points.
+    builds it, and ``h`` holds the test function's values on its cells, an
+    array of the mass's shape. The swap rate is s = min(1, pi(x2, x1) / pi(x1, x2)),
+    so s * pi = min(pi, pi^T) and the exchange (x1, x2) -> (x2, x1) is the
+    transpose for h as for pi: the term is a/2 * sum of min(pi, pi^T) * (h^T - h)^2.
+    The grid must be square (both axes identical) so the exchange stays on grid points.
     """
     if pair_pi.ndim != 2 or not np.array_equal(pair_pi.bounds[0], pair_pi.bounds[1]):
         raise InputError("pair grid must be square for the exchange map")
     a = positive("swap intensity", a, zero=True)
-    c = pair_pi.centers(0)
-    x1, x2 = np.meshgrid(c, c, indexing="ij")
-    diff = np.asarray(f_test(x2, x1), dtype=float) - np.asarray(f_test(x1, x2), dtype=float)
+    h = floats("h", h)
+    if h.shape != pair_pi.mass.shape:
+        raise InputError(f"h must have the pair grid's shape {pair_pi.mass.shape}, got {h.shape}")
+    diff = h.T - h
     return float(0.5 * a * np.sum(np.minimum(pair_pi.mass, pair_pi.mass.T) * diff * diff))

@@ -87,14 +87,13 @@ def run_pair_ensemble(f: ObjectiveFunction, x0, temps, steps: int, streams,
     (chains, R). ``streams`` holds one tuple per group of chains (the groups
     split the chains evenly, in order): the group's R slot streams, then its
     swap stream, or None for a group that never swaps. ``rng.pair_streams``
-    and ``rng.position_streams`` build them; a run that cannot swap draws no
-    uniforms. One slot stream object held in several places is drawn once,
-    and every place that holds it takes the same increments. Noise is drawn
-    on the sub-step ``eta``; a step of m sub-steps sums their increments and
-    tests all m uniforms, each against the swap probability
-    min(1, intensity * eta * s). ``intensity * eta >= 1`` is allowed, as the
-    clamp keeps the probability valid, but warned about, since the nominal
-    probability is then ill-defined.
+    builds them; a run that cannot swap draws no uniforms. One slot stream
+    object held in several places is drawn once, and every place that holds
+    it takes the same increments. Noise is drawn on the sub-step ``eta``; a
+    step of m sub-steps sums their increments and tests all m uniforms, each
+    against the swap probability min(1, intensity * eta * s).
+    ``intensity * eta >= 1`` is allowed, as the clamp keeps the probability
+    valid, but warned about, since the nominal probability is then ill-defined.
     Each step makes one ``f.value_and_grad`` call at the pre-update
     positions; its values feed the swap rate and the observer. The swap
     branch runs only where a swap can fire: R = 2 and intensity > 0.

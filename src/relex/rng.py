@@ -73,13 +73,8 @@ def derive_stream(seed: int, purpose: int, chain: int = 0) -> RngStream:
     return RngStream(seed, _stream_id(purpose, chain))
 
 
-def position_streams(seed: int, groups: int = 1):
-    """The (pos1, pos2, None) streams of ``groups`` pair groups that never swap."""
-    return [(derive_stream(seed, PURPOSE_POS1, g), derive_stream(seed, PURPOSE_POS2, g), None)
-            for g in range(groups)]
-
-
 def pair_streams(seed: int, groups: int = 1):
-    """(pos1, pos2, swap) streams of ``groups`` pair groups, keyed (seed, purpose, group)."""
-    return [(pos1, pos2, derive_stream(seed, PURPOSE_SWAP, g))
-            for g, (pos1, pos2, _) in enumerate(position_streams(seed, groups))]
+    """(pos1, pos2, swap) streams of ``groups`` pair groups, keyed (seed, purpose, group).
+    A group that never swaps holds None in place of its swap stream."""
+    return [(derive_stream(seed, PURPOSE_POS1, g), derive_stream(seed, PURPOSE_POS2, g),
+             derive_stream(seed, PURPOSE_SWAP, g)) for g in range(groups)]

@@ -290,6 +290,14 @@ class TestDispatch:
         assert "dynamics.eta=0.005" in best[0]
         assert summ[1] == "iteration,algorithm,median,q25,q75"
 
+    @pytest.mark.parametrize("out", ["res", "res/"])
+    def test_compare_prints_the_paths_it_wrote(self, out, tmp_path, capsys, monkeypatch):
+        # a trailing slash on --out is joined, not doubled
+        monkeypatch.chdir(tmp_path)
+        assert main(["compare", "--set", "steps=20", "--set", "ensemble=2", "--out", out]) == 0
+        assert capsys.readouterr().out.startswith(
+            "compare: wrote res/bestsofar.csv, res/summary.csv; median final best {")
+
     def test_sweep_writes_per_kappa_files(self, tmp_path):
         out = tmp_path / "res"
         code = main(["sweep", "--set", "steps=100", "--set", "ensemble=2",
@@ -400,7 +408,12 @@ class TestDispatch:
 
     @pytest.mark.parametrize("times, message", [
         ("-3,-2,-1", "sample times must be positive and finite"),
-        ("0.0001,0.0002,0.0003,0.0004", "sample times must be strictly increasing"),
+        # eta = 0.01: under half a step is an error, not step 1
+        ("0.0001,0.0002,0.0003,0.0004", "sample time 0.0001 rounds to step 0 of eta = 0.01; "
+                                        "sample times must exceed half a step\n"),
+        ("5e-324,0.5,0.6,0.7,1", "sample time 5e-324 rounds to step 0 of eta = 0.01"),
+        ("0.1,0.1004", "sample times must be strictly increasing once rounded to steps of "
+                       "eta = 0.01, got steps [10, 10]\n"),
     ])
     def test_chi2_bad_sample_times_exit_2(self, tmp_path, capsys, times, message):
         code = main(["chi2", "--set", "kind=double_well", "--set", "ensemble=1000",

@@ -144,16 +144,32 @@ class TestGridMeasure:
         assert gm.resolution == 4 and gm.ndim == 2
         assert np.array_equal(gm.centers(1), [0.25, 0.75, 1.25, 1.75])
 
-    @pytest.mark.parametrize("bounds, mass", [
-        ([[-1.0, 1.0], [-1.0, 1.0]], np.full((10, 12), 1 / 120)),
-        ([[-1.0, 1.0]], 1.0),
-        ([[-1.0, 1.0]], np.empty(0)),
-        ([[-1.0, 1.0]], np.full((3, 3), 1 / 9)),
-    ], ids=["unequal-axes", "0-d", "empty", "axes-beyond-the-bounds"])
-    def test_mass_must_be_one_equal_nonempty_axis_per_bounds_row(self, bounds, mass):
-        with pytest.raises(InputError, match="^grid mass must have one equal, non-empty "
-                                             "axis per bounds row, got shape "):
+    SHAPE = "^grid mass must have one equal, non-empty axis per bounds row, got shape "
+    BOUNDS = r"^grid bounds must be finite \(lo, hi\) rows with lo < hi, got "
+    MASS = "^grid mass must be finite and nonnegative in every cell$"
+
+    @pytest.mark.parametrize("bounds, mass, message", [
+        ([[-1.0, 1.0], [-1.0, 1.0]], np.full((10, 12), 1 / 120), SHAPE),
+        ([[-1.0, 1.0]], 1.0, SHAPE),
+        ([[-1.0, 1.0]], np.empty(0), SHAPE),
+        ([[-1.0, 1.0]], np.full((3, 3), 1 / 9), SHAPE),
+        ([[1.0, 0.0]], np.full(4, 0.25), BOUNDS + r"\[\[1\.0, 0\.0\]\]$"),
+        ([[0.0, np.nan]], np.full(4, 0.25), BOUNDS + r"\[\[0\.0, nan\]\]$"),
+        ([[0.0, 0.0]], np.full(4, 0.25), BOUNDS),
+        ([[0.0, 1.0, 2.0]], np.full(4, 0.25), BOUNDS),
+        ("ab", np.full(4, 0.25), "^grid bounds must be a number or a regular array of numbers"),
+        ([[0.0, 1.0]], [0.5, 0.75, -0.25, 0.0], MASS),
+        ([[0.0, 1.0]], [0.5, np.nan, 0.25, 0.25], MASS),
+        ([[0.0, 1.0]], [0.5, np.inf, 0.25, 0.25], MASS),
+    ], ids=["unequal-axes", "0-d", "empty", "axes-beyond-the-bounds", "descending",
+            "nan-bound", "empty-span", "three-columns", "text-bounds", "negative-cell",
+            "nan-cell", "inf-cell"])
+    def test_bounds_and_mass_are_checked(self, bounds, mass, message):
+        with pytest.raises(InputError, match=message):
             GridMeasure(bounds, mass)
+        if "grid bounds" in message:    # the rule gibbs_density and empirical_histogram apply
+            with pytest.raises(InputError, match=message):
+                empirical_histogram([[0.5]], bounds, 4)
 
     def test_fields_cannot_be_set_past_the_shape_check(self):
         gm = GridMeasure([[-1.0, 1.0]], np.full(4, 1 / 4))
@@ -237,6 +253,12 @@ TEST_FUNCTIONS = [lambda x1, x2: x1, lambda x1, x2: x1 * x2 + x1,
                   lambda x1, x2: np.sin(3.0 * x1) - x2 ** 2, lambda x1, x2: x1 ** 3]
 
 
+def on_grid(f_test, pair_pi):
+    """The values f_test(x1, x2) on the cells of ``pair_pi``."""
+    c = pair_pi.centers(0)
+    return f_test(*np.meshgrid(c, c, indexing="ij"))
+
+
 class TestDirichletTerm:
     def test_flat_potential_closed_form(self):
         # s = 1 everywhere and pi is the discrete uniform over cell centers:
@@ -244,26 +266,27 @@ class TestDirichletTerm:
         # h^2 (n^2 - 1) / 12 for n cells of width h.
         n = 60
         pair = pair_gibbs_density(quadratic(1, scale=0.0), 0.1, 1.0, [[-3, 3]], n)
-        val = dirichlet_acceleration_term(lambda x1, x2: x1, 1.0, pair)
+        val = dirichlet_acceleration_term(on_grid(lambda x1, x2: x1, pair), 1.0, pair)
         h = 6.0 / n
         var = h * h * (n * n - 1) / 12.0
         assert np.isclose(val, var, rtol=1e-12)
 
     def test_symmetric_f_and_zero_intensity_vanish(self):
         pair = pair_gibbs_density(double_well(), 0.1, 1.0, [[-3, 3]], 50)
-        assert dirichlet_acceleration_term(lambda a, b: a * b, 1.0, pair) == 0.0
-        assert dirichlet_acceleration_term(lambda a, b: a, 0.0, pair) == 0.0
+        assert dirichlet_acceleration_term(on_grid(lambda a, b: a * b, pair), 1.0, pair) == 0.0
+        assert dirichlet_acceleration_term(on_grid(lambda a, b: a, pair), 0.0, pair) == 0.0
 
     def test_scales_linearly_in_intensity(self):
         pair = pair_gibbs_density(double_well(), 0.1, 1.0, [[-3, 3]], 50)
-        v1 = dirichlet_acceleration_term(lambda a, b: a, 1.0, pair)
-        v3 = dirichlet_acceleration_term(lambda a, b: a, 3.0, pair)
+        h = on_grid(lambda a, b: a, pair)
+        v1 = dirichlet_acceleration_term(h, 1.0, pair)
+        v3 = dirichlet_acceleration_term(h, 3.0, pair)
         assert np.isclose(v3, 3.0 * v1)
         assert v1 > 0.0
 
     def test_criterion_5_grid_equals_the_reference_exactly(self):
         pair = pair_gibbs_density(double_well(), 0.1, 1.0, [[-3.0, 3.0]], 200)
-        val = dirichlet_acceleration_term(lambda x1, x2: x1, 1.0, pair)
+        val = dirichlet_acceleration_term(on_grid(lambda x1, x2: x1, pair), 1.0, pair)
         assert val == swap_term_reference(lambda x1, x2: x1, double_well(), 0.1, 1.0, 1.0,
                                           pair) == 0.34981380398579837
 
@@ -273,22 +296,36 @@ class TestDirichletTerm:
            f_test=st.sampled_from(TEST_FUNCTIONS))
     def test_min_of_the_grid_mass_is_the_swap_rate_times_the_mass(self, tau1, tau2, n, lo,
                                                                    hi, f_test):
-        # s = min(1, pi(x2, x1) / pi(x1, x2)), so s * pi = min(pi, pi^T) up to rounding
+        # s = min(1, pi(x2, x1) / pi(x1, x2)), so s * pi = min(pi, pi^T) up to
+        # rounding; the reference evaluates f_test(x2, x1) where the term transposes
         pair = pair_gibbs_density(double_well(), tau1, tau2, [[lo, hi]], n)
         want = swap_term_reference(f_test, double_well(), tau1, tau2, 1.0, pair)
-        got = dirichlet_acceleration_term(f_test, 1.0, pair)
+        got = dirichlet_acceleration_term(on_grid(f_test, pair), 1.0, pair)
         assert abs(got - want) <= 1e-15 * abs(want)
 
     @pytest.mark.parametrize("a", [-1.0, np.nan, np.inf])
     def test_rejects_an_intensity_that_is_negative_or_not_finite(self, a):
         pair = pair_gibbs_density(double_well(), 0.1, 1.0, [[-3, 3]], 10)
         with pytest.raises(InputError, match="swap intensity must be nonnegative and finite"):
-            dirichlet_acceleration_term(lambda x1, x2: x1, a, pair)
+            dirichlet_acceleration_term(np.zeros((10, 10)), a, pair)
 
     def test_rejects_nonsquare_grid(self):
         gm = GridMeasure(np.array([[-3.0, 3.0], [-2.0, 2.0]]), np.full((10, 10), 0.01))
         with pytest.raises(InputError, match="pair grid must be square for the exchange map"):
-            dirichlet_acceleration_term(lambda a, b: a, 1.0, gm)
+            dirichlet_acceleration_term(np.zeros((10, 10)), 1.0, gm)
+
+    @pytest.mark.parametrize("h, message", [
+        (np.zeros((10, 9)), r"^h must have the pair grid's shape \(10, 10\), got \(10, 9\)$"),
+        (np.zeros(10), r"^h must have the pair grid's shape \(10, 10\), got \(10,\)$"),
+        (0.0, r"^h must have the pair grid's shape \(10, 10\), got \(\)$"),
+        (lambda x1, x2: x1, "^h must be a number or a regular array of numbers, got "),
+        ([["a"] * 10] * 10, "^h must be a number or a regular array of numbers, got "),
+        (np.ones((10, 10), dtype=bool), "^h must be a number or a regular array of numbers, "),
+    ], ids=["wrong-shape", "one-axis", "scalar", "callable", "text", "bools"])
+    def test_rejects_values_that_are_not_one_number_per_cell(self, h, message):
+        pair = pair_gibbs_density(double_well(), 0.1, 1.0, [[-3, 3]], 10)
+        with pytest.raises(InputError, match=message):
+            dirichlet_acceleration_term(h, 1.0, pair)
 
 
 class TestDecayExperiment:
@@ -340,9 +377,12 @@ class TestDecayExperiment:
         ([0.1, np.inf], "positive and finite"),
         ([np.nan], "positive and finite"),
         ([], "positive and finite"),
-        # increasing, but every time rounds to one step of eta = 0.001
-        ([0.0001, 0.0002, 0.0003, 0.0004], r"rounded to steps .* \[1, 1, 1, 1\]"),
-        ([0.1, 0.1004], r"\[100, 100\]"),
+        # under half a step of eta = 0.001, the first time rounds to step 0
+        ([0.0001, 0.0002, 0.0003, 0.0004], r"^sample time 0\.0001 rounds to step 0 of "
+                                           r"eta = 0\.001; sample times must exceed half a step$"),
+        # increasing, but both times round to one step of eta = 0.001
+        ([0.1, 0.1004], r"rounded to steps .* \[100, 100\]"),
+        ([5e-324, 0.5], r"^sample time 5e-324 rounds to step 0 "),
     ])
     def test_sample_times_must_round_to_increasing_steps(self, times, message):
         with pytest.raises(InputError, match=message):

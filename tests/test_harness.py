@@ -20,7 +20,7 @@ from relex.harness import (RunSummary, _best_so_far,
                            write_discerr_csv, write_summary_csv)
 from relex.objective import benchmark_mixture, double_well
 from relex.replica import by_temperature, pair_snapshots, run_pair_ensemble
-from relex.rng import RngStream, pair_streams, position_streams
+from relex.rng import RngStream, pair_streams
 
 
 def small_run(**overrides):
@@ -219,7 +219,8 @@ class TestRunComparison:
         init = np.tile(run["init"], (n, 1))
         pair = np.stack((init, init), axis=1)
         observe, fused = _best_so_far(steps, 1, 2 * n)
-        streams = position_streams(run["seed"], n) + pair_streams(run["seed"], n)
+        never = [(p1, p2, None) for p1, p2, _ in pair_streams(run["seed"], n)]
+        streams = never + pair_streams(run["seed"], n)
         x, T, swaps = run_pair_ensemble(f, np.concatenate((pair, pair)),
                                         (run["tau1"], run["tau2"]), steps, streams,
                                         run["eta"], run["a"], observe=observe)

@@ -8,7 +8,7 @@ from relex.errors import DivergenceError, InputError
 from relex.langevin import DIVERGENCE_LIMIT, check_finite, em_update
 from relex.objective import double_well, quadratic
 from relex.replica import run_pair_ensemble
-from relex.rng import PURPOSE_POS1, derive_stream, position_streams
+from relex.rng import PURPOSE_POS1, derive_stream, pair_streams
 
 
 def run_chains(init, f, tau, eta, steps, rng, observe=None):
@@ -82,8 +82,9 @@ class TestLangevinStep:
         f = quadratic(1)
         x0 = np.zeros((3, 2, 1))
         x0[1, 1] = 1.0
+        [(p1, p2, _)] = pair_streams(0)
         with pytest.raises(DivergenceError) as err:
-            run_pair_ensemble(f, x0, 0.0, 1000, position_streams(0), 3.0, 0.0)
+            run_pair_ensemble(f, x0, 0.0, 1000, [(p1, p2, None)], 3.0, 0.0)
         e = err.value
         assert (e.iteration, e.chain, e.slot) == (40, 1, 1)
         assert e.position.tolist() == [-(2.0 ** 39)]

@@ -155,6 +155,39 @@ class TestGradients:
             assert check_gradient(f, pts) == want
             assert check_gradient(f, pts[0]) == max(check_gradient(f, p) for p in pts[0])
 
+    @pytest.mark.parametrize("f", [double_well(), benchmark_mixture(0.1), quadratic(3)],
+                             ids=["d1", "d2", "d3"])
+    def test_check_gradient_makes_one_eval_per_side(self, f):
+        shapes = []
+
+        class Counted(ObjectiveFunction):
+            def eval(self, x):
+                shapes.append(np.shape(x))
+                return super().eval(x)
+
+        pts = np.random.default_rng(6).uniform(-1.0, 5.0, (5, f.dimension))
+        assert check_gradient(Counted(f.dimension, f.value_and_grad), pts) < 1e-6
+        assert shapes == [(5, f.dimension, f.dimension)] * 2
+
+    @pytest.mark.parametrize("f", [benchmark_mixture(0.1), benchmark_mixture(0.3, 0.5)],
+                             ids=["mixture", "confined"])
+    def test_check_gradient_equals_the_per_coordinate_loop(self, f):
+        # the batched shifts round as shifting one coordinate of a copy does
+        def loop(point, step=1e-6):
+            analytic = f.grad(point)
+            fd = np.empty_like(analytic)
+            for k in range(point.shape[-1]):
+                hi, lo = point.copy(), point.copy()
+                hi[..., k] += step
+                lo[..., k] -= step
+                fd[..., k] = (f.eval(hi) - f.eval(lo)) / (2.0 * step)
+            return float(np.max(np.abs(analytic - fd) / (1.0 + np.abs(analytic))))
+
+        pts = -1.0 + 7.0 * np.random.default_rng(7).uniform(size=(100, 2))
+        assert check_gradient(f, pts) == loop(pts)
+        for p in pts[:10]:
+            assert check_gradient(f, p) == loop(p)
+
     def test_check_gradient_rejects_bad_inputs(self):
         f = quadratic(2)
         with pytest.raises(InputError):

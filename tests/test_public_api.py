@@ -43,7 +43,7 @@ SIGNATURES = {
                               "bounds", "resolution", "seed", "fit_floor"),
     "chi_square_divergence": ("mu", "pi"),
     "derive_stream": ("seed", "purpose", "chain"),
-    "dirichlet_acceleration_term": ("f_test", "a", "pair_pi"),
+    "dirichlet_acceleration_term": ("h", "a", "pair_pi"),
     "discretization_error_experiment": ("f", "tau1", "tau2", "a", "etas", "T", "ensemble",
                                         "seed", "eta_ref"),
     "double_well": (),
@@ -247,7 +247,7 @@ SCALARS = {
     "pair_gibbs_density.tau2": (
         "tau2", lambda v: relex.pair_gibbs_density(F, 0.1, v, [[-3.0, 3.0]], 10), -1.0),
     "dirichlet_acceleration_term.a": ("swap intensity", lambda v: relex.dirichlet_acceleration_term(
-        lambda x1, x2: x1, v, PAIR_PI), -1.0),
+        np.zeros((8, 8)), v, PAIR_PI), -1.0),
     "ObjectiveFunction.dimension": (
         "dimension", lambda v: relex.ObjectiveFunction(v, lambda x: (x, x)), 0),
     "build_gaussian_mixture.kappa": ("kappa", lambda v: relex.build_gaussian_mixture(

@@ -15,8 +15,7 @@ from relex.objective import ObjectiveFunction, double_well, quadratic
 from relex.replica import (CHUNK_DRAWS, _fired, _philox_noise, by_temperature,
                            pair_snapshots, run_pair_ensemble, swap_probability,
                            swap_rate)
-from relex.rng import (PURPOSE_POS1, PURPOSE_SWAP, RngStream, derive_stream, pair_streams,
-                       position_streams)
+from relex.rng import PURPOSE_POS1, PURPOSE_SWAP, RngStream, derive_stream, pair_streams
 
 
 def drew_exactly(group, n):
@@ -305,7 +304,7 @@ class TestPairEnsemble:
                 run_pair_ensemble(double_well(), np.zeros((3, 2, 1)), (0.1, 1.0), 5,
                                   [pair_streams(0)[0][:2]], 0.01, intensity)
         _, _, swaps = certain_swaps(flat(), np.zeros((3, 2, 1)), (0.1, 1.0), 5,
-                                    position_streams(0))
+                                    [(p1, p2, None) for p1, p2, _ in pair_streams(0)])
         assert swaps.tolist() == [0, 0, 0]
 
     @pytest.mark.parametrize("R, intensity", [(2, 0.0), (1, 1.0)])
@@ -400,7 +399,7 @@ class TestFired:
         f = ObjectiveFunction(1, value_and_grad)
         with pytest.raises(InputError, match="finite"):
             run_pair_ensemble(f, np.zeros((3, 2, 1)), (0.1, 1.0), 5,
-                              position_streams(0), 0.01, 1.0)
+                              [(p1, p2, None) for p1, p2, _ in pair_streams(0)], 0.01, 1.0)
 
 
 class TestPairSnapshots:
