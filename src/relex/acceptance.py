@@ -23,7 +23,7 @@ from .diagnostics import (chi2_decay_experiment, dirichlet_acceleration_term,
 from .harness import discretization_error_experiment, pregenerate_noise, run_comparison
 from .langevin import em_update
 from .objective import check_gradient, double_well, benchmark_mixture
-from .replica import pair_snapshots, run_pair_ensemble, swap_rate
+from .replica import pair_snapshots, pair_start, run_pair_ensemble, swap_rate
 from .rng import (PURPOSE_INIT, PURPOSE_POS1, STREAM_DIRICHLET_MC, RngStream,
                   derive_stream, pair_streams)
 
@@ -219,7 +219,7 @@ def criterion_8_formulation_equivalence():
     # the same law at every time, so pooling just shrinks the sampling noise.
     snapshot_steps = tuple(range(12_000, steps + 1, 2000))
     pooled = {}
-    x0 = np.broadcast_to(np.reshape((1.0, -1.0), (1, 2, 1)), (chains, 2, 1))
+    x0 = pair_start(chains)
     for offset, mode in ((0, "temperature"), (1, "position")):
         snaps, _ = pair_snapshots(f, x0, (tau1, tau2), pair_streams(80 + offset), eta, 5.0,
                                   snapshot_steps, mode)

@@ -14,9 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, floats, integer, number, positive
+from .errors import (InputError, finite, floats, integer, nonnegative_finite, number,
+                     positive, positive_finite)
 from .objective import ObjectiveFunction
-from .replica import pair_snapshots
+from .replica import pair_snapshots, pair_start
 from .rng import STREAM_BOOTSTRAP, RngStream, pair_streams
 
 PI_FLOOR = 1e-12
@@ -28,9 +29,9 @@ N_BOOTSTRAP = 40    # chain resamples behind a decay fit's standard errors
 class GridMeasure:
     """Probability mass on a uniform rectangular grid.
 
-    ``bounds`` is (d, 2); ``mass`` has d axes of ``resolution`` cells. ``overflow``
-    is the fraction of source points that fell outside the bounds (histogram
-    use only; excluded from the normalized mass).
+    ``bounds`` is (d, 2); ``mass`` has d axes of ``resolution`` cells and sums
+    to one. ``overflow``, in [0, 1], is the fraction of source points that fell
+    outside the bounds (histogram use only; excluded from the normalized mass).
     """
 
     bounds: np.ndarray
@@ -40,13 +41,16 @@ class GridMeasure:
     def __post_init__(self):
         # frozen: a field set later would skip the checks below
         object.__setattr__(self, "bounds", _bounds(self.bounds))
-        object.__setattr__(self, "mass", np.asarray(self.mass, dtype=float))
+        object.__setattr__(self, "mass", floats("grid mass", self.mass, nonnegative_finite,
+                                                "finite and nonnegative in every cell"))
+        object.__setattr__(self, "overflow", number("grid overflow", self.overflow,
+                                                    lambda x: 0 <= x <= 1, "in [0, 1]"))
         shape = self.mass.shape
         if len(shape) != self.ndim or 0 in shape or len(set(shape)) != 1:
             raise InputError(f"grid mass must have one equal, non-empty axis per bounds "
                              f"row, got shape {shape} for {self.ndim} rows")
-        if not np.all(np.isfinite(self.mass) & (self.mass >= 0)):
-            raise InputError("grid mass must be finite and nonnegative in every cell")
+        if abs(self.mass.sum() - 1.0) > 1e-9:
+            raise InputError(f"grid mass must sum to one, got {self.mass.sum()}")
 
     @property
     def ndim(self):
@@ -160,11 +164,9 @@ def pair_gibbs_density(f: ObjectiveFunction, tau1: float, tau2: float,
 def empirical_histogram(positions, bounds, resolution: int) -> GridMeasure:
     """Normalized occupancy histogram; out-of-bounds mass, +-inf included, is
     reported separately. A NaN position lies nowhere, so it is an error."""
-    positions = np.atleast_2d(floats("positions", positions))
+    positions = np.atleast_2d(floats("positions", positions, lambda v: ~np.isnan(v), "non-NaN"))
     if positions.shape[0] == 0:
         raise InputError("no positions to histogram")
-    if np.isnan(positions).any():
-        raise InputError("positions to histogram must not be NaN")
     bounds, resolution = _grid(bounds, resolution)
     if positions.shape[1:] != bounds.shape[:1]:     # (N, d): a flat vector is one point
         raise InputError(f"positions of shape {positions.shape} have {positions.shape[-1]} "
@@ -220,9 +222,9 @@ def chi2_decay_experiment(f: ObjectiveFunction, tau1: float, tau2: float,
         raise InputError("replica exchange requires tau1 < tau2")
     eta = positive("eta", eta)      # the sample times are counted in steps of eta
     fit_floor = number("fit_floor", fit_floor)
-    sample_times = floats("sample times", sample_times)
-    if sample_times.size < 1 or not np.all(np.isfinite(sample_times) & (sample_times > 0)):
-        raise InputError("sample times must be positive and finite")
+    sample_times = floats("sample times", sample_times, positive_finite, "positive and finite")
+    if sample_times.size < 1:
+        raise InputError("need at least one sample time")
     last = float(sample_times.max())
     if last / eta >= 2**53:     # beyond 2**53 a float step count is inexact
         raise InputError(f"sample time {last:g} is 2**53 or more steps of eta = {eta:g}")
@@ -236,8 +238,7 @@ def chi2_decay_experiment(f: ObjectiveFunction, tau1: float, tau2: float,
     pi = pair_gibbs_density(f, tau1, tau2, bounds, resolution)
 
     times = sample_steps * eta
-    x0 = np.broadcast_to(np.reshape((1.0, -1.0), (1, 2, 1)), (ensemble, 2, 1))
-    snaps, _ = pair_snapshots(f, x0, (tau1, tau2), pair_streams(seed), eta, a,
+    snaps, _ = pair_snapshots(f, pair_start(ensemble), (tau1, tau2), pair_streams(seed), eta, a,
                               sample_steps.tolist(), mode="position")
     pair_points = snaps[:, :, :, 0]
     chi2 = np.array([_chi2_of_points(pts, pi) for pts in pair_points])
@@ -277,7 +278,7 @@ def dirichlet_acceleration_term(h, a: float, pair_pi: GridMeasure) -> float:
     if pair_pi.ndim != 2 or not np.array_equal(pair_pi.bounds[0], pair_pi.bounds[1]):
         raise InputError("pair grid must be square for the exchange map")
     a = positive("swap intensity", a, zero=True)
-    h = floats("h", h)
+    h = floats("h", h, finite, "finite")
     if h.shape != pair_pi.mass.shape:
         raise InputError(f"h must have the pair grid's shape {pair_pi.mass.shape}, got {h.shape}")
     diff = h.T - h

@@ -1,7 +1,7 @@
-"""Exception types shared across the package, and the coercions of integers,
-numbers and float arrays that raise them."""
+"""Exception types shared across the package, the coercions of integers,
+numbers and float arrays that raise them, and the elementwise tests that state
+what a valid number or array element is."""
 
-import math
 import operator
 import reprlib
 
@@ -28,6 +28,19 @@ class DivergenceError(RelexError):
         self.iteration, self.chain, self.slot, self.position = iteration, chain, slot, position
 
 
+# Elementwise tests, of an array for ``floats`` or of one float for ``number``.
+# NaN fails every comparison, so a test that compares rejects NaN as well.
+finite = np.isfinite
+
+
+def positive_finite(x):
+    return (0 < x) & (x < np.inf)
+
+
+def nonnegative_finite(x):
+    return (0 <= x) & (x < np.inf)
+
+
 def integer(what: str, value, low: int | None = None) -> int:
     """``value`` as an int of at least ``low``, else an InputError naming ``what``.
     A count or a step index given as a float, even a whole one, is an error:
@@ -43,7 +56,7 @@ def integer(what: str, value, low: int | None = None) -> int:
     return value
 
 
-def number(what: str, value, test=math.isfinite, condition: str = "a finite number") -> float:
+def number(what: str, value, test=finite, condition: str = "a finite number") -> float:
     """``value`` as a float that passes ``test``, else an InputError saying ``what``
     must be ``condition``. Text, bytes, bools, None and arrays with axes are no
     number; by default any finite float of either sign passes."""
@@ -60,18 +73,23 @@ def number(what: str, value, test=math.isfinite, condition: str = "a finite numb
 
 def positive(what: str, value, zero: bool = False) -> float:
     """``value`` as a finite float above 0, or at or above 0 with ``zero``."""
-    return number(what, value, lambda x: (0 <= x if zero else 0 < x) and x < math.inf,
+    return number(what, value, nonnegative_finite if zero else positive_finite,
                   f"{'nonnegative' if zero else 'positive'} and finite")
 
 
-def floats(what: str, value) -> np.ndarray:
-    """``value`` as a float array, else an InputError naming ``what``: text, bytes,
-    None, bools, a ragged nesting or any other object that is no number holds no floats."""
+def floats(what: str, value, test=None, condition: str = "") -> np.ndarray:
+    """``value`` as a float array whose every element passes the elementwise
+    ``test``, else an InputError naming ``what``: "``what`` must be ``condition``".
+    Text, bytes, None, bools, a ragged nesting or any other object that is no
+    number holds no floats. Without a test any float passes, NaN and inf too."""
     try:
         array = np.asarray(value)
         if array.dtype.kind == "b":
             raise TypeError
-        return array.astype(float, copy=False, casting="same_kind")
+        array = array.astype(float, copy=False, casting="same_kind")
     except (TypeError, ValueError):
         raise InputError(f"{what} must be a number or a regular array of numbers, "
                          f"got {reprlib.repr(value)}") from None
+    if test is not None and not np.all(test(array)):
+        raise InputError(f"{what} must be {condition}")
+    return array

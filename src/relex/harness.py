@@ -18,9 +18,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InputError, floats, integer, positive
+from .errors import InputError, floats, integer, positive, positive_finite
 from .objective import ObjectiveFunction
-from .replica import by_temperature, run_pair_ensemble
+from .replica import by_temperature, pair_start, run_pair_ensemble
 from .rng import pair_streams
 
 
@@ -152,11 +152,10 @@ def discretization_error_experiment(f: ObjectiveFunction, tau1: float, tau2: flo
     """
     ensemble = integer("ensemble", ensemble, 2)     # a standard error needs two
     T = positive("horizon T", T)
-    etas = np.sort(floats("stepsizes", etas), axis=None)[::-1]
+    etas = floats("stepsizes", etas, positive_finite, "positive and finite")
+    etas = np.sort(etas, axis=None)[::-1]
     if etas.size == 0:
         raise InputError("need at least one stepsize")
-    if not np.all(np.isfinite(etas) & (etas > 0)):
-        raise InputError("all stepsizes must be positive and finite")
     repeated = etas[1:][etas[1:] == etas[:-1]]     # etas are sorted
     if repeated.size:
         raise InputError(f"stepsize {repeated[0]} is listed twice")
@@ -180,8 +179,7 @@ def discretization_error_experiment(f: ObjectiveFunction, tau1: float, tau2: flo
         if abs(T / eta - round(T / eta)) > 1e-9 or n_fine % m:
             raise InputError(f"T = {T} is not an integer number of steps of eta = {eta}")
 
-    d = f.dimension
-    x0 = np.broadcast_to(np.reshape((1.0, -1.0), (1, 2, -1)), (ensemble, 2, d))
+    x0 = pair_start(ensemble, f.dimension)
 
     def coupled_run(m: int):
         x, _, _ = run_pair_ensemble(f, x0, (tau1, tau2), n_fine // m, pair_streams(seed),

@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InputError, floats, integer, positive
+from .errors import InputError, finite, floats, integer, nonnegative_finite, positive
 
 # Centers of the benchmark mixture: (0,0), (0,1), ..., (0,4), (1,0), ..., (4,4).
 DEFAULT_CENTERS = np.array(
@@ -64,19 +64,15 @@ def build_gaussian_mixture(centers, weights, kappa: float,
     U(x) = -sum_i w_i / (2 pi kappa) * exp(-||x - c_i||^2 / (2 kappa))
            [+ lambda * ||x||^2 when confinement is enabled]
     """
-    centers = np.atleast_2d(floats("mixture centers", centers))
-    weights = floats("mixture weights", weights).ravel()
+    centers = np.atleast_2d(floats("mixture centers", centers, finite, "finite"))
+    weights = floats("mixture weights", weights, nonnegative_finite,
+                     "finite and nonnegative").ravel()
     kappa = positive("kappa", kappa)
     lam = positive("confinement", confinement, zero=True)
     if centers.shape[0] == 0:
         raise InputError("mixture needs at least one center")
     if centers.shape[0] != weights.shape[0]:
         raise InputError(f"{centers.shape[0]} centers but {weights.shape[0]} weights")
-    for what, values in (("centers", centers), ("weights", weights)):
-        if not np.all(np.isfinite(values)):
-            raise InputError(f"mixture {what} must be finite")
-    if np.any(weights < 0):
-        raise InputError("mixture weights must be nonnegative")
     if not np.any(weights > 0):
         raise InputError("at least one mixture weight must be positive")
     if not math.isfinite(float(weights.max()) / (2.0 * math.pi * kappa)):
@@ -174,9 +170,9 @@ def check_gradient(f: ObjectiveFunction, point) -> float:
     with central differences of step 1e-6. ``point`` is one point (d,) or a
     batch (..., d); a batch gives the max over its points."""
     step = 1e-6
-    point = _points(floats("point", point), f.dimension, "point")
-    if not np.all(np.isfinite(point)):
-        raise InputError("point must be finite")
+    point = _points(floats("point", point, finite, "finite"), f.dimension, "point")
+    if point.size == 0:
+        raise InputError(f"check_gradient needs at least one point, got shape {point.shape}")
     analytic = np.asarray(f.grad(point), dtype=float)
     # row k of the (..., d, d) shifts moves coordinate k: one eval per side
     shift = step * np.eye(f.dimension)

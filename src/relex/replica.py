@@ -20,7 +20,7 @@ import warnings
 
 import numpy as np
 
-from .errors import InputError, floats, integer, positive
+from .errors import InputError, finite, floats, integer, nonnegative_finite, positive
 from .langevin import check_finite
 from .objective import ObjectiveFunction
 
@@ -32,12 +32,8 @@ def swap_rate(u1, u2, tau1, tau2):
     value exceeds the second's; equal values or equal temperatures give 1,
     even where 1/tau overflows. Vectorized over array inputs.
     """
-    u1, u2 = floats("objective values", u1), floats("objective values", u2)
-    tau1, tau2 = floats("temperatures", tau1), floats("temperatures", tau2)
-    if not (np.all(np.isfinite(u1)) and np.all(np.isfinite(u2))):
-        raise InputError("objective values in swap rate must be finite")
-    if not (np.all(tau1 > 0) and np.all(tau2 > 0)):
-        raise InputError("temperatures must be positive")
+    u1, u2 = (floats("objective values", u, finite, "finite") for u in (u1, u2))
+    tau1, tau2 = (floats("temperatures", t, lambda v: v > 0, "positive") for t in (tau1, tau2))
     out = _rate(tau1, tau2, u1, u2)
     return out if out.ndim else float(out)
 
@@ -69,6 +65,12 @@ def _fired(u, T, fx, intensity, h):
     tc, fc = T.take(cand, 0), fx.take(cand, 0)
     rate = _rate(tc[:, 0], tc[:, 1], fc[:, 0], fc[:, 1])
     return cand[(u.take(cand, 1) < swap_probability(rate, intensity, h)).any(axis=0)]
+
+
+def pair_start(chains: int, d: int = 1):
+    """``chains`` pairs (chains, 2, d) started at (1, -1): the first slot at 1
+    and the second at -1 in every coordinate."""
+    return np.broadcast_to(np.reshape((1.0, -1.0), (1, 2, 1)), (chains, 2, d))
 
 
 def by_temperature(x, T):
@@ -113,20 +115,16 @@ def run_pair_ensemble(f: ObjectiveFunction, x0, temps, steps: int, streams,
     if mode not in ("temperature", "position"):
         raise InputError(f"unknown swap mode {mode!r}")
     steps, m = integer("steps", steps, 1), integer("m", m, 1)
-    x = np.array(floats("starting positions", x0))
-    if x.ndim != 3 or x.shape[1] not in (1, 2) or x.shape[2] != f.dimension:
-        raise InputError(f"positions must have shape (chains, 1 or 2, {f.dimension}), "
-                         f"got {x.shape}")
-    if not np.all(np.isfinite(x)):
-        raise InputError("starting positions must be finite")
-    T = floats("temperatures", temps)
+    x = np.array(floats("starting positions", x0, finite, "finite"))
+    if x.ndim != 3 or x.shape[1] not in (1, 2) or x.shape[2] != f.dimension or not len(x):
+        raise InputError(f"positions must have shape (chains, 1 or 2, {f.dimension}) "
+                         f"with at least one chain, got {x.shape}")
+    T = floats("temperatures", temps, nonnegative_finite, "finite and nonnegative")
     try:
         T = np.array(np.broadcast_to(T, x.shape[:2]))
     except ValueError:
         raise InputError(f"temperatures of shape {T.shape} do not broadcast to "
                          f"(chains, R) = {x.shape[:2]}") from None
-    if not np.all(np.isfinite(T) & (T >= 0)):
-        raise InputError("temperatures must be finite and nonnegative")
     swapping = x.shape[1] == 2 and intensity > 0
     if swapping and not np.all(T > 0):
         raise InputError("temperatures must be positive")

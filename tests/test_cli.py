@@ -407,7 +407,8 @@ class TestDispatch:
         assert not (tmp_path / "chi2decay.csv").exists()
 
     @pytest.mark.parametrize("times, message", [
-        ("-3,-2,-1", "sample times must be positive and finite"),
+        ("-3,-2,-1", "sample times must be positive and finite\n"),
+        ("", "need at least one sample time\n"),
         # eta = 0.01: under half a step is an error, not step 1
         ("0.0001,0.0002,0.0003,0.0004", "sample time 0.0001 rounds to step 0 of eta = 0.01; "
                                         "sample times must exceed half a step\n"),
@@ -473,6 +474,7 @@ class TestDispatch:
         ("horizon=0", "horizon T must be positive"),
         ("horizon=-1", "horizon T must be positive"),
         ("etas=", "need at least one stepsize"),
+        ("etas=0.02,-0.01", "relex: error: stepsizes must be positive and finite\n"),
         ("eta_ref=0", "eta_ref must be positive"),
         ("eta_ref=-0.001", "eta_ref must be positive"),
         ("etas=0.02,0.01,0.02", "stepsize 0.02 is listed twice"),

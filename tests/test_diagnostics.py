@@ -161,15 +161,25 @@ class TestGridMeasure:
         ([[0.0, 1.0]], [0.5, 0.75, -0.25, 0.0], MASS),
         ([[0.0, 1.0]], [0.5, np.nan, 0.25, 0.25], MASS),
         ([[0.0, 1.0]], [0.5, np.inf, 0.25, 0.25], MASS),
+        ([[0.0, 1.0]], [5.0, 0.0, 0.0, 0.0], r"^grid mass must sum to one, got 5\.0$"),
+        ([[0.0, 1.0]], [0.25, 0.25, 0.25, 0.2], r"^grid mass must sum to one, got 0\.95"),
+        ([[0.0, 1.0]], "ab", "^grid mass must be a number or a regular array of numbers"),
     ], ids=["unequal-axes", "0-d", "empty", "axes-beyond-the-bounds", "descending",
             "nan-bound", "empty-span", "three-columns", "text-bounds", "negative-cell",
-            "nan-cell", "inf-cell"])
+            "nan-cell", "inf-cell", "sums-to-five", "sums-short", "text-mass"])
     def test_bounds_and_mass_are_checked(self, bounds, mass, message):
         with pytest.raises(InputError, match=message):
             GridMeasure(bounds, mass)
         if "grid bounds" in message:    # the rule gibbs_density and empirical_histogram apply
             with pytest.raises(InputError, match=message):
                 empirical_histogram([[0.5]], bounds, 4)
+
+    @pytest.mark.parametrize("overflow", [-3.0, 1.5, np.nan, np.inf])
+    def test_overflow_is_a_fraction(self, overflow):
+        with pytest.raises(InputError, match=r"^grid overflow must be in \[0, 1\], got "):
+            GridMeasure([[0.0, 1.0]], [0.5, 0.5], overflow=overflow)
+        for fraction in (0.0, 0.25, 1.0):
+            assert GridMeasure([[0.0, 1.0]], [0.5, 0.5], overflow=fraction).overflow == fraction
 
     def test_fields_cannot_be_set_past_the_shape_check(self):
         gm = GridMeasure([[-1.0, 1.0]], np.full(4, 1 / 4))
@@ -190,7 +200,7 @@ class TestHistogramAndDivergences:
         assert mu.overflow == 0.5 and mu.mass.sum() == 1.0
 
     def test_nan_position_rejected(self):
-        with pytest.raises(InputError, match="^positions to histogram must not be NaN$"):
+        with pytest.raises(InputError, match="^positions must be non-NaN$"):
             empirical_histogram([[0.1], [np.nan], [0.2]], [[-1.0, 1.0]], 4)
 
     def test_empty_inputs_raise(self):
@@ -259,6 +269,13 @@ def on_grid(f_test, pair_pi):
     return f_test(*np.meshgrid(c, c, indexing="ij"))
 
 
+def one_cell(value, n=10):
+    """Zero values on an n x n pair grid but for ``value`` in one cell."""
+    h = np.zeros((n, n))
+    h[2, 7] = value
+    return h
+
+
 class TestDirichletTerm:
     def test_flat_potential_closed_form(self):
         # s = 1 everywhere and pi is the discrete uniform over cell centers:
@@ -321,7 +338,10 @@ class TestDirichletTerm:
         (lambda x1, x2: x1, "^h must be a number or a regular array of numbers, got "),
         ([["a"] * 10] * 10, "^h must be a number or a regular array of numbers, got "),
         (np.ones((10, 10), dtype=bool), "^h must be a number or a regular array of numbers, "),
-    ], ids=["wrong-shape", "one-axis", "scalar", "callable", "text", "bools"])
+        (one_cell(np.nan), "^h must be finite$"),
+        (one_cell(np.inf), "^h must be finite$"),
+    ], ids=["wrong-shape", "one-axis", "scalar", "callable", "text", "bools", "nan-cell",
+            "inf-cell"])
     def test_rejects_values_that_are_not_one_number_per_cell(self, h, message):
         pair = pair_gibbs_density(double_well(), 0.1, 1.0, [[-3, 3]], 10)
         with pytest.raises(InputError, match=message):
@@ -376,7 +396,7 @@ class TestDecayExperiment:
         ([-3.0, -2.0, -1.0], "positive and finite"),
         ([0.1, np.inf], "positive and finite"),
         ([np.nan], "positive and finite"),
-        ([], "positive and finite"),
+        ([], "^need at least one sample time$"),
         # under half a step of eta = 0.001, the first time rounds to step 0
         ([0.0001, 0.0002, 0.0003, 0.0004], r"^sample time 0\.0001 rounds to step 0 of "
                                            r"eta = 0\.001; sample times must exceed half a step$"),

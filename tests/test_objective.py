@@ -1,6 +1,7 @@
 """Tests for objective functions and the gradient checker."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -35,7 +36,8 @@ class TestMixtureConstruction:
     @pytest.mark.parametrize("args, match", [
         ((np.empty((0, 2)), np.empty(0), 0.1), "at least one center"),
         ((DEFAULT_CENTERS, DEFAULT_WEIGHTS[:-1], 0.1), "25 centers but 24 weights"),
-        ((DEFAULT_CENTERS, -DEFAULT_WEIGHTS, 0.1), "weights must be nonnegative"),
+        ((DEFAULT_CENTERS, -DEFAULT_WEIGHTS, 0.1),
+         "^mixture weights must be finite and nonnegative$"),
         ((DEFAULT_CENTERS, 0.0 * DEFAULT_WEIGHTS, 0.1), "weight must be positive"),
         ((DEFAULT_CENTERS, DEFAULT_WEIGHTS, -0.1), "kappa must be positive"),
         ((DEFAULT_CENTERS, DEFAULT_WEIGHTS, 0.0), "kappa must be positive"),
@@ -49,8 +51,10 @@ class TestMixtureConstruction:
         # caught before the amplitude check, which would name kappa
         (([[np.nan, 0.0]], [1.0], 0.1), "^mixture centers must be finite$"),
         (([[np.inf, 0.0]], [1.0], 0.1), "^mixture centers must be finite$"),
-        (([[0.0, 0.0], [1.0, 1.0]], [1.0, np.nan], 0.1), "^mixture weights must be finite$"),
-        (([[0.0, 0.0], [1.0, 1.0]], [1.0, np.inf], 0.1), "^mixture weights must be finite$"),
+        (([[0.0, 0.0], [1.0, 1.0]], [1.0, np.nan], 0.1),
+         "^mixture weights must be finite and nonnegative$"),
+        (([[0.0, 0.0], [1.0, 1.0]], [1.0, np.inf], 0.1),
+         "^mixture weights must be finite and nonnegative$"),
     ])
     def test_validation_errors(self, args, match):
         with pytest.raises(InputError, match=match):
@@ -192,6 +196,13 @@ class TestGradients:
         f = quadratic(2)
         with pytest.raises(InputError):
             check_gradient(f, np.array([np.nan, 0.0]))
+
+    @pytest.mark.parametrize("points", [np.zeros((0, 2)), np.zeros((3, 0, 2))])
+    def test_check_gradient_needs_a_point(self, points):
+        # not numpy's "zero-size array to reduction operation maximum"
+        with pytest.raises(InputError, match=f"^check_gradient needs at least one point, "
+                                             f"got shape {re.escape(str(points.shape))}$"):
+            check_gradient(benchmark_mixture(0.1), points)
 
     @pytest.mark.parametrize("point, shape", [(0.5, r"\(\)"), ([0.5, 0.2], r"\(2,\)"),
                                               (np.zeros((3, 2)), r"\(3, 2\)")])

@@ -2,9 +2,9 @@
 public callable are pinned, so a new name or a new knob is a deliberate,
 reviewed diff of the table below. The runtime dependencies are pinned too:
 the package imports only the standard library and numpy. An array input that
-is not numbers is an InputError naming it, and so is a scalar parameter that
-is no number or out of its range. The README's library example runs as
-written."""
+is not numbers, or that holds one element breaking its rule, is an InputError
+naming it, and so is a scalar parameter that is no number or out of its range.
+The README's library example runs as written."""
 
 import ast
 import inspect
@@ -275,3 +275,83 @@ def test_a_scalar_that_is_no_number_or_out_of_range_is_an_input_error(scalar, ba
         monkeypatch.setattr(RngStream, draw, lambda *args: pytest.fail("noise was drawn"))
     with pytest.raises(InputError, match=f"^{re.escape(what)} must be "):
         call(out_of_range if bad == "out-of-range" else NO_NUMBERS[bad])
+
+
+# Every public array input with a rule: the name its message starts with, the
+# condition the message states, a call that passes the array for it (all other
+# arguments valid), a valid array, and the bad values to put in one element of
+# it: NaN, inf where inf breaks the rule, and one out of range where the rule
+# has a range.
+ARRAYS = {
+    "swap_rate.u1": ("objective values", "finite",
+                     lambda v: relex.swap_rate(v, 0.0, 0.1, 1.0), [0.0, 1.0], (np.nan, np.inf)),
+    "swap_rate.u2": ("objective values", "finite",
+                     lambda v: relex.swap_rate(0.0, v, 0.1, 1.0), [0.0, 1.0], (np.nan, -np.inf)),
+    # 1 / inf is 0, so an infinite temperature has a swap rate
+    "swap_rate.tau1": ("temperatures", "positive",
+                       lambda v: relex.swap_rate(0.0, 1.0, v, 1.0), [0.1, 0.2], (np.nan, 0.0)),
+    "swap_rate.tau2": ("temperatures", "positive",
+                       lambda v: relex.swap_rate(0.0, 1.0, 0.1, v), [1.0, 2.0], (np.nan, -1.0)),
+    "run_pair_ensemble.x0": ("starting positions", "finite",
+                             lambda v: relex.run_pair_ensemble(
+                                 F, v, (0.1, 1.0), 5, pair_streams(0), 0.01, 1.0),
+                             PAIRS, (np.nan, np.inf)),
+    "run_pair_ensemble.temps": ("temperatures", "finite and nonnegative",
+                                lambda v: relex.run_pair_ensemble(
+                                    F, PAIRS, v, 5, pair_streams(0), 0.01, 1.0),
+                                [0.1, 1.0], (np.nan, np.inf, -0.1)),
+    "discretization_error_experiment.etas": (
+        "stepsizes", "positive and finite", lambda v: _discretization(etas=v), [0.02, 0.01],
+        (np.nan, np.inf, 0.0)),
+    "GridMeasure.mass": ("grid mass", "finite and nonnegative in every cell",
+                         lambda v: relex.GridMeasure([[0.0, 1.0]], v), [0.5, 0.5],
+                         (np.nan, np.inf, -0.5)),
+    "chi2_decay_experiment.sample_times": (
+        "sample times", "positive and finite", lambda v: _chi2(sample_times=v),
+        [0.1, 0.2, 0.3], (np.nan, np.inf, -0.3)),
+    # an infinite position is histogram overflow
+    "empirical_histogram.positions": ("positions", "non-NaN",
+                                      lambda v: relex.empirical_histogram(v, [[-1.0, 1.0]], 4),
+                                      [[0.0], [0.5]], (np.nan,)),
+    "dirichlet_acceleration_term.h": ("h", "finite",
+                                      lambda v: relex.dirichlet_acceleration_term(v, 1.0, PAIR_PI),
+                                      np.zeros((8, 8)), (np.nan, np.inf)),
+    "build_gaussian_mixture.centers": ("mixture centers", "finite",
+                                       lambda v: relex.build_gaussian_mixture(v, [1.0, 1.0], 0.1),
+                                       [[0.0, 0.0], [1.0, 1.0]], (np.nan, np.inf)),
+    "build_gaussian_mixture.weights": (
+        "mixture weights", "finite and nonnegative",
+        lambda v: relex.build_gaussian_mixture([[0.0, 0.0], [1.0, 1.0]], v, 0.1), [1.0, 1.0],
+        (np.nan, np.inf, -1.0)),
+    "check_gradient.point": ("point", "finite", lambda v: relex.check_gradient(F, v),
+                             [[0.0], [0.5]], (np.nan, -np.inf)),
+}
+ARRAY_CASES = [(array, bad) for array in ARRAYS for bad in ARRAYS[array][4]]
+
+
+def _with_one(valid, bad):
+    """``valid`` as a new float array whose last element is ``bad``."""
+    array = np.array(valid, dtype=float)
+    array.flat[-1] = bad
+    return array
+
+
+@pytest.mark.parametrize("array, bad", ARRAY_CASES, ids=[f"{a}-{b}" for a, b in ARRAY_CASES])
+def test_an_array_element_that_breaks_its_rule_is_an_input_error(array, bad, monkeypatch):
+    what, condition, call, valid, _ = ARRAYS[array]
+    for draw in ("normal", "uniform", "integers"):
+        monkeypatch.setattr(RngStream, draw, lambda *args: pytest.fail("noise was drawn"))
+    with pytest.raises(InputError, match=f"^{re.escape(what)} must be {condition}$"):
+        call(_with_one(valid, bad))
+
+
+@pytest.mark.parametrize("array", ARRAYS)
+def test_the_valid_arrays_of_the_rule_table_pass_their_checks(array):
+    # the table's valid arrays pass, so each bad case fails on its one element
+    call, valid = ARRAYS[array][2:4]
+    try:
+        call(valid)
+    except InputError as exc:
+        # the experiments run on past their input checks; any later error is
+        # about the run, not about the array under test
+        assert not str(exc).startswith(ARRAYS[array][0] + " must be "), exc

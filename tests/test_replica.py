@@ -13,8 +13,8 @@ from relex.errors import InputError
 from relex.harness import pregenerate_noise
 from relex.objective import ObjectiveFunction, double_well, quadratic
 from relex.replica import (CHUNK_DRAWS, _fired, _philox_noise, by_temperature,
-                           pair_snapshots, run_pair_ensemble, swap_probability,
-                           swap_rate)
+                           pair_snapshots, pair_start, run_pair_ensemble,
+                           swap_probability, swap_rate)
 from relex.rng import PURPOSE_POS1, PURPOSE_SWAP, RngStream, derive_stream, pair_streams
 
 
@@ -178,6 +178,10 @@ class TestSteppers:
         assert by_temperature(x, np.array([[0.1, 1.0]])).tolist() == [[[1.0], [2.0]]]
         assert by_temperature(x, np.array([[1.0, 0.1]])).tolist() == [[[2.0], [1.0]]]
 
+    def test_pair_start_is_one_and_minus_one(self):
+        assert np.array_equal(pair_start(3), pair(np.ones((3, 1)), -np.ones((3, 1))))
+        assert np.array_equal(pair_start(2, 3), pair(np.ones((2, 3)), -np.ones((2, 3))))
+
     def test_dimension_mismatch(self):
         with pytest.raises(InputError):
             run_pair_ensemble(quadratic(2), np.zeros((1, 2, 3)), (0.1, 1.0), 1,
@@ -269,6 +273,19 @@ class TestPairEnsemble:
             with pytest.raises(InputError, match="starting positions"):
                 run_pair_ensemble(double_well(), x0[:, :1], 0.5, 5,
                                   [(derive_stream(0, PURPOSE_POS1), None)], 0.01, 0.0)
+
+    @pytest.mark.parametrize("R", [1, 2])
+    def test_no_chains_is_an_input_error(self, R):
+        # no chains would size the noise chunks by a division by zero
+        streams = pair_streams(1) if R == 2 else [(derive_stream(0, PURPOSE_POS1), None)]
+        message = (rf"^positions must have shape \(chains, 1 or 2, 1\) with at least one "
+                   rf"chain, got \(0, {R}, 1\)$")
+        with pytest.raises(InputError, match=message):
+            run_pair_ensemble(double_well(), np.zeros((0, R, 1)), (0.1, 1.0)[:R], 10,
+                              streams, 0.01, 1.0)
+        with pytest.raises(InputError, match=message):
+            pair_snapshots(double_well(), np.zeros((0, R, 1)), (0.1, 1.0)[:R], streams,
+                           0.01, 1.0, [1, 10])
 
     def test_zero_temperature_rejected_before_any_step_when_swapping(self):
         streams = pair_streams(0)
