@@ -262,12 +262,10 @@ def cmd_sweep(cfg, values, out) -> int:
     echoed = {}   # each kappa's 6-digit echo names its files, so it must be exact and unique
     for kappa in kappas:
         text = f"{kappa:g}"
-        if text in echoed:
-            raise InputError(f"kappa {kappa!r} is listed twice" if echoed[text] == kappa
-                             else f"kappas {echoed[text]!r} and {kappa!r} would both "
-                             f"write the kappa{text.replace('.', 'p')} files")
         if float(text) != kappa:
             raise InputError(f"kappa {kappa!r} is echoed as {text}; give it in 6 digits")
+        if text in echoed:      # an exact echo names one kappa
+            raise InputError(f"kappa {kappa!r} is listed twice")
         echoed[text] = kappa
     if values["kind"] != "gaussian_mixture":
         raise InputError(f"kappa sweep needs a gaussian_mixture objective, "

@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InputError, floats, integer, positive, positive_finite
+from .errors import InputError, finite, floats, integer, positive, positive_finite
 from .objective import ObjectiveFunction
 from .replica import by_temperature, pair_start, run_pair_ensemble
 from .rng import pair_streams
@@ -100,8 +100,8 @@ def run_comparison(f: ObjectiveFunction, tau1: float, tau2: float, a: float, eta
     intensity ``a``, run over ``ensemble`` seeds with shared noise for
     ``steps`` steps of ``eta`` from ``init``: one start point (d,) for every
     seed, or one start per seed, (ensemble, d). The best-so-far curves are
-    sampled every ``stride`` steps. The kernel checks ``a``, ``eta`` and that
-    the start is finite before it draws anything."""
+    sampled every ``stride`` steps. The start must be finite; the kernel
+    checks ``a`` and ``eta`` before it draws anything."""
     if not isinstance(f, ObjectiveFunction):
         raise InputError(f"objective must be an ObjectiveFunction, got {type(f).__name__}")
     tau1, tau2 = positive("tau1", tau1), positive("tau2", tau2)
@@ -112,7 +112,7 @@ def run_comparison(f: ObjectiveFunction, tau1: float, tau2: float, a: float, eta
     if steps % stride != 0:
         raise InputError(f"stride {stride} must divide steps {steps}")
     d, n = f.dimension, ensemble
-    init = floats("init", init)
+    init = floats("init", init, finite, "finite")
     if init.shape not in ((d,), (n, d)):
         raise InputError(f"init point has dimension {init.shape[0]}, expected {d}"
                          if init.ndim == 1 else f"init has shape {init.shape}, "
@@ -135,6 +135,18 @@ def run_comparison(f: ObjectiveFunction, tau1: float, tau2: float, a: float, eta
                        swap_counts=swaps[n:], wall_time=wall))
 
 
+def _whole_steps(what: str, span: float, eta_ref: float) -> int:
+    """``span`` as a count of steps of ``eta_ref``. The count must be a whole
+    number to within 1e-9 of itself, at least 1, and below 2**53, past which
+    a float no longer counts every step exactly."""
+    n = float(span) / eta_ref
+    count = round(min(n, 2**53))
+    if not 1 <= count < 2**53 or abs(n - count) > 1e-9 * count:
+        raise InputError(f"{what} is {n} steps of eta_ref = {eta_ref}; "
+                         "it must be a whole number from 1 to 2**53 - 1")
+    return count
+
+
 def discretization_error_experiment(f: ObjectiveFunction, tau1: float, tau2: float,
                                     a: float, etas: Sequence[float], T: float,
                                     ensemble: int, seed: int,
@@ -146,9 +158,10 @@ def discretization_error_experiment(f: ObjectiveFunction, tau1: float, tau2: flo
     freshly derived streams of the same keys, so all runs share one Brownian
     path and one uniform table. A coarse step of width m * eta_ref consumes
     the sum of its m constituent fine Gaussian increments, and its swap fires
-    iff any of the m fine uniforms falls below a * eta_ref * s evaluated at
-    the coarse step's start. The finest grid is the brute-force reference for
-    the continuous process.
+    iff the smallest of the m fine uniforms falls below a * eta_ref * s
+    evaluated at the coarse step's start. The finest grid is the brute-force
+    reference for the continuous process. ``T`` and every stepsize must each
+    span a whole number of ``eta_ref`` steps, by the rule of ``_whole_steps``.
     """
     ensemble = integer("ensemble", ensemble, 2)     # a standard error needs two
     T = positive("horizon T", T)
@@ -162,21 +175,10 @@ def discretization_error_experiment(f: ObjectiveFunction, tau1: float, tau2: flo
     eta_ref = float(etas.min()) / 16.0 if eta_ref is None else positive("eta_ref", eta_ref)
     if eta_ref == 0.0:      # only the default can underflow
         raise InputError(f"default eta_ref = {etas.min():g} / 16 underflows to 0")
-    for what, span in ((f"horizon T = {T}", T), (f"stepsize {etas[0]}", etas[0])):
-        if float(span) / eta_ref >= 2**53:   # no float counts such steps exactly
-            raise InputError(f"{what} is 2**53 or more steps of eta_ref = {eta_ref}")
-    ratios = etas / eta_ref
-    ms = [int(round(r)) for r in ratios]        # sub-steps per coarse step
-    if np.any(np.abs(ratios - np.rint(ratios)) > 1e-9) or min(ms) < 1:
-        raise InputError("every eta must be an integer multiple of eta_ref")
-    n_fine = T / eta_ref
-    if abs(n_fine - round(n_fine)) > 1e-9:
-        raise InputError("horizon T must be an integer number of reference steps")
-    n_fine = int(round(n_fine))
-    if n_fine < 1:
-        raise InputError(f"horizon T = {T} is shorter than eta_ref = {eta_ref}")
+    n_fine = _whole_steps(f"horizon T = {T}", T, eta_ref)
+    ms = [_whole_steps(f"stepsize {eta}", eta, eta_ref) for eta in etas]  # sub-steps each
     for eta, m in zip(etas, ms):
-        if abs(T / eta - round(T / eta)) > 1e-9 or n_fine % m:
+        if n_fine % m:
             raise InputError(f"T = {T} is not an integer number of steps of eta = {eta}")
 
     x0 = pair_start(ensemble, f.dimension)

@@ -26,9 +26,7 @@ def em_update(position, gradient, temperature, eta, xi):
     ``temperature`` may be a scalar or a per-chain array broadcast against
     the position's leading axes.
     """
-    coef = np.sqrt(2.0 * eta * np.asarray(temperature, dtype=float))
-    if np.ndim(coef) > 0:
-        coef = coef[..., None]
+    coef = np.sqrt(2.0 * eta * np.asarray(temperature, dtype=float))[..., None]
     return position - eta * gradient + coef * xi
 
 

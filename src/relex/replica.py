@@ -10,8 +10,8 @@ keeps the temperatures and trades the positions.
 
 The kernel draws its own noise from the stream rows it is given: Gaussian
 increments and swap uniforms on the sub-step ``eta``. A coarse step of m
-sub-steps advances m * eta on the sum of their increments and fires if any of
-their m uniforms does.
+sub-steps advances m * eta on the sum of their increments and fires if the
+smallest of their m uniforms is below the swap probability.
 """
 
 from __future__ import annotations
@@ -54,17 +54,16 @@ def swap_probability(rate, intensity, h):
 
 
 def _fired(u, T, fx, intensity, h):
-    """Chains with a uniform in u (m, chains) below the swap probability at
+    """Chains whose uniform in u (chains,) is below the swap probability at
     temperatures T and values fx (chains, 2). As fl(a h s) <= a h for s <= 1,
     only those below min(1, a h) get a rate."""
-    low = u[0] if len(u) == 1 else u.min(axis=0)
-    cand = (low < min(1.0, intensity * h)).nonzero()[0]
+    cand = (u < min(1.0, intensity * h)).nonzero()[0]
     if cand.size == 0:
         return cand
     # take gathers the candidates' rows in a third of fancy indexing's time
     tc, fc = T.take(cand, 0), fx.take(cand, 0)
     rate = _rate(tc[:, 0], tc[:, 1], fc[:, 0], fc[:, 1])
-    return cand[(u.take(cand, 1) < swap_probability(rate, intensity, h)).any(axis=0)]
+    return cand[u.take(cand) < swap_probability(rate, intensity, h)]
 
 
 def pair_start(chains: int, d: int = 1):
@@ -92,8 +91,8 @@ def run_pair_ensemble(f: ObjectiveFunction, x0, temps, steps: int, streams,
     builds them; a run that cannot swap draws no uniforms. One slot stream
     object held in several places is drawn once, and every place that holds
     it takes the same increments. Noise is drawn on the sub-step ``eta``; a
-    step of m sub-steps sums their increments and tests all m uniforms, each
-    against the swap probability min(1, intensity * eta * s).
+    step of m sub-steps sums their increments and fires when the smallest of
+    its m uniforms is below the swap probability min(1, intensity * eta * s).
     ``intensity * eta >= 1`` is allowed, as the clamp keeps the probability
     valid, but warned about, since the nominal probability is then ill-defined.
     Each step makes one ``f.value_and_grad`` call at the pre-update
@@ -182,9 +181,11 @@ CHUNK_DRAWS = 1 << 10
 def _philox_noise(steps, shape, streams, swapping, m):
     """Checks the layout of ``run_pair_ensemble``'s streams for positions of
     ``shape`` (chains, R, d), then yields each step's noise (xi, u), u with a
-    column per chain only if ``swapping``. Fine rows come in chunks that stop
+    uniform per chain only if ``swapping``. Fine rows come in chunks that stop
     at the last step, as one whole-run draw would. Step k sums fine rows
-    km..km+m-1 and takes their m uniform rows: every m shares one Brownian path."""
+    km..km+m-1 and takes the smallest of their m uniforms, which is below a
+    swap probability exactly when one of them is: every m shares one Brownian
+    path and one uniform table."""
     chains, R, d = shape
     if not streams or chains % len(streams):
         raise InputError(f"{chains} chains do not split into {len(streams)} groups")
@@ -208,5 +209,5 @@ def _philox_noise(steps, shape, streams, swapping, m):
                 if swapping and swap is not None:
                     u[:, cols] = swap.uniform((rows, per))
             for lo in range(0, rows, m):
-                yield xi[lo] if m == 1 else xi[lo:lo + m].sum(axis=0), u[lo:lo + m]
+                yield (xi[lo], u[lo]) if m == 1 else (xi[lo:lo + m].sum(0), u[lo:lo + m].min(0))
     return chunks()

@@ -311,7 +311,7 @@ class TestDispatch:
 
     @pytest.mark.parametrize("kappas, message", [
         ("0.1,0.1", "kappa 0.1 is listed twice"),
-        ("0.1,0.1000001", "kappas 0.1 and 0.1000001 would both write the kappa0p1 files"),
+        ("0.1,0.1000001", "kappa 0.1000001 is echoed as 0.1; give it in 6 digits"),
         ("0.2,0.1000001", "kappa 0.1000001 is echoed as 0.1"),
     ], ids=["duplicate", "tags-collide", "echo-inexact"])
     def test_sweep_rejects_kappas_its_files_cannot_tell_apart(self, kappas, message,
@@ -487,7 +487,8 @@ class TestDispatch:
         assert not (tmp_path / "discerr.csv").exists()
 
     @pytest.mark.parametrize("items, message", [
-        (["kind=double_well", "horizon=1e-13"], "horizon T = 1e-13 is shorter than eta_ref"),
+        (["kind=double_well", "horizon=1e-13"], "horizon T = 1e-13 is 3.2e-10 steps of "
+         "eta_ref = 0.0003125; it must be a whole number from 1 to 2**53 - 1"),
         (["eta_ref=1", "etas=1e10"], "T = 1.0 is not an integer number of steps of eta"),
     ])
     def test_discerr_zero_steps_is_a_config_error(self, tmp_path, capsys, items, message):
@@ -558,9 +559,11 @@ class TestDispatch:
         ("chi2", ["ensemble=1000", "eta=1e-300"],
          "sample time 1 is 2**53 or more steps of eta = 1e-300"),
         ("discerr", ["ensemble=8", "horizon=0.04", "eta_ref=1e-300"],
-         "horizon T = 0.04 is 2**53 or more steps of eta_ref = 1e-300"),
+         "horizon T = 0.04 is 4e+298 steps of eta_ref = 1e-300; "
+         "it must be a whole number from 1 to 2**53 - 1"),
         ("discerr", ["horizon=1e-300", "eta_ref=1e-310", "etas=1e10"],
-         "stepsize 10000000000.0 is 2**53 or more steps of eta_ref = 1e-310"),
+         "stepsize 10000000000.0 is inf steps of eta_ref = 1e-310; "
+         "it must be a whole number from 1 to 2**53 - 1"),
     ], ids=["chi2-sample-time", "discerr-horizon", "discerr-stepsize"])
     def test_step_count_a_float_cannot_hold_exits_2(self, command, items, message, tmp_path,
                                                     capsys, monkeypatch):
@@ -596,9 +599,15 @@ class TestDispatch:
     def test_threads_flag_is_gone(self, capsys):
         assert main(["gradcheck", "--threads", "2"]) == 2
 
-    def test_gradcheck_passes(self, capsys):
-        assert main(["gradcheck"]) == 0
-        assert "PASS" in capsys.readouterr().out
+    @pytest.mark.parametrize("kind, error", [
+        ("gaussian_mixture", "1.742e-11"), ("double_well", "3.569e-10"),
+        ("quadratic", "8.675e-10"),
+    ])
+    def test_gradcheck_passes(self, capsys, kind, error):
+        # the same line on numpy's AVX-512 and AVX2 exp paths
+        assert main(["gradcheck", "--set", f"kind={kind}"]) == 0
+        assert capsys.readouterr().out == (f"gradcheck: max relative error {error} over 100 "
+                                           "points -> PASS\n")
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")   # clamped swap prob
     def test_divergence_exits_3(self, tmp_path, capsys):

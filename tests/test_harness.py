@@ -2,6 +2,7 @@
 
 import contextlib
 import math
+import re
 import tempfile
 import tracemalloc
 from collections import Counter
@@ -14,7 +15,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from relex.errors import InputError
-from relex.harness import (RunSummary, _best_so_far,
+from relex.harness import (RunSummary, _best_so_far, _whole_steps,
                            discretization_error_experiment, pregenerate_noise,
                            run_comparison, write_bestsofar_csv,
                            write_discerr_csv, write_summary_csv)
@@ -81,8 +82,8 @@ class TestRunComparisonInputs:
         (dict(init="uniform:0,4"), "init must be a number or a regular array of numbers, "
                                    "got 'uniform:0,4'"),
         (dict(init=[[2.0, 2.0], [2.0]]), "init must be a number or a regular array"),
-        (dict(init=(2.0, math.nan)), "starting positions must be finite"),
-        (dict(init=np.full((4, 2), math.inf)), "starting positions must be finite"),
+        (dict(init=(2.0, math.nan)), "^init must be finite$"),
+        (dict(init=np.full((4, 2), math.inf)), "^init must be finite$"),
     ])
     def test_invalid_value_fails_before_any_draw(self, overrides, message):
         with no_draws(), pytest.raises(InputError, match=message):
@@ -296,11 +297,13 @@ class TestDiscretizationExperiment:
         (0.2, (0.02, 0.01), -0.001, "eta_ref must be positive"),
         (0.2, (0.02, 0.01), math.inf, "eta_ref must be positive"),
         (0.2, (5e-324,), None, "default eta_ref = 4.94066e-324 / 16 underflows to 0"),
-        # T / eta_ref and T / eta lie within 1e-9 of 0: no step to run
-        (1e-13, (0.02, 0.01), None, r"horizon T = 1e-13 is shorter than eta_ref"),
-        (1.0, (1e10,), 1.0, "not an integer number of steps of eta = 10000000000.0"),
-        # eta / eta_ref lies within 1e-9 of the multiple 0
-        (1.0, (1e-10,), 1.0, "integer multiple of eta_ref"),
+        # T / eta_ref rounds to 0: no step to run
+        (1e-13, (0.02, 0.01), None, r"^horizon T = 1e-13 is 1.6e-10 steps of eta_ref = "
+                                    r"0.000625; it must be a whole number from 1 to 2\*\*53 - 1$"),
+        (1.0, (1e10,), 1.0, "^T = 1.0 is not an integer number of steps of eta = 10000000000.0$"),
+        # eta / eta_ref rounds to the multiple 0
+        (1.0, (1e-10,), 1.0, r"^stepsize 1e-10 is 1e-10 steps of eta_ref = 1.0; it must be "
+                             r"a whole number from 1 to 2\*\*53 - 1$"),
         # a repeated stepsize would write two equal rows and skew the slope
         (0.2, (0.02, 0.01, 0.02), None, "stepsize 0.02 is listed twice"),
     ])
@@ -323,6 +326,40 @@ class TestDiscretizationExperiment:
         with pytest.raises(InputError):
             discretization_error_experiment(f, 0.1, 1.0, 1.0, (0.01, -0.01),
                                             T=0.1, ensemble=10, seed=0)
+
+    @pytest.mark.parametrize("span, eta_ref, count", [
+        # 0.7 / 7e-8 is 9999999.999999998 and 0.5 / 1e-9 is 499999999.99999994:
+        # whole to within 1e-9 of the count, not to within an absolute 1e-9
+        (0.7, 7e-8, 10**7), (0.5, 1e-9, 5 * 10**8),
+        (1.0, 1.0, 1), (2.0**53 - 1, 1.0, 2**53 - 1),
+    ])
+    def test_whole_steps_counts_a_span(self, span, eta_ref, count):
+        got = _whole_steps("span", span, eta_ref)
+        assert got == count and type(got) is int
+
+    @pytest.mark.parametrize("span, eta_ref, steps", [
+        (0.4, 1.0, "0.4"),                          # rounds to no step
+        (2.0**53, 1.0, "9007199254740992.0"),       # a float no longer counts every step
+        (1e10, 1e-310, "inf"),
+        (1.5, 1.0, "1.5"),
+    ], ids=["zero", "2**53", "overflow", "half"])
+    def test_whole_steps_rejects_a_span_with_no_exact_count(self, span, eta_ref, steps):
+        message = (f"span is {steps} steps of eta_ref = {eta_ref}; "
+                   "it must be a whole number from 1 to 2**53 - 1")
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            _whole_steps("span", span, eta_ref)
+
+    def test_a_long_fine_grid_reaches_the_kernel(self, monkeypatch):
+        # 10**7 reference steps of 7e-8; the stepsizes are 100 and 10 of them
+        runs = []
+
+        def no_run(f, x0, temps, steps, streams, eta, a, m=1):
+            runs.append((steps, eta, m))
+            return np.zeros_like(x0), None, None
+        monkeypatch.setattr("relex.harness.run_pair_ensemble", no_run)
+        discretization_error_experiment(double_well(), 0.1, 1.0, 1.0, (7e-6, 7e-7),
+                                        T=0.7, ensemble=4, seed=0, eta_ref=7e-8)
+        assert runs == [(10**7, 7e-8, 1), (10**5, 7e-8, 100), (10**6, 7e-8, 10)]
 
 
 class TestCsvWriters:

@@ -375,12 +375,15 @@ def swap_steps(draw):
 
 
 class TestFired:
-    """``_fired`` computes the rate only for chains with a uniform below
-    min(1, a * h) and must fire exactly where the full decision does."""
+    """``_fired`` takes the smallest of a coarse step's m uniforms, computes
+    the rate only for chains whose uniform is below min(1, a * h), and must
+    fire exactly where the full decision over all m rows does: the smallest
+    is below p exactly when one of them is."""
 
     @given(swap_steps())
     def test_fires_where_the_full_decision_fires(self, step):
-        assert np.array_equal(_fired(*step), fired_everywhere(*step))
+        u, *rest = step
+        assert np.array_equal(_fired(u.min(axis=0), *rest), fired_everywhere(*step))
 
     @pytest.mark.parametrize("u, T, fx, a, h, want", [
         # a * h >= 1: the probability is clamped, every real uniform is a candidate
@@ -404,7 +407,7 @@ class TestFired:
             "baseline-rows"])
     def test_edge_cases(self, u, T, fx, a, h, want):
         step = (np.array(u), np.array(T), np.array(fx), a, h)
-        assert _fired(*step).tolist() == want
+        assert _fired(step[0].min(axis=0), *step[1:]).tolist() == want
         assert fired_everywhere(*step).tolist() == want
 
     def test_nan_value_on_a_chain_that_cannot_fire_rejected(self):
@@ -497,8 +500,8 @@ class TestNoiseSources:
         noise = list(_philox_noise(steps, (n, 2, d), pair_streams(9, n), True, 1))
         xi, u = pregenerate_noise(9, n, steps, d)
         assert len(noise) == steps
-        for k, (inc, rows) in enumerate(noise):
-            assert np.array_equal(inc, xi[k]) and np.array_equal(rows, u[k:k + 1])
+        for k, (inc, uk) in enumerate(noise):
+            assert np.array_equal(inc, xi[k]) and np.array_equal(uk, u[k])
 
     def test_unit_coarse_steps_are_the_fine_steps(self):
         chains = 4
@@ -509,8 +512,9 @@ class TestNoiseSources:
                       axis=2)
         u = swap.uniform((steps, chains))
         assert len(noise) == steps
-        for k, (inc, rows) in enumerate(noise):
-            assert np.array_equal(inc, xi[k]) and np.array_equal(rows, u[k:k + 1])
+        for k, (inc, uk) in enumerate(noise):
+            # with m = 1 a step's uniforms are its row itself
+            assert np.array_equal(inc, xi[k]) and np.array_equal(uk, u[k])
 
     def test_coarse_step_sums_its_block(self):
         m, chains = 3, 4
@@ -521,7 +525,8 @@ class TestNoiseSources:
         for k, (inc, u) in enumerate(coarse):
             block = rows[m * k:m * (k + 1)]
             assert np.array_equal(inc, np.stack([row[0] for row in block]).sum(axis=0))
-            assert np.array_equal(u, np.concatenate([row[1] for row in block]))
+            # the smallest of the step's m uniform rows, chain by chain
+            assert np.array_equal(u, np.stack([row[1] for row in block]).min(axis=0))
 
     @pytest.mark.parametrize("m", [1, 3])
     def test_draw_counts_are_exact_after_a_run(self, m):
