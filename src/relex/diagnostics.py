@@ -17,7 +17,7 @@ import numpy as np
 from .errors import (InputError, finite, floats, integer, nonnegative_finite, number,
                      positive, positive_finite)
 from .objective import ObjectiveFunction
-from .replica import pair_snapshots, pair_start
+from .replica import pair_snapshots, pair_start, pair_temperatures
 from .rng import STREAM_BOOTSTRAP, RngStream, pair_streams
 
 PI_FLOOR = 1e-12
@@ -214,12 +214,8 @@ def chi2_decay_experiment(f: ObjectiveFunction, tau1: float, tau2: float,
     per-time chi2 standard errors and a standard error for the rate, from
     N_BOOTSTRAP resamples.
     """
-    if f.dimension != 1:
-        raise InputError("chi-square decay experiment requires a 1-D objective")
     ensemble = integer("ensemble", ensemble, 1000)
-    tau1, tau2 = positive("tau1", tau1), positive("tau2", tau2)
-    if not tau1 < tau2:     # the grid is (tau1, tau2), the snapshots (low, high)
-        raise InputError("replica exchange requires tau1 < tau2")
+    tau1, tau2 = pair_temperatures(tau1, tau2)  # grid (tau1, tau2), snapshots (low, high)
     eta = positive("eta", eta)      # the sample times are counted in steps of eta
     fit_floor = number("fit_floor", fit_floor)
     sample_times = floats("sample times", sample_times, positive_finite, "positive and finite")

@@ -20,12 +20,15 @@ class InputError(RelexError):
 
 class DivergenceError(RelexError):
     """A trajectory left the finite domain at step ``iteration``; ``chain`` and ``slot``
-    locate the first particle out, and ``position`` is its last finite position."""
+    locate the first particle out, ``position`` is its last finite position and
+    ``temperature`` the temperature it held during the update that left."""
 
     def __init__(self, message: str, iteration: int | None = None,
-                 chain: int | None = None, slot: int | None = None, position=None):
+                 chain: int | None = None, slot: int | None = None, position=None,
+                 temperature: float | None = None):
         super().__init__(message)
         self.iteration, self.chain, self.slot, self.position = iteration, chain, slot, position
+        self.temperature = temperature
 
 
 # Elementwise tests, of an array for ``floats`` or of one float for ``number``.

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import InputError, finite, floats, integer, positive, positive_finite
 from .objective import ObjectiveFunction
-from .replica import by_temperature, pair_start, run_pair_ensemble
+from .replica import by_temperature, pair_start, pair_temperatures, run_pair_ensemble
 from .rng import pair_streams
 
 
@@ -104,9 +104,7 @@ def run_comparison(f: ObjectiveFunction, tau1: float, tau2: float, a: float, eta
     checks ``a`` and ``eta`` before it draws anything."""
     if not isinstance(f, ObjectiveFunction):
         raise InputError(f"objective must be an ObjectiveFunction, got {type(f).__name__}")
-    tau1, tau2 = positive("tau1", tau1), positive("tau2", tau2)
-    if not (tau1 < tau2):
-        raise InputError("replica exchange requires tau1 < tau2")
+    tau1, tau2 = pair_temperatures(tau1, tau2)
     steps, ensemble = integer("steps", steps, 1), integer("ensemble", ensemble, 1)
     stride = integer("stride", stride, 1)
     if steps % stride != 0:

@@ -30,15 +30,18 @@ def em_update(position, gradient, temperature, eta, xi):
     return position - eta * gradient + coef * xi
 
 
-def check_finite(position, iteration, before=None):
+def check_finite(position, iteration, before=None, temperatures=None):
     """Raise DivergenceError if a coordinate of the positions (chains, R, d) is non-finite
-    or past the limit, naming the first such particle and its position ``before``."""
+    or past the limit, naming the first such particle, its position ``before`` and the
+    temperature it held in ``temperatures`` (chains, R)."""
     # One reduction: NaN fails the comparison, so it raises with inf.
     if not (np.abs(position).max() <= DIVERGENCE_LIMIT):
         where = np.argwhere(~(np.abs(position) <= DIVERGENCE_LIMIT))[0][:-1].tolist()
         chain, slot = (where + [None, None])[:2]
         last = None if before is None else np.array(before[tuple(where)])
+        temp = None if temperatures is None else float(temperatures[tuple(where)])
         raise DivergenceError(
             f"trajectory diverged at iteration {iteration} in chain {chain}, slot {slot}"
+            + ("" if temp is None else f", temperature {temp}")
             + ("" if last is None else f"; last finite position {last.tolist()}"),
-            iteration=iteration, chain=chain, slot=slot, position=last)
+            iteration=iteration, chain=chain, slot=slot, position=last, temperature=temp)

@@ -66,6 +66,15 @@ def _fired(u, T, fx, intensity, h):
     return cand[u.take(cand) < swap_probability(rate, intensity, h)]
 
 
+def pair_temperatures(tau1, tau2):
+    """A replica pair's temperatures (tau1, tau2) as floats: each positive and
+    finite, and tau1 < tau2, so that the first slot is the low one."""
+    tau1, tau2 = positive("tau1", tau1), positive("tau2", tau2)
+    if not tau1 < tau2:
+        raise InputError("replica exchange requires tau1 < tau2")
+    return tau1, tau2
+
+
 def pair_start(chains: int, d: int = 1):
     """``chains`` pairs (chains, 2, d) started at (1, -1): the first slot at 1
     and the second at -1 in every coordinate."""
@@ -139,7 +148,7 @@ def run_pair_ensemble(f: ObjectiveFunction, x0, temps, steps: int, streams,
         if swapping and not np.isfinite(fx).all():
             raise InputError("objective values in swap rate must be finite")
         before, x = x, x - step * grad + coef * xi  # em_update with the cached scale
-        check_finite(x, k + 1, before)
+        check_finite(x, k + 1, before, T)
         if swapping:
             fired = _fired(u, T, fx, intensity, eta)
             if fired.size:

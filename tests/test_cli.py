@@ -618,7 +618,7 @@ class TestDispatch:
         assert code == 3
         err = capsys.readouterr().err
         assert "divergence" in err
-        assert "in chain 0, slot 0; last finite position [" in err
+        assert "in chain 0, slot 0, temperature 0.1; last finite position [" in err
 
     def test_entry_point_sets_the_process_exit_status(self, tmp_path):
         src = os.path.dirname(os.path.dirname(relex.__file__))

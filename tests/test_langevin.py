@@ -7,7 +7,7 @@ import pytest
 from relex.errors import DivergenceError, InputError
 from relex.langevin import DIVERGENCE_LIMIT, check_finite, em_update
 from relex.objective import double_well, quadratic
-from relex.replica import run_pair_ensemble
+from relex.replica import pair_start, run_pair_ensemble
 from relex.rng import PURPOSE_POS1, derive_stream, pair_streams
 
 
@@ -91,12 +91,23 @@ class TestLangevinStep:
         assert "iteration 40 in chain 1, slot 1" in str(e)
         assert f"last finite position [{-(2.0 ** 39)}]" in str(e)
 
+    def test_divergence_names_the_temperature(self):
+        # the first particle out holds the low temperature during its last update
+        with pytest.raises(DivergenceError) as err:
+            run_pair_ensemble(double_well(), pair_start(2000), (0.1, 1.0), 625,
+                              pair_streams(0, 4), 0.08, 5.0)
+        e = err.value
+        assert (e.iteration, e.chain, e.slot, e.temperature) == (58, 225, 0, 0.1)
+        assert e.position.tolist() == [-12988723.157909082]
+        assert "iteration 58 in chain 225, slot 0, temperature 0.1;" in str(e)
+
     def test_guard_catches_nan_inf_and_the_limit(self):
         check_finite(np.array([[DIVERGENCE_LIMIT, -DIVERGENCE_LIMIT]]), 3)
         for bad in (np.nan, np.inf, -np.inf, 2 * DIVERGENCE_LIMIT):
             with pytest.raises(DivergenceError) as err:
                 check_finite(np.array([[0.0, bad]]), 7)
             assert err.value.iteration == 7
+            assert err.value.temperature is None     # none given, none named
 
 
 class TestRunChain:

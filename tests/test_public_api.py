@@ -28,7 +28,7 @@ README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 # class that keeps Exception's own constructor.
 SIGNATURES = {
     "DecayFit": ("times", "chi2", "rate", "bootstrap_std", "rate_std"),
-    "DivergenceError": ("message", "iteration", "chain", "slot", "position"),
+    "DivergenceError": ("message", "iteration", "chain", "slot", "position", "temperature"),
     "GridMeasure": ("bounds", "mass", "overflow"),
     "InputError": None,
     "ObjectiveFunction": ("dimension", "value_and_grad"),

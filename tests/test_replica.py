@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from relex.errors import InputError
 from relex.harness import pregenerate_noise
-from relex.objective import ObjectiveFunction, double_well, quadratic
+from relex.objective import ObjectiveFunction, benchmark_mixture, double_well, quadratic
 from relex.replica import (CHUNK_DRAWS, _fired, _philox_noise, by_temperature,
                            pair_snapshots, pair_start, run_pair_ensemble,
                            swap_probability, swap_rate)
@@ -420,6 +420,56 @@ class TestFired:
         with pytest.raises(InputError, match="finite"):
             run_pair_ensemble(f, np.zeros((3, 2, 1)), (0.1, 1.0), 5,
                               [(p1, p2, None) for p1, p2, _ in pair_streams(0)], 0.01, 1.0)
+
+
+def temperature_swaps(f, x0, temps, steps, streams, eta, a, m, exchange_scale=True):
+    """The discrete algorithm written out on the kernel's noise: each slot
+    keeps its particle, a swap trades the temperatures (and with
+    ``exchange_scale`` their noise scales), and each slot takes the increment
+    of the stream that belongs to its current temperature. Returns the
+    positions ordered (low, high) and the number of swaps."""
+    x = np.array(x0, dtype=float)
+    T = np.array(np.broadcast_to(temps, x.shape[:2]))
+    coef = np.sqrt(2.0 * eta * T)[..., None]
+    swaps = 0
+    for xi, u in _philox_noise(steps, x.shape, streams, True, m):
+        fx, grad = f.value_and_grad(x)
+        # by_temperature hands a slot at the high temperature the second stream's row
+        x = x - m * eta * grad + coef * by_temperature(xi, T)
+        fired = _fired(u, T, fx, a, eta)
+        T[fired] = T[fired, ::-1]
+        if exchange_scale:
+            coef[fired] = coef[fired, ::-1]
+        swaps += fired.size
+    return by_temperature(x, T), swaps
+
+
+class TestFormulationIdentity:
+    """Position swapping is temperature swapping under a relabelling of the
+    noise: each stream follows its temperature, not its slot. So the kernel's
+    position mode must reproduce, bit for bit, a temperature-swapping loop
+    whose slots take the increment of the stream at their temperature."""
+
+    CASES = {
+        "double-well": (double_well, pair_start(64), (0.1, 1.0), 0.001, 5.0),
+        "mixture": (lambda: benchmark_mixture(0.1), np.full((64, 2, 2), 2.0), (0.01, 1.0),
+                    0.01, 1.0),
+    }
+
+    @pytest.mark.parametrize("m", [1, 3])
+    @pytest.mark.parametrize("case", CASES)
+    def test_position_swapping_is_temperature_swapping(self, case, m):
+        make, x0, temps, eta, a = self.CASES[case]
+        f = make()
+        run = (f, x0, temps, 1000 // m)
+        x, _, swaps = run_pair_ensemble(*run, pair_streams(11, 4), eta, a, mode="position", m=m)
+        by_temp, n = temperature_swaps(*run, pair_streams(11, 4), eta, a, m)
+        assert n == swaps.sum() >= 50
+        assert by_temp.tobytes() == x.tobytes()
+        # a loop that leaves the noise scale with the slot runs another process
+        unscaled, _ = temperature_swaps(*run, pair_streams(11, 4), eta, a, m,
+                                        exchange_scale=False)
+        assert unscaled.tobytes() != x.tobytes()
 
 
 class TestPairSnapshots:
