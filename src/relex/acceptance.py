@@ -107,15 +107,11 @@ def criterion_3_stationarity():
 def criterion_4_chi2_acceleration():
     """Double-well, (0.1, 1), eta 0.001, 2000 pairs: swapping at a = 5 decays
     chi-square at least as fast as a = 0, and its curve never sits above."""
-    f = double_well()
-    kwargs = dict(
-        tau1=0.1, tau2=1.0, eta=0.001, ensemble=2000,
-        sample_times=np.arange(1, 11) * 0.1,
-        bounds=np.array([[-3.0, 3.0]]), resolution=16,
-        seed=4, fit_floor=0.5,
-    )
-    fit0 = chi2_decay_experiment(f, a=0.0, **kwargs)
-    fit5 = chi2_decay_experiment(f, a=5.0, **kwargs)
+    fits = chi2_decay_experiment(double_well(), tau1=0.1, tau2=1.0, a=5.0, eta=0.001,
+                                 ensemble=2000, sample_times=np.arange(1, 11) * 0.1,
+                                 bounds=np.array([[-3.0, 3.0]]), resolution=16, seed=4,
+                                 fit_floor=0.5)
+    fit0, fit5 = fits[0.0], fits[5.0]
     sigma = fit0.rate_std if np.isfinite(fit0.rate_std) else 0.0
     rate_ok = fit5.rate >= fit0.rate - sigma
     band = fit0.chi2[1:] + 2.0 * np.hypot(fit0.bootstrap_std[1:],

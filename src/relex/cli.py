@@ -288,10 +288,10 @@ def cmd_sweep(cfg, values, out) -> int:
 def cmd_chi2(cfg, values, out) -> int:
     f = OBJECTIVES[values["kind"]](values)
     intensity = positive("dynamics.intensity", values["intensity"], zero=True)
-    # one run without swaps, and one at the intensity unless that is 0 too
-    fits = {a: chi2_decay_experiment(f, a=a, bounds=np.array([values["bounds"]]), **_take(
+    # the a = 0 control, and the intensity unless that is 0 too, in one run
+    fits = chi2_decay_experiment(f, a=intensity, bounds=np.array([values["bounds"]]), **_take(
         values, "tau1", "tau2", "eta", "ensemble", "sample_times", "resolution", "seed",
-        "fit_floor")) for a in dict.fromkeys((0.0, intensity))}
+        "fit_floor"))
     wrote = _write(out, cfg, [("chi2decay.csv", write_chi2decay_csv, fits)])
     rates = {a: f"{fit.rate:.4g}" for a, fit in fits.items()}
     print(f"chi2: wrote {wrote}; fitted decay rates {rates}")

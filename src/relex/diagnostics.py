@@ -203,22 +203,34 @@ def _chi2_of_points(points, pi: GridMeasure) -> float:
 def chi2_decay_experiment(f: ObjectiveFunction, tau1: float, tau2: float,
                           a: float, eta: float, ensemble: int, sample_times,
                           bounds, resolution: int, seed: int,
-                          fit_floor: float = 0.01) -> DecayFit:
+                          fit_floor: float = 0.01) -> dict[float, DecayFit]:
     """Estimate the chi-square decay of the pair law toward the pair Gibbs
-    measure from an ensemble of replica pairs started at the point (1, -1).
+    measure from ensembles of replica pairs started at the point (1, -1), at
+    swap intensity ``a`` and in an ``a = 0`` control on the same noise.
+
+    One kernel run, laid out as ``run_comparison`` lays out a comparison:
+    chains [0, ensemble) are the control, a group with no swap stream, and
+    chains [ensemble, 2 * ensemble) swap at ``a`` on the same slot stream
+    objects, whose increments are drawn once for both. At ``a = 0`` the
+    control runs alone. Returns the fits by intensity, {0.0: control,
+    a: swapping}, one entry when ``a`` is 0.
 
     The pair state is tracked in (low-temperature coordinate, high-temperature
     coordinate) order. log chi2 is fitted by least squares over the sample
     times where chi2 exceeds ``fit_floor``; ``rate`` is the fitted decay rate
     (positive means decaying). Bootstrap resampling over chains supplies
     per-time chi2 standard errors and a standard error for the rate, from
-    N_BOOTSTRAP resamples.
+    N_BOOTSTRAP resamples whose chain indices both fits share.
     """
     ensemble = integer("ensemble", ensemble, 1000)
     tau1, tau2 = pair_temperatures(tau1, tau2)  # grid (tau1, tau2), snapshots (low, high)
+    a = positive("swap intensity", a, zero=True)
     eta = positive("eta", eta)      # the sample times are counted in steps of eta
     fit_floor = number("fit_floor", fit_floor)
     sample_times = floats("sample times", sample_times, positive_finite, "positive and finite")
+    if sample_times.ndim != 1:
+        raise InputError(f"sample times must be a flat list of times, "
+                         f"got an array of shape {sample_times.shape}")
     if sample_times.size < 1:
         raise InputError("need at least one sample time")
     last = float(sample_times.max())
@@ -234,30 +246,32 @@ def chi2_decay_experiment(f: ObjectiveFunction, tau1: float, tau2: float,
     pi = pair_gibbs_density(f, tau1, tau2, bounds, resolution)
 
     times = sample_steps * eta
-    snaps, _ = pair_snapshots(f, pair_start(ensemble), (tau1, tau2), pair_streams(seed), eta, a,
-                              sample_steps.tolist(), mode="position")
-    pair_points = snaps[:, :, :, 0]
-    chi2 = np.array([_chi2_of_points(pts, pi) for pts in pair_points])
-    kept = int(np.sum(chi2 > fit_floor))
+    intensities = list(dict.fromkeys((0.0, a)))
+    (pos1, pos2, swap), = pair_streams(seed)
+    streams = [(pos1, pos2, None), (pos1, pos2, swap)][:len(intensities)]
+    snaps, _ = pair_snapshots(f, pair_start(len(streams) * ensemble), (tau1, tau2), streams,
+                              eta, a, sample_steps.tolist(), mode="position")
+    halves = np.split(snaps[:, :, :, 0], len(streams), axis=1)  # each (times, ensemble, 2)
+    chi2 = [np.array([_chi2_of_points(pts, pi) for pts in half]) for half in halves]
+    kept = min(int(np.sum(values > fit_floor)) for values in chi2)
     if kept < 3:
         raise InputError(f"only {kept} sample times have chi2 > {fit_floor}")
 
-    boot_rng = RngStream(seed, STREAM_BOOTSTRAP)
-    boot = np.empty((N_BOOTSTRAP, len(times)))
-    for b in range(N_BOOTSTRAP):
-        idx = boot_rng.integers(ensemble, ensemble)
-        boot[b] = [_chi2_of_points(pts[idx], pi) for pts in pair_points]
-    bootstrap_std = boot.std(axis=0, ddof=1)
+    # one set of chain resamples, row b the b-th, applied to both halves
+    resamples = RngStream(seed, STREAM_BOOTSTRAP).integers(ensemble, (N_BOOTSTRAP, ensemble))
+    boot = [np.array([[_chi2_of_points(pts[idx], pi) for pts in half] for idx in resamples])
+            for half in halves]
 
     def fit_rate(values):
         keep = values > fit_floor
         return -np.polyfit(times[keep], np.log(values[keep]), 1)[0]
 
-    rate = fit_rate(chi2)
-    boot_rates = [fit_rate(row) for row in boot if np.sum(row > fit_floor) >= 3]
-    rate_std = float(np.std(boot_rates, ddof=1)) if len(boot_rates) > 1 else float("nan")
-    return DecayFit(times=times, chi2=chi2, rate=rate,
-                    bootstrap_std=bootstrap_std, rate_std=rate_std)
+    def fit(values, rows):
+        boot_rates = [fit_rate(row) for row in rows if np.sum(row > fit_floor) >= 3]
+        rate_std = float(np.std(boot_rates, ddof=1)) if len(boot_rates) > 1 else float("nan")
+        return DecayFit(times=times, chi2=values, rate=fit_rate(values),
+                        bootstrap_std=rows.std(axis=0, ddof=1), rate_std=rate_std)
+    return {key: fit(values, rows) for key, values, rows in zip(intensities, chi2, boot)}
 
 
 def dirichlet_acceleration_term(h, a: float, pair_pi: GridMeasure) -> float:

@@ -16,6 +16,7 @@ smallest of their m uniforms is below the swap probability.
 
 from __future__ import annotations
 
+import sys
 import warnings
 
 import numpy as np
@@ -23,6 +24,7 @@ import numpy as np
 from .errors import InputError, finite, floats, integer, nonnegative_finite, positive
 from .langevin import check_finite
 from .objective import ObjectiveFunction
+from .rng import RngStream
 
 
 def swap_rate(u1, u2, tau1, tau2):
@@ -119,7 +121,8 @@ def run_pair_ensemble(f: ObjectiveFunction, x0, temps, steps: int, streams,
     eta = positive("eta", eta)
     if intensity * eta >= 1:
         warnings.warn(f"intensity * eta = {intensity * eta:g} >= 1; "
-                      "swap probabilities will be clamped to 1", RuntimeWarning, stacklevel=2)
+                      "swap probabilities will be clamped to 1", RuntimeWarning,
+                      stacklevel=_outside_level())
     if mode not in ("temperature", "position"):
         raise InputError(f"unknown swap mode {mode!r}")
     steps, m = integer("steps", steps, 1), integer("m", m, 1)
@@ -164,6 +167,16 @@ def run_pair_ensemble(f: ObjectiveFunction, x0, temps, steps: int, streams,
     return x, T, swaps
 
 
+def _outside_level() -> int:
+    """The ``warnings`` stacklevel, as seen from the function that calls this
+    one, of the first frame outside the package: a warning raised under any
+    driver names the line that called into relex."""
+    frame, level = sys._getframe(2), 2
+    while frame.f_back is not None and frame.f_globals.get("__package__") == __package__:
+        frame, level = frame.f_back, level + 1
+    return level
+
+
 def pair_snapshots(f: ObjectiveFunction, x0, temps, streams, eta: float,
                    intensity: float, at, mode: str = "temperature"):
     """Pair run to step max(at) that records ``by_temperature(x, T)`` at each
@@ -198,7 +211,9 @@ def _philox_noise(steps, shape, streams, swapping, m):
     chains, R, d = shape
     if not streams or chains % len(streams):
         raise InputError(f"{chains} chains do not split into {len(streams)} groups")
-    if any(not isinstance(group, tuple) or len(group) != R + 1 for group in streams):
+    if not all(isinstance(group, tuple) and len(group) == R + 1
+               and all(isinstance(s, RngStream) for s in group[:R])
+               and isinstance(group[R], (RngStream, type(None))) for group in streams):
         raise InputError(f"a group is a tuple of {R} slot streams, then a swap stream or None")
     per = chains // len(streams)
     span = max(1, CHUNK_DRAWS // (per * d * m))     # kernel steps per chunk

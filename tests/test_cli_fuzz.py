@@ -20,11 +20,12 @@ import relex.replica
 from relex.cli import GRAMMAR, _int, emit_canonical_config, main, parse_canonical_config
 
 # Small base runs: the kernel makes at most a few thousand particle steps.
-# horizon / eta_ref is 32 sub-steps and sample_times / eta is 6 steps.
+# horizon / eta_ref is 32 sub-steps and sample_times / eta is 3 steps, which
+# chi2 runs for its a = 0 control and its swapping pairs in one call.
 BASE = {
     "compare": ["steps=20", "ensemble=3", "stride=10"],
     "sweep": ["steps=20", "ensemble=2", "stride=10", "kappas=0.1,0.2"],
-    "chi2": ["kind=double_well", "ensemble=1000", "sample_times=0.02,0.04,0.06",
+    "chi2": ["kind=double_well", "ensemble=1000", "sample_times=0.01,0.02,0.03",
              "resolution=12"],
     "discerr": ["kind=double_well", "ensemble=4", "horizon=0.04", "etas=0.04,0.02"],
     "gradcheck": [],

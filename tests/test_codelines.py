@@ -4,7 +4,11 @@ lines counts each of them."""
 
 import importlib.util
 import pathlib
+import subprocess
+import sys
 import textwrap
+
+import pytest
 
 TOOL = pathlib.Path(__file__).resolve().parents[1] / "tools" / "codelines.py"
 spec = importlib.util.spec_from_file_location("codelines", TOOL)
@@ -54,3 +58,23 @@ def test_main_prints_one_count_per_file_then_the_total(tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert [line.split()[0] for line in lines] == ["1", "2", "3"]
     assert lines[-1].endswith("code lines in total")
+
+
+def run_tool(*args):
+    return subprocess.run([sys.executable, str(TOOL), *args], capture_output=True, text=True)
+
+
+@pytest.mark.parametrize("args", [(), ("src",), ("missing.py",)],
+                         ids=["no-path", "directory", "missing"])
+def test_no_path_or_a_path_that_is_no_file_prints_the_usage_and_exits_2(args):
+    done = run_tool(*(str(TOOL.parents[1] / arg) for arg in args))
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr.startswith("usage: python tools/codelines.py ")
+
+
+def test_files_exit_0(tmp_path):
+    one = tmp_path / "one.py"
+    one.write_text("x = 1\n")
+    done = run_tool(str(one))
+    assert done.returncode == 0 and done.stdout.splitlines()[-1].split()[0] == "1"

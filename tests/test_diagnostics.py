@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from relex.diagnostics import (PI_FLOOR, GridMeasure, _max_boundary_cell,
-                               chi2_decay_experiment,
+from relex import replica
+from relex.diagnostics import (N_BOOTSTRAP, PI_FLOOR, DecayFit, GridMeasure,
+                               _max_boundary_cell, chi2_decay_experiment,
                                chi_square_divergence,
                                dirichlet_acceleration_term,
                                empirical_histogram, gibbs_density,
@@ -17,8 +18,8 @@ from relex.diagnostics import (PI_FLOOR, GridMeasure, _max_boundary_cell,
 from relex.errors import InputError
 from relex.harness import _best_so_far, _summarize
 from relex.objective import ObjectiveFunction, double_well, quadratic
-from relex.replica import swap_rate
-from relex.rng import RngStream
+from relex.replica import pair_snapshots, pair_start, swap_rate
+from relex.rng import STREAM_BOOTSTRAP, RngStream, pair_streams
 
 
 class TestGibbsDensity:
@@ -348,12 +349,67 @@ class TestDirichletTerm:
             dirichlet_acceleration_term(h, 1.0, pair)
 
 
+DECAY = dict(tau1=0.1, tau2=1.0, eta=0.001, ensemble=1000, sample_times=np.arange(1, 7) * 0.05,
+             bounds=[[-3.0, 3.0]], resolution=12, seed=11, fit_floor=0.2)
+
+
+def decay_fit_alone(f, tau1, tau2, a, eta, ensemble, sample_times, bounds, resolution, seed,
+                    fit_floor):
+    """One intensity's fit made on its own: one pair_snapshots run of its
+    pairs on fresh pair_streams(seed), and its own bootstrap stream."""
+    pi = pair_gibbs_density(f, tau1, tau2, bounds, resolution)
+    steps = np.rint(np.asarray(sample_times) / eta).astype(int)
+    times = steps * eta
+    snaps, _ = pair_snapshots(f, pair_start(ensemble), (tau1, tau2), pair_streams(seed), eta,
+                              a, steps.tolist(), mode="position")
+
+    def chi2(points):
+        return chi_square_divergence(empirical_histogram(points, pi.bounds, pi.resolution), pi)
+    curve = np.array([chi2(points) for points in snaps[..., 0]])
+    rng = RngStream(seed, STREAM_BOOTSTRAP)
+    boot = np.empty((N_BOOTSTRAP, len(times)))
+    for b in range(N_BOOTSTRAP):
+        idx = rng.integers(ensemble, ensemble)
+        boot[b] = [chi2(points[idx]) for points in snaps[..., 0]]
+
+    def rate(values):
+        keep = values > fit_floor
+        return -np.polyfit(times[keep], np.log(values[keep]), 1)[0]
+    rates = [rate(row) for row in boot if np.sum(row > fit_floor) >= 3]
+    return DecayFit(times=times, chi2=curve, rate=rate(curve),
+                    bootstrap_std=boot.std(axis=0, ddof=1), rate_std=float(np.std(rates, ddof=1)))
+
+
 class TestDecayExperiment:
+    @pytest.mark.parametrize("a", [5.0, 0.0])
+    def test_one_run_gives_the_fits_of_separate_runs(self, a, monkeypatch):
+        # the control shares the swapping pairs' run and their increments,
+        # drawn once, and both fits share one set of chain resamples
+        runs, normals = [], []
+        kernel, normal = replica.run_pair_ensemble, RngStream.normal
+
+        def counted_kernel(f, x0, *args, **kw):
+            runs.append(x0.shape)
+            return kernel(f, x0, *args, **kw)
+
+        def counted_normal(stream, shape):
+            normals.append(np.prod(shape))
+            return normal(stream, shape)
+        monkeypatch.setattr(replica, "run_pair_ensemble", counted_kernel)
+        monkeypatch.setattr(RngStream, "normal", counted_normal)
+        fits = chi2_decay_experiment(double_well(), a=a, **DECAY)
+        assert runs == [(2000 if a else 1000, 2, 1)]
+        assert sum(normals) == 2 * 300 * 1000       # two slot streams, 300 steps
+        monkeypatch.undo()
+        assert list(fits) == list(dict.fromkeys([0.0, a]))
+        for intensity, fit in fits.items():
+            alone = decay_fit_alone(double_well(), a=intensity, **DECAY)
+            for field in dataclasses.fields(DecayFit):
+                got, want = getattr(fit, field.name), getattr(alone, field.name)
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), field.name
+
     def test_decay_fit_runs_and_decays(self):
-        fit = chi2_decay_experiment(
-            double_well(), 0.1, 1.0, a=5.0, eta=0.001, ensemble=1000,
-            sample_times=np.arange(1, 7) * 0.05, bounds=[[-3.0, 3.0]],
-            resolution=12, seed=11, fit_floor=0.2)
+        fit = chi2_decay_experiment(double_well(), a=5.0, **DECAY)[5.0]
         assert fit.times.shape == fit.chi2.shape == fit.bootstrap_std.shape
         assert np.all(fit.chi2 >= 0)
         assert fit.chi2[0] > fit.chi2[-1]   # point mass relaxes
@@ -388,8 +444,9 @@ class TestDecayExperiment:
                                   [0.1, 0.2, 0.3], [[-3, 3]], 10, 0, fit_floor=floor)
 
     def test_a_negative_fit_floor_keeps_every_time(self):
-        fit = chi2_decay_experiment(double_well(), 0.1, 1.0, 5.0, 0.001, 1000,
-                                    [0.01, 0.02, 0.03], [[-3.0, 3.0]], 12, 11, fit_floor=-1.0)
+        fits = chi2_decay_experiment(double_well(), 0.1, 1.0, 5.0, 0.001, 1000,
+                                     [0.01, 0.02, 0.03], [[-3.0, 3.0]], 12, 11, fit_floor=-1.0)
+        fit = fits[5.0]
         assert fit.times.size == 3 and np.isfinite(fit.rate)
 
     @pytest.mark.parametrize("times, message", [
@@ -403,6 +460,10 @@ class TestDecayExperiment:
         # increasing, but both times round to one step of eta = 0.001
         ([0.1, 0.1004], r"rounded to steps .* \[100, 100\]"),
         ([5e-324, 0.5], r"^sample time 5e-324 rounds to step 0 "),
+        # one flat list: a table of times, or one bare time, names no step order
+        ([[0.1, 0.2], [0.3, 0.4]], r"^sample times must be a flat list of times, got an "
+                                   r"array of shape \(2, 2\)$"),
+        (0.5, r"^sample times must be a flat list of times, got an array of shape \(\)$"),
     ])
     def test_sample_times_must_round_to_increasing_steps(self, times, message):
         with pytest.raises(InputError, match=message):

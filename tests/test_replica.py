@@ -9,8 +9,9 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from relex.diagnostics import chi2_decay_experiment
 from relex.errors import InputError
-from relex.harness import pregenerate_noise
+from relex.harness import discretization_error_experiment, pregenerate_noise, run_comparison
 from relex.objective import ObjectiveFunction, benchmark_mixture, double_well, quadratic
 from relex.replica import (CHUNK_DRAWS, _fired, _philox_noise, by_temperature,
                            pair_snapshots, pair_start, run_pair_ensemble,
@@ -126,6 +127,26 @@ class TestSwapParameters:
                                             pair_streams(0), 1.0, 2.0)
         assert swaps.tolist() == [4, 4, 4]
         assert swap_probability(1.0, 2.0, 1.0) == 1.0
+
+    @pytest.mark.parametrize("driver", [
+        lambda: run_comparison(benchmark_mixture(0.1), 0.01, 1.0, 100.0, 0.01, 10, 2, 0,
+                               (2.0, 2.0)),
+        lambda: chi2_decay_experiment(double_well(), 0.1, 1.0, 1000.0, 0.001, 1000,
+                                      [0.001, 0.002, 0.003], [[-3.0, 3.0]], 10, 0,
+                                      fit_floor=-1.0),
+        lambda: discretization_error_experiment(double_well(), 0.1, 1.0, 100.0, [0.02], 0.02,
+                                                2, 0, eta_ref=0.01),
+        lambda: run_pair_ensemble(flat(), np.zeros((3, 2, 1)), (0.1, 1.0), 4,
+                                  pair_streams(0), 1.0, 2.0),
+    ], ids=["run_comparison", "chi2_decay_experiment", "discretization_error_experiment",
+            "run_pair_ensemble"])
+    def test_clamp_warning_names_the_callers_line(self, driver):
+        # the first frame outside the package: here, this file, whatever
+        # driver the kernel runs under, so the default filter shows the
+        # warning once per calling line and not once per process
+        with pytest.warns(RuntimeWarning, match="clamped to 1") as record:
+            driver()
+        assert {w.filename for w in record} == {__file__}
 
     def test_probability_clamped_to_unit_interval(self):
         assert swap_probability(0.0, 5.0, 0.1) == 0.0
@@ -608,7 +629,22 @@ class TestNoiseSources:
                 (4, [streams[0], streams[1][1:]], "a group is a tuple of 2 slot streams"),
                 (2, [streams[0][0]], "a group is a tuple"),      # a bare stream
                 (2, [list(streams[0])], "a group is a tuple"),   # a list of streams
-                (4, [], "do not split")):
+                (4, [], "do not split"),
+                # entries that are no stream: each slot holds an RngStream,
+                # the swap entry an RngStream or None
+                (4, [(None, None, None)], "a group is a tuple"),
+                (2, [("noise", *streams[0][1:])], "a group is a tuple"),
+                (2, [(streams[0][0], None, streams[0][2])], "a group is a tuple"),
+                (2, [(*streams[0][:2], "swap")], "a group is a tuple"),
+                (4, [streams[0], (*streams[1][:2], 0.5)], "a group is a tuple")):
             with pytest.raises(InputError, match=message):
                 _philox_noise(5, (chains, 2, 1), groups, True, 1)
         assert all(drew_exactly(group, 0) for group in streams)   # nothing drawn
+
+    @pytest.mark.parametrize("group", [(None, None, None), ("a", "b", None)],
+                             ids=["none", "text"])
+    def test_a_group_of_no_streams_is_rejected_before_any_step(self, group):
+        # once an AttributeError from inside the first draw
+        with pytest.raises(InputError, match="^a group is a tuple of 2 slot streams, "
+                                             "then a swap stream or None$"):
+            run_pair_ensemble(double_well(), pair_start(4), (0.1, 1.0), 3, [group], 0.01, 1.0)

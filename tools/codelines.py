@@ -8,6 +8,7 @@ does not count as simpler code. Prints one count per file, then the total:
 
 import ast
 import io
+import os
 import sys
 import tokenize
 
@@ -26,7 +27,12 @@ def code_lines(src: str) -> int:
     return len(code)
 
 
-def main(paths) -> None:
+def main(paths) -> int:
+    """Print the counts of the files ``paths`` and return 0; with no path, or
+    a path that is not a file, print the usage line and return 2."""
+    if not paths or not all(os.path.isfile(path) for path in paths):
+        print("usage: python tools/codelines.py FILE.py [FILE.py ...]", file=sys.stderr)
+        return 2
     total = 0
     for path in paths:
         with open(path, encoding="utf-8") as fh:
@@ -34,7 +40,8 @@ def main(paths) -> None:
         total += count
         print(f"{count:8d} {path}")
     print(f"{total:8d} code lines in total")
+    return 0
 
 
 if __name__ == "__main__":
-    main(sys.argv[1:])
+    sys.exit(main(sys.argv[1:]))
