@@ -23,7 +23,7 @@ import sys
 import numpy as np
 
 from .diagnostics import chi2_decay_experiment
-from .errors import DivergenceError, InputError, RelexError, positive
+from .errors import DivergenceError, InputError, RelexError
 from .harness import (discretization_error_experiment, run_comparison, write_bestsofar_csv,
                       write_chi2decay_csv, write_discerr_csv, write_summary_csv)
 from .objective import benchmark_mixture, check_gradient, double_well, quadratic
@@ -287,9 +287,8 @@ def cmd_sweep(cfg, values, out) -> int:
 
 def cmd_chi2(cfg, values, out) -> int:
     f = OBJECTIVES[values["kind"]](values)
-    intensity = positive("dynamics.intensity", values["intensity"], zero=True)
     # the a = 0 control, and the intensity unless that is 0 too, in one run
-    fits = chi2_decay_experiment(f, a=intensity, bounds=np.array([values["bounds"]]), **_take(
+    fits = chi2_decay_experiment(f, a=values["intensity"], bounds=[values["bounds"]], **_take(
         values, "tau1", "tau2", "eta", "ensemble", "sample_times", "resolution", "seed",
         "fit_floor"))
     wrote = _write(out, cfg, [("chi2decay.csv", write_chi2decay_csv, fits)])

@@ -80,8 +80,8 @@ class DecayFit:
 
 def _bounds(bounds) -> np.ndarray:
     """Checked grid bounds: a (d, 2) float array of finite lo < hi rows."""
-    bounds = np.atleast_2d(floats("grid bounds", bounds))
-    if (bounds.ndim != 2 or bounds.shape[1] != 2 or not np.all(np.isfinite(bounds))
+    bounds = floats("grid bounds", bounds, axes=2)
+    if (bounds.shape[1] != 2 or not np.all(np.isfinite(bounds))
             or not np.all(bounds[:, 0] < bounds[:, 1])):
         raise InputError(f"grid bounds must be finite (lo, hi) rows with lo < hi, "
                          f"got {bounds.tolist()}")
@@ -162,13 +162,14 @@ def pair_gibbs_density(f: ObjectiveFunction, tau1: float, tau2: float,
 
 
 def empirical_histogram(positions, bounds, resolution: int) -> GridMeasure:
-    """Normalized occupancy histogram; out-of-bounds mass, +-inf included, is
-    reported separately. A NaN position lies nowhere, so it is an error."""
-    positions = np.atleast_2d(floats("positions", positions, lambda v: ~np.isnan(v), "non-NaN"))
+    """Normalized occupancy histogram of positions (N, d); out-of-bounds mass,
+    +-inf included, is reported separately. A NaN position lies nowhere, so it
+    is an error."""
+    positions = floats("positions", positions, lambda v: ~np.isnan(v), "non-NaN", axes=2)
     if positions.shape[0] == 0:
         raise InputError("no positions to histogram")
     bounds, resolution = _grid(bounds, resolution)
-    if positions.shape[1:] != bounds.shape[:1]:     # (N, d): a flat vector is one point
+    if positions.shape[1:] != bounds.shape[:1]:
         raise InputError(f"positions of shape {positions.shape} have {positions.shape[-1]} "
                          f"coordinates, but the bounds have {bounds.shape[0]} rows")
     counts, _ = np.histogramdd(positions, bins=resolution,
@@ -227,10 +228,8 @@ def chi2_decay_experiment(f: ObjectiveFunction, tau1: float, tau2: float,
     a = positive("swap intensity", a, zero=True)
     eta = positive("eta", eta)      # the sample times are counted in steps of eta
     fit_floor = number("fit_floor", fit_floor)
-    sample_times = floats("sample times", sample_times, positive_finite, "positive and finite")
-    if sample_times.ndim != 1:
-        raise InputError(f"sample times must be a flat list of times, "
-                         f"got an array of shape {sample_times.shape}")
+    sample_times = floats("sample times", sample_times, positive_finite, "positive and finite",
+                          axes=1)
     if sample_times.size < 1:
         raise InputError("need at least one sample time")
     last = float(sample_times.max())

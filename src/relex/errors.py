@@ -80,9 +80,11 @@ def positive(what: str, value, zero: bool = False) -> float:
                   f"{'nonnegative' if zero else 'positive'} and finite")
 
 
-def floats(what: str, value, test=None, condition: str = "") -> np.ndarray:
-    """``value`` as a float array whose every element passes the elementwise
-    ``test``, else an InputError naming ``what``: "``what`` must be ``condition``".
+def floats(what: str, value, test=None, condition: str = "", axes=None) -> np.ndarray:
+    """``value`` as a float array with ``axes`` axes, if given, whose every
+    element passes the elementwise ``test``, else an InputError naming ``what``:
+    "``what`` must have ``axes`` axis|axes, got shape ..." or "``what`` must be
+    ``condition``". The axes are checked first.
     Text, bytes, None, bools, a ragged nesting or any other object that is no
     number holds no floats. Without a test any float passes, NaN and inf too."""
     try:
@@ -93,6 +95,9 @@ def floats(what: str, value, test=None, condition: str = "") -> np.ndarray:
     except (TypeError, ValueError):
         raise InputError(f"{what} must be a number or a regular array of numbers, "
                          f"got {reprlib.repr(value)}") from None
+    if axes is not None and array.ndim != axes:
+        raise InputError(f"{what} must have {axes} {'axis' if axes == 1 else 'axes'}, "
+                         f"got shape {array.shape}")
     if test is not None and not np.all(test(array)):
         raise InputError(f"{what} must be {condition}")
     return array

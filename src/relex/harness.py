@@ -158,13 +158,16 @@ def discretization_error_experiment(f: ObjectiveFunction, tau1: float, tau2: flo
     the sum of its m constituent fine Gaussian increments, and its swap fires
     iff the smallest of the m fine uniforms falls below a * eta_ref * s
     evaluated at the coarse step's start. The finest grid is the brute-force
-    reference for the continuous process. ``T`` and every stepsize must each
-    span a whole number of ``eta_ref`` steps, by the rule of ``_whole_steps``.
+    reference for the continuous process. The temperatures follow the pair
+    rule of ``pair_temperatures``; ``etas`` is one axis of distinct stepsizes.
+    ``T`` and every stepsize must each span a whole number of ``eta_ref``
+    steps, by the rule of ``_whole_steps``.
     """
     ensemble = integer("ensemble", ensemble, 2)     # a standard error needs two
+    tau1, tau2 = pair_temperatures(tau1, tau2)
     T = positive("horizon T", T)
-    etas = floats("stepsizes", etas, positive_finite, "positive and finite")
-    etas = np.sort(etas, axis=None)[::-1]
+    etas = floats("stepsizes", etas, positive_finite, "positive and finite", axes=1)
+    etas = np.sort(etas)[::-1]
     if etas.size == 0:
         raise InputError("need at least one stepsize")
     repeated = etas[1:][etas[1:] == etas[:-1]]     # etas are sorted

@@ -64,9 +64,9 @@ def build_gaussian_mixture(centers, weights, kappa: float,
     U(x) = -sum_i w_i / (2 pi kappa) * exp(-||x - c_i||^2 / (2 kappa))
            [+ lambda * ||x||^2 when confinement is enabled]
     """
-    centers = np.atleast_2d(floats("mixture centers", centers, finite, "finite"))
-    weights = floats("mixture weights", weights, nonnegative_finite,
-                     "finite and nonnegative").ravel()
+    centers = floats("mixture centers", centers, finite, "finite", axes=2)
+    weights = floats("mixture weights", weights, nonnegative_finite, "finite and nonnegative",
+                     axes=1)
     kappa = positive("kappa", kappa)
     lam = positive("confinement", confinement, zero=True)
     if centers.shape[0] == 0:

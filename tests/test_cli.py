@@ -19,6 +19,7 @@ from relex.cli import (DEFAULTS, GRAMMAR, apply_override, emit_canonical_config,
 from relex.errors import InputError
 from relex.harness import run_comparison
 from relex.objective import benchmark_mixture
+from relex.rng import RngStream
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
@@ -206,6 +207,29 @@ def test_shipped_configs_load_and_round_trip():
     for path in paths:
         cfg = load_config(path)
         assert parse_canonical_config(emit_canonical_config(cfg)) == cfg
+
+
+CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
+SWEPT = [f"{kind}_kappa{tag}.csv" for kind in ("bestsofar", "summary")
+         for tag in ("0p05", "0p1", "0p2", "0p3")]
+# Each shipped config: the subcommand it is for and the files it writes.
+SHIPPED = {
+    "mixture_kappa_sweep.cfg": ("sweep", SWEPT),
+    "mixture_taus_0.01_0.5.cfg": ("compare", ["bestsofar.csv", "summary.csv"]),
+    "mixture_taus_0.01_1.cfg": ("compare", ["bestsofar.csv", "summary.csv"]),
+    "mixture_taus_0.1_1.cfg": ("compare", ["bestsofar.csv", "summary.csv"]),
+}
+
+
+@pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.cfg")), ids=lambda p: p.name)
+def test_shipped_configs_run_without_a_warning(path, tmp_path):
+    # a config file with no entry above fails here; the suite turns every
+    # warning, such as a clamped swap probability, into an error
+    command, files = SHIPPED[path.name]
+    code = main([command, "--config", str(path), "--set", "steps=20", "--set", "ensemble=2",
+                 "--out", str(tmp_path)])
+    assert code == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(files)
 
 
 class Ran(Exception):
@@ -397,14 +421,15 @@ class TestDispatch:
 
     def test_chi2_rejects_negative_intensity_before_any_run(self, tmp_path, capsys,
                                                             monkeypatch):
-        runs = []
-        monkeypatch.setattr("relex.cli.chi2_decay_experiment", lambda *a, **k: runs.append(a))
+        for draw in ("normal", "uniform", "integers"):
+            monkeypatch.setattr(RngStream, draw, no_run)
+        monkeypatch.setattr("relex.diagnostics.pair_gibbs_density", no_run)
         code = main(["chi2", "--set", "kind=double_well", "--set", "ensemble=1000",
                      "--set", "intensity=-1", "--out", str(tmp_path)])
-        assert code == 2 and runs == []
+        assert code == 2
         assert capsys.readouterr().err == (
-            "relex: error: dynamics.intensity must be nonnegative and finite, got -1.0\n")
-        assert not (tmp_path / "chi2decay.csv").exists()
+            "relex: error: swap intensity must be nonnegative and finite, got -1.0\n")
+        assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("times, message", [
         ("-3,-2,-1", "sample times must be positive and finite\n"),
@@ -437,6 +462,7 @@ class TestDispatch:
         ("chi2", "ensemble=1000 tau1=1 tau2=0.1", "replica exchange requires tau1 < tau2"),
         ("discerr", "ensemble=20 intensity=-1",
          "swap intensity must be nonnegative and finite, got -1.0"),
+        ("discerr", "ensemble=20 tau1=1 tau2=0.1", "replica exchange requires tau1 < tau2"),
     ])
     def test_bad_step_or_swap_intensity_exits_2(self, tmp_path, capsys, command, item,
                                                 message):

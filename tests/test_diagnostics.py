@@ -210,12 +210,14 @@ class TestHistogramAndDivergences:
         with pytest.raises(InputError, match="all positions fall outside the histogram bounds"):
             empirical_histogram(np.array([[5.0]]), [[-1, 1]], 4)
 
-    def test_flat_vector_is_one_point_and_must_match_the_bounds(self):
-        # positions are (N, d): a flat vector is one point of len(vector) coordinates
+    def test_positions_are_a_table_of_points_that_match_the_bounds(self):
+        # positions are (N, d): a flat vector is no table of points
+        with pytest.raises(InputError, match=r"^positions must have 2 axes, got shape \(3,\)$"):
+            empirical_histogram([0.1, 0.2, 0.3], [[-1, 1]], 4)
         with pytest.raises(InputError, match=r"^positions of shape \(1, 3\) have 3 "
                                              "coordinates, but the bounds have 1 rows$"):
-            empirical_histogram([0.1, 0.2, 0.3], [[-1, 1]], 4)
-        mu = empirical_histogram([0.1, 0.2], [[-1, 1], [-1, 1]], 4)
+            empirical_histogram([[0.1, 0.2, 0.3]], [[-1, 1]], 4)
+        mu = empirical_histogram([[0.1, 0.2]], [[-1, 1], [-1, 1]], 4)
         assert mu.mass[2, 2] == 1.0
 
     def test_chi2_zero_iff_equal(self):
@@ -461,9 +463,8 @@ class TestDecayExperiment:
         ([0.1, 0.1004], r"rounded to steps .* \[100, 100\]"),
         ([5e-324, 0.5], r"^sample time 5e-324 rounds to step 0 "),
         # one flat list: a table of times, or one bare time, names no step order
-        ([[0.1, 0.2], [0.3, 0.4]], r"^sample times must be a flat list of times, got an "
-                                   r"array of shape \(2, 2\)$"),
-        (0.5, r"^sample times must be a flat list of times, got an array of shape \(\)$"),
+        ([[0.1, 0.2], [0.3, 0.4]], r"^sample times must have 1 axis, got shape \(2, 2\)$"),
+        (0.5, r"^sample times must have 1 axis, got shape \(\)$"),
     ])
     def test_sample_times_must_round_to_increasing_steps(self, times, message):
         with pytest.raises(InputError, match=message):

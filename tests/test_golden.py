@@ -4,7 +4,9 @@ A refactor that claims to leave results bit for bit unchanged must leave
 these hashes unchanged. Each run takes a few tenths of a second. The hashes
 were taken with numpy 2.4.6 (Python 3.11.7, x86-64) on the version whose
 kernel still called ``eval`` and ``grad`` separately and whose ``compare``
-re-evaluated stored trajectories.
+re-evaluated stored trajectories. The ``sweep`` entries were re-taken under
+the same versions when its config moved from ``eta = 1`` to ``eta = 0.01``;
+with ``--set eta=1`` the run still gives the earlier hashes.
 
 numpy's float64 ``exp`` rounds some results differently on different SIMD
 paths: on an x86-64 CPU with AVX-512 it runs an AVX-512 kernel, elsewhere an
@@ -20,7 +22,6 @@ versions.
 
 import hashlib
 import re
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -68,14 +69,14 @@ AVX512 = {
         {"bestsofar.csv": "9345c08bc979737c19023881399eacab65d7a5bde2b8ff8dc4fa12b48f29d50a",
          "summary.csv": "f6ac060f390dcc4870a22e51594246f1c83c1911ce05412c1ddc036ed8409794"},
     "sweep":
-        {"bestsofar_kappa0p05.csv": "b788ff36c407df9c9688808fdb58b7ee5e1c343600de42e50c68f96bce529c51",
-         "bestsofar_kappa0p1.csv": "d5086c15b22dffec5ed59d215a0c7317e74e1d4054bc03f0906e9db37098651a",
-         "bestsofar_kappa0p2.csv": "3d8c43f8c90fff36ad72e47448815a50beac8795e57120490577395137b02981",
-         "bestsofar_kappa0p3.csv": "36eb8deb54081c24e025141eb6e913da87e227d99a738e15b0ad0b7eb0a6e9d0",
-         "summary_kappa0p05.csv": "cc87a21ac0271710baf93369421b3578e63c1666156374b06386714773c21030",
-         "summary_kappa0p1.csv": "17f6fed5a4d8fc2d42fee7b7ff94496675bc4759a2b6d6e75c535bb93d9b45b7",
-         "summary_kappa0p2.csv": "0b392438aa152f831daa1b34a9a075ced1db32528da09f540ac8ed77f908f463",
-         "summary_kappa0p3.csv": "fe4ccffaa1a76397a969cf6111df9f0ecdae208aa4e40a458d4c4e552a9cb3dd"},
+        {"bestsofar_kappa0p05.csv": "cf850e1ed8ae66bcea1471a218aafa80987fcaa7bcc8406863380e99483bd9da",
+         "bestsofar_kappa0p1.csv": "a8c59bc553a3331ea8cbc266b6016c665712270fc8d9cf224572a2dfc5ce4ce3",
+         "bestsofar_kappa0p2.csv": "93becf3d33f29726342478f3759b973b21430d7b7d0b6f162724bbb0e5f80e96",
+         "bestsofar_kappa0p3.csv": "7e3c905dad2a55ddd598f8bd7ed8e89ee019a6a011886dffe5657630899d514e",
+         "summary_kappa0p05.csv": "ada449df613743bd5e2bcd0a11bc89e02294696490cf5742d95857b17e714323",
+         "summary_kappa0p1.csv": "1bb7c99be6dfa112b3a9e144f98556394825159ca047efffc4b3a980c92e13bf",
+         "summary_kappa0p2.csv": "dedf5c09c27e45ebe052f1d2b55439180a23de7bf40c7b87136ed87d1add17fc",
+         "summary_kappa0p3.csv": "48fe87fc1da1e5e93a1f0cc01d29fa58ffa4092c3678a56cf3f016d1f13af969"},
     "chi2":
         {"chi2decay.csv": "ae14d9650909b875d3b5c081774c8d51698717103a992813b41f41d011dd693b"},
     "discerr-double-well":
@@ -98,14 +99,14 @@ AVX2 = {
         {"bestsofar.csv": "ed393b6caba5f7c0935fcd20c987b019f04a873b681c1a3a0a034f78b363a6a1",
          "summary.csv": "70ebe1401ee12655f5d2ddea7ad7e9db0d5bf70e609b945eb99dfb1eadd33e72"},
     "sweep":
-        {"bestsofar_kappa0p05.csv": "684b5368f9ab53802895cd0156a3f62f97dff3216e6ebd5bf389f0b77298e57a",
-         "bestsofar_kappa0p1.csv": "a1647fca6901a8ea95e19ac18795f4933f646261fc37ef4533bee6ae8047feb2",
-         "bestsofar_kappa0p2.csv": "af36fb92d78b71c2982f62cbc7b039deed1701dec9cd14deae73e6846dc72597",
-         "bestsofar_kappa0p3.csv": "12b902b34f6a803cf88c42a5582aadd3abe3566dfc04eb57dc9476484d9b65d7",
-         "summary_kappa0p05.csv": "bfa109d83116786b3b6060ef9465bf3d587342bf6219d5126932fc7470cdba22",
-         "summary_kappa0p1.csv": "2bb95c362e50a896c7d7aee338b6747621431cbb90ffba0338049ed5a4a404a5",
-         "summary_kappa0p2.csv": "a410d5a02d1f38b6c6a900906ecccf0144a7f090c6d07aa81c482d7c6b612fe3",
-         "summary_kappa0p3.csv": "1a3f8eebf38f436169dd52c50d51420636e4ab6269e82f5049ff0cddc25f8665"},
+        {"bestsofar_kappa0p05.csv": "c25c4e08b572b87eec1e3a4ced3e2bbd20d1175ac3cef872d9ea8d6bd8ddc665",
+         "bestsofar_kappa0p1.csv": "877a1d4efdfd9fd9e021e0cdd485cae7c18af66875993d20ecda34d256135093",
+         "bestsofar_kappa0p2.csv": "bfe2fd6aa764d9f0a74db28470b74135ce337f6fd3dad36e9ae796eff505c319",
+         "bestsofar_kappa0p3.csv": "6fb27dfff101747920aa8209b70390900f3a2b889560a7dafb3ebb2c858bd04e",
+         "summary_kappa0p05.csv": "d20b3b10ffcc43b946f5e710385237c966dc2fece14befe6f86e50e98b5702c3",
+         "summary_kappa0p1.csv": "1bb7c99be6dfa112b3a9e144f98556394825159ca047efffc4b3a980c92e13bf",
+         "summary_kappa0p2.csv": "aa32ae7ae0606a101289d63c084a94575aba74e45ddb7ea8abb7726dcc438dd3",
+         "summary_kappa0p3.csv": "dff1e6ead324d4d3d047ed5c2e51afb4dad4552eb0d56564bbb07a993319d0c1"},
 }
 
 HASHES = {
@@ -123,15 +124,12 @@ def test_csv_hashes(case, tmp_path):
     if EXP_FINGERPRINT not in HASHES:
         pytest.fail(f"no golden hashes for the np.exp fingerprint {EXP_FINGERPRINT}: "
                     "this numpy and CPU round exp unlike every table here")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)   # intensity * eta >= 1
-        assert main(CASES[case] + ["--out", str(tmp_path)]) == 0
+    assert main(CASES[case] + ["--out", str(tmp_path)]) == 0
     written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                for p in tmp_path.glob("*.csv")}
     assert written == HASHES[EXP_FINGERPRINT][case]
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")   # the sweep's intensity * eta = 1
 @pytest.mark.parametrize("case", ["compare", "sweep", "chi2", "discerr-double-well"])
 def test_every_file_echoes_the_config_it_ran(case, tmp_path):
     # the one output path: each file-writing subcommand writes its own files

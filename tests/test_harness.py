@@ -285,32 +285,38 @@ class TestDiscretizationExperiment:
         assert res.mse[0] > res.mse[1] > 0.0
         assert np.all(res.stderr >= 0.0)
 
-    @pytest.mark.parametrize("T, etas, eta_ref, message", [
-        (0.0, (0.02, 0.01), None, "horizon T must be positive"),
-        (-0.2, (0.02, 0.01), None, "horizon T must be positive"),
-        (math.inf, (0.02, 0.01), None, "horizon T must be positive"),
-        (math.nan, (0.02, 0.01), None, "horizon T must be positive"),
-        (0.2, (), None, "at least one stepsize"),
-        (0.2, (math.inf, 0.01), None, "positive and finite"),
-        (0.2, (0.02, math.nan), None, "positive and finite"),
-        (0.2, (0.02, 0.01), 0.0, "eta_ref must be positive"),
-        (0.2, (0.02, 0.01), -0.001, "eta_ref must be positive"),
-        (0.2, (0.02, 0.01), math.inf, "eta_ref must be positive"),
-        (0.2, (5e-324,), None, "default eta_ref = 4.94066e-324 / 16 underflows to 0"),
+    @pytest.mark.parametrize("changed, message", [
+        ({"T": 0.0}, "horizon T must be positive"),
+        ({"T": -0.2}, "horizon T must be positive"),
+        ({"T": math.inf}, "horizon T must be positive"),
+        ({"T": math.nan}, "horizon T must be positive"),
+        ({"etas": ()}, "at least one stepsize"),
+        ({"etas": (math.inf, 0.01)}, "positive and finite"),
+        ({"etas": (0.02, math.nan)}, "positive and finite"),
+        ({"eta_ref": 0.0}, "eta_ref must be positive"),
+        ({"eta_ref": -0.001}, "eta_ref must be positive"),
+        ({"eta_ref": math.inf}, "eta_ref must be positive"),
+        ({"etas": (5e-324,)}, "default eta_ref = 4.94066e-324 / 16 underflows to 0"),
         # T / eta_ref rounds to 0: no step to run
-        (1e-13, (0.02, 0.01), None, r"^horizon T = 1e-13 is 1.6e-10 steps of eta_ref = "
-                                    r"0.000625; it must be a whole number from 1 to 2\*\*53 - 1$"),
-        (1.0, (1e10,), 1.0, "^T = 1.0 is not an integer number of steps of eta = 10000000000.0$"),
+        ({"T": 1e-13}, r"^horizon T = 1e-13 is 1.6e-10 steps of eta_ref = 0.000625; it must "
+                       r"be a whole number from 1 to 2\*\*53 - 1$"),
+        ({"T": 1.0, "etas": (1e10,), "eta_ref": 1.0},
+         "^T = 1.0 is not an integer number of steps of eta = 10000000000.0$"),
         # eta / eta_ref rounds to the multiple 0
-        (1.0, (1e-10,), 1.0, r"^stepsize 1e-10 is 1e-10 steps of eta_ref = 1.0; it must be "
-                             r"a whole number from 1 to 2\*\*53 - 1$"),
+        ({"T": 1.0, "etas": (1e-10,), "eta_ref": 1.0},
+         r"^stepsize 1e-10 is 1e-10 steps of eta_ref = 1.0; it must be a whole number "
+         r"from 1 to 2\*\*53 - 1$"),
         # a repeated stepsize would write two equal rows and skew the slope
-        (0.2, (0.02, 0.01, 0.02), None, "stepsize 0.02 is listed twice"),
+        ({"etas": (0.02, 0.01, 0.02)}, "stepsize 0.02 is listed twice"),
+        # the pair rule of run_comparison and chi2_decay_experiment
+        ({"tau1": 1.0, "tau2": 0.1}, "^replica exchange requires tau1 < tau2$"),
+        ({"tau1": -1.0}, "^tau1 must be positive and finite, got -1.0$"),
     ])
-    def test_bad_horizon_or_stepsizes_rejected(self, T, etas, eta_ref, message):
+    def test_bad_horizon_or_stepsizes_rejected(self, changed, message):
+        args = {"tau1": 0.1, "tau2": 1.0, "a": 1.0, "etas": (0.02, 0.01), "T": 0.2,
+                "ensemble": 20, "seed": 0, "eta_ref": None, **changed}
         with pytest.raises(InputError, match=message):
-            discretization_error_experiment(double_well(), 0.1, 1.0, 1.0, etas, T=T,
-                                            ensemble=20, seed=0, eta_ref=eta_ref)
+            discretization_error_experiment(double_well(), **args)
 
     def test_ensemble_must_be_an_integer(self):
         with pytest.raises(InputError, match="^ensemble must be an integer, got 10.0$"):

@@ -55,6 +55,9 @@ class TestMixtureConstruction:
          "^mixture weights must be finite and nonnegative$"),
         (([[0.0, 0.0], [1.0, 1.0]], [1.0, np.inf], 0.1),
          "^mixture weights must be finite and nonnegative$"),
+        # centres are (n, d): a third axis is an error here, not in every eval
+        ((np.zeros((2, 1, 2)), [1.0, 1.0], 0.1),
+         r"^mixture centers must have 2 axes, got shape \(2, 1, 2\)$"),
     ])
     def test_validation_errors(self, args, match):
         with pytest.raises(InputError, match=match):

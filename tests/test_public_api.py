@@ -17,7 +17,6 @@ import pytest
 
 import relex
 from relex import InputError
-from relex.cli import cmd_chi2, load_config, parse_config
 from relex.errors import floats
 from relex.objective import DEFAULT_CENTERS, DEFAULT_WEIGHTS
 from relex.rng import RngStream, pair_streams
@@ -192,7 +191,6 @@ def test_an_array_input_that_is_not_numbers_is_an_input_error(call, what):
 
 # Every public scalar parameter: the name its message starts with, a call that
 # passes the value for it (all other arguments valid) and one out-of-range value.
-CHI2_VALUES = parse_config(load_config())
 PAIR_PI = relex.pair_gibbs_density(F, 0.1, 1.0, [[-3.0, 3.0]], 8)
 
 
@@ -233,9 +231,14 @@ SCALARS = {
     "chi2_decay_experiment.ensemble": ("ensemble", lambda v: _chi2(ensemble=v), 999),
     "chi2_decay_experiment.tau1": ("tau1", lambda v: _chi2(tau1=v), 0.0),
     "chi2_decay_experiment.tau2": ("tau2", lambda v: _chi2(tau2=v), -1.0),
+    "chi2_decay_experiment.a": ("swap intensity", lambda v: _chi2(a=v), -1.0),
     "chi2_decay_experiment.eta": ("eta", lambda v: _chi2(eta=v), 0.0),
     "discretization_error_experiment.ensemble": (
         "ensemble", lambda v: _discretization(ensemble=v), 1),
+    "discretization_error_experiment.tau1": (
+        "tau1", lambda v: _discretization(tau1=v), 0.0),
+    "discretization_error_experiment.tau2": (
+        "tau2", lambda v: _discretization(tau2=v), -1.0),
     "discretization_error_experiment.T": ("horizon T", lambda v: _discretization(T=v), 0.0),
     "discretization_error_experiment.eta_ref": (
         "eta_ref", lambda v: _discretization(eta_ref=v), -0.001),
@@ -255,8 +258,6 @@ SCALARS = {
     "build_gaussian_mixture.confinement": ("confinement", lambda v: relex.build_gaussian_mixture(
         DEFAULT_CENTERS, DEFAULT_WEIGHTS, 0.1, v), -1.0),
     "quadratic.scale": ("scale", lambda v: relex.quadratic(2, v), -0.5),
-    "cli.cmd_chi2.intensity": ("dynamics.intensity", lambda v: cmd_chi2(
-        None, {**CHI2_VALUES, "intensity": v}, None), -1.0),
 }
 NO_NUMBERS = {"text": "1", "none": None, "bool": True, "array": np.array([1.0, 2.0]),
               "object": object(), "nan": np.nan, "inf": np.inf}
@@ -279,52 +280,59 @@ def test_a_scalar_that_is_no_number_or_out_of_range_is_an_input_error(scalar, ba
 
 # Every public array input with a rule: the name its message starts with, the
 # condition the message states, a call that passes the array for it (all other
-# arguments valid), a valid array, and the bad values to put in one element of
-# it: NaN, inf where inf breaks the rule, and one out of range where the rule
-# has a range.
+# arguments valid), a valid array, the bad values to put in one element of it
+# (NaN, inf where inf breaks the rule, and one out of range where the rule has
+# a range), and the number of axes it must have, None where it takes two forms.
 ARRAYS = {
     "swap_rate.u1": ("objective values", "finite",
-                     lambda v: relex.swap_rate(v, 0.0, 0.1, 1.0), [0.0, 1.0], (np.nan, np.inf)),
+                     lambda v: relex.swap_rate(v, 0.0, 0.1, 1.0), [0.0, 1.0], (np.nan, np.inf),
+                     None),
     "swap_rate.u2": ("objective values", "finite",
-                     lambda v: relex.swap_rate(0.0, v, 0.1, 1.0), [0.0, 1.0], (np.nan, -np.inf)),
+                     lambda v: relex.swap_rate(0.0, v, 0.1, 1.0), [0.0, 1.0], (np.nan, -np.inf),
+                     None),
     # 1 / inf is 0, so an infinite temperature has a swap rate
     "swap_rate.tau1": ("temperatures", "positive",
-                       lambda v: relex.swap_rate(0.0, 1.0, v, 1.0), [0.1, 0.2], (np.nan, 0.0)),
+                       lambda v: relex.swap_rate(0.0, 1.0, v, 1.0), [0.1, 0.2], (np.nan, 0.0),
+                       None),
     "swap_rate.tau2": ("temperatures", "positive",
-                       lambda v: relex.swap_rate(0.0, 1.0, 0.1, v), [1.0, 2.0], (np.nan, -1.0)),
+                       lambda v: relex.swap_rate(0.0, 1.0, 0.1, v), [1.0, 2.0], (np.nan, -1.0),
+                       None),
     "run_pair_ensemble.x0": ("starting positions", "finite",
                              lambda v: relex.run_pair_ensemble(
                                  F, v, (0.1, 1.0), 5, pair_streams(0), 0.01, 1.0),
-                             PAIRS, (np.nan, np.inf)),
+                             PAIRS, (np.nan, np.inf), None),
     "run_pair_ensemble.temps": ("temperatures", "finite and nonnegative",
                                 lambda v: relex.run_pair_ensemble(
                                     F, PAIRS, v, 5, pair_streams(0), 0.01, 1.0),
-                                [0.1, 1.0], (np.nan, np.inf, -0.1)),
+                                [0.1, 1.0], (np.nan, np.inf, -0.1), None),
     "discretization_error_experiment.etas": (
         "stepsizes", "positive and finite", lambda v: _discretization(etas=v), [0.02, 0.01],
-        (np.nan, np.inf, 0.0)),
+        (np.nan, np.inf, 0.0), 1),
     "GridMeasure.mass": ("grid mass", "finite and nonnegative in every cell",
                          lambda v: relex.GridMeasure([[0.0, 1.0]], v), [0.5, 0.5],
-                         (np.nan, np.inf, -0.5)),
+                         (np.nan, np.inf, -0.5), None),
+    # a bad bound is named with the rows that hold it (tests/test_diagnostics.py)
+    "GridMeasure.bounds": ("grid bounds", "finite (lo, hi) rows with lo < hi",
+                           lambda v: relex.GridMeasure(v, [0.5, 0.5]), [[0.0, 1.0]], (), 2),
     "chi2_decay_experiment.sample_times": (
         "sample times", "positive and finite", lambda v: _chi2(sample_times=v),
-        [0.1, 0.2, 0.3], (np.nan, np.inf, -0.3)),
+        [0.1, 0.2, 0.3], (np.nan, np.inf, -0.3), 1),
     # an infinite position is histogram overflow
     "empirical_histogram.positions": ("positions", "non-NaN",
                                       lambda v: relex.empirical_histogram(v, [[-1.0, 1.0]], 4),
-                                      [[0.0], [0.5]], (np.nan,)),
+                                      [[0.0], [0.5]], (np.nan,), 2),
     "dirichlet_acceleration_term.h": ("h", "finite",
                                       lambda v: relex.dirichlet_acceleration_term(v, 1.0, PAIR_PI),
-                                      np.zeros((8, 8)), (np.nan, np.inf)),
+                                      np.zeros((8, 8)), (np.nan, np.inf), None),
     "build_gaussian_mixture.centers": ("mixture centers", "finite",
                                        lambda v: relex.build_gaussian_mixture(v, [1.0, 1.0], 0.1),
-                                       [[0.0, 0.0], [1.0, 1.0]], (np.nan, np.inf)),
+                                       [[0.0, 0.0], [1.0, 1.0]], (np.nan, np.inf), 2),
     "build_gaussian_mixture.weights": (
         "mixture weights", "finite and nonnegative",
         lambda v: relex.build_gaussian_mixture([[0.0, 0.0], [1.0, 1.0]], v, 0.1), [1.0, 1.0],
-        (np.nan, np.inf, -1.0)),
+        (np.nan, np.inf, -1.0), 1),
     "check_gradient.point": ("point", "finite", lambda v: relex.check_gradient(F, v),
-                             [[0.0], [0.5]], (np.nan, -np.inf)),
+                             [[0.0], [0.5]], (np.nan, -np.inf), None),
 }
 ARRAY_CASES = [(array, bad) for array in ARRAYS for bad in ARRAYS[array][4]]
 
@@ -338,11 +346,29 @@ def _with_one(valid, bad):
 
 @pytest.mark.parametrize("array, bad", ARRAY_CASES, ids=[f"{a}-{b}" for a, b in ARRAY_CASES])
 def test_an_array_element_that_breaks_its_rule_is_an_input_error(array, bad, monkeypatch):
-    what, condition, call, valid, _ = ARRAYS[array]
+    what, condition, call, valid, _, _ = ARRAYS[array]
     for draw in ("normal", "uniform", "integers"):
         monkeypatch.setattr(RngStream, draw, lambda *args: pytest.fail("noise was drawn"))
     with pytest.raises(InputError, match=f"^{re.escape(what)} must be {condition}$"):
         call(_with_one(valid, bad))
+
+
+# each input with one form, with its valid array given one axis more or one less
+AXES_CASES = [(array, change) for array in ARRAYS if ARRAYS[array][5] is not None
+              for change in ("one-more", "one-less")]
+
+
+@pytest.mark.parametrize("array, change", AXES_CASES, ids=[f"{a}-{c}" for a, c in AXES_CASES])
+def test_an_array_with_another_number_of_axes_is_an_input_error(array, change, monkeypatch):
+    what, _, call, valid, _, axes = ARRAYS[array]
+    for draw in ("normal", "uniform", "integers"):
+        monkeypatch.setattr(RngStream, draw, lambda *args: pytest.fail("noise was drawn"))
+    reshaped = np.array(valid, dtype=float)
+    reshaped = reshaped[None] if change == "one-more" else reshaped[0]
+    noun = "axis" if axes == 1 else "axes"
+    with pytest.raises(InputError, match=f"^{re.escape(what)} must have {axes} {noun}, "
+                                         f"got shape {re.escape(str(reshaped.shape))}$"):
+        call(reshaped)
 
 
 @pytest.mark.parametrize("array", ARRAYS)
