@@ -79,8 +79,10 @@ class DecayFit:
 
 
 def _bounds(bounds) -> np.ndarray:
-    """Checked grid bounds: a (d, 2) float array of finite lo < hi rows."""
+    """Checked grid bounds: a (d, 2) float array of finite lo < hi rows, d >= 1."""
     bounds = floats("grid bounds", bounds, axes=2)
+    if not len(bounds):             # np.all of the row tests below is True on no rows
+        raise InputError(f"grid bounds must have at least one row, got shape {bounds.shape}")
     if (bounds.shape[1] != 2 or not np.all(np.isfinite(bounds))
             or not np.all(bounds[:, 0] < bounds[:, 1])):
         raise InputError(f"grid bounds must be finite (lo, hi) rows with lo < hi, "

@@ -175,6 +175,15 @@ class TestGridMeasure:
             with pytest.raises(InputError, match=message):
                 empirical_histogram([[0.5]], bounds, 4)
 
+    def test_bounds_have_a_row(self):
+        # every row test passes on no rows; numpy's histogram and the mass check
+        # would report the empty grid in their own terms
+        message = r"^grid bounds must have at least one row, got shape \(0, 2\)$"
+        with pytest.raises(InputError, match=message):
+            empirical_histogram(np.empty((3, 0)), np.empty((0, 2)), 4)
+        with pytest.raises(InputError, match=message):
+            GridMeasure(np.empty((0, 2)), 1.0)
+
     @pytest.mark.parametrize("overflow", [-3.0, 1.5, np.nan, np.inf])
     def test_overflow_is_a_fraction(self, overflow):
         with pytest.raises(InputError, match=r"^grid overflow must be in \[0, 1\], got "):

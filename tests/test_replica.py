@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from relex.acceptance import _routed_twin
 from relex.diagnostics import chi2_decay_experiment
 from relex.errors import InputError
 from relex.harness import discretization_error_experiment, pregenerate_noise, run_comparison
@@ -443,33 +444,13 @@ class TestFired:
                               [(p1, p2, None) for p1, p2, _ in pair_streams(0)], 0.01, 1.0)
 
 
-def temperature_swaps(f, x0, temps, steps, streams, eta, a, m, exchange_scale=True):
-    """The discrete algorithm written out on the kernel's noise: each slot
-    keeps its particle, a swap trades the temperatures (and with
-    ``exchange_scale`` their noise scales), and each slot takes the increment
-    of the stream that belongs to its current temperature. Returns the
-    positions ordered (low, high) and the number of swaps."""
-    x = np.array(x0, dtype=float)
-    T = np.array(np.broadcast_to(temps, x.shape[:2]))
-    coef = np.sqrt(2.0 * eta * T)[..., None]
-    swaps = 0
-    for xi, u in _philox_noise(steps, x.shape, streams, True, m):
-        fx, grad = f.value_and_grad(x)
-        # by_temperature hands a slot at the high temperature the second stream's row
-        x = x - m * eta * grad + coef * by_temperature(xi, T)
-        fired = _fired(u, T, fx, a, eta)
-        T[fired] = T[fired, ::-1]
-        if exchange_scale:
-            coef[fired] = coef[fired, ::-1]
-        swaps += fired.size
-    return by_temperature(x, T), swaps
-
-
+@pytest.mark.parametrize("m", [1, 3])
+@pytest.mark.parametrize("case", ["double-well", "mixture"])
 class TestFormulationIdentity:
-    """Position swapping is temperature swapping under a relabelling of the
-    noise: each stream follows its temperature, not its slot. So the kernel's
-    position mode must reproduce, bit for bit, a temperature-swapping loop
-    whose slots take the increment of the stream at their temperature."""
+    """Position swapping and temperature swapping are one process under a
+    relabelling of the noise: each stream's increment follows what the
+    kernel's stream follows. So the kernel in each mode must reproduce, bit
+    for bit, criterion 8's oracle: its routed twin in the other formulation."""
 
     CASES = {
         "double-well": (double_well, pair_start(64), (0.1, 1.0), 0.001, 5.0),
@@ -477,20 +458,27 @@ class TestFormulationIdentity:
                     0.01, 1.0),
     }
 
-    @pytest.mark.parametrize("m", [1, 3])
-    @pytest.mark.parametrize("case", CASES)
-    def test_position_swapping_is_temperature_swapping(self, case, m):
+    def kernel_and_twin(self, case, m, mode, exchange_scale=True):
+        """The kernel's run in ``mode`` ordered by temperature, its swap count,
+        and the routed twin's positions and swap count, on the same streams."""
         make, x0, temps, eta, a = self.CASES[case]
-        f = make()
-        run = (f, x0, temps, 1000 // m)
-        x, _, swaps = run_pair_ensemble(*run, pair_streams(11, 4), eta, a, mode="position", m=m)
-        by_temp, n = temperature_swaps(*run, pair_streams(11, 4), eta, a, m)
-        assert n == swaps.sum() >= 50
-        assert by_temp.tobytes() == x.tobytes()
-        # a loop that leaves the noise scale with the slot runs another process
-        unscaled, _ = temperature_swaps(*run, pair_streams(11, 4), eta, a, m,
-                                        exchange_scale=False)
+        run = (make(), x0, temps, 1000 // m)
+        x, T, swaps = run_pair_ensemble(*run, pair_streams(11, 4), eta, a, mode=mode, m=m)
+        twin, n = _routed_twin(*run, pair_streams(11, 4), eta, a, mode, m, exchange_scale)
+        return by_temperature(x, T), swaps.sum(), twin, n
+
+    def test_position_swapping_is_temperature_swapping(self, case, m):
+        x, swaps, twin, n = self.kernel_and_twin(case, m, "position")
+        assert n == swaps >= 50
+        assert twin.tobytes() == x.tobytes()
+        # a twin that leaves the noise scale with the slot runs another process
+        _, _, unscaled, _ = self.kernel_and_twin(case, m, "position", exchange_scale=False)
         assert unscaled.tobytes() != x.tobytes()
+
+    def test_temperature_swapping_is_position_swapping(self, case, m):
+        x, swaps, twin, n = self.kernel_and_twin(case, m, "temperature")
+        assert n == swaps >= 50
+        assert twin.tobytes() == x.tobytes()
 
 
 class TestPairSnapshots:
