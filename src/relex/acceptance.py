@@ -75,7 +75,7 @@ def criterion_2_null_coupling_bitwise():
     steps, nseeds = 10_000, 5
     eta, tau1, tau2 = 0.01, 0.01, 1.0
     init = np.tile((2.0, 2.0), (nseeds, 1))
-    xi, _ = pregenerate_noise(7, nseeds, steps, f.dimension)
+    xi, _ = pregenerate_noise(pair_streams(7, nseeds), steps, nseeds, f.dimension)
     snaps, swaps = pair_snapshots(f, np.stack((init, init), axis=1), (tau1, tau2),
                                   pair_streams(7, nseeds), eta, 0.0, range(steps + 1))
     ok = int(swaps.sum()) == 0
@@ -207,55 +207,36 @@ def _sign_test_pvalue(wins: int, n: int) -> float:
 
 
 def criterion_8_formulation_equivalence():
-    """Position swapping and temperature swapping are one process under a
-    relabelling of the noise. Double well, (0.1, 1), eta 0.001, a = 5, 500
-    pairs x 2000 steps: the kernel in each mode equals its routed twin in
-    the other formulation bit for bit, swap count included, and each run
-    makes at least 1000 swaps."""
+    """The kernel's temperature swapping is the paper's position swapping
+    under a relabelling of the noise. Double well, (0.1, 1), eta 0.001, a = 5,
+    500 pairs x 2000 steps: the kernel, viewed by temperature, equals its
+    routed twin bit for bit, swap count included, with at least 1000 swaps."""
     f = double_well()
     temps, eta, a, steps, chains = (0.1, 1.0), 0.001, 5.0, 2000, 500
     x0 = pair_start(chains)
-    counts = []
-    for mode in ("position", "temperature"):
-        x, T, swaps = run_pair_ensemble(f, x0, temps, steps, pair_streams(80), eta, a,
-                                        mode=mode)
-        twin, n = _routed_twin(f, x0, temps, steps, pair_streams(80), eta, a, mode)
-        if by_temperature(x, T).tobytes() != twin.tobytes() or swaps.sum() != n:
-            return False, (f"{mode} swapping differs from its routed twin over {steps} "
-                           f"steps x {chains} pairs ({swaps.sum()} vs {n} swaps)")
-        counts.append(n)
-    return min(counts) >= 1000, (f"both formulations equal their routed twin bit for bit "
-                                 f"over {steps} steps x {chains} pairs, {counts[0]} and "
-                                 f"{counts[1]} swaps (>= 1000 each)")
+    x, T, swaps = run_pair_ensemble(f, x0, temps, steps, pair_streams(80), eta, a)
+    twin, n = _routed_twin(f, x0, temps, steps, pair_streams(80), eta, a)
+    if by_temperature(x, T).tobytes() != twin.tobytes() or swaps.sum() != n:
+        return False, (f"temperature swapping differs from its routed twin over {steps} "
+                       f"steps x {chains} pairs ({swaps.sum()} vs {n} swaps)")
+    return n >= 1000, (f"temperature swapping equals its routed twin bit for bit over "
+                       f"{steps} steps x {chains} pairs, {n} swaps (>= 1000)")
 
 
-def _routed_twin(f, x0, temps, steps, streams, eta, intensity, mode, m=1,
-                exchange_scale=True):
+def _routed_twin(f, x0, temps, steps, streams, eta, intensity, m=1):
     """Criterion 8's oracle: ``run_pair_ensemble(f, x0, temps, steps, streams,
-    eta, intensity, mode=mode, m=m)`` written out in the other formulation,
-    with no step code of the kernel. Each stream's increments follow what the
-    kernel's stream follows, so the twin is the same chain in other
-    coordinates. The twin of position swapping swaps temperatures: each slot
-    keeps its particle, a swap trades the temperatures and, with
-    ``exchange_scale``, their noise scales, and a slot takes the increment of
-    the stream at its current temperature. The twin of temperature swapping
-    swaps positions: positions are held by temperature, a swap trades them,
-    and each stream's increment goes to the particle whose slot the stream
-    belongs to. ``streams`` are distinct ``pair_streams`` groups; each stream
-    draws its whole run as one block, a step sums m rows and takes the
-    smallest of their m uniforms, and ``swap_rate`` and ``swap_probability``
-    decide the swaps. Returns the positions ordered (low, high) and the
-    number of swaps."""
+    eta, intensity, m=m)`` written out as position swapping, with no step
+    code of the kernel. Positions are held by temperature, ``temps`` ordered
+    (low, high), and a swap trades them; each stream's increment goes to the
+    particle whose kernel slot the stream belongs to, so the twin is the same
+    chain in other coordinates. ``streams`` are distinct ``pair_streams``
+    groups, replayed from ``pregenerate_noise``, and ``swap_rate`` and
+    ``swap_probability`` decide the swaps. Returns the positions (low, high)
+    and the number of swaps."""
     x = np.array(x0, dtype=float)
     chains, _, d = x.shape
-    rows, per = steps * m, chains // len(streams)
-    xi, u = np.empty((rows, chains, 2, d)), np.empty((rows, chains))
-    for g, (pos1, pos2, swap) in enumerate(streams):
-        cols = slice(g * per, (g + 1) * per)
-        xi[:, cols, 0], xi[:, cols, 1] = pos1.normal((rows, per, d)), pos2.normal((rows, per, d))
-        u[:, cols] = swap.uniform((rows, per))
-    xi, u = xi.reshape(steps, m, chains, 2, d).sum(1), u.reshape(steps, m, chains).min(1)
-    T = np.array(np.broadcast_to(temps, (chains, 2)), dtype=float)
+    xi, u = pregenerate_noise(streams, steps, chains, d, m)
+    T = np.broadcast_to(temps, (chains, 2))
     coef = np.sqrt(2.0 * eta * T)[..., None]
     crossed = np.zeros(chains, bool)    # chains whose slots take each other's stream
     swaps = 0
@@ -264,15 +245,10 @@ def _routed_twin(f, x0, temps, steps, streams, eta, intensity, mode, m=1,
         x = x - m * eta * grad + coef * np.where(crossed[:, None, None], xi[k, :, ::-1], xi[k])
         rate = swap_rate(fx[:, 0], fx[:, 1], T[:, 0], T[:, 1])
         fired = u[k] < swap_probability(rate, intensity, eta)
-        if mode == "position":
-            T[fired] = T[fired, ::-1]
-            if exchange_scale:
-                coef[fired] = coef[fired, ::-1]
-        else:
-            x[fired] = x[fired, ::-1]
+        x[fired] = x[fired, ::-1]
         crossed ^= fired
         swaps += int(fired.sum())
-    return by_temperature(x, T), swaps
+    return x, swaps
 
 
 def criterion_9_gradient_correctness():
@@ -297,10 +273,11 @@ CRITERIA = (
 )
 
 
-# Criterion numbers, longest first by serial time (criterion 3 alone is
-# nearly half the serial total): the pool starts the long ones first, so no
-# long criterion starts last and runs alone.
-LONGEST_FIRST = ("3", "2", "8", "7", "6", "4", "5", "1", "9")
+# Criterion numbers, longest first by measured serial time (on 2 CPUs,
+# criterion 3 takes about 2.8 s of the 5.7 s total, 2 about 1 s, and each
+# other under 0.7 s): the pool starts the long ones first, so no long
+# criterion starts last and runs alone.
+LONGEST_FIRST = ("3", "2", "7", "6", "4", "8", "5", "1", "9")
 
 
 def run_criterion(name: str, fn) -> CriterionRecord:

@@ -251,7 +251,7 @@ def chi2_decay_experiment(f: ObjectiveFunction, tau1: float, tau2: float,
     (pos1, pos2, swap), = pair_streams(seed)
     streams = [(pos1, pos2, None), (pos1, pos2, swap)][:len(intensities)]
     snaps, _ = pair_snapshots(f, pair_start(len(streams) * ensemble), (tau1, tau2), streams,
-                              eta, a, sample_steps.tolist(), mode="position")
+                              eta, a, sample_steps.tolist())
     halves = np.split(snaps[:, :, :, 0], len(streams), axis=1)  # each (times, ensemble, 2)
     chi2 = [np.array([_chi2_of_points(pts, pi) for pts in half]) for half in halves]
     kept = min(int(np.sum(values > fit_floor)) for values in chi2)

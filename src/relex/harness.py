@@ -46,18 +46,21 @@ class DiscretizationResult:
     slope: float
 
 
-def pregenerate_noise(seed: int, nseeds: int, steps: int, dim: int):
-    """Per-seed noise as one whole-run block: normals (steps, nseeds, 2, dim)
-    and swap uniforms (steps, nseeds), from each seed's own derived streams.
-    Criterion 2's oracle loop replays it, and the kernel's chunked draws from
-    streams of the same keys are tested against it."""
-    xi = np.empty((steps, nseeds, 2, dim))
-    uswap = np.empty((steps, nseeds))
-    for s, (pos1, pos2, swap) in enumerate(pair_streams(seed, nseeds)):
-        xi[:, s, 0] = pos1.normal((steps, dim))
-        xi[:, s, 1] = pos2.normal((steps, dim))
-        uswap[:, s] = swap.uniform(steps)
-    return xi, uswap
+def pregenerate_noise(streams, steps: int, chains: int, dim: int, m: int = 1):
+    """The noise the kernel draws from ``streams``, ``pair_streams`` groups
+    that split ``chains`` evenly, drawn as one whole-run block per stream:
+    normals (steps, chains, 2, dim), each step the sum of its m sub-step
+    rows, and swap uniforms (steps, chains), each the smallest of its m.
+    Criterion 2's and criterion 8's oracles replay it, and the kernel's
+    chunked draws are tested against it."""
+    rows, per = steps * m, chains // len(streams)
+    xi, u = np.empty((rows, chains, 2, dim)), np.empty((rows, chains))
+    for g, (pos1, pos2, swap) in enumerate(streams):
+        cols = slice(g * per, (g + 1) * per)
+        xi[:, cols, 0] = pos1.normal((rows, per, dim))
+        xi[:, cols, 1] = pos2.normal((rows, per, dim))
+        u[:, cols] = swap.uniform((rows, per))
+    return xi.reshape(steps, m, chains, 2, dim).sum(1), u.reshape(steps, m, chains).min(1)
 
 
 def _best_so_far(steps: int, stride: int, nseeds: int):

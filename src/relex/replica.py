@@ -4,9 +4,10 @@
 set of independent single chains, R = 2 a replica pair per chain. Each step
 every slot takes one Euler-Maruyama step at its current temperature; a pair
 then exchanges with probability min(1, a * eta * s), with s evaluated at the
-PRE-update positions. Temperature swapping (the discrete algorithm) trades
-the temperatures; position swapping, the distributionally equivalent variant,
-keeps the temperatures and trades the positions.
+PRE-update positions. A swap trades the pair's temperatures, and with them
+their noise scales. The paper's position swapping, which keeps the
+temperatures and trades the positions, is the same process under a
+relabelling of the noise; criterion 8 checks the kernel against it.
 
 The kernel draws its own noise from the stream rows it is given: Gaussian
 increments and swap uniforms on the sub-step ``eta``. A coarse step of m
@@ -91,8 +92,7 @@ def by_temperature(x, T):
 
 
 def run_pair_ensemble(f: ObjectiveFunction, x0, temps, steps: int, streams,
-                      eta: float, intensity: float, mode: str = "temperature",
-                      observe=None, m: int = 1):
+                      eta: float, intensity: float, observe=None, m: int = 1):
     """Advance ``x0`` by ``steps`` Euler-Maruyama steps of ``m * eta``.
 
     ``x0`` has shape (chains, R, d) with R = 1 or 2; ``temps`` broadcasts to
@@ -112,10 +112,10 @@ def run_pair_ensemble(f: ObjectiveFunction, x0, temps, steps: int, streams,
     ``observe(k, x, T, fx)`` sees the positions x_k, their temperatures and
     their objective values fx = f(x_k) at k = 0..steps; the final values
     cost one extra ``f.eval``, made only when an observer is given. The
-    kernel never mutates a ``T`` it has handed over: a temperature swap
-    replaces it with a new array, so an observer may cache what it derives
-    from ``T`` until it is handed another object. Returns (positions,
-    temperatures, swap counts per chain).
+    kernel never mutates a ``T`` it has handed over: a swap replaces it with
+    a new array, so an observer may cache what it derives from ``T`` until
+    it is handed another object. Returns (positions, temperatures, swap
+    counts per chain).
     """
     intensity = positive("swap intensity", intensity, zero=True)
     eta = positive("eta", eta)
@@ -123,8 +123,6 @@ def run_pair_ensemble(f: ObjectiveFunction, x0, temps, steps: int, streams,
         warnings.warn(f"intensity * eta = {intensity * eta:g} >= 1; "
                       "swap probabilities will be clamped to 1", RuntimeWarning,
                       stacklevel=_outside_level())
-    if mode not in ("temperature", "position"):
-        raise InputError(f"unknown swap mode {mode!r}")
     steps, m = integer("steps", steps, 1), integer("m", m, 1)
     x = np.array(floats("starting positions", x0, finite, "finite"))
     if x.ndim != 3 or x.shape[1] not in (1, 2) or x.shape[2] != f.dimension or not len(x):
@@ -155,12 +153,9 @@ def run_pair_ensemble(f: ObjectiveFunction, x0, temps, steps: int, streams,
         if swapping:
             fired = _fired(u, T, fx, intensity, eta)
             if fired.size:
-                if mode == "temperature":
-                    T = T.copy()                # the observer may hold the old T
-                    T[fired] = T[fired, ::-1]
-                    coef[fired] = coef[fired, ::-1]
-                else:
-                    x[fired] = x[fired, ::-1]   # x is this step's fresh array
+                T = T.copy()                    # the observer may hold the old T
+                T[fired] = T[fired, ::-1]
+                coef[fired] = coef[fired, ::-1]
                 swaps[fired] += 1
     if observe is not None:
         observe(steps, x, T, f.eval(x))
@@ -178,7 +173,7 @@ def _outside_level() -> int:
 
 
 def pair_snapshots(f: ObjectiveFunction, x0, temps, streams, eta: float,
-                   intensity: float, at, mode: str = "temperature"):
+                   intensity: float, at):
     """Pair run to step max(at) that records ``by_temperature(x, T)`` at each
     step k >= 0 in ``at``, any iterable of steps (k = 0 is the start). Returns
     (snapshots (len(at), chains, 2, d), swap counts per chain)."""
@@ -191,8 +186,7 @@ def pair_snapshots(f: ObjectiveFunction, x0, temps, streams, eta: float,
     def observe(k, x, T, fx):
         if k in rows:
             snaps[rows[k]] = by_temperature(x, T)
-    _, _, swaps = run_pair_ensemble(f, x0, temps, steps, streams, eta, intensity, mode,
-                                    observe)
+    _, _, swaps = run_pair_ensemble(f, x0, temps, steps, streams, eta, intensity, observe)
     return snaps, swaps
 
 

@@ -372,7 +372,7 @@ def decay_fit_alone(f, tau1, tau2, a, eta, ensemble, sample_times, bounds, resol
     steps = np.rint(np.asarray(sample_times) / eta).astype(int)
     times = steps * eta
     snaps, _ = pair_snapshots(f, pair_start(ensemble), (tau1, tau2), pair_streams(seed), eta,
-                              a, steps.tolist(), mode="position")
+                              a, steps.tolist())
 
     def chi2(points):
         return chi_square_divergence(empirical_histogram(points, pi.bounds, pi.resolution), pi)

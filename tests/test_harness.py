@@ -192,9 +192,8 @@ class TestRunComparison:
             assert summary.iterations.tolist() == list(range(0, 121, 6))
         assert summaries[2].swap_counts.sum() > 0
 
-    @pytest.mark.parametrize("mode, intensity", [
-        ("temperature", 50.0), ("position", 50.0), ("temperature", 0.0)])
-    def test_best_so_far_matches_a_per_step_reorder(self, mode, intensity):
+    @pytest.mark.parametrize("intensity", [50.0, 0.0])
+    def test_best_so_far_matches_a_per_step_reorder(self, intensity):
         # the observer reorders by temperature only when the kernel hands
         # over a new T; the reference reorders every step
         n, steps, stride = 6, 300, 3
@@ -209,7 +208,7 @@ class TestRunComparison:
                 want.append(best.copy())
         _, _, swaps = run_pair_ensemble(
             f, np.full((n, 2, 2), 2.0), (0.1, 1.0), steps, pair_streams(4, n),
-            0.01, intensity, mode, observe=both)
+            0.01, intensity, observe=both)
         assert (swaps.sum() > 30) == (intensity > 0)
         assert np.array_equal(curves, want)
 
@@ -244,7 +243,8 @@ class TestRunComparison:
         # the noise is drawn in chunks, so the run never holds the whole-run
         # block (16 MB here)
         run = small_run(ensemble=20, steps=20_000, stride=10)
-        noise_bytes = sum(a.nbytes for a in pregenerate_noise(run["seed"], 20, 20_000, 2))
+        noise_bytes = sum(a.nbytes for a in pregenerate_noise(pair_streams(run["seed"], 20),
+                                                             20_000, 20, 2))
         tracemalloc.start()
         try:
             run_comparison(**run)
@@ -467,7 +467,7 @@ def test_a_point_where_every_component_underflows_has_value_minus_zero():
 
 def test_pregenerated_noise_matches_streams():
     from relex.rng import PURPOSE_POS2, PURPOSE_SWAP, derive_stream
-    xi, uswap = pregenerate_noise(3, 2, 5, 2)
+    xi, uswap = pregenerate_noise(pair_streams(3, 2), 5, 2, 2)
     assert xi.shape == (5, 2, 2, 2) and uswap.shape == (5, 2)
     expected = derive_stream(3, PURPOSE_POS2, 1).normal((5, 2))
     assert np.array_equal(xi[:, 1, 1], expected)

@@ -53,7 +53,7 @@ SIGNATURES = {
     "run_comparison": ("f", "tau1", "tau2", "a", "eta", "steps", "ensemble", "seed", "init",
                        "stride"),
     "run_pair_ensemble": ("f", "x0", "temps", "steps", "streams", "eta", "intensity",
-                          "mode", "observe", "m"),
+                          "observe", "m"),
     "swap_rate": ("u1", "u2", "tau1", "tau2"),
     "total_variation": ("mu", "pi"),
 }

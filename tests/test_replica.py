@@ -185,16 +185,6 @@ class TestSteppers:
         assert T.tolist() == [[1.0, 0.1]]
         assert swaps.tolist() == [1]
 
-    def test_formulations_move_the_same_coordinates(self):
-        # with identical streams the two formulations produce the same pair of
-        # post-step positions, just labeled differently
-        f = double_well()
-        x0 = pair([[1.0]], [[-1.0]])
-        xt, Tt, _ = certain_swaps(f, x0, (0.1, 1.0), 1, pair_streams(1), mode="temperature")
-        xp, Tp, _ = certain_swaps(f, x0, (0.1, 1.0), 1, pair_streams(1), mode="position")
-        assert np.array_equal(xt, xp[:, ::-1])
-        assert np.array_equal(by_temperature(xt, Tt), by_temperature(xp, Tp))
-
     def test_low_temperature_position_tracks_swaps(self):
         x = pair([[1.0]], [[2.0]])
         assert by_temperature(x, np.array([[0.1, 1.0]])).tolist() == [[[1.0], [2.0]]]
@@ -222,13 +212,12 @@ class TestPairEnsemble:
     def test_snapshots_ordered_low_then_high(self):
         # flat potential with certain swaps: temperatures trade every step,
         # yet snapshots stay keyed by temperature
-        for mode in ("temperature", "position"):
-            snaps = {}
-            x, T, counts = certain_swaps(
-                flat(), np.zeros((8, 2, 1)), (0.1, 1.0), 10, pair_streams(1), mode=mode,
-                observe=lambda k, x, T, fx: snaps.setdefault(k, by_temperature(x, T)))
-            assert np.array_equal(snaps[10], by_temperature(x, T))
-            assert np.all(counts == 10)
+        snaps = {}
+        x, T, counts = certain_swaps(
+            flat(), np.zeros((8, 2, 1)), (0.1, 1.0), 10, pair_streams(1),
+            observe=lambda k, x, T, fx: snaps.setdefault(k, by_temperature(x, T)))
+        assert np.array_equal(snaps[10], by_temperature(x, T))
+        assert np.all(counts == 10)
 
     def test_observed_temperatures_are_never_mutated(self):
         # observers may cache what they derive from T: a swap hands over a
@@ -242,11 +231,8 @@ class TestPairEnsemble:
         assert len({id(T) for T, _ in kept}) > 30
         assert all(np.array_equal(T, at_hand_over) for T, at_hand_over in kept)
 
-    def test_invalid_mode_and_steps(self):
+    def test_invalid_steps(self):
         args = (double_well(), pair(np.ones((2, 1)), -np.ones((2, 1))), (0.1, 1.0))
-        with pytest.raises(InputError):
-            run_pair_ensemble(*args, 10, pair_streams(0), 0.01, 1.0,
-                              mode="bogus")
         with pytest.raises(InputError):
             run_pair_ensemble(*args, 0, pair_streams(0), 0.01, 1.0)
         with pytest.raises(InputError, match="^m must be >= 1, got 0$"):
@@ -355,14 +341,13 @@ class TestPairEnsemble:
         fresh = RngStream(swap.seed, swap.stream_id)
         assert np.array_equal(swap.uniform(3), fresh.uniform(3))
 
-    @pytest.mark.parametrize("mode", ["temperature", "position"])
-    def test_swaps_leave_observed_arrays_alone(self, mode):
+    def test_swaps_leave_observed_arrays_alone(self):
         held = []
 
         def observe(k, x, T, fx):
             held.append((x, T, x.copy(), T.copy()))
         _, _, swaps = certain_swaps(flat(), np.zeros((4, 2, 1)), (0.1, 1.0), 6,
-                                    pair_streams(2), mode, observe)
+                                    pair_streams(2), observe=observe)
         assert np.all(swaps == 6)
         for x, T, x_then, T_then in held:
             assert np.array_equal(x, x_then) and np.array_equal(T, T_then)
@@ -447,10 +432,11 @@ class TestFired:
 @pytest.mark.parametrize("m", [1, 3])
 @pytest.mark.parametrize("case", ["double-well", "mixture"])
 class TestFormulationIdentity:
-    """Position swapping and temperature swapping are one process under a
-    relabelling of the noise: each stream's increment follows what the
-    kernel's stream follows. So the kernel in each mode must reproduce, bit
-    for bit, criterion 8's oracle: its routed twin in the other formulation."""
+    """The kernel's temperature swapping and the paper's position swapping are
+    one process under a relabelling of the noise: each stream's increment
+    follows the particle of the stream's slot. So the kernel, viewed by
+    temperature, must reproduce criterion 8's oracle, its routed
+    position-swapping twin, bit for bit."""
 
     CASES = {
         "double-well": (double_well, pair_start(64), (0.1, 1.0), 0.001, 5.0),
@@ -458,27 +444,23 @@ class TestFormulationIdentity:
                     0.01, 1.0),
     }
 
-    def kernel_and_twin(self, case, m, mode, exchange_scale=True):
-        """The kernel's run in ``mode`` ordered by temperature, its swap count,
-        and the routed twin's positions and swap count, on the same streams."""
+    def test_temperature_swapping_is_position_swapping(self, case, m):
         make, x0, temps, eta, a = self.CASES[case]
         run = (make(), x0, temps, 1000 // m)
-        x, T, swaps = run_pair_ensemble(*run, pair_streams(11, 4), eta, a, mode=mode, m=m)
-        twin, n = _routed_twin(*run, pair_streams(11, 4), eta, a, mode, m, exchange_scale)
-        return by_temperature(x, T), swaps.sum(), twin, n
+        x, T, swaps = run_pair_ensemble(*run, pair_streams(11, 4), eta, a, m=m)
+        twin, n = _routed_twin(*run, pair_streams(11, 4), eta, a, m)
+        assert n == swaps.sum() >= 50
+        assert twin.tobytes() == by_temperature(x, T).tobytes()
 
-    def test_position_swapping_is_temperature_swapping(self, case, m):
-        x, swaps, twin, n = self.kernel_and_twin(case, m, "position")
-        assert n == swaps >= 50
-        assert twin.tobytes() == x.tobytes()
-        # a twin that leaves the noise scale with the slot runs another process
-        _, _, unscaled, _ = self.kernel_and_twin(case, m, "position", exchange_scale=False)
-        assert unscaled.tobytes() != x.tobytes()
-
-    def test_temperature_swapping_is_position_swapping(self, case, m):
-        x, swaps, twin, n = self.kernel_and_twin(case, m, "temperature")
-        assert n == swaps >= 50
-        assert twin.tobytes() == x.tobytes()
+    def test_exchanged_slot_streams_run_another_chain(self, case, m):
+        # the identity holds only with each stream routed to its own slot: a
+        # kernel whose slots take each other's stream is not the twin
+        make, x0, temps, eta, a = self.CASES[case]
+        run = (make(), x0, temps, 1000 // m)
+        exchanged = [(pos2, pos1, swap) for pos1, pos2, swap in pair_streams(11, 4)]
+        x, T, _ = run_pair_ensemble(*run, exchanged, eta, a, m=m)
+        twin, _ = _routed_twin(*run, pair_streams(11, 4), eta, a, m)
+        assert twin.tobytes() != by_temperature(x, T).tobytes()
 
 
 class TestPairSnapshots:
@@ -552,12 +534,15 @@ def chunk_steps(per, d, m=1):
 
 
 class TestNoiseSources:
-    def test_chunked_rows_replay_the_per_seed_block(self):
-        # longer than one chunk, and not a multiple of it
-        n, d = 3, 2
-        steps = 2 * chunk_steps(1, d) + 37
-        noise = list(_philox_noise(steps, (n, 2, d), pair_streams(9, n), True, 1))
-        xi, u = pregenerate_noise(9, n, steps, d)
+    @pytest.mark.parametrize("m", [1, 3])
+    @pytest.mark.parametrize("groups", [1, 4])
+    def test_chunked_noise_replays_the_whole_run_block(self, groups, m):
+        # longer than one chunk, and not a multiple of it: a step sums its m
+        # rows and takes the smallest of their m uniforms, chain by chain
+        chains, d = 4, 2
+        steps = 2 * chunk_steps(chains // groups, d, m) + 37
+        noise = list(_philox_noise(steps, (chains, 2, d), pair_streams(9, groups), True, m))
+        xi, u = pregenerate_noise(pair_streams(9, groups), steps, chains, d, m)
         assert len(noise) == steps
         for k, (inc, uk) in enumerate(noise):
             assert np.array_equal(inc, xi[k]) and np.array_equal(uk, u[k])
