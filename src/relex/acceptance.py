@@ -5,7 +5,7 @@ formulation equivalence, and gradient correctness.
 
 Each criterion function returns (passed, detail). ``run_criterion`` times one
 and turns a crash into a failure; ``run_all``, behind ``relex check``, runs
-them all in worker processes.
+them all in worker processes, in their numbered order.
 """
 
 from __future__ import annotations
@@ -273,13 +273,6 @@ CRITERIA = (
 )
 
 
-# Criterion numbers, longest first by measured serial time (on 2 CPUs,
-# criterion 3 takes about 2.8 s of the 5.7 s total, 2 about 1 s, and each
-# other under 0.7 s): the pool starts the long ones first, so no long
-# criterion starts last and runs alone.
-LONGEST_FIRST = ("3", "2", "7", "6", "4", "8", "5", "1", "9")
-
-
 def run_criterion(name: str, fn) -> CriterionRecord:
     start = time.perf_counter()
     try:
@@ -303,9 +296,10 @@ def _run_indexed(i: int) -> CriterionRecord:
 
 def run_all() -> list:
     """Run every criterion in CRITERIA in worker processes forked from this
-    one, one per usable CPU, longest first; the records come back in
-    CRITERIA order. A criterion whose result never arrives, say because its
-    worker died, is a failed record naming the error."""
+    one, one per usable CPU. They start in CRITERIA order, their numbered
+    order, and the records come back in that order. A criterion whose result
+    never arrives, say because its worker died, is a failed record naming the
+    error."""
     import multiprocessing
     from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 
@@ -315,16 +309,13 @@ def run_all() -> list:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:                         # not on Linux
         cpus = os.cpu_count() or 1
-    rank = {number: r for r, number in enumerate(LONGEST_FIRST)}
-    order = sorted(range(len(CRITERIA)),
-                   key=lambda i: rank.get(CRITERIA[i][0].partition(" ")[0], len(rank)))
     records = [None] * len(CRITERIA)
     # fork, not spawn: workers must see this process's CRITERIA, which a
     # caller may have narrowed. relex starts no threads of its own.
     with ProcessPoolExecutor(min(cpus, len(CRITERIA)),
                              mp_context=multiprocessing.get_context("fork")) as pool:
         futures = []
-        for i in order:
+        for i in range(len(CRITERIA)):
             try:
                 futures.append((i, pool.submit(_run_indexed, i)))
             except BrokenExecutor as exc:          # a worker has already died

@@ -320,13 +320,11 @@ def cmd_gradcheck(cfg, values, out) -> int:
 def cmd_check(cfg, values, out) -> int:
     from .acceptance import run_all
     records = run_all()
-    all_pass = True
     for rec in records:
-        status = "PASS" if rec.passed else "FAIL"
-        all_pass &= rec.passed
-        print(f"[{status}] {rec.name}: {rec.detail} ({rec.runtime:.1f}s)")
-    print(f"check: {sum(r.passed for r in records)}/{len(records)} criteria passed")
-    return 0 if all_pass else 4
+        print(f"[{'PASS' if rec.passed else 'FAIL'}] {rec.name}: {rec.detail} ({rec.runtime:.1f}s)")
+    passed = sum(r.passed for r in records)
+    print(f"check: {passed}/{len(records)} criteria passed")
+    return 0 if passed == len(records) else 4
 
 
 HANDLERS = {

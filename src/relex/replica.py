@@ -37,6 +37,11 @@ def swap_rate(u1, u2, tau1, tau2):
     """
     u1, u2 = (floats("objective values", u, finite, "finite") for u in (u1, u2))
     tau1, tau2 = (floats("temperatures", t, lambda v: v > 0, "positive") for t in (tau1, tau2))
+    try:
+        np.broadcast(u1, u2, tau1, tau2)
+    except ValueError:
+        raise InputError("objective values and temperatures must broadcast together, got "
+                         f"shapes {u1.shape}, {u2.shape}, {tau1.shape}, {tau2.shape}") from None
     out = _rate(tau1, tau2, u1, u2)
     return out if out.ndim else float(out)
 

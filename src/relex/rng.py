@@ -74,8 +74,8 @@ def derive_stream(seed: int, purpose: int, chain: int = 0) -> RngStream:
 
 
 def pair_streams(seed: int, groups: int = 1):
-    """(pos1, pos2, swap) streams of ``groups`` pair groups, keyed (seed, purpose, group).
+    """(pos1, pos2, swap) streams of ``groups`` >= 1 pair groups, keyed (seed, purpose, group).
     Every group gets all three; a caller whose group never swaps, such as a
     comparison's baseline pairs, puts None in place of its swap stream."""
     return [(derive_stream(seed, PURPOSE_POS1, g), derive_stream(seed, PURPOSE_POS2, g),
-             derive_stream(seed, PURPOSE_SWAP, g)) for g in range(groups)]
+             derive_stream(seed, PURPOSE_SWAP, g)) for g in range(integer("groups", groups, 1))]

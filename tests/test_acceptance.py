@@ -241,13 +241,13 @@ def test_pool_returns_records_in_criteria_order(fakes):
     assert all(r.runtime >= 0 for r in records)
 
 
-def test_pool_runs_longest_first(fakes, monkeypatch):
+def test_pool_runs_in_criteria_order(fakes, monkeypatch):
     fakes(FAKES)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})   # one worker
     records = acceptance.run_all()
     timed = [r for r in records if r.name[0] != "3"]
     by_start = [r.name.partition(" ")[0] for r in sorted(timed, key=started)]
-    assert by_start == ["2", "7", "8", "1"]   # 3 raises: no time
+    assert by_start == ["1", "2", "8", "7"]   # 3 raises: no time
 
 
 def test_pool_honours_a_subset(fakes):
@@ -297,7 +297,7 @@ def test_pool_broken_before_every_submit_fails_the_rest(fakes, monkeypatch, caps
     # submitted fail naming the broken pool, and the ones already submitted
     # are still collected.
     fakes([("1 fake pass", fake_pass), ("2 fake pass", fake_pass),
-           ("3 fake pass", fake_pass)])               # submitted as 3, 2, 1
+           ("3 fake pass", fake_pass)])               # submitted as 1, 2, 3
     submit, calls = ProcessPoolExecutor.submit, []
 
     def submit_breaks_from_second(pool, *args):
@@ -309,13 +309,13 @@ def test_pool_broken_before_every_submit_fails_the_rest(fakes, monkeypatch, caps
     broken = "raised BrokenProcessPool: a worker died"
     records = acceptance.run_all()
     assert [(r.name, r.passed) for r in records] == [
-        ("1 fake pass", False), ("2 fake pass", False), ("3 fake pass", True)]
-    assert records[0].detail == records[1].detail == broken
+        ("1 fake pass", True), ("2 fake pass", False), ("3 fake pass", False)]
+    assert records[1].detail == records[2].detail == broken
 
     calls.clear()
     assert main(["check"]) == 4
     lines = capsys.readouterr().out.splitlines()
-    assert lines[:2] == [f"[FAIL] 1 fake pass: {broken} (0.0s)",
-                         f"[FAIL] 2 fake pass: {broken} (0.0s)"]
-    assert lines[2].startswith("[PASS] 3 fake pass: pass at ")
+    assert lines[0].startswith("[PASS] 1 fake pass: pass at ")
+    assert lines[1:3] == [f"[FAIL] 2 fake pass: {broken} (0.0s)",
+                          f"[FAIL] 3 fake pass: {broken} (0.0s)"]
     assert lines[3] == "check: 1/3 criteria passed"

@@ -90,6 +90,21 @@ class TestSwapRate:
         with pytest.raises(InputError):
             swap_rate(0.0, 0.0, 0.1, 0.0)
 
+    @pytest.mark.parametrize("u1, u2, t1, t2, shapes", [
+        (np.zeros(3), np.zeros(2), 0.1, 1.0, "(3,), (2,), (), ()"),
+        (np.zeros((2, 3)), np.zeros((3, 2)), 0.1, 1.0, "(2, 3), (3, 2), (), ()"),
+        (0.0, 0.0, np.full(3, 0.1), np.ones(2), "(), (), (3,), (2,)"),
+    ], ids=["values-3-2", "values-2x3-3x2", "temperatures-3-2"])
+    def test_shapes_that_do_not_broadcast(self, u1, u2, t1, t2, shapes):
+        with pytest.raises(InputError, match=re.escape(
+                f"objective values and temperatures must broadcast together, got shapes {shapes}")):
+            swap_rate(u1, u2, t1, t2)
+
+    def test_scalars_and_length_one_arrays_broadcast(self):
+        s = swap_rate(np.zeros((2, 3)), np.zeros(1), np.full(3, 0.1), np.ones((2, 1)))
+        assert s.shape == (2, 3) and np.all(s == 1.0)
+        assert swap_rate(np.zeros(1), 0.0, [0.1], 1.0).shape == (1,)
+
 
 class TestSwapParameters:
     """The kernel's step size eta and swap intensity, and the probability

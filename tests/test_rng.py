@@ -1,12 +1,14 @@
 """Tests for the counter-based stream derivation."""
 
+import re
+
 import numpy as np
 import pytest
 
 from relex.errors import InputError
 from relex.rng import (PURPOSE_INIT, PURPOSE_POS1, PURPOSE_POS2, PURPOSE_SWAP,
                        STREAM_BOOTSTRAP, STREAM_DIRICHLET_MC, RngStream, _stream_id,
-                       derive_stream)
+                       derive_stream, pair_streams)
 
 
 def test_same_seed_and_stream_reproduce():
@@ -138,6 +140,25 @@ def test_numpy_integer_seeds_accepted(seed):
     a = derive_stream(seed, PURPOSE_POS1)
     assert a.seed == 7 and type(a.seed) is int
     assert np.array_equal(a.normal((10,)), derive_stream(7, PURPOSE_POS1).normal((10,)))
+
+
+@pytest.mark.parametrize("groups, message", [
+    (1.5, "groups must be an integer, got 1.5"),
+    ("2", "groups must be an integer, got '2'"),
+    (True, "groups must be an integer, got True"),
+    (0, "groups must be >= 1, got 0"),
+    (-2, "groups must be >= 1, got -2"),
+], ids=["float", "text", "bool", "zero", "negative"])
+def test_pair_streams_rejects_a_group_count_that_is_no_positive_integer(groups, message):
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        pair_streams(0, groups)
+
+
+def test_pair_streams_keys_each_group_by_purpose():
+    groups = pair_streams(5, np.int64(2))
+    assert [[(s.seed, s.stream_id) for s in g] for g in groups] == [
+        [(5, _stream_id(p, g)) for p in (PURPOSE_POS1, PURPOSE_POS2, PURPOSE_SWAP)]
+        for g in range(2)]
 
 
 def test_64_bit_edges_accepted():
